@@ -10,7 +10,9 @@ classical tripartite counterparts with exact rationals.
 from .tensor import (
     DEFAULT_TOL,
     LabeledOperator,
+    OperatorStack,
     WireLabel,
+    batched_trace,
     dump_operator,
     identity_operator,
     kron,
@@ -21,6 +23,7 @@ from .tensor import (
     partial_transpose,
     permute_wires,
     product_trace,
+    stack_operators,
     trace_and_replace,
 )
 from .processes import (
@@ -49,6 +52,7 @@ from .instruments import (
     extend_instrument_with_measurement,
     identity_channel_instrument,
     measure_prepare_instrument,
+    stack_instruments,
     validate_instrument,
 )
 from .games import (
@@ -62,12 +66,14 @@ from .games import (
     bell_encoder,
     bell_state,
     bell_vector,
+    behaviour,
     constant_output_gyni_strategy,
     cyril_gyni_strategy,
     dr_terms,
     eval_dr,
     eval_gyni,
     gyni_terms,
+    input_count,
     joint_probability,
     outcome_distribution,
     pauli_y_baseline_strategy,

@@ -256,6 +256,8 @@ def cmd_drb(args, parser, tol) -> int:
 
 
 def cmd_duality(args, parser, tol) -> int:
+    if args.dim < 2:
+        parser.error(f"--dim must be at least 2, got {args.dim}")
     if args.seed is not None:
         rng = np.random.default_rng(args.seed)
         if args.direction == "gyni2dr":

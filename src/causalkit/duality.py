@@ -28,13 +28,14 @@ from .games import (
     bell_state,
     eval_dr,
     eval_gyni,
+    input_count,
 )
 from .instruments import (
     conjugate_instrument,
     extend_instrument_with_measurement,
 )
 from .processes import extend_with_state
-from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel, product_trace
+from .tensor import DEFAULT_TOL, OperatorStack, WireLabel, batched_trace, stack_operators
 
 DIRECTION_TOKENS = ("gyni2dr", "dr2gyni")
 
@@ -117,28 +118,29 @@ def readout_correlation_residual(d: int) -> float:
     For every code x, rotate (code pair) (x) (zero-code pair) by the party
     readouts and accumulate the probability of measured symbols violating
     u + v = x2 or u' + v' = x1 (mod d). Exactly zero in exact arithmetic.
+    All d^6 probabilities come from one contraction, with codes stacked by
+    x and projectors by (u, u') and (v, v').
     """
     v_a, v_b = party_readout_unitaries(d)
-    wires_a = (WireLabel("A", d), WireLabel("A'", d))
-    wires_b = (WireLabel("B", d), WireLabel("B'", d))
+    codes = stack_operators(
+        [bell_state(BellCode(d, x1, x2), ("A", "B")) for x1, x2 in product(range(d), repeat=2)],
+        (d * d,),
+    )
     aux = bell_state(BellCode(d, 0, 0), ("A'", "B'"))
-    worst = 0.0
-    for x1, x2 in product(range(d), repeat=2):
-        code = bell_state(BellCode(d, x1, x2), ("A", "B"))
-        mass = 0.0
-        for u, up in product(range(d), repeat=2):
-            ia = u * d + up
-            proj_a = LabeledOperator(wires_a, np.outer(v_a[ia, :].conj(), v_a[ia, :]))
-            for v, vp in product(range(d), repeat=2):
-                if (u + v) % d != x2 or (up + vp) % d != x1:
-                    continue
-                ib = v * d + vp
-                proj_b = LabeledOperator(
-                    wires_b, np.outer(v_b[ib, :].conj(), v_b[ib, :])
-                )
-                mass += product_trace([code, aux], [proj_a, proj_b]).real
-        worst = max(worst, abs(1.0 - mass))
-    return worst
+    # Row m of a readout unitary V gives the projector V^dag |m><m| V.
+    proj_a = OperatorStack(
+        (WireLabel("A", d), WireLabel("A'", d)), v_a.conj()[:, :, None] * v_a[:, None, :]
+    )
+    proj_b = OperatorStack(
+        (WireLabel("B", d), WireLabel("B'", d)), v_b.conj()[:, :, None] * v_b[:, None, :]
+    )
+    prob = batched_trace([codes, aux], [proj_a, proj_b]).real  # [x, (u, u'), (v, v')]
+    x1, x2 = u, up = np.divmod(np.arange(d * d), d)  # code x; likewise (u, u'), (v, v')
+    on_rule = ((u[:, None] + u[None, :]) % d == x2[:, None, None]) & (
+        (up[:, None] + up[None, :]) % d == x1[:, None, None]
+    )
+    mass = np.where(on_rule, prob, 0.0).sum(axis=(1, 2))
+    return float(np.max(np.abs(1.0 - mass)))
 
 
 @dataclass(frozen=True)
@@ -169,14 +171,11 @@ class DualityCertificate:
         }
 
 
-def _gyni_dims(strategy: GameStrategy) -> int:
-    counts = {len(arm.instruments) for arm in strategy.parties}
-    outcome_counts = {
-        ins.n_outcomes for arm in strategy.parties for ins in arm.instruments
-    }
-    if counts != outcome_counts or len(counts) != 1:
+def _gyni_dim(strategy: GameStrategy) -> int:
+    d = input_count(strategy)
+    if any(ins.n_outcomes != d for arm in strategy.parties for ins in arm.instruments):
         raise ValueError("guessing strategies need d instruments of d outcomes per party")
-    return counts.pop()
+    return d
 
 
 def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
@@ -189,8 +188,8 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     """
     if strategy.game != "gyni":
         raise ValueError("expected a mutual-guessing strategy")
-    d = _gyni_dims(strategy)
-    taken = set(strategy.process.op.names)
+    d = _gyni_dim(strategy)
+    taken = set(strategy.process.names)
     for name in ("A", "B", "A'", "B'"):
         if name in taken:
             raise ValueError(f"process already uses wire {name!r}; cannot add code wires")
@@ -281,7 +280,7 @@ def check_duality(
     if direction not in DIRECTION_TOKENS:
         raise ValueError(f"direction must be one of {DIRECTION_TOKENS}")
     if direction == "gyni2dr":
-        d = _gyni_dims(strategy)
+        d = _gyni_dim(strategy)
         source = eval_gyni(strategy)
         translated = gyni_to_dr(strategy)
         target = eval_dr(translated, bell_encoder(d, ("A", "B")), d)

@@ -7,16 +7,17 @@ state to the process; each party holds one code wire and must output one of
 the two classical symbols hidden in the code (first party the shift symbol,
 second the phase symbol).
 
-Probabilities come from a single factored contraction,
-``Tr[(W (x) state) (M_A (x) M_B)]``, evaluated wire-by-wire so composite
-strategies at local dimension 3 never materialize the joint kron.
+All probabilities of a game come from one factored contraction of
+``Tr[(W (x) state) (M_A (x) M_B)]`` over every input, outcome and code
+(:func:`behaviour`), evaluated wire-by-wire so no joint kron is ever formed;
+the other evaluators are index views of that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +25,10 @@ from .instruments import (
     Instrument,
     identity_channel_instrument,
     measure_prepare_instrument,
+    stack_instruments,
 )
 from .processes import ProcessMatrix, build_cyril, channel_process, maximally_mixed_process
-from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel, kron_all, product_trace
+from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel, batched_trace, stack_operators
 
 GAME_TOKENS = ("gyni", "dr")
 
@@ -103,6 +105,48 @@ class GameStrategy:
         object.__setattr__(self, "state_wires", tuple(self.state_wires))
 
 
+def input_count(strategy: GameStrategy) -> int:
+    """Number of classical inputs, which every party must share."""
+    counts = {len(arm.instruments) for arm in strategy.parties}
+    if len(counts) != 1:
+        raise ValueError("parties disagree on the number of classical inputs")
+    return counts.pop()
+
+
+def behaviour(strategy: GameStrategy, states=None, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Every Tr[(W (x) state) (M_A (x) M_B)] of the strategy, from one contraction.
+
+    ``states`` is None, one code state, or an :class:`OperatorStack` of them.
+    Axes are (state stack axes..., one input per party..., one outcome per
+    party...): P[x, y, a, b], or P[code, x, y, a, b] for a stack of code
+    states. Wire mismatches raise ValueError before any arithmetic, and an
+    imaginary part above max(tol, 1e-7) raises after it.
+    """
+    arms = [stack_instruments(arm.instruments) for arm in strategy.parties]
+    carriers = [*strategy.process.factors, *([] if states is None else [states])]
+    table, n = batched_trace(carriers, arms), len(arms)
+    # Axes end in (x, a, y, b, ...); move the outcomes last.
+    table = np.moveaxis(table, range(table.ndim - 2 * n + 1, table.ndim, 2), range(-n, 0))
+    worst = np.unravel_index(np.argmax(np.abs(table.imag)), table.shape)
+    if abs(table[worst].imag) > max(tol, 1e-7):
+        raise ValueError(f"probability has a non-real value {table[worst]!r}")
+    return table.real
+
+
+def _index(
+    strategy: GameStrategy, inputs: tuple[int, ...], outcomes: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Index of P(outcomes | inputs) in a :func:`behaviour` table, range-checked."""
+    if len(inputs) != len(strategy.parties) or len(outcomes) != len(strategy.parties):
+        raise ValueError("need one input and one outcome per party")
+    for arm, i, o in zip(strategy.parties, inputs, outcomes):
+        if not 0 <= i < len(arm.instruments):
+            raise ValueError(f"input {i} out of range for party {arm.name!r}")
+        if not 0 <= o < arm.instruments[i].n_outcomes:
+            raise ValueError(f"outcome {o} out of range for party {arm.name!r}")
+    return (*inputs, *outcomes)
+
+
 def joint_probability(
     strategy: GameStrategy,
     inputs: tuple[int, ...],
@@ -115,52 +159,26 @@ def joint_probability(
     Wire mismatches between the process+state side and the instrument side
     raise ValueError before any arithmetic.
     """
-    if len(inputs) != len(strategy.parties) or len(outcomes) != len(strategy.parties):
-        raise ValueError("need one input and one outcome per party")
-    effects = []
-    for arm, i, o in zip(strategy.parties, inputs, outcomes):
-        if not 0 <= i < len(arm.instruments):
-            raise ValueError(f"input {i} out of range for party {arm.name!r}")
-        ins = arm.instruments[i]
-        if not 0 <= o < ins.n_outcomes:
-            raise ValueError(f"outcome {o} out of range for party {arm.name!r}")
-        effects.append(ins.ops[o])
-    carriers = [strategy.process.op]
-    if state is not None:
-        carriers.append(state)
-    value = product_trace(carriers, effects)
-    if abs(value.imag) > max(tol, 1e-7):
-        raise ValueError(f"probability has a non-real value {value!r}")
-    return float(value.real)
+    index = _index(strategy, inputs, outcomes)
+    return float(behaviour(strategy, state, tol)[index])
 
 
 def outcome_distribution(
     strategy: GameStrategy, inputs: tuple[int, ...], state: LabeledOperator | None = None
 ) -> np.ndarray:
     """Array of P(outcomes | inputs) over all joint outcomes, index-per-party."""
-    shape = tuple(
-        arm.instruments[i].n_outcomes for arm, i in zip(strategy.parties, inputs)
-    )
-    out = np.empty(shape)
-    for combo in product(*(range(s) for s in shape)):
-        out[combo] = joint_probability(strategy, inputs, combo, state)
-    return out
-
-
-def _input_count(strategy: GameStrategy) -> int:
-    counts = {len(arm.instruments) for arm in strategy.parties}
-    if len(counts) != 1:
-        raise ValueError("parties disagree on the number of classical inputs")
-    return counts.pop()
+    inputs = _index(strategy, inputs, (0,) * len(inputs))[: len(inputs)]  # checks inputs
+    return behaviour(strategy, state)[inputs]
 
 
 def gyni_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
     """Per-input success probabilities P(a = i2, b = i1 | i1, i2)."""
     if strategy.game != "gyni":
         raise ValueError("strategy is not for the mutual-guessing game")
-    d = _input_count(strategy)
+    d = input_count(strategy)
+    table = behaviour(strategy)
     return {
-        (i1, i2): joint_probability(strategy, (i1, i2), (i2, i1))
+        (i1, i2): float(table[_index(strategy, (i1, i2), (i2, i1))])
         for i1, i2 in product(range(d), repeat=2)
     }
 
@@ -175,11 +193,7 @@ def bell_encoder(
     d: int, wire_names: tuple[str, str] = ("A", "B")
 ) -> Callable[[tuple[int, int]], LabeledOperator]:
     """Encoder mapping the symbol pair x to the coded state on given wires."""
-
-    def encode(x: tuple[int, int]) -> LabeledOperator:
-        return bell_state(BellCode(d, x[0], x[1]), wire_names)
-
-    return encode
+    return lambda x: bell_state(BellCode(d, x[0], x[1]), wire_names)
 
 
 def dr_terms(
@@ -190,15 +204,13 @@ def dr_terms(
     """Per-code success probabilities P(a = x1, b = x2 | code x)."""
     if strategy.game != "dr":
         raise ValueError("strategy is not for the retrieval game")
-    if _input_count(strategy) != 1:
+    if input_count(strategy) != 1:
         raise ValueError("retrieval strategies take no classical input")
     if d is None:
-        probe = encoder((0, 0))
-        d = probe.wires[0].dim
-    return {
-        (x1, x2): joint_probability(strategy, (0, 0), (x1, x2), state=encoder((x1, x2)))
-        for x1, x2 in product(range(d), repeat=2)
-    }
+        d = encoder((0, 0)).wires[0].dim
+    codes = list(product(range(d), repeat=2))
+    table = behaviour(strategy, stack_operators([encoder(x) for x in codes], (len(codes),)))
+    return {x: float(table[k][_index(strategy, (0, 0), x)]) for k, x in enumerate(codes)}
 
 
 def eval_dr(
@@ -254,9 +266,8 @@ def relay_gyni_strategy() -> GameStrategy:
     a_in, a_out = _qubit("A_I"), _qubit("A_O")
     b_in, b_out = _qubit("B_I"), _qubit("B_O")
     alice = []
-    for i1 in range(2):
-        prep = np.outer((e0, e1)[i1], (e0, e1)[i1].conj())
-        cj = LabeledOperator((a_in, a_out), np.kron(np.eye(2, dtype=complex) / 2, prep))
+    for e in (e0, e1):
+        cj = LabeledOperator((a_in, a_out), np.kron(np.eye(2) / 2, np.outer(e, e.conj())))
         alice.append(Instrument((cj, cj), (a_in.name,), (a_out.name,)))
     read = measure_prepare_instrument([e0, e1], [e0, e1], b_in, b_out)
     bob = PartyArm("B", (read, read))
@@ -275,24 +286,13 @@ def pauli_y_baseline_strategy() -> GameStrategy:
     sy = np.array([[0.0, -1j], [1j, 0.0]])
     up = (np.eye(2) + sy) / 2
     down = (np.eye(2) - sy) / 2
-    prep0 = np.zeros((2, 2), dtype=complex)
-    prep0[0, 0] = 1.0
+    keep_prep0 = np.kron(np.eye(2), np.diag([1.0, 0.0]))  # (w_in, w_out) factor
     arms = []
     for name, projs in (("A", (up, down)), ("B", (down, up))):
         code_wire = _qubit(name)
         w_in, w_out = _qubit(f"{name}_I"), _qubit(f"{name}_O")
-        ops = tuple(
-            kron_all(
-                [
-                    LabeledOperator((code_wire,), proj),
-                    LabeledOperator((w_in,), np.eye(2, dtype=complex)),
-                    LabeledOperator((w_out,), prep0),
-                ]
-            )
-            for proj in projs
-        )
+        wires = (code_wire, w_in, w_out)
+        ops = tuple(LabeledOperator(wires, np.kron(proj, keep_prep0)) for proj in projs)
         ins = Instrument(ops, (code_wire.name, w_in.name), (w_out.name,))
         arms.append(PartyArm(name, (ins,)))
-    return GameStrategy(
-        maximally_mixed_process(2), tuple(arms), "dr", state_wires=("A", "B")
-    )
+    return GameStrategy(maximally_mixed_process(2), tuple(arms), "dr", state_wires=("A", "B"))

@@ -24,6 +24,7 @@ import numpy as np
 from .tensor import (
     DEFAULT_TOL,
     LabeledOperator,
+    OperatorStack,
     WireLabel,
     hermiticity_defect,
     identity_operator,
@@ -31,6 +32,7 @@ from .tensor import (
     min_eigenvalue,
     partial_trace,
     permute_wires,
+    stack_operators,
 )
 
 
@@ -296,6 +298,18 @@ def extend_instrument_with_measurement(
         (w1.name, w2.name) + base.input_wires,
         base.output_wires,
     )
+
+
+def stack_instruments(family: Sequence[Instrument]) -> OperatorStack:
+    """CJ operators of an instrument family, stacked by (member, outcome).
+
+    Members must share their wires (in any order) and their outcome count.
+    """
+    counts = {ins.n_outcomes for ins in family}
+    if len(counts) != 1:
+        raise ValueError(f"instruments disagree on the outcome count: {sorted(counts)}")
+    ops = [op for ins in family for op in ins.ops]
+    return stack_operators(ops, (len(family), counts.pop()))
 
 
 def coarse_grain(ins: Instrument, grouping: Sequence[int], n_outcomes: int) -> Instrument:

@@ -61,13 +61,29 @@ class PartySlot:
 
 @dataclass(frozen=True)
 class ProcessMatrix:
-    """A labeled operator together with the party slots acting on it."""
+    """A process operator, kept as tensor factors, plus the party slots acting on it.
 
-    op: LabeledOperator
+    ``factors`` is one :class:`LabeledOperator` or a tuple of them on
+    disjoint wires; the process is their kron, in order. Adjoined ancilla
+    states stay separate factors (see :func:`extend_with_state`), so game
+    contractions never form the joint operator. :attr:`op` is the dense
+    view for checks that need one; it is built on each read, and for a
+    one-factor process it is that factor itself.
+    """
+
+    factors: tuple[LabeledOperator, ...]
     parties: tuple[PartySlot, ...]
 
     def __post_init__(self) -> None:
+        factors = self.factors
+        if isinstance(factors, LabeledOperator):
+            factors = (factors,)
+        object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "parties", tuple(self.parties))
+        if not self.factors:
+            raise ValueError("a process needs at least one factor")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"process factors share wires: {self.names}")
         names = [p.name for p in self.parties]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate party names {names}")
@@ -76,11 +92,25 @@ class ProcessMatrix:
             claimed.extend(p.all_wires)
         if len(set(claimed)) != len(claimed):
             raise ValueError("parties claim overlapping wires")
-        have = set(self.op.names)
-        missing = set(claimed) - have
+        missing = set(claimed) - set(self.names)
         if missing:
             raise ValueError(f"party wires {sorted(missing)} absent from operator")
-        object.__setattr__(self, "_unassigned", tuple(n for n in self.op.names if n not in set(claimed)))
+        object.__setattr__(self, "_unassigned", tuple(n for n in self.names if n not in set(claimed)))
+
+    @property
+    def op(self) -> LabeledOperator:
+        """The dense process operator, the kron of the factors."""
+        return self.factors[0] if len(self.factors) == 1 else kron_all(self.factors)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(n for f in self.factors for n in f.names)
+
+    def wire(self, name: str) -> WireLabel:
+        for f in self.factors:
+            if name in f.names:
+                return f.wire(name)
+        raise KeyError(f"no wire named {name!r}; have {self.names}")
 
     @property
     def unassigned_wires(self) -> tuple[str, ...]:
@@ -96,7 +126,7 @@ class ProcessMatrix:
     def output_dim(self) -> int:
         out = 1
         for p in self.parties:
-            out *= self.op.wire(p.output_wire).dim
+            out *= self.wire(p.output_wire).dim
         return out
 
 
@@ -378,9 +408,11 @@ def extend_with_state(
 
     ``state`` must be a density operator (PSD, unit trace) on wires disjoint
     from the process. ``assign`` maps each new wire to a party name so later
-    cut-based checks know which side the wire belongs to.
+    cut-based checks know which side the wire belongs to. The state becomes
+    one more factor of the returned process; W (x) state is never formed
+    unless :attr:`ProcessMatrix.op` is read.
     """
-    clash = set(state.names) & set(proc.op.names)
+    clash = set(state.names) & set(proc.names)
     if clash:
         raise ValueError(f"state wires {sorted(clash)} already used by the process")
     if abs(complex(np.trace(state.matrix)) - 1.0) > tol:
@@ -397,7 +429,7 @@ def extend_with_state(
         new_parties.append(
             PartySlot(p.name, p.input_wire, p.output_wire, p.extra_wires + extras)
         )
-    return ProcessMatrix(kron(proc.op, state), tuple(new_parties))
+    return ProcessMatrix(proc.factors + (state,), tuple(new_parties))
 
 
 # ---------------------------------------------------------------------------

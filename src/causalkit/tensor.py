@@ -13,6 +13,7 @@ through ``numpy.linalg.eigvalsh`` only, and the default comparison tolerance is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -220,27 +221,72 @@ def trace_and_replace(op: LabeledOperator, wires_x: Iterable[str]) -> LabeledOpe
     return LabeledOperator(out.wires, out.matrix / d_x)
 
 
-def product_trace(
-    carriers: Sequence[LabeledOperator], effects: Sequence[LabeledOperator]
-) -> complex:
-    """Tr[(kron of carriers) @ (kron of effects)] without forming either kron.
+@dataclass(frozen=True)
+class OperatorStack:
+    """Operators on one wire tuple, stacked along leading batch axes.
+
+    :param wires: ordered wire labels shared by every stacked operator
+    :param matrix: array of shape ``batch + (D, D)`` with D = prod(dims),
+        stored as complex128. A :class:`LabeledOperator` is the stack with no
+        batch axes, and :func:`batched_trace` accepts either.
+    """
+
+    wires: tuple[WireLabel, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        wires = tuple(self.wires)
+        mat = np.asarray(self.matrix, dtype=np.complex128)
+        dim = LabeledOperator.total_dim_of(wires)
+        if mat.ndim < 2 or mat.shape[-2:] != (dim, dim):
+            raise ValueError(f"stack shape {mat.shape} does not end in ({dim}, {dim})")
+        object.__setattr__(self, "wires", wires)
+        object.__setattr__(self, "matrix", mat)
+
+
+def stack_operators(ops: Sequence[LabeledOperator], shape: tuple[int, ...]) -> OperatorStack:
+    """Stack ``prod(shape)`` operators, in row-major order, into ``shape``.
+
+    Every operator must act on the wires of the first one; those given in
+    another order are permuted to it.
+    """
+    names = ops[0].names
+    mats = [(op if op.names == names else permute_wires(op, names)).matrix for op in ops]
+    dim = ops[0].total_dim
+    return OperatorStack(ops[0].wires, np.array(mats).reshape(tuple(shape) + (dim, dim)))
+
+
+def _side_wires(ops, side: str) -> dict[str, int]:
+    wires: dict[str, int] = {}
+    for op in ops:
+        for w in op.wires:
+            if w.name in wires:
+                raise ValueError(f"wire {w.name!r} appears twice among {side}")
+            wires[w.name] = w.dim
+    return wires
+
+
+@functools.lru_cache(maxsize=256)
+def _einsum_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """Contraction order for one (subscripts, shapes) pair, planned once."""
+    blanks = [np.broadcast_to(np.zeros((), dtype=np.complex128), s) for s in shapes]
+    return np.einsum_path(subscripts, *blanks, optimize="greedy")[0]
+
+
+def batched_trace(
+    carriers: Sequence[LabeledOperator | OperatorStack],
+    effects: Sequence[LabeledOperator | OperatorStack],
+) -> np.ndarray:
+    """Tr[(kron of carriers) @ (kron of effects)] for every choice of stack entries.
 
     Each wire name must appear exactly once on each side; dimensions must
-    match. The contraction is a single einsum over the factor tensors, so the
-    cost is set by the largest factor rather than the full joint dimension.
+    match. Wires are checked before any arithmetic. The result has the batch
+    axes of every operand, in argument order (carriers first). The
+    contraction is one einsum over the factor tensors, whose order is planned
+    once per subscripts and shapes, so neither kron is ever formed.
     """
-    carrier_wires: dict[str, int] = {}
-    for op in carriers:
-        for w in op.wires:
-            if w.name in carrier_wires:
-                raise ValueError(f"wire {w.name!r} appears twice among carriers")
-            carrier_wires[w.name] = w.dim
-    effect_wires: dict[str, int] = {}
-    for op in effects:
-        for w in op.wires:
-            if w.name in effect_wires:
-                raise ValueError(f"wire {w.name!r} appears twice among effects")
-            effect_wires[w.name] = w.dim
+    carrier_wires = _side_wires(carriers, "carriers")
+    effect_wires = _side_wires(effects, "effects")
     if carrier_wires != effect_wires:
         only_c = sorted(set(carrier_wires) - set(effect_wires))
         only_e = sorted(set(effect_wires) - set(carrier_wires))
@@ -253,16 +299,30 @@ def product_trace(
     letters = iter(_LETTERS)
     row = {name: next(letters) for name in carrier_wires}
     col = {name: next(letters) for name in carrier_wires}
-    subs = []
-    tensors = []
-    for op in carriers:
-        subs.append("".join(row[n] for n in op.names) + "".join(col[n] for n in op.names))
-        tensors.append(op.as_tensor())
-    # Tr[S M] = S_rc M_cr: effect factors are indexed column-first.
-    for op in effects:
-        subs.append("".join(col[n] for n in op.names) + "".join(row[n] for n in op.names))
-        tensors.append(op.as_tensor())
-    return complex(np.einsum(",".join(subs) + "->", *tensors, optimize=True))
+    subs, tensors, batch_out = [], [], ""
+    for k, op in enumerate([*carriers, *effects]):
+        batch = op.matrix.shape[:-2]
+        lead = "".join(next(letters) for _ in batch)
+        batch_out += lead
+        # Tr[S M] = S_rc M_cr: effect factors are indexed column-first.
+        first, second = (row, col) if k < len(carriers) else (col, row)
+        names = [w.name for w in op.wires]
+        subs.append(lead + "".join(first[n] for n in names) + "".join(second[n] for n in names))
+        dims = tuple(w.dim for w in op.wires)
+        tensors.append(op.matrix.reshape(batch + dims + dims))
+    subscripts = ",".join(subs) + "->" + batch_out
+    plan = _einsum_plan(subscripts, tuple(t.shape for t in tensors))
+    return np.einsum(subscripts, *tensors, optimize=plan)
+
+
+def product_trace(
+    carriers: Sequence[LabeledOperator], effects: Sequence[LabeledOperator]
+) -> complex:
+    """Tr[(kron of carriers) @ (kron of effects)] without forming either kron.
+
+    The zero-batch case of :func:`batched_trace`, under the same wire rules.
+    """
+    return complex(batched_trace(carriers, effects))
 
 
 def _format_entry(z: complex) -> str:

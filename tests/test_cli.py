@@ -140,6 +140,13 @@ class TestDuality:
             main(["duality", "--process", "cyril"])
         assert exc.value.code == 2
 
+    def test_dim_below_two_is_usage_error(self, capsys):
+        for dim in ("1", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["duality", "--direction", "gyni2dr", "--seed", "1", "--dim", dim])
+            assert exc.value.code == 2
+            assert "--dim" in capsys.readouterr().err
+
 
 class TestClassical:
     def test_tdr_ebw_exact(self, capsys):

@@ -5,10 +5,12 @@ Oracles:
 * exact gate identities at small dimension (the d=2 readout matrix is
   written out by hand, the shift/clock pair obeys ZX = w XZ);
 * value preservation certified numerically on named and on randomized
-  strategies, in both directions, at d=2 and d=3.
+  strategies, in both directions, at d=2, d=3 and d=4.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +139,20 @@ class TestRandomizedRoundTrips:
             assert cert.deviation <= 1e-9
             cert = check_duality(random_dr_strategy(rng, 3), "dr2gyni")
             assert cert.deviation <= 1e-9
+
+
+    def test_d4_both_directions_stay_factored(self):
+        # A dense W (x) aux at d=4 alone is 4096 x 4096 complex, 256 MB.
+        rng = np.random.default_rng(1104)
+        gyni, dr = random_gyni_strategy(rng, 4), random_dr_strategy(rng, 4)
+        tracemalloc.start()
+        try:
+            certs = check_duality(gyni, "gyni2dr"), check_duality(dr, "dr2gyni")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(cert.deviation <= 1e-9 for cert in certs)
+        assert peak < 150 * 2**20
 
 
 class TestCertificate:

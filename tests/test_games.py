@@ -24,6 +24,7 @@ from causalkit.games import (
     bell_encoder,
     bell_state,
     bell_vector,
+    behaviour,
     constant_output_gyni_strategy,
     cyril_gyni_strategy,
     dr_terms,
@@ -37,8 +38,8 @@ from causalkit.games import (
 )
 from causalkit.instruments import Instrument
 from causalkit.processes import ProcessMatrix, PartySlot
-from causalkit.sampling import random_gyni_strategy
-from causalkit.tensor import LabeledOperator, WireLabel, partial_trace
+from causalkit.sampling import random_dr_strategy, random_gyni_strategy
+from causalkit.tensor import LabeledOperator, WireLabel, partial_trace, stack_operators
 
 SQRT2 = np.sqrt(2)
 
@@ -149,6 +150,19 @@ class TestMutualGuessing:
                 assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_qutrit_behaviour_matches_explicit_kron(self):
+        strategy = random_gyni_strategy(np.random.default_rng(62), 3)
+        table = behaviour(strategy)
+        w = strategy.process.op.matrix
+        arm_a, arm_b = strategy.parties
+        want = np.empty((3, 3, 3, 3))
+        for x, y, a, b in product(range(3), repeat=4):
+            effect = np.kron(arm_a.instruments[x].ops[a].matrix, arm_b.instruments[y].ops[b].matrix)
+            want[x, y, a, b] = np.trace(w @ effect).real
+        np.testing.assert_allclose(table, want, atol=1e-12)
+        np.testing.assert_allclose(table.sum(axis=(2, 3)), np.ones((3, 3)), atol=1e-12)
+
+
 class TestRetrieval:
     def test_pauli_y_baseline_value(self):
         strategy = pauli_y_baseline_strategy()
@@ -185,6 +199,26 @@ class TestRetrieval:
             state = bell_state(BellCode(2, x1, x2), ("A", "B"))
             dist = outcome_distribution(strategy, (0, 0), state=state)
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_qutrit_behaviour_matches_explicit_kron(self):
+        strategy = random_dr_strategy(np.random.default_rng(63), 3)
+        codes = [bell_state(BellCode(3, x1, x2)) for x1, x2 in product(range(3), repeat=2)]
+        table = behaviour(strategy, stack_operators(codes, (9,)))
+        assert table.shape == (9, 1, 1, 3, 3)
+        w = strategy.process.op.matrix  # wires (A_I, A_O, B_I, B_O)
+        ins_a, ins_b = (arm.instruments[0] for arm in strategy.parties)
+        # Effect wires (A, A_I, A_O, B, B_I, B_O) reordered to the carrier's
+        # (A_I, A_O, B_I, B_O, A, B), rows and columns alike.
+        order = [1, 2, 4, 5, 0, 3]
+        for k, code in enumerate(codes):
+            carrier = np.kron(w, code.matrix)
+            for a, b in product(range(3), repeat=2):
+                effect = np.kron(ins_a.ops[a].matrix, ins_b.ops[b].matrix)
+                effect = effect.reshape((3,) * 12).transpose(order + [6 + i for i in order])
+                want = np.trace(carrier @ effect.reshape(729, 729)).real
+                assert table[k, 0, 0, a, b] == pytest.approx(want, abs=1e-12)
+            assert table[k, 0, 0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStructuralErrors:

@@ -14,6 +14,7 @@ from causalkit.instruments import (
     extend_instrument_with_measurement,
     identity_channel_instrument,
     measure_prepare_instrument,
+    stack_instruments,
     validate_instrument,
 )
 from causalkit.sampling import random_instrument
@@ -183,6 +184,16 @@ class TestComposition:
                 selector=0,
                 postprocess=lambda m, k: k,
             )
+
+    def test_stack_by_member_and_outcome(self):
+        rng = np.random.default_rng(191)
+        family = [random_instrument(rng, (A_IN,), (A_OUT,), 3) for _ in range(2)]
+        stack = stack_instruments(family)
+        assert stack.matrix.shape == (2, 3, 4, 4)
+        np.testing.assert_array_equal(stack.matrix[1, 2], family[1].ops[2].matrix)
+        forced = identity_channel_instrument(A_IN, A_OUT, forced_outcome=0, n_outcomes=2)
+        with pytest.raises(ValueError, match="outcome count"):
+            stack_instruments([family[0], forced])
 
     def test_coarse_graining_stays_valid(self):
         rng = np.random.default_rng(5)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,26 @@ class TestExtendWithState:
         state = LabeledOperator((WireLabel("A_I", 2),), np.eye(2) / 2)
         with pytest.raises(ValueError, match="already used"):
             extend_with_state(build_cyril(), state)
+
+    def test_dense_view_is_the_kron_at_d3(self):
+        rng = np.random.default_rng(303)
+        proc = random_process(rng, 3)
+        state = LabeledOperator(
+            (WireLabel("A'", 3), WireLabel("B'", 3)), random_density(rng, 9)
+        )
+        ext = extend_with_state(proc, state, assign={"A'": "A", "B'": "B"})
+        assert ext.factors[0] is proc.op and ext.factors[1] is state
+        assert ext.op.names == ("A_I", "A_O", "B_I", "B_O", "A'", "B'")
+        np.testing.assert_array_equal(ext.op.matrix, np.kron(proc.op.matrix, state.matrix))
+
+    def test_one_factor_view_is_the_factor(self):
+        proc = build_cyril()
+        assert proc.op is proc.factors[0]
+        state = LabeledOperator((WireLabel("A'", 2),), np.eye(2) / 2)
+        ext = extend_with_state(proc, state, assign={"A'": "A"})
+        # No dense W (x) state is stored: the pickle holds the two factors only.
+        factors_bytes = proc.op.matrix.nbytes + state.matrix.nbytes
+        assert len(pickle.dumps(ext)) < 2 * factors_bytes
 
     def test_unassigned_wires_block_ppt(self):
         state = LabeledOperator((WireLabel("A'", 2),), np.eye(2) / 2)

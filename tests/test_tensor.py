@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from causalkit.tensor import (
     DEFAULT_TOL,
     LabeledOperator,
+    OperatorStack,
     WireLabel,
+    batched_trace,
     dump_operator,
     hermiticity_defect,
     identity_operator,
@@ -25,6 +27,7 @@ from causalkit.tensor import (
     partial_transpose,
     permute_wires,
     product_trace,
+    stack_operators,
     trace_and_replace,
 )
 
@@ -240,6 +243,34 @@ class TestProductTrace:
     def test_wire_mismatch_rejected(self):
         with pytest.raises(ValueError):
             product_trace([op([A], SZ)], [op([B], SX)])
+
+    def test_batched_matches_entrywise(self):
+        # Batch axes come out in argument order: carriers first, then effects.
+        rng = np.random.default_rng(23)
+        carriers = [op([C], random_herm(rng, 3)) for _ in range(4)]
+        effects = [op([B, A], random_herm(rng, 4)) for _ in range(6)]
+        other = op([A, B], random_herm(rng, 4))
+        ident = op([C], np.eye(3))
+        got = batched_trace(
+            [stack_operators(carriers, (2, 2)), other], [stack_operators(effects, (3, 2)), ident]
+        )
+        assert got.shape == (2, 2, 3, 2)
+        for i, j, k, m in np.ndindex(*got.shape):
+            want = product_trace([carriers[2 * i + j], other], [effects[2 * k + m], ident])
+            assert got[i, j, k, m] == pytest.approx(want, abs=1e-12)
+
+    def test_stack_aligns_wire_order(self):
+        rng = np.random.default_rng(24)
+        m = op([A, C], random_herm(rng, 6))
+        stack = stack_operators([m, permute_wires(m, ["C", "A"])], (2,))
+        assert stack.wires == (A, C)
+        np.testing.assert_array_equal(stack.matrix[1], m.matrix)
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError):
+            OperatorStack((A,), np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError):
+            batched_trace([op([A], SZ)], [OperatorStack((B,), np.zeros((2, 2, 2)))])
 
 
 class TestDumpLoad:
