@@ -100,6 +100,9 @@ from .classical import (
     ebw_process,
     ftdr_accounting,
     ftdr_success,
+    is_logically_consistent,
+    score_round,
+    shared_process_accounting,
     tdr_accounting_ebw,
     tdr_relay_accounting,
     tdr_success_definite_order,

@@ -1,17 +1,16 @@
-"""Classical tripartite retrieval: exact enumeration, exact rationals.
+"""Classical tripartite retrieval: one exact, vectorized enumerator.
 
-Three players (first, second, third) share six maximally correlated bit
-pairs arranged in a directed triangle; the pair between two players hides a
-two-bit string. Each player receives its two neighbors' shares, produces an
-output bit, and a classical process feeds the outputs back as flag inputs.
-Every probability here is a :class:`fractions.Fraction` computed by complete
-enumeration of inputs and free measurement bits; no floats enter.
-
-Pair orientation for the standard round: the (first, third) pair hides
-x1, the (second, first) pair hides x2, the (third, second) pair hides x3.
-A player's guess is a flag bit plus a two-bit string; the guess wins when
-the flag is 0 and the string differs from the hidden one (elimination), or
-the flag is 1 and the string matches (identification).
+Three players share six maximally correlated bit pairs in a directed
+triangle; the pair between two players hides a two-bit string. In the
+standard round the (first, third) pair hides x1, the (second, first) pair x2
+and the (third, second) pair x3. Each player outputs a bit, a classical
+process turns the outputs into flags, and each player guesses a flag plus a
+string: flag 0 wins by eliminating a wrong string, flag 1 by identifying the
+right one. :func:`score_round` scores a process table and a local strategy,
+written as numpy bit arithmetic, on every input and free bit at once; every
+probability is a :class:`fractions.Fraction` of integer counts.
+:func:`is_logically_consistent` certifies a process after Baumeler & Wolf
+(NJP 18, 013036, 2016).
 """
 
 from __future__ import annotations
@@ -21,9 +20,14 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
+import numpy as np
+
 from .games import BellCode
 
 Bits = tuple[int, ...]
+# Maps input bits x[0..5] = (x1, x1', x2, x2', x3, x3') and free bits r to the
+# three output bits and the three guessed strings, as broadcastable arrays.
+Strategy = Callable[[np.ndarray, np.ndarray], tuple[tuple, tuple]]
 
 
 def _check_bits(bits: Bits, n: int, what: str) -> Bits:
@@ -64,23 +68,21 @@ class Guess:
         return (self.g0, self.g1, self.g1p)
 
 
+def _wins(g0, g, gp, y, yp):
+    """The win rule on ints or bit arrays: guess (g0, g, gp), hidden (y, yp)."""
+    return (g0 == 1) == ((g == y) & (gp == yp))
+
+
 def win_set(x_pair: tuple[int, int]) -> frozenset[tuple[int, int, int]]:
     """All winning guesses against a hidden two-bit string."""
     y, yp = _check_bits(x_pair, 2, "hidden pair")
-    winners = {(1, y, yp)}
-    for g, gp in product(range(2), repeat=2):
-        if (g, gp) != (y, yp):
-            winners.add((0, g, gp))
-    return frozenset(winners)
+    return frozenset(g for g in product(range(2), repeat=3) if _wins(*g, y, yp))
 
 
 @dataclass(frozen=True)
 class ClassicalProcess3:
-    """Deterministic tripartite process: output triple -> input-flag triple.
-
-    ``table[4*o1 + 2*o2 + o3]`` is the flag triple handed to the players when
-    they emit outputs (o1, o2, o3).
-    """
+    """Deterministic process: ``table[4*o1 + 2*o2 + o3]`` is the flag triple
+    handed to the players when they emit outputs (o1, o2, o3)."""
 
     table: tuple[tuple[int, int, int], ...]
 
@@ -96,12 +98,9 @@ class ClassicalProcess3:
 
 
 def e_bw(outputs: Bits) -> tuple[int, int, int]:
-    """The majority-switched cyclic process.
-
-    Minority of ones: flags are the outputs rotated one step against the
-    cycle. Majority of ones: flags are the complemented outputs rotated the
-    other way.
-    """
+    """The majority-switched cyclic process: with a minority of ones the
+    flags are the outputs rotated one step against the cycle, otherwise the
+    complemented outputs rotated the other way."""
     o1, o2, o3 = _check_bits(outputs, 3, "outputs")
     if o1 + o2 + o3 <= 1:
         return (o3, o1, o2)
@@ -109,13 +108,40 @@ def e_bw(outputs: Bits) -> tuple[int, int, int]:
 
 
 def ebw_process() -> ClassicalProcess3:
-    return ClassicalProcess3(
-        tuple(e_bw((o1, o2, o3)) for o1, o2, o3 in product(range(2), repeat=3))
-    )
+    return ClassicalProcess3(tuple(map(e_bw, product(range(2), repeat=3))))
 
 
-def _majority(bits: Bits) -> int:
-    return 1 if sum(bits) >= 2 else 0
+def is_logically_consistent(process: ClassicalProcess3) -> bool:
+    """True when each of the 4**3 = 64 choices of local functions f has
+    exactly one fixed point o = f(process(o)) among the 8 output triples."""
+    local = np.array([[0, 0], [1, 1], [0, 1], [1, 0]])  # flag -> output: 0, 1, id, NOT
+    outputs = np.array(list(product(range(2), repeat=3)))  # row 4*o1 + 2*o2 + o3
+    # keeps[j, k, o]: local function j maps party k's flag under o to o_k.
+    keeps = local[:, np.asarray(process.table).T] == outputs.T
+    fixed = keeps[:, None, None, 0] & keeps[None, :, None, 1] & keeps[None, None, :, 2]
+    return bool(np.all(fixed.sum(axis=-1) == 1))
+
+
+def score_round(
+    process: ClassicalProcess3, strategy: Strategy, free_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(wins, outputs) of ``strategy`` against ``process``, each indexed
+    [player, input, free case]: 64 hidden inputs times 2**free_bits cases.
+    Free bits that cancel out of every guess need not be enumerated."""
+    x = (np.arange(64)[:, None] >> np.arange(5, -1, -1)[:, None, None]) & 1
+    r = (np.arange(2**free_bits) >> np.arange(free_bits)[:, None, None]) & 1
+    outputs, strings = strategy(x, r)
+    o = np.stack([np.broadcast_to(b, (64, 2**free_bits)) for b in outputs])
+    flags = np.asarray(process.table)[4 * o[0] + 2 * o[1] + o[2]]
+    wins = np.stack([
+        _wins(flags[..., k], g, gp, x[2 * k], x[2 * k + 1])
+        for k, (g, gp) in enumerate(strings)
+    ])
+    return wins, o
+
+
+def _share(cases: np.ndarray, per: int | None = None) -> Fraction:
+    return Fraction(int(np.sum(cases)), per or cases.size)
 
 
 @dataclass(frozen=True)
@@ -129,104 +155,45 @@ class BranchAccounting:
     branch_success: tuple[Fraction, Fraction]
 
 
-def _enumerate_round(
-    score_case: Callable[[TDRInput, Bits], tuple[int, int, int]],
-    cases_per_input: int,
+def shared_process_accounting(
+    process: ClassicalProcess3, reversed_roles: bool = False, free_side: int = 0
 ) -> BranchAccounting:
-    """Tally (win, branch, branch_win) over all inputs and free-bit cases.
+    """The shared-process strategy played with any process table.
 
-    ``score_case`` returns (won, majority_branch, 1) per case; the third slot
-    is reserved for weighting and is always 1 here.
+    Each player guesses the complement of its outcomes on the pair it reads
+    first and outputs the AND of its outcomes on the other pair. The free
+    bits are the first-read outcomes, or with ``free_side=1`` the partners'
+    (the XOR pair correlations give both the same counts).
     """
-    total_cases = 64 * cases_per_input
-    wins = 0
-    per_input: list[int] = []
-    branch_cases = [0, 0]
-    branch_wins = [0, 0]
-    for xbits in product(range(2), repeat=6):
-        x = TDRInput(xbits)
-        input_wins = 0
-        for raw in range(cases_per_input):
-            case = tuple((raw >> i) & 1 for i in range(cases_per_input.bit_length() - 1))
-            won, branch, _ = score_case(x, case)
-            input_wins += won
-            branch_cases[branch] += 1
-            branch_wins[branch] += won
-        per_input.append(input_wins)
-        wins += input_wins
-    weight = tuple(Fraction(c, total_cases) for c in branch_cases)
-    success = tuple(
-        Fraction(w, c) if c else Fraction(0) for w, c in zip(branch_wins, branch_cases)
-    )
-    return BranchAccounting(
-        overall=Fraction(wins, total_cases),
-        per_input_min=Fraction(min(per_input), cases_per_input),
-        per_input_max=Fraction(max(per_input), cases_per_input),
-        branch_weight=weight,  # type: ignore[arg-type]
-        branch_success=success,  # type: ignore[arg-type]
-    )
+    if free_side not in (0, 1):
+        raise ValueError("free_side must be 0 or 1")
 
-
-def _ebw_round_case(
-    x: TDRInput, free: Bits, reversed_roles: bool, free_side: int
-) -> tuple[int, int, int]:
-    """Score one free-bit assignment of the shared-process strategy.
-
-    ``free`` holds six bits: each player's two outcomes on the pair it reads
-    first (standard round: first player on pair 1, second on pair 2, third on
-    pair 3; their partners' outcomes follow from the pair correlations).
-    With ``free_side=1`` the partners' outcomes are enumerated instead; the
-    XOR correlations make both conventions provably identical, and tests
-    assert it.
-    """
-    x1, x1p = x.pair(1)
-    x2, x2p = x.pair(2)
-    x3, x3p = x.pair(3)
-    t: Bits = free
-    if free_side == 1:
-        # Enumerate the partner side instead; pair correlations are XORs, so
-        # either round maps the partner bits back the same way.
-        t = (
-            t[0] ^ x1, t[1] ^ x1p,
-            t[2] ^ x2, t[3] ^ x2p,
-            t[4] ^ x3, t[5] ^ x3p,
-        )
-    az, ax, bz, bx, cz, cx = t
-    if not reversed_roles:
-        # Pair 1 read by first+third, pair 2 by second+first, pair 3 by
-        # third+second; outputs come from the partner-side AND.
-        o1 = (bz ^ x2) & (bx ^ x2p)
-        o2 = (cz ^ x3) & (cx ^ x3p)
-        o3 = (az ^ x1) & (ax ^ x1p)
-    else:
+    def play(x: np.ndarray, r: np.ndarray) -> tuple[tuple, tuple]:
+        own = r ^ x if free_side else r
+        p1, p2, p3 = ((own[2 * k] ^ x[2 * k]) & (own[2 * k + 1] ^ x[2 * k + 1]) for k in range(3))
         # Reversed round: pair 1 between first+second, pair 2 second+third,
         # pair 3 third+first; outputs are complemented partner ANDs.
-        o1 = 1 - ((cz ^ x3) & (cx ^ x3p))
-        o2 = 1 - ((az ^ x1) & (ax ^ x1p))
-        o3 = 1 - ((bz ^ x2) & (bx ^ x2p))
-    flags = e_bw((o1, o2, o3))
-    guesses = (
-        (flags[0], 1 - az, 1 - ax),
-        (flags[1], 1 - bz, 1 - bx),
-        (flags[2], 1 - cz, 1 - cx),
+        outputs = (1 - p3, 1 - p1, 1 - p2) if reversed_roles else (p2, p3, p1)
+        return outputs, tuple((1 - own[2 * k], 1 - own[2 * k + 1]) for k in range(3))
+
+    wins, outputs = score_round(process, play, 6)
+    won, majority = wins.all(axis=0), outputs.sum(axis=0) >= 2
+    per_input = won.sum(axis=1)
+    branches = (~majority, majority)
+    return BranchAccounting(
+        overall=_share(won),
+        per_input_min=Fraction(int(per_input.min()), won.shape[1]),
+        per_input_max=Fraction(int(per_input.max()), won.shape[1]),
+        branch_weight=tuple(map(_share, branches)),  # type: ignore[arg-type]
+        branch_success=tuple(  # type: ignore[arg-type]
+            _share(won & b, int(b.sum())) if b.any() else Fraction(0) for b in branches
+        ),
     )
-    won = int(
-        guesses[0] in win_set(x.pair(1))
-        and guesses[1] in win_set(x.pair(2))
-        and guesses[2] in win_set(x.pair(3))
-    )
-    return won, _majority((o1, o2, o3)), 1
 
 
 def tdr_accounting_ebw(free_side: int = 0) -> BranchAccounting:
     """Full enumeration of the shared-process strategy, standard round."""
-    if free_side not in (0, 1):
-        raise ValueError("free_side must be 0 or 1")
-
-    def score(x: TDRInput, case: Bits) -> tuple[int, int, int]:
-        return _ebw_round_case(x, case, reversed_roles=False, free_side=free_side)
-
-    return _enumerate_round(score, 64)
+    return shared_process_accounting(ebw_process(), free_side=free_side)
 
 
 def tdr_success_ebw() -> Fraction:
@@ -234,25 +201,24 @@ def tdr_success_ebw() -> Fraction:
     return tdr_accounting_ebw().overall
 
 
+def _forwarding_wins(served: tuple[int, int, int]) -> np.ndarray:
+    """Wins of a relay: a served player identifies its string from a
+    forwarded share ((s ^ x) ^ s is x for every outcome s, so s is not
+    enumerated); every other player eliminates with a uniform pick."""
+
+    def play(x: np.ndarray, r: np.ndarray) -> tuple[tuple, tuple]:
+        picks = iter(r)
+        return (0, 0, 0), tuple(
+            (x[2 * k], x[2 * k + 1]) if s else (next(picks), next(picks))
+            for k, s in enumerate(served)
+        )
+
+    return score_round(ClassicalProcess3((served,) * 8), play, 2 * (3 - sum(served)))[0]
+
+
 def tdr_success_no_collab() -> Fraction:
     """Every player eliminates with a fresh uniform pair; no communication."""
-    total = 0
-    cases = 0
-    for xbits in product(range(2), repeat=6):
-        x = TDRInput(xbits)
-        for picks in product(range(2), repeat=6):
-            guesses = (
-                (0, picks[0], picks[1]),
-                (0, picks[2], picks[3]),
-                (0, picks[4], picks[5]),
-            )
-            cases += 1
-            total += int(
-                guesses[0] in win_set(x.pair(1))
-                and guesses[1] in win_set(x.pair(2))
-                and guesses[2] in win_set(x.pair(3))
-            )
-    return Fraction(total, cases)
+    return _share(_forwarding_wins((0, 0, 0)).all(axis=0))
 
 
 @dataclass(frozen=True)
@@ -262,41 +228,10 @@ class RelayAccounting:
 
 
 def tdr_relay_accounting() -> RelayAccounting:
-    """Fixed order first->second->third with outcome forwarding.
-
-    The first player forwards its raw outcomes; the second then reads x2
-    exactly from the pair it shares with the first, and the third reads x3
-    exactly from the pair the second forwards. Only the first player, with
-    nobody upstream, must fall back to elimination with a uniform pair.
-    """
-    wins = [0, 0, 0]
-    all_win = 0
-    cases = 0
-    for xbits in product(range(2), repeat=6):
-        x = TDRInput(xbits)
-        x2 = x.pair(2)
-        x3 = x.pair(3)
-        for free in product(range(2), repeat=6):
-            az, ax, bz, bx, cz, cx = free
-            for pick in product(range(2), repeat=2):
-                cases += 1
-                # First player's share of pair 2 is (bz^x2, bx^x2p); second
-                # player XORs with its own bits to recover x2. Third player
-                # gets the second's share of pair 3 the same way.
-                g1 = (0, pick[0], pick[1])
-                g2 = (1, (bz ^ x2[0]) ^ bz, (bx ^ x2[1]) ^ bx)
-                g3 = (1, (cz ^ x3[0]) ^ cz, (cx ^ x3[1]) ^ cx)
-                w1 = g1 in win_set(x.pair(1))
-                w2 = g2 in win_set(x.pair(2))
-                w3 = g3 in win_set(x.pair(3))
-                wins[0] += w1
-                wins[1] += w2
-                wins[2] += w3
-                all_win += int(w1 and w2 and w3)
-    return RelayAccounting(
-        overall=Fraction(all_win, cases),
-        per_player=tuple(Fraction(w, cases) for w in wins),  # type: ignore[arg-type]
-    )
+    """Fixed order first->second->third with outcome forwarding: only the
+    first player, with nobody upstream, must eliminate with a uniform pair."""
+    wins = _forwarding_wins((0, 1, 1))
+    return RelayAccounting(_share(wins.all(axis=0)), tuple(map(_share, wins)))  # type: ignore[arg-type]
 
 
 def tdr_success_definite_order() -> Fraction:
@@ -312,63 +247,28 @@ class FlagAccounting:
 
 def ftdr_accounting(strategy: str) -> FlagAccounting:
     """Flagged variant: a fair coin selects standard or reversed pair roles.
-
     ``"ebw"`` plays the shared-process strategy adapted per round;
-    ``"definite_order"`` plays the forwarding relay, which in the reversed
-    round can only serve the third player exactly.
-    """
+    ``"definite_order"`` the forwarding relay, which in the reversed round
+    can only serve the third player exactly."""
     if strategy == "ebw":
         std = tdr_accounting_ebw().overall
-
-        def score(x: TDRInput, case: Bits) -> tuple[int, int, int]:
-            return _ebw_round_case(x, case, reversed_roles=True, free_side=0)
-
-        rev = _enumerate_round(score, 64).overall
-        return FlagAccounting((std + rev) / 2, (std, rev))
-    if strategy == "definite_order":
+        rev = shared_process_accounting(ebw_process(), reversed_roles=True).overall
+    elif strategy == "definite_order":
         std = tdr_relay_accounting().overall
-        rev = _reversed_relay_success()
-        return FlagAccounting((std + rev) / 2, (std, rev))
-    raise ValueError(f"unknown strategy {strategy!r}; expected 'ebw' or 'definite_order'")
+        rev = _share(_forwarding_wins((0, 0, 1)).all(axis=0))
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}; expected 'ebw' or 'definite_order'")
+    return FlagAccounting((std + rev) / 2, (std, rev))
 
 
 def ftdr_success(strategy: str) -> Fraction:
     return ftdr_accounting(strategy).overall
 
 
-def _reversed_relay_success() -> Fraction:
-    """Relay in the reversed round: pair 1 joins first+second, pair 2
-    second+third, pair 3 third+first. Forwarding still rescues the third
-    player (the first holds its partner share), while the first and second
-    players' hidden strings sit entirely downstream and force elimination."""
-    all_win = 0
-    cases = 0
-    for xbits in product(range(2), repeat=6):
-        x = TDRInput(xbits)
-        x3 = x.pair(3)
-        for free in product(range(2), repeat=2):
-            cz, cx = free  # third player's own share of pair 3
-            for pick1 in product(range(2), repeat=2):
-                for pick2 in product(range(2), repeat=2):
-                    cases += 1
-                    g1 = (0, pick1[0], pick1[1])
-                    g2 = (0, pick2[0], pick2[1])
-                    # First player forwards its pair-3 share (cz^x3, cx^x3p).
-                    g3 = (1, (cz ^ x3[0]) ^ cz, (cx ^ x3[1]) ^ cx)
-                    w1 = g1 in win_set(x.pair(1))
-                    w2 = g2 in win_set(x.pair(2))
-                    w3 = g3 in win_set(x.pair(3))
-                    all_win += int(w1 and w2 and w3)
-    return Fraction(all_win, cases)
-
-
 def two_copy_locc_decode(z_bits: tuple[int, int], x_bits: tuple[int, int]) -> BellCode:
-    """Recover a qubit code from two copies measured locally.
-
-    One copy is read in the computational basis on both wires (``z_bits``),
-    the other in the conjugate basis (``x_bits``); the XOR of each pair of
-    readings reveals one hidden symbol.
-    """
+    """Recover a qubit code from two copies measured locally: one read in
+    the computational basis on both wires (``z_bits``), the other in the
+    conjugate basis (``x_bits``); each pair's XOR reveals one symbol."""
     z_bits = _check_bits(z_bits, 2, "computational readings")
     x_bits = _check_bits(x_bits, 2, "conjugate readings")
     return BellCode(2, z_bits[0] ^ z_bits[1], x_bits[0] ^ x_bits[1])

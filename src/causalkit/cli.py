@@ -20,13 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .classical import (
+    ebw_process,
     ftdr_accounting,
+    is_logically_consistent,
     tdr_accounting_ebw,
     tdr_relay_accounting,
     tdr_success_no_collab,
 )
 from .duality import (
-    DualityCertificate,
     check_duality,
     party_readout_unitaries,
     readout_correlation_residual,
@@ -194,6 +195,9 @@ def cmd_validate(args, parser, tol) -> int:
 
 def cmd_ppt(args, parser, tol) -> int:
     name, proc = _load_process_arg(args, parser)
+    parties = [p.name for p in proc.parties]
+    if args.cut not in parties:
+        parser.error(f"unknown cut {args.cut!r}; choose a party from {parties}")
     ok, min_eig = is_ppt_cut(proc, args.cut, tol)
     payload = {
         "process": name,
@@ -310,6 +314,7 @@ def cmd_classical(args, parser, tol) -> int:
             acc = tdr_accounting_ebw()
             value = acc.overall
             extras = {
+                "logically_consistent": is_logically_consistent(ebw_process()),
                 "per_input_min": _fraction_dict(acc.per_input_min),
                 "per_input_max": _fraction_dict(acc.per_input_max),
                 "branch_weight": [_fraction_dict(f) for f in acc.branch_weight],
@@ -404,16 +409,15 @@ def build_manifest(tol: float = DEFAULT_TOL) -> list[ReproductionRecord]:
     """Recompute every headline number and compare against its pinned value."""
     records: list[ReproductionRecord] = []
 
-    cyril_value = (5 / 16) * (1 + 1 / np.sqrt(2))
     v = eval_gyni(cyril_gyni_strategy())
     records.append(
         _record(
             "gyni-cyril-value",
             "causalkit gyni --process cyril",
-            f"5/16*(1+1/sqrt(2)) = {_fmt(cyril_value)}",
+            f"5/16*(1+1/sqrt(2)) = {_fmt(CYRIL_GYNI_VALUE)}",
             _fmt(v),
             tol,
-            abs(v - cyril_value) <= tol,
+            abs(v - CYRIL_GYNI_VALUE) <= tol,
         )
     )
 
@@ -498,10 +502,10 @@ def build_manifest(tol: float = DEFAULT_TOL) -> list[ReproductionRecord]:
         _record(
             "drb-cyril-dual-value",
             "causalkit drb --strategy cyril-dual",
-            f"5/16*(1+1/sqrt(2)) = {_fmt(cyril_value)}",
+            f"5/16*(1+1/sqrt(2)) = {_fmt(CYRIL_GYNI_VALUE)}",
             _fmt(val),
             tol,
-            abs(val - cyril_value) <= tol,
+            abs(val - CYRIL_GYNI_VALUE) <= tol,
         )
     )
 
@@ -600,6 +604,18 @@ def build_manifest(tol: float = DEFAULT_TOL) -> list[ReproductionRecord]:
         )
     )
 
+    consistent = is_logically_consistent(ebw_process())
+    records.append(
+        _record(
+            "classical-ebw-consistent",
+            "causalkit classical tdr --strategy ebw --exact",
+            "each of the 64 local-function choices has exactly one fixed point",
+            "logically consistent" if consistent else "inconsistent",
+            0.0,
+            consistent,
+        )
+    )
+
     nc = tdr_success_no_collab()
     records.append(
         _record(
@@ -656,9 +672,9 @@ def build_manifest(tol: float = DEFAULT_TOL) -> list[ReproductionRecord]:
             "mutation-resend-same-detected",
             "causalkit gyni --process cyril",
             "re-preparing the measured bit unchanged shifts the value by > 0.05",
-            f"mutant {_fmt(mutant)}, gap {_fmt(abs(mutant - cyril_value))}",
+            f"mutant {_fmt(mutant)}, gap {_fmt(abs(mutant - CYRIL_GYNI_VALUE))}",
             0.05,
-            abs(mutant - cyril_value) > 0.05,
+            abs(mutant - CYRIL_GYNI_VALUE) > 0.05,
         )
     )
 
@@ -778,6 +794,8 @@ def main(argv: list[str] | None = None) -> int:
         tol = float(tol_env) if tol_env else DEFAULT_TOL
     except ValueError:
         parser.error(f"CAUSALKIT_TOL must be a float, got {tol_env!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        parser.error(f"CAUSALKIT_TOL must be finite and positive, got {tol_env!r}")
     return args.func(args, parser, tol)
 
 

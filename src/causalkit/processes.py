@@ -36,7 +36,6 @@ from .tensor import (
     kron_all,
     load_operator,
     min_eigenvalue,
-    partial_trace,
     partial_transpose,
     permute_wires,
     trace_and_replace,

@@ -12,6 +12,7 @@ before the module was written, then frozen here:
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -25,6 +26,8 @@ from causalkit.classical import (
     ebw_process,
     ftdr_accounting,
     ftdr_success,
+    is_logically_consistent,
+    shared_process_accounting,
     tdr_accounting_ebw,
     tdr_relay_accounting,
     tdr_success_definite_order,
@@ -134,6 +137,93 @@ class TestSharedProcessStrategy:
         assert tdr_accounting_ebw(free_side=0) == tdr_accounting_ebw(free_side=1)
 
 
+ALL_ZERO = ClassicalProcess3(((0, 0, 0),) * 8)
+IDENTITY = ClassicalProcess3(tuple(product(range(2), repeat=3)))
+# The first player's flag is its own output; the others always get 0.
+SELF_LOOP = ClassicalProcess3(tuple((o1, 0, 0) for o1, _, _ in product(range(2), repeat=3)))
+
+
+def loop_accounting(process, reversed_roles):
+    """Plain per-case reference for ``shared_process_accounting``."""
+    wins, per_input, cases, hits = 0, [], [0, 0], [0, 0]
+    for xbits in product(range(2), repeat=6):
+        x = TDRInput(xbits)
+        (x1, x1p), (x2, x2p), (x3, x3p) = x.pair(1), x.pair(2), x.pair(3)
+        input_wins = 0
+        for az, ax, bz, bx, cz, cx in product(range(2), repeat=6):
+            a = (az ^ x1) & (ax ^ x1p)
+            b = (bz ^ x2) & (bx ^ x2p)
+            c = (cz ^ x3) & (cx ^ x3p)
+            outputs = (1 - c, 1 - a, 1 - b) if reversed_roles else (b, c, a)
+            flags = process(outputs)
+            guesses = ((flags[0], 1 - az, 1 - ax), (flags[1], 1 - bz, 1 - bx), (flags[2], 1 - cz, 1 - cx))
+            won = int(all(g in win_set(x.pair(k + 1)) for k, g in enumerate(guesses)))
+            branch = int(sum(outputs) >= 2)
+            input_wins += won
+            cases[branch] += 1
+            hits[branch] += won
+        per_input.append(input_wins)
+        wins += input_wins
+    return (
+        Fraction(wins, 4096),
+        Fraction(min(per_input), 64),
+        Fraction(max(per_input), 64),
+        tuple(Fraction(c, 4096) for c in cases),
+        tuple(Fraction(h, c) if c else Fraction(0) for h, c in zip(hits, cases)),
+    )
+
+
+class TestTableProcesses:
+    @pytest.mark.parametrize(
+        "process, reversed_roles",
+        [(ALL_ZERO, False), (ALL_ZERO, True), (IDENTITY, False), (ebw_process(), True)],
+    )
+    def test_enumerator_matches_case_loop(self, process, reversed_roles):
+        acc = shared_process_accounting(process, reversed_roles=reversed_roles)
+        assert (
+            acc.overall,
+            acc.per_input_min,
+            acc.per_input_max,
+            acc.branch_weight,
+            acc.branch_success,
+        ) == loop_accounting(process, reversed_roles)
+
+    def test_free_side_checked(self):
+        with pytest.raises(ValueError, match="free_side"):
+            tdr_accounting_ebw(free_side=2)
+
+
+def fixed_point_counts(process):
+    """Fixed points o = f(process(o)) for each of the 64 local-function choices."""
+    functions = [lambda a: 0, lambda a: 1, lambda a: a, lambda a: 1 - a]
+    return [
+        sum(
+            all(f(flag) == o for f, flag, o in zip(fs, process(outputs), outputs))
+            for outputs in product(range(2), repeat=3)
+        )
+        for fs in product(functions, repeat=3)
+    ]
+
+
+class TestLogicalConsistency:
+    def test_ebw_process_passes(self):
+        assert is_logically_consistent(ebw_process())
+        assert fixed_point_counts(ebw_process()) == [1] * 64
+
+    def test_own_output_flag_fails(self):
+        # Paired with NOT, the first player's output would have to equal its
+        # own negation: no fixed point.
+        assert not is_logically_consistent(SELF_LOOP)
+        assert 0 in fixed_point_counts(SELF_LOOP)
+
+    def test_identity_table_fails(self):
+        assert not is_logically_consistent(IDENTITY)
+
+    @pytest.mark.parametrize("process", [ALL_ZERO, IDENTITY, SELF_LOOP, ebw_process()])
+    def test_matches_fixed_point_loop(self, process):
+        assert is_logically_consistent(process) == (fixed_point_counts(process) == [1] * 64)
+
+
 class TestBenchmarks:
     def test_no_collaboration_product(self):
         assert tdr_success_no_collab() == Fraction(27, 64)
@@ -168,6 +258,17 @@ class TestFlaggedVariant:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             ftdr_accounting("bogus")
+
+
+class TestRuntime:
+    def test_classical_manifest_values_fast(self):
+        start = time.perf_counter()
+        tdr_accounting_ebw()
+        tdr_success_no_collab()
+        tdr_relay_accounting()
+        ftdr_accounting("ebw")
+        ftdr_accounting("definite_order")
+        assert time.perf_counter() - start < 0.25
 
 
 class TestTwoCopyDecode:

@@ -74,6 +74,12 @@ class TestPpt:
         assert payload["ppt"] is False
         assert payload["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-9)
 
+    def test_unknown_cut_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ppt", "--process", "cyril", "--cut", "Z"])
+        assert exc.value.code == 2
+        assert "cut" in capsys.readouterr().err
+
 
 class TestGameCommands:
     def test_gyni_cyril_payload(self, capsys):
@@ -184,6 +190,11 @@ class TestClassical:
         assert payload["exact"] == "21/32"
         assert [p["exact"] for p in payload["round_success"]] == ["3/4", "9/16"]
 
+    def test_tdr_ebw_reports_consistency(self, capsys):
+        code, payload = run_json(capsys, "classical", "tdr", "--strategy", "ebw")
+        assert code == 0
+        assert payload["logically_consistent"] is True
+
     def test_strategy_scoped_to_variant(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classical", "ftdr", "--strategy", "none"])
@@ -233,6 +244,11 @@ class TestManifest:
                 "status",
             }
 
+    def test_consistency_claim(self):
+        records = {r.claim_id: r for r in build_manifest()}
+        assert len(records) == 24
+        assert records["classical-ebw-consistent"].status == "pass"
+
     def test_builder_is_deterministic(self):
         a = [r.to_dict() for r in build_manifest()]
         b = [r.to_dict() for r in build_manifest()]
@@ -252,3 +268,17 @@ class TestToleranceEnv:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--process", "cyril"])
         assert exc.value.code == 2
+
+    def test_env_rejects_nan(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAUSALKIT_TOL", "nan")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--process", "cyril"])
+        assert exc.value.code == 2
+        assert "CAUSALKIT_TOL" in capsys.readouterr().err
+
+    def test_env_rejects_negative(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAUSALKIT_TOL", "-1")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--process", "cyril"])
+        assert exc.value.code == 2
+        assert "CAUSALKIT_TOL" in capsys.readouterr().err
