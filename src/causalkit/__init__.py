@@ -9,10 +9,12 @@ classical tripartite counterparts with exact rationals.
 
 from .tensor import (
     DEFAULT_TOL,
+    KronSum,
     LabeledOperator,
     OperatorStack,
     WireLabel,
     batched_trace,
+    conjugate_wires,
     dump_operator,
     identity_operator,
     kron,
@@ -82,6 +84,7 @@ from .games import (
 from .duality import (
     QUBIT_READOUT_UNITARY,
     DualityCertificate,
+    DualityDrift,
     check_duality,
     controlled_shift,
     dr_to_gyni,

@@ -171,6 +171,17 @@ class DualityCertificate:
         }
 
 
+class DualityDrift(ValueError):
+    """A translation whose value left the source value by more than the tolerance."""
+
+    def __init__(self, certificate: DualityCertificate) -> None:
+        self.certificate = certificate
+        super().__init__(
+            f"duality violated: |{certificate.source_value:.12f} - {certificate.target_value:.12f}|"
+            f" = {certificate.deviation:.3e} > {certificate.tolerance:.1e}"
+        )
+
+
 def _gyni_dim(strategy: GameStrategy) -> int:
     d = input_count(strategy)
     if any(ins.n_outcomes != d for arm in strategy.parties for ins in arm.instruments):
@@ -243,8 +254,8 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
     if len(arm_a.instruments) != 1 or len(arm_b.instruments) != 1:
         raise ValueError("retrieval strategies take no classical input")
     ins_a, ins_b = arm_a.instruments[0], arm_b.instruments[0]
-    d = ins_a.ops[0].wire(sa).dim
-    if ins_b.ops[0].wire(sb).dim != d or ins_a.n_outcomes != d or ins_b.n_outcomes != d:
+    d = ins_a.wire(sa).dim
+    if ins_b.wire(sb).dim != d or ins_a.n_outcomes != d or ins_b.n_outcomes != d:
         raise ValueError("code wires and outcome counts must share one dimension d")
     pa, pb = strategy.process.parties
     extended = extend_with_state(
@@ -274,8 +285,9 @@ def check_duality(
 ) -> DualityCertificate:
     """Run the requested translation and certify value preservation.
 
-    Raises ValueError when the translated value drifts beyond ``tol``; a
-    drift here means a conventions bug, not a numerical hiccup.
+    Raises :class:`DualityDrift`, a ValueError carrying the certificate, when
+    the translated value drifts beyond ``tol``; a drift here means a
+    conventions bug, not a numerical hiccup.
     """
     if direction not in DIRECTION_TOKENS:
         raise ValueError(f"direction must be one of {DIRECTION_TOKENS}")
@@ -286,13 +298,11 @@ def check_duality(
         target = eval_dr(translated, bell_encoder(d, ("A", "B")), d)
     else:
         sa, sb = strategy.state_wires
-        d = strategy.parties[0].instruments[0].ops[0].wire(sa).dim
+        d = strategy.parties[0].instruments[0].wire(sa).dim
         source = eval_dr(strategy, bell_encoder(d, (sa, sb)), d)
         translated = dr_to_gyni(strategy)
         target = eval_gyni(translated)
     cert = DualityCertificate(direction, d, source, target, tol)
     if not cert.ok:
-        raise ValueError(
-            f"duality violated: |{source:.12f} - {target:.12f}| = {cert.deviation:.3e} > {tol:.1e}"
-        )
+        raise DualityDrift(cert)
     return cert

@@ -10,7 +10,10 @@ second the phase symbol).
 All probabilities of a game come from one factored contraction of
 ``Tr[(W (x) state) (M_A (x) M_B)]`` over every input, outcome and code
 (:func:`behaviour`), evaluated wire-by-wire so no joint kron is ever formed;
-the other evaluators are index views of that table.
+the other evaluators are index views of that table. The process enters as
+its factors and each party's instruments as their readout and branch stacks,
+whose shared term index the contraction sums, so neither the dense process
+nor a dense composite instrument is built.
 """
 
 from __future__ import annotations

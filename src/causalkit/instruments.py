@@ -11,6 +11,15 @@ Wire roles are declared, not positional: ``input_wires`` lists everything the
 instrument reads (ancillary state wires first, then the lab input wire) and
 ``output_wires`` what it emits. Completeness is the Choi trace-preservation
 condition Tr_out(sum_k M_k) = I_in.
+
+Instruments are stored as factors. Branch k is sum_m R[m] (x) S[k, m], with
+a readout stack R on some wires and a branch stack S on the rest; a plain
+instrument has no readout and one term. Reading out two ancilla wires before
+a selected inner instrument (:func:`extend_instrument_with_measurement`)
+therefore costs one small (outcome, readout) gather instead of a dense block
+of side d^2 D per branch, and game contractions take R and S as they are
+(:func:`stack_instruments`). The dense operators, :attr:`Instrument.ops`,
+are built only when read, e.g. by :func:`validate_instrument`.
 """
 
 from __future__ import annotations
@@ -23,59 +32,92 @@ import numpy as np
 
 from .tensor import (
     DEFAULT_TOL,
+    KronSum,
     LabeledOperator,
     OperatorStack,
     WireLabel,
+    conjugate_wires,
     hermiticity_defect,
     identity_operator,
-    kron,
     min_eigenvalue,
     partial_trace,
     permute_wires,
-    stack_operators,
 )
 
 
 @dataclass(frozen=True)
 class Instrument:
-    """CJ operators per outcome, plus the wire-role split."""
+    """CJ operators per outcome, kept as factors, plus the wire-role split.
 
-    ops: tuple[LabeledOperator, ...]
+    Branch k is sum_m kron(readout[m], branches[k, m]): ``readout`` stacks
+    operators on the readout wires by term m, and ``branches`` stacks
+    operators on the remaining wires by (outcome k, term m). A plain
+    instrument is the one-term case, with no readout wires and m of length 1;
+    it is built as ``Instrument(ops, input_wires, output_wires)`` from one
+    :class:`LabeledOperator` per outcome. :attr:`ops` is the dense view, one
+    operator per outcome on (readout wires..., branch wires...); it is built
+    on each read, and :attr:`terms` is the same stack kept as factors.
+    """
+
+    branches: OperatorStack
     input_wires: tuple[str, ...]
     output_wires: tuple[str, ...]
+    readout: OperatorStack | None = None
 
     def __post_init__(self) -> None:
-        ops = tuple(self.ops)
-        if not ops:
-            raise ValueError("an instrument needs at least one outcome")
-        names = ops[0].names
-        for op in ops[1:]:
-            if op.names != names:
-                raise ValueError("all outcome operators must share the same wires")
+        branches = self.branches
+        if not isinstance(branches, OperatorStack):
+            ops = tuple(branches)
+            if not ops:
+                raise ValueError("an instrument needs at least one outcome")
+            names = ops[0].names
+            for op in ops[1:]:
+                if op.names != names:
+                    raise ValueError("all outcome operators must share the same wires")
+            branches = OperatorStack(ops[0].wires, np.array([op.matrix for op in ops])[:, None])
+        if branches.matrix.ndim != 4 or not branches.matrix.shape[0]:
+            raise ValueError("branches must be stacked by (outcome, term), one outcome or more")
+        if self.readout is not None and self.readout.matrix.ndim != 3:
+            raise ValueError("the readout must be stacked by term alone")
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "input_wires", tuple(self.input_wires))
+        object.__setattr__(self, "output_wires", tuple(self.output_wires))
+        names = [w.name for w in self.terms.wires]
         declared = set(self.input_wires) | set(self.output_wires)
         if set(self.input_wires) & set(self.output_wires):
             raise ValueError("a wire cannot be both input and output")
         if declared != set(names):
             raise ValueError(
-                f"declared wires {sorted(declared)} do not match operator wires {names}"
+                f"declared wires {sorted(declared)} do not match operator wires {tuple(names)}"
             )
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "input_wires", tuple(self.input_wires))
-        object.__setattr__(self, "output_wires", tuple(self.output_wires))
+
+    @property
+    def terms(self) -> KronSum:
+        """The branches as factors, stacked by outcome."""
+        return KronSum(((self.readout,) if self.readout is not None else ()) + (self.branches,))
+
+    @property
+    def ops(self) -> tuple[LabeledOperator, ...]:
+        """The dense CJ operator of every outcome."""
+        wires = self.wires
+        return tuple(LabeledOperator(wires, m) for m in self.terms.matrix)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.ops)
+        return self.branches.matrix.shape[0]
 
     @property
     def wires(self) -> tuple[WireLabel, ...]:
-        return self.ops[0].wires
+        return (self.readout.wires if self.readout is not None else ()) + self.branches.wires
+
+    def wire(self, name: str) -> WireLabel:
+        for w in self.wires:
+            if w.name == name:
+                return w
+        raise KeyError(f"no wire named {name!r}; have {[w.name for w in self.wires]}")
 
     def total(self) -> LabeledOperator:
-        acc = self.ops[0].matrix.copy()
-        for op in self.ops[1:]:
-            acc = acc + op.matrix
-        return LabeledOperator(self.wires, acc)
+        return coarse_grain(self, [0] * self.n_outcomes, 1).ops[0]
 
 
 @dataclass(frozen=True)
@@ -96,10 +138,11 @@ class InstrumentReport:
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> InstrumentReport:
     """Positivity of every branch plus completeness of the sum."""
-    herm = max(hermiticity_defect(op) for op in ins.ops)
+    ops = ins.ops
+    herm = max(hermiticity_defect(op) for op in ops)
     if herm > tol:
         return InstrumentReport((float("nan"),) * ins.n_outcomes, herm, float("inf"), tol)
-    eigs = tuple(min_eigenvalue(op, tol) for op in ins.ops)
+    eigs = tuple(min_eigenvalue(op, tol) for op in ops)
     reduced = partial_trace(ins.total(), set(ins.output_wires))
     target = identity_operator(reduced.wires)
     aligned = (
@@ -193,7 +236,8 @@ def conjugate_instrument(
     ``side`` is ``"input"`` (all input wires jointly), ``"output"`` (all
     output wires), or a single wire name. Each branch maps to U M U†, which
     preserves positivity; acting on inputs or outputs alone also preserves
-    completeness.
+    completeness. U acts on the wire axes of the dense branches, and the
+    result is a plain instrument.
     """
     if side == "input":
         targets = ins.input_wires
@@ -212,16 +256,10 @@ def conjugate_instrument(
         raise ValueError(f"unitary must be {dim}x{dim} for wires {targets}, got {u.shape}")
     if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > tol:
         raise ValueError("conjugation matrix is not unitary within tolerance")
-    rest = tuple(w for w in ins.wires if w.name not in targets)
-    big = LabeledOperator(target_labels, u)
-    if rest:
-        big = kron(big, identity_operator(rest))
-    big = permute_wires(big, [w.name for w in ins.wires])
-    mats = big.matrix
-    ops = tuple(
-        LabeledOperator(ins.wires, mats @ op.matrix @ mats.conj().T) for op in ins.ops
+    dense = conjugate_wires(OperatorStack(ins.wires, ins.terms.matrix), u, targets)
+    return Instrument(
+        OperatorStack(ins.wires, dense.matrix[:, None]), ins.input_wires, ins.output_wires
     )
-    return Instrument(ops, ins.input_wires, ins.output_wires)
 
 
 def extend_instrument_with_measurement(
@@ -270,56 +308,73 @@ def extend_instrument_with_measurement(
     if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > tol:
         raise ValueError("pre-measurement matrix is not unitary within tolerance")
 
-    branches: dict[int, np.ndarray] = {}
-    for m1, m2 in product(range(w1.dim), range(w2.dim)):
-        idx = m1 * w2.dim + m2
-        proj = np.outer(u[idx, :].conj(), u[idx, :])  # U† |m><m| U
-        inner = family[(m1, m2)[selector]]
-        for k, op in enumerate(inner.ops):
-            final = postprocess((m1, m2), k)
-            if final < 0:
-                raise ValueError("postprocess produced a negative outcome")
-            block = np.kron(proj, op.matrix)
-            if final in branches:
-                branches[final] = branches[final] + block
-            else:
-                branches[final] = block
-    count = n_outcomes if n_outcomes is not None else max(branches) + 1
-    if max(branches) >= count:
+    # Branch a is sum_m R[m] (x) S[a, m]: R[m] = U^dag |m><m| U reads out m =
+    # (m1, m2), and S[a, m] sums the selected inner branches relabelled to a.
+    readout = OperatorStack((w1, w2), u.conj()[:, :, None] * u[:, None, :])
+    symbols = list(product(range(w1.dim), range(w2.dim)))
+    finals = [
+        [postprocess(m, k) for k in range(family[m[selector]].n_outcomes)] for m in symbols
+    ]
+    if min(min(row) for row in finals) < 0:
+        raise ValueError("postprocess produced a negative outcome")
+    top = max(max(row) for row in finals)
+    count = n_outcomes if n_outcomes is not None else top + 1
+    if top >= count:
         raise ValueError("postprocess outcome exceeds the declared outcome count")
-    wires = (w1, w2) + base.wires
-    full = dim * base.ops[0].total_dim
-    zero = np.zeros((full, full), dtype=complex)
-    ops = tuple(
-        LabeledOperator(wires, branches.get(k, zero)) for k in range(count)
-    )
+    inner = [ins.ops for ins in family]
+    side = LabeledOperator.total_dim_of(base.wires)
+    branches = np.zeros((count, dim, side, side), dtype=complex)
+    for m, row in enumerate(finals):
+        for k, final in enumerate(row):
+            branches[final, m] += inner[symbols[m][selector]][k].matrix
     return Instrument(
-        ops,
+        OperatorStack(base.wires, branches),
         (w1.name, w2.name) + base.input_wires,
         base.output_wires,
+        readout,
     )
 
 
-def stack_instruments(family: Sequence[Instrument]) -> OperatorStack:
+def _same_readout(a: OperatorStack | None, b: OperatorStack | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.wires == b.wires and np.array_equal(a.matrix, b.matrix)
+
+
+def stack_instruments(family: Sequence[Instrument]) -> KronSum:
     """CJ operators of an instrument family, stacked by (member, outcome).
 
-    Members must share their wires (in any order) and their outcome count.
+    The stack stays factored: members must share one readout, which is
+    stacked once, and their outcome count; their branch wires may come in
+    any order.
     """
     counts = {ins.n_outcomes for ins in family}
     if len(counts) != 1:
         raise ValueError(f"instruments disagree on the outcome count: {sorted(counts)}")
-    ops = [op for ins in family for op in ins.ops]
-    return stack_operators(ops, (len(family), counts.pop()))
+    first = family[0]
+    if not all(_same_readout(ins.readout, first.readout) for ins in family[1:]):
+        raise ValueError("instruments in a family must share one readout")
+    names = [w.name for w in first.branches.wires]
+    mats = [
+        (b if [w.name for w in b.wires] == names else permute_wires(b, names)).matrix
+        for b in (ins.branches for ins in family)
+    ]
+    branches = OperatorStack(first.branches.wires, np.stack(mats))
+    return KronSum(((first.readout,) if first.readout is not None else ()) + (branches,))
 
 
 def coarse_grain(ins: Instrument, grouping: Sequence[int], n_outcomes: int) -> Instrument:
-    """Merge outcomes: ``grouping[k]`` is the new label of old outcome k."""
+    """Merge outcomes: ``grouping[k]`` is the new label of old outcome k.
+
+    The readout is kept, so a factored instrument stays factored.
+    """
     if len(grouping) != ins.n_outcomes:
         raise ValueError("grouping must relabel every outcome")
     if any(not 0 <= g < n_outcomes for g in grouping):
         raise ValueError("grouping label out of range")
-    acc = [np.zeros_like(ins.ops[0].matrix) for _ in range(n_outcomes)]
-    for g, op in zip(grouping, ins.ops):
-        acc[g] = acc[g] + op.matrix
-    ops = tuple(LabeledOperator(ins.wires, m) for m in acc)
-    return Instrument(ops, ins.input_wires, ins.output_wires)
+    stack = ins.branches.matrix
+    acc = np.zeros((n_outcomes,) + stack.shape[1:], dtype=complex)
+    np.add.at(acc, list(grouping), stack)
+    return Instrument(
+        OperatorStack(ins.branches.wires, acc), ins.input_wires, ins.output_wires, ins.readout
+    )

@@ -456,5 +456,5 @@ def load_process(text: str) -> ProcessMatrix:
         if len(wires) < 2:
             raise ValueError(f"party {name!r} needs at least input and output wires")
         parties.append(PartySlot(name.strip(), wires[0], wires[1], tuple(wires[2:])))
-    op = load_operator("\n".join(lines[1:]))
+    op = load_operator(lines[1:])
     return ProcessMatrix(op, tuple(parties))

@@ -167,18 +167,26 @@ def partial_transpose(op: LabeledOperator, transposed: Iterable[str]) -> Labeled
     return LabeledOperator(op.wires, out)
 
 
-def permute_wires(op: LabeledOperator, new_order: Sequence[str]) -> LabeledOperator:
-    """Reorder wires to ``new_order`` (a permutation of the current names)."""
+def permute_wires(op, new_order: Sequence[str]):
+    """Reorder wires to ``new_order`` (a permutation of the current names).
+
+    Takes a :class:`LabeledOperator` or an :class:`OperatorStack`, whose
+    batch axes are kept, and returns the same type.
+    """
     new_order = list(new_order)
-    if sorted(new_order) != sorted(op.names):
-        raise ValueError(f"{new_order} is not a permutation of {op.names}")
+    names = [w.name for w in op.wires]
+    if sorted(new_order) != sorted(names):
+        raise ValueError(f"{new_order} is not a permutation of {tuple(names)}")
     n = len(op.wires)
-    pos = {w.name: i for i, w in enumerate(op.wires)}
+    batch = op.matrix.shape[:-2]
+    nb = len(batch)
+    pos = {name: i for i, name in enumerate(names)}
     perm = [pos[name] for name in new_order]
-    axes = perm + [n + p for p in perm]
+    axes = list(range(nb)) + [nb + p for p in perm] + [nb + n + p for p in perm]
     new_wires = tuple(op.wires[p] for p in perm)
-    out = op.as_tensor().transpose(axes).reshape(op.total_dim, op.total_dim)
-    return LabeledOperator(new_wires, out)
+    dims = tuple(w.dim for w in op.wires)
+    out = op.matrix.reshape(batch + dims + dims).transpose(axes).reshape(op.matrix.shape)
+    return type(op)(new_wires, out)
 
 
 def hermiticity_defect(op: LabeledOperator) -> float:
@@ -244,6 +252,58 @@ class OperatorStack:
         object.__setattr__(self, "matrix", mat)
 
 
+@dataclass(frozen=True)
+class KronSum:
+    """A stack kept as factors, one sum of krons per entry.
+
+    Entry ``[i0, i1, ...]`` is sum_m kron(parts[0][i0, m], parts[1][i1, m], ...).
+    Each part is an :class:`OperatorStack` whose last batch axis is the
+    shared term index m, of one length for all parts; its other batch axes
+    (i0 for the first part, and so on) are its own. The stack this stands
+    for has the parts' own batch axes and the parts' wires, both in part
+    order. :func:`batched_trace` contracts the parts and sums m inside its
+    one einsum; :attr:`matrix` is the dense stack, built on each read.
+    """
+
+    parts: tuple[OperatorStack, ...]
+
+    def __post_init__(self) -> None:
+        parts = tuple(self.parts)
+        if not parts:
+            raise ValueError("a kron sum needs at least one part")
+        if any(p.matrix.ndim < 3 for p in parts):
+            raise ValueError("every part needs a trailing term axis")
+        terms = {p.matrix.shape[-3] for p in parts}
+        if len(terms) != 1:
+            raise ValueError(f"parts disagree on the term count: {sorted(terms)}")
+        _side_wires(parts, "kron sum parts")
+        object.__setattr__(self, "parts", parts)
+
+    @property
+    def wires(self) -> tuple[WireLabel, ...]:
+        return tuple(w for p in self.parts for w in p.wires)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return tuple(n for p in self.parts for n in p.matrix.shape[:-3])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense stack, of shape ``batch_shape + (D, D)``."""
+        letters = iter(_LETTERS)
+        term = next(letters)
+        subs, lead_out, row_out, col_out = [], "", "", ""
+        for p in self.parts:
+            lead = "".join(next(letters) for _ in p.matrix.shape[:-3])
+            row, col = next(letters), next(letters)
+            subs.append(lead + term + row + col)
+            lead_out, row_out, col_out = lead_out + lead, row_out + row, col_out + col
+        subscripts = ",".join(subs) + "->" + lead_out + row_out + col_out
+        dense = np.einsum(subscripts, *(p.matrix for p in self.parts))
+        dim = LabeledOperator.total_dim_of(self.wires)
+        return dense.reshape(self.batch_shape + (dim, dim))
+
+
 def stack_operators(ops: Sequence[LabeledOperator], shape: tuple[int, ...]) -> OperatorStack:
     """Stack ``prod(shape)`` operators, in row-major order, into ``shape``.
 
@@ -274,16 +334,18 @@ def _einsum_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
 
 
 def batched_trace(
-    carriers: Sequence[LabeledOperator | OperatorStack],
-    effects: Sequence[LabeledOperator | OperatorStack],
+    carriers: Sequence[LabeledOperator | OperatorStack | KronSum],
+    effects: Sequence[LabeledOperator | OperatorStack | KronSum],
 ) -> np.ndarray:
     """Tr[(kron of carriers) @ (kron of effects)] for every choice of stack entries.
 
     Each wire name must appear exactly once on each side; dimensions must
     match. Wires are checked before any arithmetic. The result has the batch
-    axes of every operand, in argument order (carriers first). The
-    contraction is one einsum over the factor tensors, whose order is planned
-    once per subscripts and shapes, so neither kron is ever formed.
+    axes of every operand, in argument order (carriers first); a
+    :class:`KronSum` has its parts' own batch axes, and its shared term axis
+    is summed. The contraction is one einsum over the factor tensors, whose
+    order is planned once per subscripts and shapes, so neither kron, nor
+    the dense form of a kron sum, is ever formed.
     """
     carrier_wires = _side_wires(carriers, "carriers")
     effect_wires = _side_wires(effects, "effects")
@@ -301,15 +363,20 @@ def batched_trace(
     col = {name: next(letters) for name in carrier_wires}
     subs, tensors, batch_out = [], [], ""
     for k, op in enumerate([*carriers, *effects]):
-        batch = op.matrix.shape[:-2]
-        lead = "".join(next(letters) for _ in batch)
-        batch_out += lead
         # Tr[S M] = S_rc M_cr: effect factors are indexed column-first.
         first, second = (row, col) if k < len(carriers) else (col, row)
-        names = [w.name for w in op.wires]
-        subs.append(lead + "".join(first[n] for n in names) + "".join(second[n] for n in names))
-        dims = tuple(w.dim for w in op.wires)
-        tensors.append(op.matrix.reshape(batch + dims + dims))
+        # A kron sum's parts share its term axis, which is summed.
+        parts, term = (op.parts, next(letters)) if isinstance(op, KronSum) else ((op,), "")
+        for part in parts:
+            batch = part.matrix.shape[:-2]
+            lead = "".join(next(letters) for _ in batch[: len(batch) - len(term)])
+            batch_out += lead
+            names = [w.name for w in part.wires]
+            subs.append(
+                lead + term + "".join(first[n] for n in names) + "".join(second[n] for n in names)
+            )
+            dims = tuple(w.dim for w in part.wires)
+            tensors.append(part.matrix.reshape(batch + dims + dims))
     subscripts = ",".join(subs) + "->" + batch_out
     plan = _einsum_plan(subscripts, tuple(t.shape for t in tensors))
     return np.einsum(subscripts, *tensors, optimize=plan)
@@ -325,15 +392,37 @@ def product_trace(
     return complex(batched_trace(carriers, effects))
 
 
-def _format_entry(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
+def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
+    """U M U^dag for every stacked M, with U on the named wires and I elsewhere.
+
+    ``u`` is indexed by the named wires in the operator's own wire order.
+    Takes a :class:`LabeledOperator` or an :class:`OperatorStack` and returns
+    the same type. U is applied to the named wires' axes of the tensor form,
+    rows then columns, so no dense conjugator is built.
+    """
+    names = set(names)
+    targets = [i for i, w in enumerate(op.wires) if w.name in names]
+    if len(targets) != len(names):
+        raise KeyError(f"unknown wires {sorted(names)}; operator has {[w.name for w in op.wires]}")
+    batch = op.matrix.shape[:-2]
+    dims = tuple(w.dim for w in op.wires)
+    nb, n, nt = len(batch), len(dims), len(targets)
+    tdims = tuple(dims[i] for i in targets)
+    ut = np.asarray(u, dtype=np.complex128).reshape(tdims + tdims)
+    rows, cols = [nb + i for i in targets], [nb + n + i for i in targets]
+    u_in = list(range(nt, 2 * nt))
+    out = np.tensordot(ut, op.matrix.reshape(batch + dims + dims), axes=(u_in, rows))
+    out = np.moveaxis(out, range(nt), rows)
+    out = np.tensordot(out, ut.conj(), axes=(cols, u_in))
+    out = np.moveaxis(out, range(out.ndim - nt, out.ndim), cols)
+    return type(op)(op.wires, out.reshape(op.matrix.shape))
 
 
 def dump_operator(op: LabeledOperator) -> str:
     """Serialize to the plain-text wire/matrix format (17 significant digits)."""
     lines = ["wires: " + ",".join(f"{w.name}:{w.dim}" for w in op.wires)]
-    for r in range(op.total_dim):
-        lines.append(" ".join(_format_entry(op.matrix[r, c]) for c in range(op.total_dim)))
+    for row in op.matrix:
+        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -350,9 +439,9 @@ def _parse_wire_line(line: str, expect_key: str = "wires") -> tuple[WireLabel, .
     return tuple(wires)
 
 
-def load_operator(text: str) -> LabeledOperator:
-    """Inverse of :func:`dump_operator`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def load_operator(text: str | Sequence[str]) -> LabeledOperator:
+    """Inverse of :func:`dump_operator`; takes the text or its lines."""
+    lines = [ln for ln in (text.splitlines() if isinstance(text, str) else text) if ln.strip()]
     if not lines:
         raise ValueError("empty operator dump")
     wires = _parse_wire_line(lines[0])

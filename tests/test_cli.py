@@ -6,6 +6,7 @@ with capsys and parsed back, so these double as serialization tests.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -58,6 +59,35 @@ class TestValidate:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--process", "nonesuch"])
         assert exc.value.code == 2
+
+    def _usage_error(self, capsys, path) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        message = err.strip().splitlines()[-1]
+        assert str(path) in message
+        assert "Traceback" not in err
+        return message
+
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        message = self._usage_error(capsys, tmp_path / "absent.txt")
+        assert "No such file" in message
+
+    def test_truncated_dump_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "truncated.txt"
+        path.write_text("\n".join(dump_process(build_cyril()).splitlines()[:3]), encoding="utf-8")
+        message = self._usage_error(capsys, path)
+        assert "expected 16 matrix rows, found 1" in message
+
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"parties: \xff\xfe\n")
+        assert "utf-8" in self._usage_error(capsys, path)
+
+    def test_unreadable_file_is_usage_error(self, capsys, tmp_path):
+        # A directory fails to open for reading whatever the user's privileges.
+        assert "directory" in self._usage_error(capsys, tmp_path)
 
 
 class TestPpt:
@@ -248,6 +278,33 @@ class TestManifest:
         records = {r.claim_id: r for r in build_manifest()}
         assert len(records) == 24
         assert records["classical-ebw-consistent"].status == "pass"
+
+    def test_drifting_claim_is_a_fail_row(self, capsys, monkeypatch):
+        from causalkit import duality
+        from causalkit.instruments import coarse_grain
+
+        translate = duality.gyni_to_dr
+
+        def drifting(strategy):
+            # Relabel the first party's outcomes at d=3 only: the value drifts.
+            out = translate(strategy)
+            if duality.input_count(strategy) != 3:
+                return out
+            arm = out.parties[0]
+            shifted = coarse_grain(arm.instruments[0], [1, 2, 0], 3)
+            return dataclasses.replace(
+                out, parties=(dataclasses.replace(arm, instruments=(shifted,)), out.parties[1])
+            )
+
+        monkeypatch.setattr(duality, "gyni_to_dr", drifting)
+        code, payload = run_json(capsys, "manifest")
+        assert code == 1
+        assert payload["total"] == 24
+        assert len(payload["records"]) == 24
+        records = {r["claim_id"]: r for r in payload["records"]}
+        assert len(records) == 24
+        assert [k for k, r in records.items() if r["status"] != "pass"] == ["duality-random-d3"]
+        assert float(records["duality-random-d3"]["computed"]) > 1e-9
 
     def test_builder_is_deterministic(self):
         a = [r.to_dict() for r in build_manifest()]

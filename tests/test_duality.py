@@ -155,6 +155,20 @@ class TestRandomizedRoundTrips:
         assert peak < 150 * 2**20
 
 
+    def test_d5_gyni2dr_stays_factored(self):
+        # The dense composite instruments alone hold 4 x 625 x 625 complex
+        # per party; the factored path peaks near 18 MB (268 MB when dense).
+        gyni = random_gyni_strategy(np.random.default_rng(1105), 5)
+        tracemalloc.start()
+        try:
+            cert = check_duality(gyni, "gyni2dr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.deviation <= 1e-9
+        assert peak < 48 * 2**20
+
+
 class TestCertificate:
     def test_to_dict_round_trip(self):
         cert = check_duality(cyril_gyni_strategy(), "gyni2dr")

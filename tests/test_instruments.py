@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from causalkit.instruments import (
     validate_instrument,
 )
 from causalkit.sampling import random_instrument
-from causalkit.tensor import LabeledOperator, WireLabel
+from causalkit.tensor import LabeledOperator, OperatorStack, WireLabel
 
 A_IN = WireLabel("A_I", 2)
 A_OUT = WireLabel("A_O", 2)
@@ -126,6 +128,26 @@ class TestConjugation:
         for side in ("input", "output", "A_I", "A_O"):
             assert validate_instrument(conjugate_instrument(ins, u, side)).valid
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("side", ["input", "output", "A"])
+    def test_matches_dense_conjugator(self, d, side):
+        # Reference: kron(U, I_rest), its wires permuted to the instrument's
+        # order, applied as U M U^dag branch by branch.
+        rng = np.random.default_rng(40 + d)
+        wires = (WireLabel("A", d), WireLabel("A_I", d), WireLabel("A_O", d))
+        ins = random_instrument(rng, wires[:2], wires[2:], d)
+        targets = {"input": [0, 1], "output": [2], "A": [0]}[side]
+        dim = d ** len(targets)
+        u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        rest = [i for i in range(3) if i not in targets]
+        big = np.kron(u, np.eye(d ** len(rest))).reshape((d,) * 6)
+        order = list(np.argsort(targets + rest))
+        big = big.transpose(order + [3 + i for i in order]).reshape(d**3, d**3)
+        rotated = conjugate_instrument(ins, u, side)
+        assert rotated.wires == ins.wires
+        for got, op in zip(rotated.ops, ins.ops):
+            np.testing.assert_allclose(got.matrix, big @ op.matrix @ big.conj().T, atol=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
         with pytest.raises(ValueError, match="2x2"):
@@ -204,3 +226,87 @@ class TestComposition:
         np.testing.assert_allclose(
             merged.total().matrix, ins.total().matrix, atol=1e-12
         )
+
+
+def _kron_composite(family, u, measured, selector, postprocess, count):
+    """The composite as dense blocks: sum over (m, k) of kron(U^dag|m><m|U, inner op)."""
+    w1, w2 = measured
+    side = family[0].ops[0].total_dim
+    out = [np.zeros((w1.dim * w2.dim * side,) * 2, dtype=complex) for _ in range(count)]
+    for m1, m2 in product(range(w1.dim), range(w2.dim)):
+        row = u[m1 * w2.dim + m2]
+        proj = np.outer(row.conj(), row)
+        for k, op in enumerate(family[(m1, m2)[selector]].ops):
+            out[postprocess((m1, m2), k)] += np.kron(proj, op.matrix)
+    return out
+
+
+class TestFactoredComposite:
+    POSTPROCESS = {
+        "pad": lambda d: ((lambda m, k: (k + m[1]) % d), d),
+        # Several (m, k) land on each of two outcomes.
+        "merge": lambda d: ((lambda m, k: (m[0] + m[1] + k) % 2), 2),
+        # Outcome d - 1 is never produced.
+        "empty": lambda d: ((lambda m, k: k % (d - 1)), d),
+    }
+
+    def _composite(self, d, kind, selector=0, seed=0):
+        rng = np.random.default_rng(500 + 10 * d + seed)
+        w_in, w_out = WireLabel("A_I", d), WireLabel("A_O", d)
+        family = [random_instrument(rng, (w_in,), (w_out,), d) for _ in range(d)]
+        g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        u, _ = np.linalg.qr(g)
+        measured = (WireLabel("A", d), WireLabel("A'", d))
+        postprocess, count = self.POSTPROCESS[kind](d)
+        composite = extend_instrument_with_measurement(
+            family, u, measured, selector, postprocess, n_outcomes=count
+        )
+        return composite, _kron_composite(family, u, measured, selector, postprocess, count)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["pad", "merge", "empty"])
+    @pytest.mark.parametrize("selector", [0, 1])
+    def test_dense_view_matches_kron_construction(self, d, kind, selector):
+        composite, want = self._composite(d, kind, selector)
+        assert [w.name for w in composite.wires] == ["A", "A'", "A_I", "A_O"]
+        assert composite.readout.matrix.shape == (d * d, d * d, d * d)
+        assert composite.n_outcomes == len(want)
+        for got, ref in zip(composite.ops, want):
+            np.testing.assert_allclose(got.matrix, ref, atol=1e-12)
+        if kind == "empty":
+            np.testing.assert_array_equal(composite.ops[d - 1].matrix, 0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["pad", "merge", "empty"])
+    def test_composite_passes_validation(self, d, kind):
+        composite, _ = self._composite(d, kind)
+        report = validate_instrument(composite)
+        assert report.valid
+        assert report.tp_residual <= 1e-12
+
+    def test_coarse_graining_stays_factored(self):
+        composite, want = self._composite(3, "pad")
+        merged = coarse_grain(composite, [0, 1, 0], 2)
+        assert merged.readout is composite.readout
+        np.testing.assert_allclose(merged.ops[0].matrix, want[0] + want[2], atol=1e-12)
+        np.testing.assert_allclose(merged.total().matrix, sum(want), atol=1e-12)
+
+    def test_stack_shares_the_readout(self):
+        a, _ = self._composite(2, "pad")
+        stack = stack_instruments([a, a])
+        assert stack.batch_shape == (2, 2)
+        np.testing.assert_allclose(stack.matrix[1, 0], a.ops[0].matrix, atol=1e-12)
+        b, _ = self._composite(2, "pad", seed=1)
+        with pytest.raises(ValueError, match="readout"):
+            stack_instruments([a, b])
+
+    def test_plain_instrument_is_one_term(self):
+        rng = np.random.default_rng(7)
+        ins = random_instrument(rng, (A_IN,), (A_OUT,), 3)
+        assert ins.readout is None
+        assert ins.branches.matrix.shape == (3, 1, 4, 4)
+        rebuilt = Instrument(ins.ops, ins.input_wires, ins.output_wires)
+        for got, op in zip(rebuilt.ops, ins.ops):
+            np.testing.assert_array_equal(got.matrix, op.matrix)
+        with pytest.raises(ValueError, match="do not match"):
+            Instrument(OperatorStack((A_IN, A_OUT), ins.branches.matrix), ("A_I",), ("B",))

@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from causalkit.tensor import (
     DEFAULT_TOL,
+    KronSum,
     LabeledOperator,
     OperatorStack,
     WireLabel,
     batched_trace,
+    conjugate_wires,
     dump_operator,
     hermiticity_defect,
     identity_operator,
@@ -273,6 +275,66 @@ class TestProductTrace:
             batched_trace([op([A], SZ)], [OperatorStack((B,), np.zeros((2, 2, 2)))])
 
 
+class TestKronSum:
+    def _parts(self, rng, terms):
+        # Part one on (A,), term-stacked; part two on (C,), stacked by (k, term).
+        r = np.array([random_herm(rng, 2) for _ in range(terms)])
+        s = np.array([[random_herm(rng, 3) for _ in range(terms)] for _ in range(4)])
+        return OperatorStack((A,), r), OperatorStack((C,), s)
+
+    def test_dense_view_is_sum_of_krons(self):
+        rng = np.random.default_rng(25)
+        r, s = self._parts(rng, 3)
+        ks = KronSum((r, s))
+        assert ks.wires == (A, C)
+        assert ks.batch_shape == (4,)
+        for k in range(4):
+            want = sum(np.kron(r.matrix[m], s.matrix[k, m]) for m in range(3))
+            np.testing.assert_allclose(ks.matrix[k], want, atol=1e-12)
+
+    @pytest.mark.parametrize("terms", [1, 3])
+    def test_shared_axis_sum_matches_loop(self, terms):
+        rng = np.random.default_rng(26 + terms)
+        r, s = self._parts(rng, terms)
+        carriers = [stack_operators([op([C, A], random_herm(rng, 6)) for _ in range(2)], (2,))]
+        other = op([B], random_herm(rng, 2))
+        effect_b = stack_operators([op([B], random_herm(rng, 2)) for _ in range(5)], (5,))
+        got = batched_trace([carriers[0], other], [KronSum((r, s)), effect_b])
+        assert got.shape == (2, 4, 5)
+        for i, k, j in np.ndindex(*got.shape):
+            carrier = permute_wires(op([C, A], carriers[0].matrix[i]), ["A", "C"]).matrix
+            want = 0.0
+            for m in range(terms):
+                effect = np.kron(np.kron(r.matrix[m], s.matrix[k, m]), effect_b.matrix[j])
+                want += np.trace(np.kron(carrier, other.matrix) @ effect)
+            assert got[i, k, j] == pytest.approx(want, abs=1e-10)
+
+    def test_parts_checked(self):
+        rng = np.random.default_rng(27)
+        r, s = self._parts(rng, 3)
+        with pytest.raises(ValueError, match="term count"):
+            KronSum((r, OperatorStack((C,), s.matrix[:, :2])))
+        with pytest.raises(ValueError, match="term axis"):
+            KronSum((OperatorStack((A,), SZ),))
+        with pytest.raises(ValueError, match="twice"):
+            KronSum((r, OperatorStack((A,), r.matrix)))
+
+
+class TestConjugateWires:
+    def test_stack_keeps_batch_and_type(self):
+        rng = np.random.default_rng(28)
+        stack = OperatorStack((A, C), np.array([random_herm(rng, 6) for _ in range(3)]))
+        out = conjugate_wires(stack, SX, ["A"])
+        assert isinstance(out, OperatorStack)
+        big = np.kron(SX, np.eye(3))
+        for k in range(3):
+            np.testing.assert_allclose(out.matrix[k], big @ stack.matrix[k] @ big, atol=1e-12)
+
+    def test_unknown_wire_rejected(self):
+        with pytest.raises(KeyError):
+            conjugate_wires(op([A], SZ), SX, ["Q"])
+
+
 class TestDumpLoad:
     def test_header_format(self):
         text = dump_operator(op([A, C], np.eye(6)))
@@ -290,6 +352,26 @@ class TestDumpLoad:
         rows = text.splitlines()[1:]
         assert rows[0].split()[0] == "0.5+0j"
         assert rows[1].split()[1] == "-0-1j"
+
+    def test_matches_per_entry_formatter(self):
+        # The same text as formatting each numpy entry on its own, -0.0 included.
+        rng = np.random.default_rng(34)
+        d3 = (WireLabel("X", 3), WireLabel("Y", 3))
+        mat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        mat[0, 0], mat[1, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        mat[3, 3] = complex(-0.0, -0.0)
+        mat[4, 4] = complex(1e-300, -1e300)
+        m = op(d3, mat)
+        lines = ["wires: X:3,Y:3"]
+        for r in range(9):
+            entries = (m.matrix[r, c] for c in range(9))
+            lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in entries))
+        text = dump_operator(m)
+        assert text == "\n".join(lines) + "\n"
+        assert "-0-0j" in text
+        back = load_operator(text)
+        assert back.matrix.tobytes() == m.matrix.tobytes()
+        assert load_operator(text.splitlines()).matrix.tobytes() == m.matrix.tobytes()
 
     def test_identity_helper(self):
         ident = identity_operator([A, C])
