@@ -240,13 +240,24 @@ def cyril_gyni_strategy() -> GameStrategy:
     input 1 it measures in the computational basis, answers the measured bit,
     and re-prepares the flipped bit. Evaluates to CYRIL_GYNI_VALUE.
     """
+    return _forward_or_resend(flip=True)
+
+
+def _resend_same_mutant() -> GameStrategy:
+    """Deliberately broken :func:`cyril_gyni_strategy`: on input 1 a party
+    re-prepares the measured bit unchanged. Kept for the manifest's
+    mutation-sensitivity claim."""
+    return _forward_or_resend(flip=False)
+
+
+def _forward_or_resend(flip: bool) -> GameStrategy:
     e0, e1 = np.eye(2, dtype=complex)
     arms = []
     for name in ("A", "B"):
         w_in, w_out = _qubit(f"{name}_I"), _qubit(f"{name}_O")
         forward = identity_channel_instrument(w_in, w_out, forced_outcome=1, n_outcomes=2)
-        flip = measure_prepare_instrument([e0, e1], [e1, e0], w_in, w_out)
-        arms.append(PartyArm(name, (forward, flip)))
+        resend = measure_prepare_instrument([e0, e1], [e1, e0] if flip else [e0, e1], w_in, w_out)
+        arms.append(PartyArm(name, (forward, resend)))
     return GameStrategy(build_cyril(), tuple(arms), "gyni")
 
 

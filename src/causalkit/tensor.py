@@ -440,7 +440,10 @@ def _parse_wire_line(line: str, expect_key: str = "wires") -> tuple[WireLabel, .
 
 
 def load_operator(text: str | Sequence[str]) -> LabeledOperator:
-    """Inverse of :func:`dump_operator`; takes the text or its lines."""
+    """Inverse of :func:`dump_operator`; takes the text or its lines.
+
+    Raises ValueError on a malformed dump or a non-finite matrix entry.
+    """
     lines = [ln for ln in (text.splitlines() if isinstance(text, str) else text) if ln.strip()]
     if not lines:
         raise ValueError("empty operator dump")
@@ -454,4 +457,8 @@ def load_operator(text: str | Sequence[str]) -> LabeledOperator:
         if len(entries) != dim:
             raise ValueError(f"expected {dim} entries per row, found {len(entries)}")
         rows.append([complex(e) for e in entries])
-    return LabeledOperator(wires, np.array(rows, dtype=np.complex128))
+    matrix = np.array(rows, dtype=np.complex128)
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        raise ValueError(f"matrix row {bad.any(axis=1).argmax() + 1} has a non-finite entry")
+    return LabeledOperator(wires, matrix)

@@ -1,10 +1,12 @@
 """End-to-end acceptance gate.
 
-Eleven release criteria, one test each. Every test asserts its frozen
-numbers with the tolerance pinned next to it and, on success, prints a
-single ``ACCEPT nn PASS`` line (run with ``-s`` to see them; under ``-v``
-the test id itself doubles as the pass/fail line). Failures surface as
-plain pytest assertions.
+Eleven release criteria, one test each, plus one test per row of the
+manifest's claims table ``causalkit.cli.CLAIMS``. Every criterion asserts
+its frozen numbers with the tolerance pinned next to it and, on success,
+prints a single ``ACCEPT nn PASS`` line (run with ``-s`` to see them; under
+``-v`` the test id itself doubles as the pass/fail line). Each claims-table
+row must pass at ``DEFAULT_TOL``, or at the fixed tolerance the row pins.
+Failures surface as plain pytest assertions.
 
 Tolerances used throughout:
 
@@ -33,6 +35,7 @@ from causalkit.classical import (
     tdr_success_no_collab,
     two_copy_locc_decode,
 )
+from causalkit.cli import CLAIMS
 from causalkit.duality import (
     QUBIT_READOUT_UNITARY,
     check_duality,
@@ -76,7 +79,7 @@ from causalkit.sampling import (
     random_gyni_strategy,
     random_instrument,
 )
-from causalkit.tensor import WireLabel, partial_trace
+from causalkit.tensor import DEFAULT_TOL, WireLabel, partial_trace
 
 VALUE_TOL = 1e-9
 TIGHT_TOL = 1e-12
@@ -293,3 +296,11 @@ def test_choi_helper_is_cptp():
     # helper is exercised via a one-outcome instrument.
     choi = choi_of_unitary(np.eye(2), WireLabel("A_I", 2), WireLabel("A_O", 2))
     assert partial_trace(choi, {"A_O"}).matrix == pytest.approx(np.eye(2))
+
+
+@pytest.mark.parametrize("claim", CLAIMS, ids=[c.claim_id for c in CLAIMS])
+def test_claims_table_row(claim):
+    assert len(CLAIMS) == 24
+    assert len({c.claim_id for c in CLAIMS}) == len(CLAIMS)
+    record = claim.check(DEFAULT_TOL)
+    assert record.status == "pass", f"{record.claim_id}: expected {record.expected}, got {record.computed}"

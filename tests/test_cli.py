@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shlex
 
 import numpy as np
 import pytest
 
-from causalkit.cli import MANIFEST_SEED, build_manifest, main
+from causalkit.cli import CLAIMS, MANIFEST_SEED, build_manifest, main
 from causalkit.games import CYRIL_GYNI_VALUE
 from causalkit.processes import dump_process, load_process, build_cyril
 
@@ -25,6 +26,28 @@ def run(capsys, *argv: str) -> tuple[int, str]:
 def run_json(capsys, *argv: str) -> tuple[int, dict]:
     code, out = run(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+@pytest.fixture
+def drift_at_d3(monkeypatch):
+    """Make every gyni-to-dr translation at d=3 drift in value."""
+    from causalkit import duality
+    from causalkit.instruments import coarse_grain
+
+    translate = duality.gyni_to_dr
+
+    def drifting(strategy):
+        # Relabel the first party's outcomes at d=3 only: the value drifts.
+        out = translate(strategy)
+        if duality.input_count(strategy) != 3:
+            return out
+        arm = out.parties[0]
+        shifted = coarse_grain(arm.instruments[0], [1, 2, 0], 3)
+        return dataclasses.replace(
+            out, parties=(dataclasses.replace(arm, instruments=(shifted,)), out.parties[1])
+        )
+
+    monkeypatch.setattr(duality, "gyni_to_dr", drifting)
 
 
 class TestValidate:
@@ -60,9 +83,9 @@ class TestValidate:
             main(["validate", "--process", "nonesuch"])
         assert exc.value.code == 2
 
-    def _usage_error(self, capsys, path) -> str:
+    def _usage_error(self, capsys, path, command="validate") -> str:
         with pytest.raises(SystemExit) as exc:
-            main(["validate", str(path)])
+            main([command, str(path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         message = err.strip().splitlines()[-1]
@@ -88,6 +111,16 @@ class TestValidate:
     def test_unreadable_file_is_usage_error(self, capsys, tmp_path):
         # A directory fails to open for reading whatever the user's privileges.
         assert "directory" in self._usage_error(capsys, tmp_path)
+
+    @pytest.mark.parametrize("command", ["validate", "ppt"])
+    @pytest.mark.parametrize("entry", ["nan+0j", "inf+0j"])
+    def test_non_finite_entry_is_usage_error(self, capsys, tmp_path, command, entry):
+        lines = dump_process(build_cyril()).splitlines()
+        lines[3] = " ".join([entry] * 16)
+        path = tmp_path / "non_finite.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = self._usage_error(capsys, path, command)
+        assert "row 2 has a non-finite entry" in message
 
 
 class TestPpt:
@@ -175,6 +208,16 @@ class TestDuality:
         with pytest.raises(SystemExit) as exc:
             main(["duality", "--process", "cyril"])
         assert exc.value.code == 2
+
+    def test_drift_is_a_failed_certificate(self, capsys, drift_at_d3):
+        code, payload = run_json(
+            capsys, "duality", "--direction", "gyni2dr", "--seed", str(MANIFEST_SEED + 3), "--dim", "3"
+        )
+        assert code == 1
+        assert payload["status"] == "fail"
+        assert payload["d"] == 3
+        assert payload["deviation"] > payload["tolerance"]
+        assert payload["strategy"] == f"random(seed={MANIFEST_SEED + 3}, d=3)"
 
     def test_dim_below_two_is_usage_error(self, capsys):
         for dim in ("1", "0"):
@@ -279,24 +322,7 @@ class TestManifest:
         assert len(records) == 24
         assert records["classical-ebw-consistent"].status == "pass"
 
-    def test_drifting_claim_is_a_fail_row(self, capsys, monkeypatch):
-        from causalkit import duality
-        from causalkit.instruments import coarse_grain
-
-        translate = duality.gyni_to_dr
-
-        def drifting(strategy):
-            # Relabel the first party's outcomes at d=3 only: the value drifts.
-            out = translate(strategy)
-            if duality.input_count(strategy) != 3:
-                return out
-            arm = out.parties[0]
-            shifted = coarse_grain(arm.instruments[0], [1, 2, 0], 3)
-            return dataclasses.replace(
-                out, parties=(dataclasses.replace(arm, instruments=(shifted,)), out.parties[1])
-            )
-
-        monkeypatch.setattr(duality, "gyni_to_dr", drifting)
+    def test_drifting_claim_is_a_fail_row(self, capsys, drift_at_d3):
         code, payload = run_json(capsys, "manifest")
         assert code == 1
         assert payload["total"] == 24
@@ -305,6 +331,13 @@ class TestManifest:
         assert len(records) == 24
         assert [k for k, r in records.items() if r["status"] != "pass"] == ["duality-random-d3"]
         assert float(records["duality-random-d3"]["computed"]) > 1e-9
+
+    @pytest.mark.parametrize("claim", CLAIMS, ids=[c.claim_id for c in CLAIMS])
+    def test_claim_command_runs(self, capsys, claim):
+        # The shared-bell claim is a failed PPT check, so its command exits 1.
+        expected = 1 if claim.claim_id == "process-shared-bell-npt" else 0
+        assert main(shlex.split(claim.command)[1:]) == expected
+        assert capsys.readouterr().out
 
     def test_builder_is_deterministic(self):
         a = [r.to_dict() for r in build_manifest()]

@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalkit.processes import (
     ProcessMatrix,
@@ -23,7 +24,7 @@ from causalkit.processes import (
     verify_cyril_separable_decomposition,
 )
 from causalkit.sampling import random_channel_choi, random_density, random_process
-from causalkit.tensor import LabeledOperator, WireLabel, kron, permute_wires
+from causalkit.tensor import LabeledOperator, WireLabel, dump_operator, kron, load_operator, permute_wires
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -249,3 +250,65 @@ class TestSerialization:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError, match="parties"):
             load_process("wires: A:2\n1+0j 0+0j\n0+0j 1+0j\n")
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    def test_random_round_trip_is_bit_exact(self, seed, d):
+        proc = random_process(np.random.default_rng(seed), d)
+        back = load_process(dump_process(proc))
+        assert back.parties == proc.parties
+        assert back.op.wires == proc.op.wires
+        assert back.op.matrix.tobytes() == proc.op.matrix.tobytes()
+
+
+# Edits to a valid dump: (kind, line index, token index, replacement text).
+# Half the edits hit the header lines, and besides arbitrary text a
+# replacement may be a token the parser treats specially.
+TOKENS = st.sampled_from(["nan+0j", "1e999j", "A_I:1", "A_I:3", "A_I:2,A_I:2", "A=(A_I)", "B=(A_I,A_O)", ""])
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["drop", "duplicate", "replace"]),
+        st.one_of(st.integers(0, 1), st.integers(0, 99)),
+        st.integers(0, 99),
+        st.one_of(st.text(), TOKENS),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(text: str, mutations) -> str:
+    lines = text.splitlines()
+    for kind, line, token, replacement in mutations:
+        if not lines:
+            break
+        line %= len(lines)
+        if kind == "drop":
+            del lines[line]
+        elif kind == "duplicate":
+            lines.insert(line, lines[line])
+        else:
+            tokens = lines[line].split(" ")
+            tokens[token % len(tokens)] = replacement
+            lines[line] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestLoaderFuzz:
+    """A mutated dump either loads or raises ValueError, never anything else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(MUTATIONS)
+    def test_operator_dump(self, mutations):
+        try:
+            load_operator(mutate(dump_operator(build_cyril().op), mutations))
+        except ValueError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(MUTATIONS)
+    def test_process_dump(self, mutations):
+        try:
+            load_process(mutate(dump_process(build_cyril()), mutations))
+        except ValueError:
+            pass

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from causalkit.tensor import (
     DEFAULT_TOL,
@@ -372,6 +373,24 @@ class TestDumpLoad:
         back = load_operator(text)
         assert back.matrix.tobytes() == m.matrix.tobytes()
         assert load_operator(text.splitlines()).matrix.tobytes() == m.matrix.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_round_trip_is_bit_exact(self, d, data):
+        # Any finite entries: subnormals, extremes and signed zeros included.
+        finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+        mat = data.draw(arrays(np.complex128, (d * d, d * d), elements=finite))
+        m = op((WireLabel("X", d), WireLabel("Y", d)), mat)
+        back = load_operator(dump_operator(m))
+        assert back.wires == m.wires
+        assert back.matrix.tobytes() == m.matrix.tobytes()
+
+    @pytest.mark.parametrize("entry", ["nan+0j", "0+nanj", "inf+0j", "-inf-1j", "1e999+0j"])
+    def test_non_finite_entry_rejected(self, entry):
+        rows = dump_operator(op([A], np.eye(2))).splitlines()
+        rows[2] = f"0+0j {entry}"
+        with pytest.raises(ValueError, match="row 2 has a non-finite entry"):
+            load_operator(rows)
 
     def test_identity_helper(self):
         ident = identity_operator([A, C])
