@@ -105,6 +105,15 @@ def _load_process_arg(args: argparse.Namespace, parser: argparse.ArgumentParser)
     parser.error("provide a process file or --process <name>")
 
 
+def _write(parser: argparse.ArgumentParser, path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path!r}: {exc.strerror or exc}")
+
+
 def _emit(args: argparse.Namespace, payload: dict, code: int = 0, text: list[str] | None = None) -> int:
     """Print a command's payload and return its exit code.
 
@@ -139,6 +148,8 @@ def cmd_validate(args, parser, tol) -> int:
         "min_eig": report.min_eig,
         "hermiticity": report.hermiticity,
         "residuals": dict(report.constraint_residuals),
+        "scale": report.scale,
+        "relative_residuals": dict(report.relative_residuals),
         "tolerance": report.tolerance,
         "valid": report.valid,
     }
@@ -205,9 +216,7 @@ def cmd_duality(args, parser, tol) -> int:
     cert = _certify(strategy, args.direction, tol)
     payload = dict(cert.to_dict(), strategy=source_name)
     if args.emit_certificate:
-        with open(args.emit_certificate, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write(parser, args.emit_certificate, json.dumps(payload, indent=2) + "\n")
     return _emit(args, payload, 0 if cert.ok else 1)
 
 
@@ -266,8 +275,7 @@ def cmd_dump(args, parser, tol) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(parser, args.out, text)
     else:
         sys.stdout.write(text)
     return 0

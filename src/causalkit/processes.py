@@ -5,9 +5,9 @@ wires) plus any ancillary state wires appended later. Probabilities come from
 direct contraction, P = Tr[W (M_A (x) M_B)], so validity is:
 
 * W is positive semidefinite,
-* Tr W equals the product of the output dimensions,
-* the reduced-and-replaced combinations below hold, writing ``R_X`` for
-  :func:`causalkit.tensor.trace_and_replace` on wire set X:
+* Tr W equals the product D_out of the output dimensions,
+* the reduced-and-replaced combinations below hold, writing
+  R_X W = Tr_X(W) (x) I_X / d_X (:func:`causalkit.tensor.trace_and_replace`):
 
   1. R over every wire equals (Tr W / D) I      ("uniform blanket")
   2. R_{A_I A_O} W = R_{A_I A_O B_O} W          ("no signaling to B's past")
@@ -16,6 +16,15 @@ direct contraction, P = Tr[W (M_A (x) M_B)], so validity is:
 
 These four are equivalent to the usual projective characterization; each is
 reported with its max-abs residual so a failure names the violated condition.
+
+Each residual is taken on the smallest tensor that determines it; none forms
+a kron or permutes wires. The uniform blanket is |Tr W - D_out| / D, as both
+sides are multiples of I. Conditions 2, 3 and the second condition of a fixed
+order compare R_X W with R_{X+o} W = R_X R_o W. Their difference,
+(Tr_X W - R_o Tr_X W) (x) I_X / d_X, only repeats the entries of the reduced
+operator Tr_X W, so the residual is taken there and divided by d_X. The rest
+involve W itself: each R_X term is added into one copy of W, in place on the
+block where it is nonzero (:func:`causalkit.tensor.add_replaced`).
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .tensor import (
     DEFAULT_TOL,
     LabeledOperator,
     WireLabel,
+    add_replaced,
     dump_operator,
     hermiticity_defect,
     identity_operator,
@@ -36,9 +46,9 @@ from .tensor import (
     kron_all,
     load_operator,
     min_eigenvalue,
+    partial_trace,
     partial_transpose,
     permute_wires,
-    trace_and_replace,
 )
 
 ORDER_TOKENS = ("A<B", "B<A", "no-signaling")
@@ -131,15 +141,23 @@ class ProcessMatrix:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """Validity residuals, absolute, and the scale max|W_ij| that relates them to W."""
+
     psd_ok: bool
     min_eig: float
     hermiticity: float
     constraint_residuals: tuple[tuple[str, float], ...]
+    scale: float
     tolerance: float = DEFAULT_TOL
 
     @property
     def valid(self) -> bool:
         return self.psd_ok and all(r <= self.tolerance for _, r in self.constraint_residuals)
+
+    @property
+    def relative_residuals(self) -> tuple[tuple[str, float], ...]:
+        """Each residual over :attr:`scale` (nan for W = 0); :attr:`valid` stays absolute."""
+        return tuple((k, r / self.scale if self.scale else float("nan")) for k, r in self.constraint_residuals)
 
     def residual(self, name: str) -> float:
         for key, value in self.constraint_residuals:
@@ -159,9 +177,18 @@ class OrderReport:
         return all(r <= self.tolerance for _, r in self.residuals)
 
 
-def _max_abs_diff(a: LabeledOperator, b: LabeledOperator) -> float:
-    bb = permute_wires(b, a.names) if b.names != a.names else b
-    return float(np.max(np.abs(a.matrix - bb.matrix)))
+def _residual(op: LabeledOperator, *terms: tuple[float, set[str]]) -> float:
+    """Max-abs entry of op + sum_k c_k R_{X_k} op, over the terms (c_k, X_k)."""
+    out = op.as_tensor().copy()
+    for coeff, wires in terms:
+        add_replaced(out, op, wires, coeff)
+    return float(np.max(np.abs(out)))
+
+
+def _flat_once_traced(op: LabeledOperator, traced: set[str], wire: str) -> float:
+    """max|R_X op - R_{X+wire} op|, taken on Tr_X op (see the module docstring)."""
+    reduced = partial_trace(op, traced)
+    return _residual(reduced, (-1.0, {wire})) / (op.total_dim // reduced.total_dim)
 
 
 def _require_bipartite(proc: ProcessMatrix) -> tuple[PartySlot, PartySlot]:
@@ -179,50 +206,24 @@ def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityR
     pa, pb = _require_bipartite(proc)
     w = proc.op
     herm = hermiticity_defect(w)
+    scale = float(np.max(np.abs(w.matrix)))
     if herm > tol:
-        return ValidityReport(
-            psd_ok=False,
-            min_eig=float("nan"),
-            hermiticity=herm,
-            constraint_residuals=(("hermiticity", herm),),
-            tolerance=tol,
-        )
-    mineig = min_eigenvalue(w, tol)
-    trace_target = proc.output_dim
-    trace_resid = abs(complex(np.trace(w.matrix)) - trace_target)
-
-    total = trace_and_replace(w, set(w.names))
-    blanket_target = LabeledOperator(
-        total.wires, (trace_target / w.total_dim) * np.eye(w.total_dim)
-    )
-    r_blanket = _max_abs_diff(total, blanket_target)
-
-    a_wires = {pa.input_wire, pa.output_wire}
-    b_wires = {pb.input_wire, pb.output_wire}
-    r_a = _max_abs_diff(
-        trace_and_replace(w, a_wires), trace_and_replace(w, a_wires | {pb.output_wire})
-    )
-    r_b = _max_abs_diff(
-        trace_and_replace(w, b_wires), trace_and_replace(w, b_wires | {pa.output_wire})
-    )
-    lhs = w.matrix + trace_and_replace(w, {pa.output_wire, pb.output_wire}).matrix
-    rhs = (
-        trace_and_replace(w, {pa.output_wire}).matrix
-        + trace_and_replace(w, {pb.output_wire}).matrix
-    )
-    r_affine = float(np.max(np.abs(lhs - rhs)))
-
+        return ValidityReport(False, float("nan"), herm, (("hermiticity", herm),), scale, tol)
+    mineig = min_eigenvalue(w, tol, defect=herm)
+    trace_resid = float(abs(complex(np.trace(w.matrix)) - proc.output_dim))
+    ao, bo = pa.output_wire, pb.output_wire
     return ValidityReport(
         psd_ok=mineig >= -tol,
         min_eig=mineig,
         hermiticity=herm,
         constraint_residuals=(
-            ("normalization", float(trace_resid)),
-            ("uniform blanket", r_blanket),
-            (f"no signaling to {pb.name}'s past", r_a),
-            (f"no signaling to {pa.name}'s past", r_b),
-            ("affine closure", r_affine),
+            ("normalization", trace_resid),
+            ("uniform blanket", trace_resid / w.total_dim),
+            (f"no signaling to {pb.name}'s past", _flat_once_traced(w, {pa.input_wire, ao}, bo)),
+            (f"no signaling to {pa.name}'s past", _flat_once_traced(w, {pb.input_wire, bo}, ao)),
+            ("affine closure", _residual(w, (-1.0, {ao}), (-1.0, {bo}), (1.0, {ao, bo}))),
         ),
+        scale=scale,
         tolerance=tol,
     )
 
@@ -246,14 +247,11 @@ def check_order(proc: ProcessMatrix, order: str, tol: float = DEFAULT_TOL) -> Or
     token = canonical_order_token(order)
     w = proc.op
     if token == "no-signaling":
-        resid = _max_abs_diff(w, trace_and_replace(w, {pa.output_wire, pb.output_wire}))
+        resid = _residual(w, (-1.0, {pa.output_wire, pb.output_wire}))
         return OrderReport(token, (("outputs ignored", resid),), tol)
     first, second = (pa, pb) if token == "A<B" else (pb, pa)
-    r1 = _max_abs_diff(w, trace_and_replace(w, {second.output_wire}))
-    sec = {second.input_wire, second.output_wire}
-    r2 = _max_abs_diff(
-        trace_and_replace(w, sec), trace_and_replace(w, sec | {first.output_wire})
-    )
+    r1 = _residual(w, (-1.0, {second.output_wire}))
+    r2 = _flat_once_traced(w, {second.input_wire, second.output_wire}, first.output_wire)
     return OrderReport(
         token,
         (

@@ -150,10 +150,6 @@ def partial_trace(op: LabeledOperator, traced: Iterable[str]) -> LabeledOperator
     return LabeledOperator(new_wires, reduced.reshape(dim, dim))
 
 
-def trace(op: LabeledOperator) -> complex:
-    return complex(np.trace(op.matrix))
-
-
 def partial_transpose(op: LabeledOperator, transposed: Iterable[str]) -> LabeledOperator:
     """Transpose the named wires in place (row and column axes swapped)."""
     transposed = _check_names(op, transposed)
@@ -193,40 +189,44 @@ def hermiticity_defect(op: LabeledOperator) -> float:
     return float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
 
 
-def min_eigenvalue(op: LabeledOperator, tol: float = DEFAULT_TOL) -> float:
+def min_eigenvalue(op: LabeledOperator, tol: float = DEFAULT_TOL, defect: float | None = None) -> float:
     """Smallest eigenvalue of a Hermitian operator.
 
     The matrix must be Hermitian within ``tol``; it is symmetrized before the
     solve so eigvalsh sees an exactly Hermitian input. Raises ValueError on a
-    non-Hermitian matrix rather than silently discarding the defect.
+    non-Hermitian matrix rather than silently discarding the defect, which a
+    caller that already holds ``hermiticity_defect(op)`` may pass as ``defect``.
     """
-    defect = hermiticity_defect(op)
+    defect = hermiticity_defect(op) if defect is None else defect
     if defect > tol:
         raise ValueError(f"operator is not Hermitian (defect {defect:.3e} > tol {tol:.1e})")
     sym = (op.matrix + op.matrix.conj().T) / 2
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def trace_and_replace(op: LabeledOperator, wires_x: Iterable[str]) -> LabeledOperator:
-    """Trace out the named wires and re-insert a normalized identity on them.
+def add_replaced(out: np.ndarray, op: LabeledOperator, wires_x: Iterable[str], coeff: float = 1.0) -> None:
+    """Add ``coeff * trace_and_replace(op, wires_x)`` in place into ``out``, shaped like ``op.as_tensor()``.
 
-    Returns ``(1/d_X) Tr_X(op) (x) I_X`` with the original wire order restored,
-    so the result is directly comparable to ``op``.
+    That operator vanishes unless row and column agree on every wire in X, so
+    Tr_X(op), one einsum trace, is broadcast into an einsum view of that block.
     """
     wires_x = _check_names(op, wires_x)
-    if not wires_x:
-        return op
-    reduced = partial_trace(op, wires_x)
-    ident_wires = tuple(w for w in op.wires if w.name in wires_x)
-    d_x = LabeledOperator.total_dim_of(ident_wires)
-    if reduced.wires:
-        combined = kron(reduced, identity_operator(ident_wires))
-    else:
-        combined = LabeledOperator(
-            ident_wires, complex(reduced.matrix[0, 0]) * np.eye(d_x)
-        )
-    out = permute_wires(combined, op.names) if combined.names != op.names else combined
-    return LabeledOperator(out.wires, out.matrix / d_x)
+    n = len(op.wires)
+    axes = tuple(i for i, w in enumerate(op.wires) if w.name in wires_x)
+    sub = list(_LETTERS[: 2 * n])
+    for i in axes:
+        sub[n + i] = sub[i]
+    block = "".join(sub) + "->" + "".join(sub[:n] + [sub[n + i] for i in range(n) if i not in axes])
+    d_x = LabeledOperator.total_dim_of([op.wires[i] for i in axes])
+    diagonal = np.einsum(block, out)
+    diagonal += coeff * np.einsum(block, op.as_tensor()).sum(axis=axes, keepdims=True) / d_x
+
+
+def trace_and_replace(op: LabeledOperator, wires_x: Iterable[str]) -> LabeledOperator:
+    """``(1/d_X) Tr_X(op) (x) I_X`` in op's wire order: the named wires traced out and replaced."""
+    out = np.zeros(op.dims + op.dims, dtype=np.complex128)
+    add_replaced(out, op, wires_x)
+    return LabeledOperator(op.wires, out.reshape(op.matrix.shape))
 
 
 @dataclass(frozen=True)

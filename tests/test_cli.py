@@ -28,6 +28,20 @@ def run_json(capsys, *argv: str) -> tuple[int, dict]:
     return code, json.loads(out)
 
 
+def assert_unwritable_is_usage_error(capsys, argv, path) -> None:
+    """Exit 2, one stderr line naming the path, no traceback and no stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    message = captured.err.strip().splitlines()[-1]
+    assert str(path) in message
+    assert "No such file or directory" in message
+    assert not path.exists()
+
+
 @pytest.fixture
 def drift_at_d3(monkeypatch):
     """Make every gyni-to-dr translation at d=3 drift in value."""
@@ -102,6 +116,14 @@ class TestValidate:
         path.write_text("\n".join(dump_process(build_cyril()).splitlines()[:3]), encoding="utf-8")
         message = self._usage_error(capsys, path)
         assert "expected 16 matrix rows, found 1" in message
+
+    def test_relative_residuals_are_extra_keys(self, capsys):
+        code, payload = run_json(capsys, "validate", "--process", "bell-pair-outputs")
+        assert code == 1
+        assert payload["scale"] == pytest.approx(1.0, abs=1e-12)
+        assert set(payload["relative_residuals"]) == set(payload["residuals"])
+        for name, value in payload["residuals"].items():
+            assert payload["relative_residuals"][name] == value / payload["scale"]
 
     def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "binary.txt"
@@ -196,6 +218,11 @@ class TestDuality:
         on_disk = json.loads(cert_path.read_text(encoding="utf-8"))
         assert on_disk == payload
 
+    def test_unwritable_certificate_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "absent" / "cert.json"
+        argv = ["duality", "--direction", "gyni2dr", "--process", "cyril", "--emit-certificate", str(path)]
+        assert_unwritable_is_usage_error(capsys, argv, path)
+
     def test_seeded_round_trip(self, capsys):
         code, payload = run_json(
             capsys, "duality", "--direction", "dr2gyni", "--seed", "7", "--dim", "3"
@@ -281,6 +308,10 @@ class TestDump:
         assert code == 0
         proc = load_process(path.read_text(encoding="utf-8"))
         np.testing.assert_allclose(proc.op.matrix, build_cyril().op.matrix, atol=0)
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "absent" / "x.txt"
+        assert_unwritable_is_usage_error(capsys, ["dump", "--object", "cyril", "--out", str(path)], path)
 
     def test_bell_object(self, capsys):
         code, out = run(capsys, "dump", "--object", "bell:1,1")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import pickle
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from causalkit.processes import (
     validate_process,
     verify_cyril_separable_decomposition,
 )
-from causalkit.sampling import random_channel_choi, random_density, random_process
+from causalkit.games import GameStrategy, PartyArm, behaviour
+from causalkit.sampling import random_channel_choi, random_density, random_instrument, random_process
 from causalkit.tensor import LabeledOperator, WireLabel, dump_operator, kron, load_operator, permute_wires
+from reference_maps import reference_residuals
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -181,6 +185,161 @@ class TestRandomProcesses:
             )
             assert check_order(proc, direction).compatible
             assert validate_process(proc).valid
+
+
+def perturbed(proc: ProcessMatrix, seed: int, size: float = 1e-2) -> ProcessMatrix:
+    """The process plus a random Hermitian term of max entry ``size``: every residual is nonzero."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=proc.op.matrix.shape) + 1j * rng.normal(size=proc.op.matrix.shape)
+    h = g + g.conj().T
+    return ProcessMatrix(LabeledOperator(proc.op.wires, proc.op.matrix + size * h / np.max(np.abs(h))), proc.parties)
+
+
+def mixed_dims_process() -> ProcessMatrix:
+    """rho (x) C (x) I on A_I:2, A_O:3, B_I:2, B_O:3, with C a channel from A_O to B_I: A<B."""
+    rng = np.random.default_rng(919)
+    wires = (WireLabel("A_I", 2), WireLabel("A_O", 3), WireLabel("B_I", 2), WireLabel("B_O", 3))
+    mat = np.kron(np.kron(random_density(rng, 2), random_channel_choi(rng, 3, 2)), np.eye(3))
+    return ProcessMatrix(LabeledOperator(wires, mat), (PartySlot("A", "A_I", "A_O"), PartySlot("B", "B_I", "B_O")))
+
+
+def ancilla_process() -> ProcessMatrix:
+    """A random qutrit process with a qubit-qutrit state adjoined, one wire per party."""
+    rng = np.random.default_rng(929)
+    state = LabeledOperator((WireLabel("A'", 2), WireLabel("B'", 3)), random_density(rng, 6))
+    return extend_with_state(random_process(rng, 3), state, assign={"A'": "A", "B'": "B"})
+
+
+ORDER_SEEDS = {"A<B": 1, "B<A": 2}
+
+RESIDUAL_CASES = {
+    **{f"random-d{d}": lambda d=d: random_process(np.random.default_rng([808, d]), d) for d in (2, 3, 4, 5)},
+    "mixed-dims": mixed_dims_process,
+    "ancilla": ancilla_process,
+}
+
+
+def bumped(proc: ProcessMatrix, wire: str, size: float = 1e-3) -> ProcessMatrix:
+    """The process plus ``size`` (|0><0| - |1><1|) on one output wire and identities elsewhere."""
+    factors = [np.eye(w.dim) for w in proc.op.wires]
+    flip = np.zeros(proc.wire(wire).dim)
+    flip[:2] = (1.0, -1.0)
+    factors[proc.op.names.index(wire)] = np.diag(flip)
+    bump = functools.reduce(np.kron, factors)
+    return ProcessMatrix(LabeledOperator(proc.op.wires, proc.op.matrix + size * bump), proc.parties)
+
+
+class TestReducedResiduals:
+    """Residuals taken on reduced tensors equal the dense kron-and-permute definitions."""
+
+    @pytest.mark.parametrize("shift", [False, True], ids=["process", "perturbed"])
+    @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+    def test_every_residual_matches_dense_reference(self, case, shift):
+        proc = RESIDUAL_CASES[case]()
+        if shift:
+            proc = perturbed(proc, seed=len(case))
+        want = reference_residuals(proc)
+        got = {"validity": dict(validate_process(proc).constraint_residuals)}
+        for order in ("A<B", "B<A", "no-signaling"):
+            got[order] = dict(check_order(proc, order).residuals)
+        assert {k: set(v) for k, v in got.items()} == {k: set(v) for k, v in want.items()}
+        for key, residuals in want.items():
+            for name, value in residuals.items():
+                assert got[key][name] == pytest.approx(value, abs=1e-15), (key, name)
+                assert value > 1e-6 or not shift, (key, name)
+
+    def test_no_kron_no_permutation_one_hermiticity_pass(self, monkeypatch):
+        from causalkit import processes, tensor
+
+        proc = random_process(np.random.default_rng(5), 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense kron or wire permutation on the validity path")
+
+        for module in (processes, tensor):
+            for name in ("kron", "kron_all", "permute_wires"):
+                monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(np, "kron", forbidden)
+        calls = []
+        defect = tensor.hermiticity_defect
+
+        def counted(op):
+            calls.append(op)
+            return defect(op)
+
+        monkeypatch.setattr(processes, "hermiticity_defect", counted)
+        monkeypatch.setattr(tensor, "hermiticity_defect", counted)
+        assert validate_process(proc).valid
+        assert len(calls) == 1
+        for order in ("A<B", "B<A", "no-signaling"):
+            check_order(proc, order)
+
+    def test_mixed_dims_process_is_valid_and_ordered(self):
+        proc = mixed_dims_process()
+        assert validate_process(proc).valid
+        assert check_order(proc, "A<B").compatible
+        assert not check_order(proc, "B<A").compatible
+
+    @pytest.mark.parametrize("wire", ["A_O", "B_O"])
+    @pytest.mark.parametrize("direction", ["A<B", "B<A"])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_signalling_bump_is_flagged(self, d, direction, wire):
+        rng = np.random.default_rng([d, ORDER_SEEDS[direction]])
+        proc = channel_process(random_density(rng, d), random_channel_choi(rng, d, d), direction, d)
+        assert validate_process(proc).valid
+        assert check_order(proc, direction).compatible
+        bad = bumped(proc, wire)
+        report = validate_process(bad)
+        assert not report.valid
+        assert max(r for _, r in report.constraint_residuals) > 1e-5
+        assert not check_order(bad, direction).compatible
+
+    def test_relative_residuals_divide_by_largest_entry(self):
+        proc = perturbed(random_process(np.random.default_rng(31), 3), seed=3)
+        report = validate_process(proc)
+        assert report.scale == np.max(np.abs(proc.op.matrix))
+        for (name, r), (rel_name, rel) in zip(report.constraint_residuals, report.relative_residuals):
+            assert rel_name == name
+            assert rel == r / report.scale
+        zero = ProcessMatrix(LabeledOperator(proc.op.wires, 0 * proc.op.matrix), proc.parties)
+        assert all(np.isnan(r) for _, r in validate_process(zero).relative_residuals)
+        # The three reduction residuals are linear in W, so their relative values are scale-free.
+        big = ProcessMatrix(LabeledOperator(proc.op.wires, 4 * proc.op.matrix), proc.parties)
+        np.testing.assert_allclose(
+            [r for _, r in validate_process(big).relative_residuals[2:]],
+            [r for _, r in report.relative_residuals[2:]],
+            rtol=1e-12,
+        )
+
+
+class TestQutritNormalization:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_validity_trace_condition(self, seed):
+        proc = random_process(np.random.default_rng(seed), 3)
+        trace = np.trace(proc.op.matrix)
+        assert trace == pytest.approx(9.0, abs=1e-12)
+        report = validate_process(proc)
+        assert report.valid
+        assert report.residual("normalization") == abs(trace - 9)
+        assert report.residual("uniform blanket") == pytest.approx(abs(trace - 9) / 81, abs=1e-16)
+
+    @pytest.mark.parametrize("direction", ["A<B", "B<A"])
+    def test_behaviour_marginals(self, direction):
+        # The party acting first cannot learn the other's input: its marginal ignores it.
+        rng = np.random.default_rng([303, ORDER_SEEDS[direction]])
+        proc = channel_process(random_density(rng, 3), random_channel_choi(rng, 3, 3), direction, 3)
+        arms = tuple(
+            PartyArm(p, tuple(random_instrument(rng, (proc.wire(f"{p}_I"),), (proc.wire(f"{p}_O"),), 3) for _ in range(3)))
+            for p in ("A", "B")
+        )
+        table = behaviour(GameStrategy(proc, arms, "gyni"))  # P[x, y, a, b]
+        assert table.shape == (3, 3, 3, 3)
+        assert table.min() >= -1e-12
+        np.testing.assert_allclose(table.sum(axis=(2, 3)), np.ones((3, 3)), atol=1e-12)
+        first = table.sum(axis=3) if direction == "A<B" else table.sum(axis=2).transpose(1, 0, 2)
+        for x, y in product(range(3), repeat=2):
+            np.testing.assert_allclose(first[x, y], first[x, 0], atol=1e-12)
 
 
 class TestExtendWithState:

@@ -6,6 +6,8 @@ frozen as literals; the library is never used to generate its own oracle.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from causalkit.tensor import (
     LabeledOperator,
     OperatorStack,
     WireLabel,
+    add_replaced,
     batched_trace,
     conjugate_wires,
     dump_operator,
@@ -33,6 +36,7 @@ from causalkit.tensor import (
     stack_operators,
     trace_and_replace,
 )
+from reference_maps import reference_replace
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -221,6 +225,33 @@ class TestTraceAndReplace:
         once = trace_and_replace(m, {"A"})
         twice = trace_and_replace(once, {"A"})
         np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-12)
+
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (5, 5, 5), (2, 3, 5), (3, 2, 2, 3, 2)])
+    def test_matches_dense_kron_reference(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        wires = [WireLabel(f"w{i}", d) for i, d in enumerate(dims)]
+        side = int(np.prod(dims))
+        m = op(wires, random_herm(rng, side) / side)
+        for k in range(len(dims) + 1):
+            for traced in combinations(range(len(dims)), k):
+                got = trace_and_replace(m, {wires[i].name for i in traced})
+                assert got.names == m.names
+                want = reference_replace(m.matrix, dims, set(traced))
+                np.testing.assert_allclose(got.matrix, want, rtol=0, atol=1e-15)
+
+    def test_add_replaced_accumulates_in_place(self):
+        rng = np.random.default_rng(17)
+        m = op([A, C, B], random_herm(rng, 12))
+        out = m.as_tensor().copy()
+        add_replaced(out, m, {"A", "B"}, -1.0)
+        add_replaced(out, m, {"C"}, 0.5)
+        want = m.matrix - reference_replace(m.matrix, m.dims, {0, 2}) + 0.5 * reference_replace(m.matrix, m.dims, {1})
+        np.testing.assert_allclose(out.reshape(12, 12), want, rtol=0, atol=1e-14)
+
+    def test_unknown_wire_rejected(self):
+        with pytest.raises(KeyError):
+            trace_and_replace(op([A, B], PHI_PLUS), {"Z"})
 
 
 class TestProductTrace:
