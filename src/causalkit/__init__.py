@@ -26,7 +26,6 @@ from .tensor import (
     permute_wires,
     product_trace,
     stack_operators,
-    trace_and_replace,
 )
 from .processes import (
     OrderReport,

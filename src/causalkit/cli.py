@@ -25,8 +25,9 @@ from typing import Callable
 import numpy as np
 
 from . import classical, duality, games, processes, sampling, tensor
-from .games import CYRIL_GYNI_VALUE, BellCode, GameStrategy
-from .processes import PartySlot, ProcessMatrix
+from .games import CAUSAL_GYNI_BOUND, CONSTANT_GUESS_VALUE, CYRIL_GYNI_VALUE, LOCC_RETRIEVAL_BOUND
+from .games import BellCode, GameStrategy
+from .processes import ProcessMatrix
 from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel
 
 MANIFEST_SEED = 20260815
@@ -65,9 +66,8 @@ def _bell_pair_outputs_process() -> ProcessMatrix:
     """Trace-normalized coded pairs on inputs and outputs; fails validity."""
     inputs = games.bell_state(BellCode(2, 0, 0), ("A_I", "B_I"))
     outputs = games.bell_state(BellCode(2, 0, 0), ("A_O", "B_O"))
-    op = tensor.permute_wires(tensor.kron(inputs, outputs), ["A_I", "A_O", "B_I", "B_O"])
-    op = LabeledOperator(op.wires, 4 * op.matrix)
-    return ProcessMatrix(op, (PartySlot("A", "A_I", "A_O"), PartySlot("B", "B_I", "B_O")))
+    op = tensor.permute_wires(tensor.kron(inputs, outputs), processes.DEFAULT_PARTY_WIRES)
+    return ProcessMatrix(LabeledOperator(op.wires, 4 * op.matrix), processes.default_parties())
 
 
 PROCESS_BUILDERS: dict[str, Callable[[], ProcessMatrix]] = {
@@ -95,14 +95,17 @@ def _load_process_arg(args: argparse.Namespace, parser: argparse.ArgumentParser)
     if args.process:
         return args.process, PROCESS_BUILDERS[args.process]()
     path = args.process_file
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return path, processes.load_process(fh.read())
-        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-            reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-            parser.error(f"cannot load process file {path!r}: {reason}")
-    parser.error("provide a process file or --process <name>")
+    if not path:
+        parser.error("provide a process file or --process <name>")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            proc = processes.load_process(fh.read())
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        parser.error(f"cannot load process file {path!r}: {reason}")
+    if len(proc.parties) != 2:
+        parser.error(f"process file {path!r} is not two-party: parties {[p.name for p in proc.parties]}")
+    return path, proc
 
 
 def _write(parser: argparse.ArgumentParser, path: str, text: str) -> None:
@@ -161,6 +164,8 @@ def cmd_ppt(args, parser, tol) -> int:
     parties = [p.name for p in proc.parties]
     if args.cut not in parties:
         parser.error(f"unknown cut {args.cut!r}; choose a party from {parties}")
+    if proc.unassigned_wires:
+        parser.error(f"{name!r}: wires {list(proc.unassigned_wires)} belong to no party; the cut is ambiguous")
     ok, min_eig = processes.is_ppt_cut(proc, args.cut, tol)
     payload = {
         "process": name,
@@ -444,12 +449,16 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("process-cyril-separable", "causalkit validate --process cyril",
           "eight-product-term rebuild residual <= {tol:g}", 1e-12,
           lambda tol, once: _at_most(processes.verify_cyril_separable_decomposition(), tol)),
-    Claim("gyni-relay-value", "causalkit gyni --process relay", "0.5", None,
-          lambda tol, once: _near(games.eval_gyni(GYNI_STRATEGIES["relay"]()), 0.5, tol)),
-    Claim("gyni-constant-value", "causalkit gyni --process constant", "0.25", None,
-          lambda tol, once: _near(games.eval_gyni(GYNI_STRATEGIES["constant"]()), 0.25, tol)),
-    Claim("drb-pauli-y-value", "causalkit drb --strategy pauli-y", "0.5", None,
-          lambda tol, once: _near(_retrieval_value(games.pauli_y_baseline_strategy()), 0.5, tol)),
+    Claim("gyni-relay-value", "causalkit gyni --process relay", _fmt(CAUSAL_GYNI_BOUND), None,
+          lambda tol, once: _near(games.eval_gyni(GYNI_STRATEGIES["relay"]()), CAUSAL_GYNI_BOUND, tol)),
+    Claim("gyni-constant-value", "causalkit gyni --process constant", _fmt(CONSTANT_GUESS_VALUE), None,
+          lambda tol, once: _near(
+              games.eval_gyni(GYNI_STRATEGIES["constant"]()), CONSTANT_GUESS_VALUE, tol
+          )),
+    Claim("drb-pauli-y-value", "causalkit drb --strategy pauli-y", _fmt(LOCC_RETRIEVAL_BOUND), None,
+          lambda tol, once: _near(
+              _retrieval_value(games.pauli_y_baseline_strategy()), LOCC_RETRIEVAL_BOUND, tol
+          )),
     Claim("drb-cyril-dual-value", "causalkit drb --strategy cyril-dual", _CYRIL_VALUE_TEXT, None,
           lambda tol, once: _near(_retrieval_value(DRB_STRATEGIES["cyril-dual"]()), CYRIL_GYNI_VALUE, tol)),
     Claim("duality-gyni2dr-cyril", "causalkit duality --direction gyni2dr --process cyril",

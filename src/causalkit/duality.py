@@ -31,11 +31,12 @@ from .games import (
     input_count,
 )
 from .instruments import (
+    _readout_projectors,
     conjugate_instrument,
     extend_instrument_with_measurement,
 )
 from .processes import extend_with_state
-from .tensor import DEFAULT_TOL, OperatorStack, WireLabel, batched_trace, stack_operators
+from .tensor import DEFAULT_TOL, WireLabel, batched_trace, stack_operators
 
 DIRECTION_TOKENS = ("gyni2dr", "dr2gyni")
 
@@ -66,26 +67,16 @@ def fourier(d: int) -> np.ndarray:
     return omega**grid / np.sqrt(d)
 
 
+def _controlled_permutation(d: int, target) -> np.ndarray:
+    """|m, n> -> |m, target(m, n) mod d> on a (control, target) pair."""
+    _require_dim(d)
+    m, n = np.divmod(np.arange(d * d), d)
+    return np.eye(d * d, dtype=complex)[:, m * d + target(m, n) % d]
+
+
 def controlled_shift(d: int) -> np.ndarray:
     """|m, n> -> |m, n+m mod d> on a (control, target) pair; CNOT at d = 2."""
-    _require_dim(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for m, n in product(range(d), repeat=2):
-        out[m * d + (n + m) % d, m * d + n] = 1.0
-    return out
-
-
-def _controlled_unshift(d: int) -> np.ndarray:
-    """|m, n> -> |m, n-m mod d>; inverse of controlled_shift."""
-    return controlled_shift(d).conj().T
-
-
-def _controlled_reverse(d: int) -> np.ndarray:
-    """|m, n> -> |m, m-n mod d>; self-inverse, equals CNOT at d = 2."""
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for m, n in product(range(d), repeat=2):
-        out[m * d + (m - n) % d, m * d + n] = 1.0
-    return out
+    return _controlled_permutation(d, np.add)
 
 
 QUBIT_READOUT_UNITARY = np.array(
@@ -109,7 +100,9 @@ def party_readout_unitaries(d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _require_dim(d)
     mix = np.kron(np.conj(fourier(d)), np.eye(d, dtype=complex))
-    return mix @ _controlled_unshift(d), mix @ _controlled_reverse(d)
+    # Subtract: |m, n> -> |m, n-m>. Reflect: |m, n> -> |m, m-n>, CNOT at d = 2.
+    unshift, reflect = controlled_shift(d).conj().T, _controlled_permutation(d, np.subtract)
+    return mix @ unshift, mix @ reflect
 
 
 def readout_correlation_residual(d: int) -> float:
@@ -127,13 +120,8 @@ def readout_correlation_residual(d: int) -> float:
         (d * d,),
     )
     aux = bell_state(BellCode(d, 0, 0), ("A'", "B'"))
-    # Row m of a readout unitary V gives the projector V^dag |m><m| V.
-    proj_a = OperatorStack(
-        (WireLabel("A", d), WireLabel("A'", d)), v_a.conj()[:, :, None] * v_a[:, None, :]
-    )
-    proj_b = OperatorStack(
-        (WireLabel("B", d), WireLabel("B'", d)), v_b.conj()[:, :, None] * v_b[:, None, :]
-    )
+    proj_a = _readout_projectors(v_a, (WireLabel("A", d), WireLabel("A'", d)))
+    proj_b = _readout_projectors(v_b, (WireLabel("B", d), WireLabel("B'", d)))
     prob = batched_trace([codes, aux], [proj_a, proj_b]).real  # [x, (u, u'), (v, v')]
     x1, x2 = u, up = np.divmod(np.arange(d * d), d)  # code x; likewise (u, u'), (v, v')
     on_rule = ((u[:, None] + u[None, :]) % d == x2[:, None, None]) & (

@@ -36,9 +36,9 @@ from .tensor import (
     LabeledOperator,
     OperatorStack,
     WireLabel,
+    _find_wire,
     conjugate_wires,
     hermiticity_defect,
-    identity_operator,
     min_eigenvalue,
     partial_trace,
     permute_wires,
@@ -82,14 +82,12 @@ class Instrument:
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "input_wires", tuple(self.input_wires))
         object.__setattr__(self, "output_wires", tuple(self.output_wires))
-        names = [w.name for w in self.terms.wires]
+        names = tuple(w.name for w in self.terms.wires)
         declared = set(self.input_wires) | set(self.output_wires)
         if set(self.input_wires) & set(self.output_wires):
             raise ValueError("a wire cannot be both input and output")
         if declared != set(names):
-            raise ValueError(
-                f"declared wires {sorted(declared)} do not match operator wires {tuple(names)}"
-            )
+            raise ValueError(f"declared wires {sorted(declared)} do not match operator wires {names}")
 
     @property
     def terms(self) -> KronSum:
@@ -111,10 +109,7 @@ class Instrument:
         return (self.readout.wires if self.readout is not None else ()) + self.branches.wires
 
     def wire(self, name: str) -> WireLabel:
-        for w in self.wires:
-            if w.name == name:
-                return w
-        raise KeyError(f"no wire named {name!r}; have {[w.name for w in self.wires]}")
+        return _find_wire(self.wires, name)
 
     def total(self) -> LabeledOperator:
         return coarse_grain(self, [0] * self.n_outcomes, 1).ops[0]
@@ -139,16 +134,13 @@ class InstrumentReport:
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> InstrumentReport:
     """Positivity of every branch plus completeness of the sum."""
     ops = ins.ops
-    herm = max(hermiticity_defect(op) for op in ops)
+    defects = [hermiticity_defect(op) for op in ops]
+    herm = max(defects)
     if herm > tol:
         return InstrumentReport((float("nan"),) * ins.n_outcomes, herm, float("inf"), tol)
-    eigs = tuple(min_eigenvalue(op, tol) for op in ops)
+    eigs = tuple(min_eigenvalue(op, tol, defect) for op, defect in zip(ops, defects))
     reduced = partial_trace(ins.total(), set(ins.output_wires))
-    target = identity_operator(reduced.wires)
-    aligned = (
-        permute_wires(reduced, target.names) if reduced.names != target.names else reduced
-    )
-    tp = float(np.max(np.abs(aligned.matrix - target.matrix)))
+    tp = float(np.max(np.abs(reduced.matrix - np.eye(reduced.total_dim))))
     return InstrumentReport(eigs, herm, tp, tol)
 
 
@@ -161,6 +153,21 @@ def _require_valid(ins: Instrument, tol: float, what: str) -> None:
         )
 
 
+def _unitary(u: np.ndarray, dim: int, tol: float, what: str) -> np.ndarray:
+    """``u`` as a complex array; raises unless it is a dim x dim unitary within ``tol``."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (dim, dim):
+        raise ValueError(f"{what} must be a {dim}x{dim} unitary, got shape {u.shape}")
+    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > tol:
+        raise ValueError(f"{what} is not unitary within tolerance")
+    return u
+
+
+def _readout_projectors(v: np.ndarray, wires: Sequence[WireLabel]) -> OperatorStack:
+    """The projectors V^dag |m><m| V of a readout unitary V on ``wires``, stacked by m."""
+    return OperatorStack(wires, v.conj()[:, :, None] * v[:, None, :])
+
+
 def choi_of_unitary(
     u: np.ndarray, in_wire: WireLabel, out_wire: WireLabel, tol: float = DEFAULT_TOL
 ) -> LabeledOperator:
@@ -169,15 +176,9 @@ def choi_of_unitary(
     The result is rank one with trace d: the outer product of the vector
     sum_i |i> (x) U|i>. Raises if ``u`` is not unitary within ``tol``.
     """
-    u = np.asarray(u, dtype=complex)
-    d = in_wire.dim
-    if u.shape != (d, d) or out_wire.dim != d:
-        raise ValueError(f"unitary must be {d}x{d} matching both wires")
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > tol:
-        raise ValueError("matrix is not unitary within tolerance")
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        vec[i * d : (i + 1) * d] = u[:, i]
+    if out_wire.dim != in_wire.dim:
+        raise ValueError(f"a unitary channel needs equal wire dims, got {in_wire.dim}, {out_wire.dim}")
+    vec = _unitary(u, in_wire.dim, tol, "channel matrix").T.reshape(-1)
     return LabeledOperator((in_wire, out_wire), np.outer(vec, vec.conj()))
 
 
@@ -247,15 +248,8 @@ def conjugate_instrument(
         if side not in ins.input_wires + ins.output_wires:
             raise ValueError(f"unknown side or wire {side!r}")
         targets = (side,)
-    target_labels = tuple(w for w in ins.wires if w.name in targets)
-    dim = 1
-    for w in target_labels:
-        dim *= w.dim
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary must be {dim}x{dim} for wires {targets}, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > tol:
-        raise ValueError("conjugation matrix is not unitary within tolerance")
+    dim = OperatorStack.total_dim_of(w for w in ins.wires if w.name in targets)
+    u = _unitary(u, dim, tol, f"conjugation matrix for wires {targets}")
     dense = conjugate_wires(OperatorStack(ins.wires, ins.terms.matrix), u, targets)
     return Instrument(
         OperatorStack(ins.wires, dense.matrix[:, None]), ins.input_wires, ins.output_wires
@@ -302,15 +296,10 @@ def extend_instrument_with_measurement(
         if ins.wires != base.wires:
             raise ValueError("inner instruments must share identical wires")
     dim = w1.dim * w2.dim
-    u = np.asarray(pre_unitary, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError(f"pre-measurement unitary must be {dim}x{dim}, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > tol:
-        raise ValueError("pre-measurement matrix is not unitary within tolerance")
+    u = _unitary(pre_unitary, dim, tol, "pre-measurement matrix")
 
     # Branch a is sum_m R[m] (x) S[a, m]: R[m] = U^dag |m><m| U reads out m =
     # (m1, m2), and S[a, m] sums the selected inner branches relabelled to a.
-    readout = OperatorStack((w1, w2), u.conj()[:, :, None] * u[:, None, :])
     symbols = list(product(range(w1.dim), range(w2.dim)))
     finals = [
         [postprocess(m, k) for k in range(family[m[selector]].n_outcomes)] for m in symbols
@@ -322,7 +311,7 @@ def extend_instrument_with_measurement(
     if top >= count:
         raise ValueError("postprocess outcome exceeds the declared outcome count")
     inner = [ins.ops for ins in family]
-    side = LabeledOperator.total_dim_of(base.wires)
+    side = OperatorStack.total_dim_of(base.wires)
     branches = np.zeros((count, dim, side, side), dtype=complex)
     for m, row in enumerate(finals):
         for k, final in enumerate(row):
@@ -331,7 +320,7 @@ def extend_instrument_with_measurement(
         OperatorStack(base.wires, branches),
         (w1.name, w2.name) + base.input_wires,
         base.output_wires,
-        readout,
+        _readout_projectors(u, (w1, w2)),
     )
 
 
@@ -354,9 +343,9 @@ def stack_instruments(family: Sequence[Instrument]) -> KronSum:
     first = family[0]
     if not all(_same_readout(ins.readout, first.readout) for ins in family[1:]):
         raise ValueError("instruments in a family must share one readout")
-    names = [w.name for w in first.branches.wires]
+    names = first.branches.names
     mats = [
-        (b if [w.name for w in b.wires] == names else permute_wires(b, names)).matrix
+        (b if b.names == names else permute_wires(b, names)).matrix
         for b in (ins.branches for ins in family)
     ]
     branches = OperatorStack(first.branches.wires, np.stack(mats))

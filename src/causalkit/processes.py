@@ -7,7 +7,7 @@ direct contraction, P = Tr[W (M_A (x) M_B)], so validity is:
 * W is positive semidefinite,
 * Tr W equals the product D_out of the output dimensions,
 * the reduced-and-replaced combinations below hold, writing
-  R_X W = Tr_X(W) (x) I_X / d_X (:func:`causalkit.tensor.trace_and_replace`):
+  R_X W = Tr_X(W) (x) I_X / d_X (:func:`causalkit.tensor.add_replaced`):
 
   1. R over every wire equals (Tr W / D) I      ("uniform blanket")
   2. R_{A_I A_O} W = R_{A_I A_O B_O} W          ("no signaling to B's past")
@@ -38,6 +38,7 @@ from .tensor import (
     DEFAULT_TOL,
     LabeledOperator,
     WireLabel,
+    _find_wire,
     add_replaced,
     dump_operator,
     hermiticity_defect,
@@ -116,10 +117,7 @@ class ProcessMatrix:
         return tuple(n for f in self.factors for n in f.names)
 
     def wire(self, name: str) -> WireLabel:
-        for f in self.factors:
-            if name in f.names:
-                return f.wire(name)
-        raise KeyError(f"no wire named {name!r}; have {self.names}")
+        return _find_wire([w for f in self.factors for w in f.wires], name)
 
     @property
     def unassigned_wires(self) -> tuple[str, ...]:
@@ -133,10 +131,7 @@ class ProcessMatrix:
 
     @property
     def output_dim(self) -> int:
-        out = 1
-        for p in self.parties:
-            out *= self.wire(p.output_wire).dim
-        return out
+        return LabeledOperator.total_dim_of(self.wire(p.output_wire) for p in self.parties)
 
 
 @dataclass(frozen=True)
@@ -292,8 +287,9 @@ def default_parties() -> tuple[PartySlot, PartySlot]:
     return (PartySlot("A", "A_I", "A_O"), PartySlot("B", "B_I", "B_O"))
 
 
-def _qubit_wires() -> tuple[WireLabel, ...]:
-    return tuple(WireLabel(n, 2) for n in DEFAULT_PARTY_WIRES)
+def _party_wires(d: int) -> tuple[WireLabel, ...]:
+    """The wires (A_I, A_O, B_I, B_O) of :func:`default_parties`, each of dimension d."""
+    return tuple(WireLabel(n, d) for n in DEFAULT_PARTY_WIRES)
 
 
 def build_cyril() -> ProcessMatrix:
@@ -306,7 +302,7 @@ def build_cyril() -> ProcessMatrix:
     term1 = np.kron(np.kron(_SZ, _SZ), np.kron(_SZ, eye))
     term2 = np.kron(np.kron(_SZ, eye), np.kron(_SX, _SX))
     mat = (np.eye(16, dtype=complex) + (term1 + term2) / np.sqrt(2)) / 4
-    return ProcessMatrix(LabeledOperator(_qubit_wires(), mat), default_parties())
+    return ProcessMatrix(LabeledOperator(_party_wires(2), mat), default_parties())
 
 
 def verify_cyril_separable_decomposition() -> float:
@@ -347,9 +343,8 @@ def verify_cyril_separable_decomposition() -> float:
 
 def maximally_mixed_process(d: int = 2) -> ProcessMatrix:
     """The fully uninformative process: normalized identity on all four wires."""
-    wires = tuple(WireLabel(n, d) for n in DEFAULT_PARTY_WIRES)
     mat = np.eye(d**4, dtype=complex) / d**2
-    return ProcessMatrix(LabeledOperator(wires, mat), default_parties())
+    return ProcessMatrix(LabeledOperator(_party_wires(d), mat), default_parties())
 
 
 def shared_state_process(rho: np.ndarray, d: int = 2) -> ProcessMatrix:
@@ -361,7 +356,7 @@ def shared_state_process(rho: np.ndarray, d: int = 2) -> ProcessMatrix:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
         raise ValueError(f"rho must be {d*d}x{d*d} on the two input wires")
-    ai, ao, bi, bo = (WireLabel(n, d) for n in DEFAULT_PARTY_WIRES)
+    ai, ao, bi, bo = _party_wires(d)
     inputs = LabeledOperator((ai, bi), rho)
     outputs = identity_operator((ao, bo))
     w = permute_wires(kron(inputs, outputs), list(DEFAULT_PARTY_WIRES))
@@ -382,7 +377,7 @@ def channel_process(
         raise ValueError("channel_process needs a signaling direction")
     rho_in = np.asarray(rho_in, dtype=complex)
     channel_choi = np.asarray(channel_choi, dtype=complex)
-    ai, ao, bi, bo = (WireLabel(n, d) for n in DEFAULT_PARTY_WIRES)
+    ai, ao, bi, bo = _party_wires(d)
     if token == "A<B":
         state = LabeledOperator((ai,), rho_in)
         link = LabeledOperator((ao, bi), channel_choi)
@@ -414,7 +409,8 @@ def extend_with_state(
         raise ValueError(f"state wires {sorted(clash)} already used by the process")
     if abs(complex(np.trace(state.matrix)) - 1.0) > tol:
         raise ValueError("state is not normalized (trace != 1)")
-    if hermiticity_defect(state) > tol or min_eigenvalue(state, tol) < -tol:
+    defect = hermiticity_defect(state)
+    if defect > tol or min_eigenvalue(state, tol, defect) < -tol:
         raise ValueError("state is not positive semidefinite")
     assign = dict(assign or {})
     unknown = set(assign) - set(state.names)

@@ -28,16 +28,24 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def random_channel_choi(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
-    """Choi operator of a random CPTP map, wire order (in, out)."""
+def _random_cptp(rng: np.random.Generator, d_in: int, d_out: int, n: int) -> list[np.ndarray]:
+    """Choi operators of ``n`` random CP maps, wire order (in, out), rescaled
+    by (marg^-1/2 (x) I) so that their sum is trace preserving."""
     dim = d_in * d_out
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    block = g @ g.conj().T
-    marg = block.reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3)
+    blocks = []
+    for _ in range(n):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        blocks.append(g @ g.conj().T)
+    marg = sum(blocks).reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3)
     vals, vecs = np.linalg.eigh(marg)
     inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
     scale = np.kron(inv_sqrt, np.eye(d_out))
-    return scale @ block @ scale.conj().T
+    return [scale @ b @ scale.conj().T for b in blocks]
+
+
+def random_channel_choi(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
+    """Choi operator of a random CPTP map, wire order (in, out)."""
+    return _random_cptp(rng, d_in, d_out, 1)[0]
 
 
 def random_instrument(
@@ -48,25 +56,8 @@ def random_instrument(
 ) -> Instrument:
     """Random CP branches rescaled so the sum is exactly trace preserving."""
     wires = input_wires + output_wires
-    d_in = 1
-    for w in input_wires:
-        d_in *= w.dim
-    d_out = 1
-    for w in output_wires:
-        d_out *= w.dim
-    dim = d_in * d_out
-    blocks = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        blocks.append(g @ g.conj().T)
-    total = sum(blocks)
-    marg = total.reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3)
-    vals, vecs = np.linalg.eigh(marg)
-    inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-    scale = np.kron(inv_sqrt, np.eye(d_out))
-    ops = tuple(
-        LabeledOperator(wires, scale @ b @ scale.conj().T) for b in blocks
-    )
+    d_in, d_out = LabeledOperator.total_dim_of(input_wires), LabeledOperator.total_dim_of(output_wires)
+    ops = tuple(LabeledOperator(wires, b) for b in _random_cptp(rng, d_in, d_out, n_outcomes))
     return Instrument(
         ops, tuple(w.name for w in input_wires), tuple(w.name for w in output_wires)
     )

@@ -1,10 +1,12 @@
 """Dense operators over named tensor wires.
 
 Every operator carries an ordered tuple of :class:`WireLabel` entries and a
-square complex matrix. Wire order is big-endian: the first wire is the most
-significant factor, so for qubit wires ``(X, Y)`` the basis state ``|1>_X|0>_Y``
-sits at index 2. All helpers key off wire *names*; positional bookkeeping never
-leaks into calling code.
+square complex matrix. An :class:`OperatorStack` holds such matrices along
+leading batch axes, and a :class:`LabeledOperator` is the stack with none, so
+the wire bookkeeping is written once. Wire order is big-endian: the first wire
+is the most significant factor, so for qubit wires ``(X, Y)`` the basis state
+``|1>_X|0>_Y`` sits at index 2. All helpers key off wire *names*; positional
+bookkeeping never leaks into calling code.
 
 Numerical policy: matrices are dense ``complex128``, Hermitian spectra go
 through ``numpy.linalg.eigvalsh`` only, and the default comparison tolerance is
@@ -14,6 +16,7 @@ through ``numpy.linalg.eigvalsh`` only, and the default comparison tolerance is
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,11 +45,13 @@ class WireLabel:
 
 
 @dataclass(frozen=True)
-class LabeledOperator:
-    """A square matrix together with the ordered wires it acts on.
+class OperatorStack:
+    """Operators on one wire tuple, stacked along leading batch axes.
 
-    :param wires: ordered wire labels, names must be unique
-    :param matrix: square array of size prod(dims), stored as complex128
+    :param wires: ordered wire labels shared by every stacked operator; names
+        must be unique
+    :param matrix: array of shape ``batch + (D, D)`` with D = prod(dims),
+        stored as complex128
     """
 
     wires: tuple[WireLabel, ...]
@@ -59,17 +64,14 @@ class LabeledOperator:
             raise ValueError(f"duplicate wire names: {names}")
         mat = np.asarray(self.matrix, dtype=np.complex128)
         dim = self.total_dim_of(wires)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match wire dims (total {dim})")
+        if mat.shape[-2:] != (dim, dim):
+            raise ValueError(f"matrix shape {mat.shape} does not end in ({dim}, {dim})")
         object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "matrix", mat)
 
     @staticmethod
-    def total_dim_of(wires: Sequence[WireLabel]) -> int:
-        out = 1
-        for w in wires:
-            out *= w.dim
-        return out
+    def total_dim_of(wires: Iterable[WireLabel]) -> int:
+        return math.prod(w.dim for w in wires)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -84,20 +86,34 @@ class LabeledOperator:
         return self.total_dim_of(self.wires)
 
     def wire(self, name: str) -> WireLabel:
-        for w in self.wires:
-            if w.name == name:
-                return w
-        raise KeyError(f"no wire named {name!r}; have {self.names}")
+        return _find_wire(self.wires, name)
+
+
+@dataclass(frozen=True)
+class LabeledOperator(OperatorStack):
+    """One square matrix on its ordered wires: the stack with no batch axes."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.matrix.ndim != 2:
+            raise ValueError(f"an operator takes one matrix, got shape {self.matrix.shape}")
 
     def as_tensor(self) -> np.ndarray:
         """Reshape to one row axis plus one column axis per wire."""
         return self.matrix.reshape(self.dims + self.dims)
 
 
+def _find_wire(wires: Sequence[WireLabel], name: str) -> WireLabel:
+    for w in wires:
+        if w.name == name:
+            return w
+    raise KeyError(f"no wire named {name!r}; have {tuple(w.name for w in wires)}")
+
+
 def identity_operator(wires: Sequence[WireLabel]) -> LabeledOperator:
     """Identity matrix on the given wires."""
     wires = tuple(wires)
-    return LabeledOperator(wires, np.eye(LabeledOperator.total_dim_of(wires)))
+    return LabeledOperator(wires, np.eye(OperatorStack.total_dim_of(wires)))
 
 
 def kron(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -146,7 +162,7 @@ def partial_trace(op: LabeledOperator, traced: Iterable[str]) -> LabeledOperator
     )
     reduced = np.einsum(sub, op.as_tensor())
     new_wires = tuple(op.wires[i] for i in kept)
-    dim = LabeledOperator.total_dim_of(new_wires)
+    dim = OperatorStack.total_dim_of(new_wires)
     return LabeledOperator(new_wires, reduced.reshape(dim, dim))
 
 
@@ -169,20 +185,15 @@ def permute_wires(op, new_order: Sequence[str]):
     Takes a :class:`LabeledOperator` or an :class:`OperatorStack`, whose
     batch axes are kept, and returns the same type.
     """
-    new_order = list(new_order)
-    names = [w.name for w in op.wires]
+    new_order, names = list(new_order), op.names
     if sorted(new_order) != sorted(names):
-        raise ValueError(f"{new_order} is not a permutation of {tuple(names)}")
-    n = len(op.wires)
-    batch = op.matrix.shape[:-2]
+        raise ValueError(f"{new_order} is not a permutation of {names}")
+    n, batch = len(names), op.matrix.shape[:-2]
     nb = len(batch)
-    pos = {name: i for i, name in enumerate(names)}
-    perm = [pos[name] for name in new_order]
+    perm = [names.index(name) for name in new_order]
     axes = list(range(nb)) + [nb + p for p in perm] + [nb + n + p for p in perm]
-    new_wires = tuple(op.wires[p] for p in perm)
-    dims = tuple(w.dim for w in op.wires)
-    out = op.matrix.reshape(batch + dims + dims).transpose(axes).reshape(op.matrix.shape)
-    return type(op)(new_wires, out)
+    out = op.matrix.reshape(batch + op.dims + op.dims).transpose(axes).reshape(op.matrix.shape)
+    return type(op)(tuple(op.wires[p] for p in perm), out)
 
 
 def hermiticity_defect(op: LabeledOperator) -> float:
@@ -205,10 +216,12 @@ def min_eigenvalue(op: LabeledOperator, tol: float = DEFAULT_TOL, defect: float 
 
 
 def add_replaced(out: np.ndarray, op: LabeledOperator, wires_x: Iterable[str], coeff: float = 1.0) -> None:
-    """Add ``coeff * trace_and_replace(op, wires_x)`` in place into ``out``, shaped like ``op.as_tensor()``.
+    """Add ``coeff * R_X(op)`` in place into ``out``, shaped like ``op.as_tensor()``.
 
-    That operator vanishes unless row and column agree on every wire in X, so
-    Tr_X(op), one einsum trace, is broadcast into an einsum view of that block.
+    R_X(op) = Tr_X(op) (x) I_X / d_X, in op's wire order, replaces the wires
+    X by the normalized identity. It vanishes unless row and column agree on
+    every wire in X, so Tr_X(op), one einsum trace, is broadcast into an
+    einsum view of that block; on a zero ``out`` this leaves R_X(op) itself.
     """
     wires_x = _check_names(op, wires_x)
     n = len(op.wires)
@@ -217,39 +230,9 @@ def add_replaced(out: np.ndarray, op: LabeledOperator, wires_x: Iterable[str], c
     for i in axes:
         sub[n + i] = sub[i]
     block = "".join(sub) + "->" + "".join(sub[:n] + [sub[n + i] for i in range(n) if i not in axes])
-    d_x = LabeledOperator.total_dim_of([op.wires[i] for i in axes])
+    d_x = OperatorStack.total_dim_of([op.wires[i] for i in axes])
     diagonal = np.einsum(block, out)
     diagonal += coeff * np.einsum(block, op.as_tensor()).sum(axis=axes, keepdims=True) / d_x
-
-
-def trace_and_replace(op: LabeledOperator, wires_x: Iterable[str]) -> LabeledOperator:
-    """``(1/d_X) Tr_X(op) (x) I_X`` in op's wire order: the named wires traced out and replaced."""
-    out = np.zeros(op.dims + op.dims, dtype=np.complex128)
-    add_replaced(out, op, wires_x)
-    return LabeledOperator(op.wires, out.reshape(op.matrix.shape))
-
-
-@dataclass(frozen=True)
-class OperatorStack:
-    """Operators on one wire tuple, stacked along leading batch axes.
-
-    :param wires: ordered wire labels shared by every stacked operator
-    :param matrix: array of shape ``batch + (D, D)`` with D = prod(dims),
-        stored as complex128. A :class:`LabeledOperator` is the stack with no
-        batch axes, and :func:`batched_trace` accepts either.
-    """
-
-    wires: tuple[WireLabel, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        wires = tuple(self.wires)
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        dim = LabeledOperator.total_dim_of(wires)
-        if mat.ndim < 2 or mat.shape[-2:] != (dim, dim):
-            raise ValueError(f"stack shape {mat.shape} does not end in ({dim}, {dim})")
-        object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -300,7 +283,7 @@ class KronSum:
             lead_out, row_out, col_out = lead_out + lead, row_out + row, col_out + col
         subscripts = ",".join(subs) + "->" + lead_out + row_out + col_out
         dense = np.einsum(subscripts, *(p.matrix for p in self.parts))
-        dim = LabeledOperator.total_dim_of(self.wires)
+        dim = OperatorStack.total_dim_of(self.wires)
         return dense.reshape(self.batch_shape + (dim, dim))
 
 
@@ -371,11 +354,10 @@ def batched_trace(
             batch = part.matrix.shape[:-2]
             lead = "".join(next(letters) for _ in batch[: len(batch) - len(term)])
             batch_out += lead
-            names = [w.name for w in part.wires]
+            names, dims = part.names, part.dims
             subs.append(
                 lead + term + "".join(first[n] for n in names) + "".join(second[n] for n in names)
             )
-            dims = tuple(w.dim for w in part.wires)
             tensors.append(part.matrix.reshape(batch + dims + dims))
     subscripts = ",".join(subs) + "->" + batch_out
     plan = _einsum_plan(subscripts, tuple(t.shape for t in tensors))
@@ -400,12 +382,9 @@ def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
     the same type. U is applied to the named wires' axes of the tensor form,
     rows then columns, so no dense conjugator is built.
     """
-    names = set(names)
-    targets = [i for i, w in enumerate(op.wires) if w.name in names]
-    if len(targets) != len(names):
-        raise KeyError(f"unknown wires {sorted(names)}; operator has {[w.name for w in op.wires]}")
-    batch = op.matrix.shape[:-2]
-    dims = tuple(w.dim for w in op.wires)
+    names = _check_names(op, names)
+    targets = [i for i, name in enumerate(op.names) if name in names]
+    batch, dims = op.matrix.shape[:-2], op.dims
     nb, n, nt = len(batch), len(dims), len(targets)
     tdims = tuple(dims[i] for i in targets)
     ut = np.asarray(u, dtype=np.complex128).reshape(tdims + tdims)
@@ -448,7 +427,7 @@ def load_operator(text: str | Sequence[str]) -> LabeledOperator:
     if not lines:
         raise ValueError("empty operator dump")
     wires = _parse_wire_line(lines[0])
-    dim = LabeledOperator.total_dim_of(wires)
+    dim = OperatorStack.total_dim_of(wires)
     if len(lines) - 1 != dim:
         raise ValueError(f"expected {dim} matrix rows, found {len(lines) - 1}")
     rows = []

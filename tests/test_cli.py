@@ -15,7 +15,8 @@ import pytest
 
 from causalkit.cli import CLAIMS, MANIFEST_SEED, build_manifest, main
 from causalkit.games import CYRIL_GYNI_VALUE
-from causalkit.processes import dump_process, load_process, build_cyril
+from causalkit.processes import dump_process, extend_with_state, load_process, build_cyril
+from causalkit.tensor import LabeledOperator, WireLabel
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -97,9 +98,9 @@ class TestValidate:
             main(["validate", "--process", "nonesuch"])
         assert exc.value.code == 2
 
-    def _usage_error(self, capsys, path, command="validate") -> str:
+    def _usage_error(self, capsys, path, command="validate", *options) -> str:
         with pytest.raises(SystemExit) as exc:
-            main([command, str(path)])
+            main([command, str(path), *options])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         message = err.strip().splitlines()[-1]
@@ -143,6 +144,21 @@ class TestValidate:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         message = self._usage_error(capsys, path, command)
         assert "row 2 has a non-finite entry" in message
+
+    @pytest.mark.parametrize("argv", [["validate"], ["ppt", "--cut", "A"]])
+    def test_one_party_dump_is_usage_error(self, capsys, tmp_path, argv):
+        lines = dump_process(build_cyril()).splitlines()
+        lines[0] = "parties: A=(A_I,A_O)"
+        path = tmp_path / "one_party.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert "not two-party" in self._usage_error(capsys, path, *argv)
+
+    def test_ppt_with_unassigned_wire_is_usage_error(self, capsys, tmp_path):
+        ancilla = LabeledOperator((WireLabel("X", 2),), np.eye(2) / 2)
+        path = tmp_path / "adjoined.txt"
+        path.write_text(dump_process(extend_with_state(build_cyril(), ancilla)), encoding="utf-8")
+        message = self._usage_error(capsys, path, "ppt", "--cut", "A")
+        assert "['X']" in message and "ambiguous" in message
 
 
 class TestPpt:

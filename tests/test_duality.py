@@ -11,6 +11,7 @@ Oracles:
 from __future__ import annotations
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ class TestGates:
     def test_controlled_shift_2_is_cnot(self):
         cnot = np.eye(4)[[0, 1, 3, 2]]
         np.testing.assert_allclose(controlled_shift(2), cnot, atol=0)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_controlled_shift_matches_loop(self, d):
+        want = np.zeros((d * d, d * d))
+        for m, n in product(range(d), repeat=2):
+            want[m * d + (n + m) % d, m * d + n] = 1.0
+        np.testing.assert_array_equal(controlled_shift(d), want)
 
     def test_weyl_commutation_d3(self):
         w = np.exp(2j * np.pi / 3)

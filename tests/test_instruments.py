@@ -110,6 +110,23 @@ class TestValidation:
         assert report.valid
         assert report.tp_residual <= 1e-12
 
+    def test_one_hermiticity_pass_per_branch(self, monkeypatch):
+        from causalkit import instruments, tensor
+
+        calls = []
+        defect = tensor.hermiticity_defect
+
+        def counted(op):
+            calls.append(op)
+            return defect(op)
+
+        monkeypatch.setattr(instruments, "hermiticity_defect", counted)
+        monkeypatch.setattr(tensor, "hermiticity_defect", counted)
+        qutrits = (WireLabel("A_I", 3),), (WireLabel("A_O", 3),)
+        ins = random_instrument(np.random.default_rng(4), *qutrits, 4)
+        assert validate_instrument(ins).valid
+        assert len(calls) == 4
+
 
 class TestConjugation:
     def test_hadamard_on_input_frozen(self):

@@ -368,6 +368,22 @@ class TestExtendWithState:
         with pytest.raises(ValueError, match="already used"):
             extend_with_state(build_cyril(), state)
 
+    def test_one_hermiticity_pass_on_the_state(self, monkeypatch):
+        from causalkit import processes, tensor
+
+        calls = []
+        defect = tensor.hermiticity_defect
+
+        def counted(op):
+            calls.append(op)
+            return defect(op)
+
+        monkeypatch.setattr(processes, "hermiticity_defect", counted)
+        monkeypatch.setattr(tensor, "hermiticity_defect", counted)
+        state = LabeledOperator((WireLabel("X", 3),), random_density(np.random.default_rng(6), 3))
+        extend_with_state(build_cyril(), state)
+        assert len(calls) == 1
+
     def test_dense_view_is_the_kron_at_d3(self):
         rng = np.random.default_rng(303)
         proc = random_process(rng, 3)

@@ -34,7 +34,6 @@ from causalkit.tensor import (
     permute_wires,
     product_trace,
     stack_operators,
-    trace_and_replace,
 )
 from reference_maps import reference_replace
 
@@ -51,6 +50,13 @@ C = WireLabel("C", 3)
 
 def op(wires, matrix) -> LabeledOperator:
     return LabeledOperator(tuple(wires), np.asarray(matrix, dtype=complex))
+
+
+def replaced(m: LabeledOperator, wires_x) -> LabeledOperator:
+    """R_X(m) = Tr_X(m) (x) I_X / d_X: add_replaced on a zero tensor."""
+    out = np.zeros(m.dims + m.dims, dtype=complex)
+    add_replaced(out, m, wires_x)
+    return LabeledOperator(m.wires, out.reshape(m.matrix.shape))
 
 
 def random_herm(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -199,21 +205,21 @@ class TestMinEigenvalue:
 class TestTraceAndReplace:
     def test_phi_plus_single_wire(self):
         # Tr_B phi+ = I/2, so the replacement collapses the pair to I/4.
-        out = trace_and_replace(op([A, B], PHI_PLUS), {"B"})
+        out = replaced(op([A, B], PHI_PLUS), {"B"})
         assert out.names == ("A", "B")
         np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
 
     def test_all_wires_gives_normalized_identity(self):
         rng = np.random.default_rng(5)
         m = op([A, B], random_herm(rng, 4))
-        out = trace_and_replace(m, {"A", "B"})
+        out = replaced(m, {"A", "B"})
         np.testing.assert_allclose(out.matrix, np.trace(m.matrix) * np.eye(4) / 4, atol=1e-12)
 
     def test_trace_preserved_and_idempotent(self):
         rng = np.random.default_rng(9)
         m = op([A, B, C], random_herm(rng, 12))
-        once = trace_and_replace(m, {"B"})
-        twice = trace_and_replace(once, {"B"})
+        once = replaced(m, {"B"})
+        twice = replaced(once, {"B"})
         assert np.trace(once.matrix) == pytest.approx(np.trace(m.matrix), abs=1e-12)
         np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-12)
 
@@ -222,8 +228,8 @@ class TestTraceAndReplace:
     def test_idempotence_random(self, seed):
         rng = np.random.default_rng(seed)
         m = op([A, C], rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        once = trace_and_replace(m, {"A"})
-        twice = trace_and_replace(once, {"A"})
+        once = replaced(m, {"A"})
+        twice = replaced(once, {"A"})
         np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-12)
 
 
@@ -235,7 +241,7 @@ class TestTraceAndReplace:
         m = op(wires, random_herm(rng, side) / side)
         for k in range(len(dims) + 1):
             for traced in combinations(range(len(dims)), k):
-                got = trace_and_replace(m, {wires[i].name for i in traced})
+                got = replaced(m, {wires[i].name for i in traced})
                 assert got.names == m.names
                 want = reference_replace(m.matrix, dims, set(traced))
                 np.testing.assert_allclose(got.matrix, want, rtol=0, atol=1e-15)
@@ -251,7 +257,7 @@ class TestTraceAndReplace:
 
     def test_unknown_wire_rejected(self):
         with pytest.raises(KeyError):
-            trace_and_replace(op([A, B], PHI_PLUS), {"Z"})
+            replaced(op([A, B], PHI_PLUS), {"Z"})
 
 
 class TestProductTrace:
@@ -305,6 +311,22 @@ class TestProductTrace:
             OperatorStack((A,), np.zeros((2, 3, 3)))
         with pytest.raises(ValueError):
             batched_trace([op([A], SZ)], [OperatorStack((B,), np.zeros((2, 2, 2)))])
+
+    def test_stack_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate wire names"):
+            OperatorStack((A, WireLabel("A", 2)), np.zeros((3, 4, 4)))
+
+    def test_stack_wire_accessors(self):
+        stack = OperatorStack((A, C), np.zeros((3, 6, 6)))
+        assert (stack.names, stack.dims, stack.total_dim) == (("A", "C"), (2, 3), 6)
+        assert stack.wire("C") == C
+        with pytest.raises(KeyError):
+            stack.wire("Q")
+
+    def test_operator_is_the_unbatched_stack(self):
+        assert isinstance(op([A], SZ), OperatorStack)
+        with pytest.raises(ValueError):
+            LabeledOperator((A,), np.zeros((3, 2, 2)))
 
 
 class TestKronSum:
