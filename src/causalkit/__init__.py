@@ -24,7 +24,6 @@ from .tensor import (
     partial_trace,
     partial_transpose,
     permute_wires,
-    product_trace,
     stack_operators,
 )
 from .processes import (
@@ -64,7 +63,6 @@ from .games import (
     BellCode,
     GameStrategy,
     PartyArm,
-    bell_encoder,
     bell_state,
     bell_vector,
     behaviour,
@@ -75,8 +73,6 @@ from .games import (
     eval_gyni,
     gyni_terms,
     input_count,
-    joint_probability,
-    outcome_distribution,
     pauli_y_baseline_strategy,
     relay_gyni_strategy,
 )
@@ -96,19 +92,15 @@ from .duality import (
 )
 from .classical import (
     ClassicalProcess3,
-    Guess,
     TDRInput,
     e_bw,
     ebw_process,
     ftdr_accounting,
-    ftdr_success,
     is_logically_consistent,
     score_round,
     shared_process_accounting,
     tdr_accounting_ebw,
     tdr_relay_accounting,
-    tdr_success_definite_order,
-    tdr_success_ebw,
     tdr_success_no_collab,
     two_copy_locc_decode,
     win_set,

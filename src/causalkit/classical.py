@@ -53,21 +53,6 @@ class TDRInput:
         return self.bits[2 * (k - 1)], self.bits[2 * k - 1]
 
 
-@dataclass(frozen=True)
-class Guess:
-    """A player's answer: elimination/identification flag plus two symbols."""
-
-    g0: int
-    g1: int
-    g1p: int
-
-    def __post_init__(self) -> None:
-        _check_bits((self.g0, self.g1, self.g1p), 3, "guess")
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.g0, self.g1, self.g1p)
-
-
 def _wins(g0, g, gp, y, yp):
     """The win rule on ints or bit arrays: guess (g0, g, gp), hidden (y, yp)."""
     return (g0 == 1) == ((g == y) & (gp == yp))
@@ -156,25 +141,22 @@ class BranchAccounting:
 
 
 def shared_process_accounting(
-    process: ClassicalProcess3, reversed_roles: bool = False, free_side: int = 0
+    process: ClassicalProcess3, reversed_roles: bool = False
 ) -> BranchAccounting:
     """The shared-process strategy played with any process table.
 
     Each player guesses the complement of its outcomes on the pair it reads
     first and outputs the AND of its outcomes on the other pair. The free
-    bits are the first-read outcomes, or with ``free_side=1`` the partners'
-    (the XOR pair correlations give both the same counts).
+    bits are the first-read outcomes (the partners' outcomes would give the
+    same counts, by the XOR pair correlations).
     """
-    if free_side not in (0, 1):
-        raise ValueError("free_side must be 0 or 1")
 
     def play(x: np.ndarray, r: np.ndarray) -> tuple[tuple, tuple]:
-        own = r ^ x if free_side else r
-        p1, p2, p3 = ((own[2 * k] ^ x[2 * k]) & (own[2 * k + 1] ^ x[2 * k + 1]) for k in range(3))
+        p1, p2, p3 = ((r[2 * k] ^ x[2 * k]) & (r[2 * k + 1] ^ x[2 * k + 1]) for k in range(3))
         # Reversed round: pair 1 between first+second, pair 2 second+third,
         # pair 3 third+first; outputs are complemented partner ANDs.
         outputs = (1 - p3, 1 - p1, 1 - p2) if reversed_roles else (p2, p3, p1)
-        return outputs, tuple((1 - own[2 * k], 1 - own[2 * k + 1]) for k in range(3))
+        return outputs, tuple((1 - r[2 * k], 1 - r[2 * k + 1]) for k in range(3))
 
     wins, outputs = score_round(process, play, 6)
     won, majority = wins.all(axis=0), outputs.sum(axis=0) >= 2
@@ -191,14 +173,9 @@ def shared_process_accounting(
     )
 
 
-def tdr_accounting_ebw(free_side: int = 0) -> BranchAccounting:
-    """Full enumeration of the shared-process strategy, standard round."""
-    return shared_process_accounting(ebw_process(), free_side=free_side)
-
-
-def tdr_success_ebw() -> Fraction:
-    """Success probability of the shared-process strategy (27/32)."""
-    return tdr_accounting_ebw().overall
+def tdr_accounting_ebw() -> BranchAccounting:
+    """Full enumeration of the shared-process strategy, standard round (27/32)."""
+    return shared_process_accounting(ebw_process())
 
 
 def _forwarding_wins(served: tuple[int, int, int]) -> np.ndarray:
@@ -228,15 +205,12 @@ class RelayAccounting:
 
 
 def tdr_relay_accounting() -> RelayAccounting:
-    """Fixed order first->second->third with outcome forwarding: only the
-    first player, with nobody upstream, must eliminate with a uniform pair."""
+    """One relay, the fixed order first->second->third with outcome
+    forwarding (3/4): only the first player, with nobody upstream, must
+    eliminate with a uniform pair. In the flagged variant fixed orders reach
+    only 21/32 (:func:`ftdr_accounting`)."""
     wins = _forwarding_wins((0, 1, 1))
     return RelayAccounting(_share(wins.all(axis=0)), tuple(map(_share, wins)))  # type: ignore[arg-type]
-
-
-def tdr_success_definite_order() -> Fraction:
-    """Best fixed-order benchmark for the standard round (3/4)."""
-    return tdr_relay_accounting().overall
 
 
 @dataclass(frozen=True)
@@ -247,9 +221,14 @@ class FlagAccounting:
 
 def ftdr_accounting(strategy: str) -> FlagAccounting:
     """Flagged variant: a fair coin selects standard or reversed pair roles.
+
     ``"ebw"`` plays the shared-process strategy adapted per round;
     ``"definite_order"`` the forwarding relay, which in the reversed round
-    can only serve the third player exactly."""
+    can only serve the third player exactly. Its 21/32 is the optimum over
+    *fixed* orders only: a causally separable strategy whose first player
+    reads the round and routes 1->2->3 or 1->3->2 serves two players in
+    either round and reaches 3/4.
+    """
     if strategy == "ebw":
         std = tdr_accounting_ebw().overall
         rev = shared_process_accounting(ebw_process(), reversed_roles=True).overall
@@ -259,10 +238,6 @@ def ftdr_accounting(strategy: str) -> FlagAccounting:
     else:
         raise ValueError(f"unknown strategy {strategy!r}; expected 'ebw' or 'definite_order'")
     return FlagAccounting((std + rev) / 2, (std, rev))
-
-
-def ftdr_success(strategy: str) -> Fraction:
-    return ftdr_accounting(strategy).overall
 
 
 def two_copy_locc_decode(z_bits: tuple[int, int], x_bits: tuple[int, int]) -> BellCode:

@@ -13,7 +13,6 @@ that the acceptance tests check as well.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -184,7 +183,7 @@ def cmd_game(args, parser, tol) -> int:
         terms, symbol = games.gyni_terms(strategy), "i"
     else:
         strategy = DRB_STRATEGIES[args.strategy]()
-        terms, symbol = games.dr_terms(strategy, games.bell_encoder(2, tuple(strategy.state_wires)), 2), "x"
+        terms, symbol = games.dr_terms(strategy), "x"
     payload = {
         "game": args.game,
         "process_name": args.strategy,
@@ -289,32 +288,26 @@ def cmd_dump(args, parser, tol) -> int:
 # ---------------------------------------------------------------------------
 # Manifest
 
-def _call(fn: Callable, *args):
-    return fn(*args)
-
-
 @dataclass(frozen=True)
 class Claim:
     """One headline claim: the command that reproduces it, what it states,
     and how to recompute it.
 
     ``expected`` may name the tolerance as ``{tol:g}``. ``tolerance`` is a
-    fixed tolerance, or None for the run's. ``evaluate(tol, once)`` returns
-    (computed text, passed); ``once(fn, *args)`` calls a library function
-    once per manifest, so claims that read one result share it. Rows look
-    library functions up by name when they run, so nothing is computed on
-    import.
+    fixed tolerance, or None for the run's. ``evaluate(tol)`` returns
+    (computed text, passed). Rows look library functions up by name when
+    they run, so nothing is computed on import.
     """
 
     claim_id: str
     command: str
     expected: str
     tolerance: float | None
-    evaluate: Callable[[float, Callable], tuple[str, bool]]
+    evaluate: Callable[[float], tuple[str, bool]]
 
-    def check(self, tol: float = DEFAULT_TOL, once: Callable = _call) -> ReproductionRecord:
+    def check(self, tol: float = DEFAULT_TOL) -> ReproductionRecord:
         tol = tol if self.tolerance is None else self.tolerance
-        computed, passed = self.evaluate(tol, once)
+        computed, passed = self.evaluate(tol)
         expected = self.expected.format(tol=tol)
         status = "pass" if passed else "fail"
         return ReproductionRecord(self.claim_id, self.command, expected, computed, tol, status)
@@ -339,25 +332,21 @@ def _join(values) -> str:
     return ", ".join(map(str, values))
 
 
-def _cyril_valid(tol, once):
-    report = processes.validate_process(once(processes.build_cyril), tol)
+def _cyril_valid(tol):
+    report = processes.validate_process(processes.build_cyril(), tol)
     worst = max(r for _, r in report.constraint_residuals)
     return _holds(f"max residual {_fmt(worst)}, min eig {_fmt(report.min_eig)}", report.valid)
 
 
-def _cyril_unordered(tol, once):
-    cyril = once(processes.build_cyril)
+def _cyril_unordered(tol):
+    cyril = processes.build_cyril()
     orders = {o: processes.check_order(cyril, o, tol).compatible for o in ("A<B", "B<A", "no-signaling")}
     return _holds(", ".join(f"{k}: {v}" for k, v in orders.items()), not any(orders.values()))
 
 
-def _cyril_ppt(tol, once):
-    ok, eig = processes.is_ppt_cut(once(processes.build_cyril), "B", tol)
+def _cyril_ppt(tol):
+    ok, eig = processes.is_ppt_cut(processes.build_cyril(), "B", tol)
     return _holds(f"min transposed eig {_fmt(eig)}", ok)
-
-
-def _retrieval_value(strategy: GameStrategy) -> float:
-    return games.eval_dr(strategy, games.bell_encoder(2, ("A", "B")), 2)
 
 
 def _worst_round_trip(d: int, rounds: int, tol: float) -> float:
@@ -373,7 +362,7 @@ def _worst_round_trip(d: int, rounds: int, tol: float) -> float:
     return worst
 
 
-def _shared_bell_npt(tol, once):
+def _shared_bell_npt(tol):
     shared = PROCESS_BUILDERS["shared-bell"]()
     valid = processes.validate_process(shared, tol).valid
     ns = processes.check_order(shared, "no-signaling", tol).compatible
@@ -382,31 +371,31 @@ def _shared_bell_npt(tol, once):
     return _holds(text, valid, ns, not ppt, abs(eig + 0.5) <= tol)
 
 
-def _tdr_ebw(tol, once):
-    acc = once(classical.tdr_accounting_ebw)
+def _tdr_ebw(tol):
+    acc = classical.tdr_accounting_ebw()
     text = f"{acc.overall} (per input {acc.per_input_min}..{acc.per_input_max})"
     return _holds(text, acc.overall == acc.per_input_min == acc.per_input_max == Fraction(27, 32))
 
 
-def _tdr_branches(tol, once):
-    acc = once(classical.tdr_accounting_ebw)
+def _tdr_branches(tol):
+    acc = classical.tdr_accounting_ebw()
     text = f"weights {_join(acc.branch_weight)}; success {_join(acc.branch_success)}"
     return _holds(
         text, acc.branch_weight[0] == Fraction(27, 32), acc.branch_success[0] == 1, acc.branch_success[1] == 0
     )
 
 
-def _ebw_consistent(tol, once):
+def _ebw_consistent(tol):
     consistent = classical.is_logically_consistent(classical.ebw_process())
     return _holds("logically consistent" if consistent else "inconsistent", consistent)
 
 
-def _tdr_no_collab(tol, once):
+def _tdr_no_collab(tol):
     value = classical.tdr_success_no_collab()
     return _holds(str(value), value == Fraction(27, 64))
 
 
-def _tdr_relay(tol, once):
+def _tdr_relay(tol):
     rel = classical.tdr_relay_accounting()
     text = f"{rel.overall} (players {_join(rel.per_player)})"
     return _holds(text, rel.overall == Fraction(3, 4), rel.per_player == (Fraction(3, 4), 1, 1))
@@ -418,7 +407,7 @@ def _ftdr(strategy: str, overall: Fraction, rounds: tuple[Fraction, Fraction]) -
     return _holds(text, acc.overall == overall, acc.round_success == rounds)
 
 
-def _mutant_detected(tol, once):
+def _mutant_detected(tol):
     mutant = games.eval_gyni(games._resend_same_mutant())
     gap = abs(mutant - CYRIL_GYNI_VALUE)
     return _holds(f"mutant {_fmt(mutant)}, gap {_fmt(gap)}", gap > tol)
@@ -439,7 +428,7 @@ _CYRIL_VALUE_TEXT = f"5/16*(1+1/sqrt(2)) = {_fmt(CYRIL_GYNI_VALUE)}"
 
 CLAIMS: tuple[Claim, ...] = (
     Claim("gyni-cyril-value", "causalkit gyni --process cyril", _CYRIL_VALUE_TEXT, None,
-          lambda tol, once: _near(games.eval_gyni(games.cyril_gyni_strategy()), CYRIL_GYNI_VALUE, tol)),
+          lambda tol: _near(games.eval_gyni(games.cyril_gyni_strategy()), CYRIL_GYNI_VALUE, tol)),
     Claim("process-cyril-valid", "causalkit validate --process cyril", "all residuals <= {tol:g}", None,
           _cyril_valid),
     Claim("process-cyril-unordered", "causalkit validate --process cyril",
@@ -448,36 +437,30 @@ CLAIMS: tuple[Claim, ...] = (
           "PPT across the party cut (min eig >= -{tol:g})", None, _cyril_ppt),
     Claim("process-cyril-separable", "causalkit validate --process cyril",
           "eight-product-term rebuild residual <= {tol:g}", 1e-12,
-          lambda tol, once: _at_most(processes.verify_cyril_separable_decomposition(), tol)),
+          lambda tol: _at_most(processes.verify_cyril_separable_decomposition(), tol)),
     Claim("gyni-relay-value", "causalkit gyni --process relay", _fmt(CAUSAL_GYNI_BOUND), None,
-          lambda tol, once: _near(games.eval_gyni(GYNI_STRATEGIES["relay"]()), CAUSAL_GYNI_BOUND, tol)),
+          lambda tol: _near(games.eval_gyni(GYNI_STRATEGIES["relay"]()), CAUSAL_GYNI_BOUND, tol)),
     Claim("gyni-constant-value", "causalkit gyni --process constant", _fmt(CONSTANT_GUESS_VALUE), None,
-          lambda tol, once: _near(
-              games.eval_gyni(GYNI_STRATEGIES["constant"]()), CONSTANT_GUESS_VALUE, tol
-          )),
+          lambda tol: _near(games.eval_gyni(GYNI_STRATEGIES["constant"]()), CONSTANT_GUESS_VALUE, tol)),
     Claim("drb-pauli-y-value", "causalkit drb --strategy pauli-y", _fmt(LOCC_RETRIEVAL_BOUND), None,
-          lambda tol, once: _near(
-              _retrieval_value(games.pauli_y_baseline_strategy()), LOCC_RETRIEVAL_BOUND, tol
-          )),
+          lambda tol: _near(games.eval_dr(games.pauli_y_baseline_strategy()), LOCC_RETRIEVAL_BOUND, tol)),
     Claim("drb-cyril-dual-value", "causalkit drb --strategy cyril-dual", _CYRIL_VALUE_TEXT, None,
-          lambda tol, once: _near(_retrieval_value(DRB_STRATEGIES["cyril-dual"]()), CYRIL_GYNI_VALUE, tol)),
+          lambda tol: _near(games.eval_dr(DRB_STRATEGIES["cyril-dual"]()), CYRIL_GYNI_VALUE, tol)),
     Claim("duality-gyni2dr-cyril", "causalkit duality --direction gyni2dr --process cyril",
           "deviation <= {tol:g}", None,
-          lambda tol, once: _at_most(_certify(games.cyril_gyni_strategy(), "gyni2dr", tol).deviation, tol)),
+          lambda tol: _at_most(_certify(games.cyril_gyni_strategy(), "gyni2dr", tol).deviation, tol)),
     Claim("duality-dr2gyni-pauli-y", "causalkit duality --direction dr2gyni --process pauli-y",
           "deviation <= {tol:g}", None,
-          lambda tol, once: _at_most(
-              _certify(games.pauli_y_baseline_strategy(), "dr2gyni", tol).deviation, tol
-          )),
+          lambda tol: _at_most(_certify(games.pauli_y_baseline_strategy(), "dr2gyni", tol).deviation, tol)),
     Claim("duality-random-d2", f"causalkit duality --direction gyni2dr --seed {MANIFEST_SEED + 2} --dim 2",
           "max deviation <= {tol:g} over 6 seeded round trips", None,
-          lambda tol, once: _at_most(_worst_round_trip(2, 3, tol), tol)),
+          lambda tol: _at_most(_worst_round_trip(2, 3, tol), tol)),
     Claim("duality-random-d3", f"causalkit duality --direction gyni2dr --seed {MANIFEST_SEED + 3} --dim 3",
           "max deviation <= {tol:g} over 4 seeded round trips", None,
-          lambda tol, once: _at_most(_worst_round_trip(3, 2, tol), tol)),
+          lambda tol: _at_most(_worst_round_trip(3, 2, tol), tol)),
     Claim("readout-correlation", "causalkit dump --object readout-unitary:3",
           "off-rule probability mass <= {tol:g} at d=2 and d=3", None,
-          lambda tol, once: _at_most(max(duality.readout_correlation_residual(d) for d in (2, 3)), tol)),
+          lambda tol: _at_most(max(duality.readout_correlation_residual(d) for d in (2, 3)), tol)),
     Claim("process-shared-bell-npt", "causalkit ppt --process shared-bell --cut B",
           "valid no-signaling process with min transposed eig -0.5", None, _shared_bell_npt),
     Claim("classical-tdr-ebw", "causalkit classical tdr --strategy ebw --exact", "27/32", 0.0, _tdr_ebw),
@@ -491,22 +474,21 @@ CLAIMS: tuple[Claim, ...] = (
           "3/4 (players: 3/4, 1, 1)", 0.0, _tdr_relay),
     Claim("classical-ftdr-ebw", "causalkit classical ftdr --strategy ebw --exact",
           "27/32 with both rounds 27/32", 0.0,
-          lambda tol, once: _ftdr("ebw", Fraction(27, 32), (Fraction(27, 32), Fraction(27, 32)))),
+          lambda tol: _ftdr("ebw", Fraction(27, 32), (Fraction(27, 32), Fraction(27, 32)))),
     Claim("classical-ftdr-definite", "causalkit classical ftdr --strategy definite --exact",
           "21/32 with rounds 3/4 and 9/16", 0.0,
-          lambda tol, once: _ftdr("definite_order", Fraction(21, 32), (Fraction(3, 4), Fraction(9, 16)))),
+          lambda tol: _ftdr("definite_order", Fraction(21, 32), (Fraction(3, 4), Fraction(9, 16)))),
     Claim("mutation-resend-same-detected", "causalkit gyni --process cyril",
           "re-preparing the measured bit unchanged shifts the value by > {tol:g}", 0.05, _mutant_detected),
     Claim("codes-hide-marginals", "causalkit dump --object bell:1,1",
           "single-wire marginals of all four qubit codes equal I/2 within {tol:g}", 1e-12,
-          lambda tol, once: _at_most(_hiding_defect(), tol)),
+          lambda tol: _at_most(_hiding_defect(), tol)),
 )
 
 
 def build_manifest(tol: float = DEFAULT_TOL) -> list[ReproductionRecord]:
     """Recompute every claim in :data:`CLAIMS` and compare against its pinned value."""
-    once = functools.cache(_call)
-    return [claim.check(tol, once) for claim in CLAIMS]
+    return [claim.check(tol) for claim in CLAIMS]
 
 
 def cmd_manifest(args, parser, tol) -> int:

@@ -24,11 +24,11 @@ from .games import (
     BellCode,
     GameStrategy,
     PartyArm,
-    bell_encoder,
+    _code_dim,
+    _gyni_dim,
     bell_state,
     eval_dr,
     eval_gyni,
-    input_count,
 )
 from .instruments import (
     _readout_projectors,
@@ -170,13 +170,6 @@ class DualityDrift(ValueError):
         )
 
 
-def _gyni_dim(strategy: GameStrategy) -> int:
-    d = input_count(strategy)
-    if any(ins.n_outcomes != d for arm in strategy.parties for ins in arm.instruments):
-        raise ValueError("guessing strategies need d instruments of d outcomes per party")
-    return d
-
-
 def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     """Rebuild a mutual-guessing strategy as a retrieval strategy of equal value.
 
@@ -185,8 +178,6 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     one selects its inner instrument with the first measured symbol and pads
     its answer with the second; party two mirrors this.
     """
-    if strategy.game != "gyni":
-        raise ValueError("expected a mutual-guessing strategy")
     d = _gyni_dim(strategy)
     taken = set(strategy.process.names)
     for name in ("A", "B", "A'", "B'"):
@@ -233,18 +224,10 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
     inverse phase power Z^-i, the second by the inverse shift power X^-i,
     which re-encodes (i2, i1) into the effective pair.
     """
-    if strategy.game != "dr":
-        raise ValueError("expected a retrieval strategy")
-    if len(strategy.state_wires) != 2:
-        raise ValueError("retrieval strategies carry exactly two code wires")
+    d = _code_dim(strategy)
     sa, sb = strategy.state_wires
     arm_a, arm_b = strategy.parties
-    if len(arm_a.instruments) != 1 or len(arm_b.instruments) != 1:
-        raise ValueError("retrieval strategies take no classical input")
     ins_a, ins_b = arm_a.instruments[0], arm_b.instruments[0]
-    d = ins_a.wire(sa).dim
-    if ins_b.wire(sb).dim != d or ins_a.n_outcomes != d or ins_b.n_outcomes != d:
-        raise ValueError("code wires and outcome counts must share one dimension d")
     pa, pb = strategy.process.parties
     extended = extend_with_state(
         strategy.process,
@@ -281,15 +264,10 @@ def check_duality(
         raise ValueError(f"direction must be one of {DIRECTION_TOKENS}")
     if direction == "gyni2dr":
         d = _gyni_dim(strategy)
-        source = eval_gyni(strategy)
-        translated = gyni_to_dr(strategy)
-        target = eval_dr(translated, bell_encoder(d, ("A", "B")), d)
+        source, target = eval_gyni(strategy), eval_dr(gyni_to_dr(strategy))
     else:
-        sa, sb = strategy.state_wires
-        d = strategy.parties[0].instruments[0].wire(sa).dim
-        source = eval_dr(strategy, bell_encoder(d, (sa, sb)), d)
-        translated = dr_to_gyni(strategy)
-        target = eval_gyni(translated)
+        d = _code_dim(strategy)
+        source, target = eval_dr(strategy), eval_gyni(dr_to_gyni(strategy))
     cert = DualityCertificate(direction, d, source, target, tol)
     if not cert.ok:
         raise DualityDrift(cert)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -116,14 +115,45 @@ def input_count(strategy: GameStrategy) -> int:
     return counts.pop()
 
 
-def behaviour(strategy: GameStrategy, states=None, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _gyni_dim(strategy: GameStrategy) -> int:
+    """d of a mutual-guessing strategy: d inputs of d outcomes per party."""
+    if strategy.game != "gyni":
+        raise ValueError("strategy is not for the mutual-guessing game")
+    d = input_count(strategy)
+    if any(ins.n_outcomes != d for arm in strategy.parties for ins in arm.instruments):
+        raise ValueError("guessing strategies need d instruments of d outcomes per party")
+    return d
+
+
+def _code_dim(strategy: GameStrategy) -> int:
+    """d of a retrieval strategy, read from the first party's code wire.
+
+    The strategy needs two code wires of that dimension, no classical input,
+    and d outcomes per party.
+    """
+    if strategy.game != "dr":
+        raise ValueError("strategy is not for the retrieval game")
+    if len(strategy.state_wires) != 2:
+        raise ValueError("retrieval strategies carry exactly two code wires")
+    if input_count(strategy) != 1:
+        raise ValueError("retrieval strategies take no classical input")
+    instruments = [arm.instruments[0] for arm in strategy.parties]
+    d = instruments[0].wire(strategy.state_wires[0]).dim
+    if instruments[1].wire(strategy.state_wires[1]).dim != d or any(
+        ins.n_outcomes != d for ins in instruments
+    ):
+        raise ValueError("code wires and outcome counts must share one dimension d")
+    return d
+
+
+def behaviour(strategy: GameStrategy, states=None) -> np.ndarray:
     """Every Tr[(W (x) state) (M_A (x) M_B)] of the strategy, from one contraction.
 
     ``states`` is None, one code state, or an :class:`OperatorStack` of them.
     Axes are (state stack axes..., one input per party..., one outcome per
     party...): P[x, y, a, b], or P[code, x, y, a, b] for a stack of code
     states. Wire mismatches raise ValueError before any arithmetic, and an
-    imaginary part above max(tol, 1e-7) raises after it.
+    imaginary part above max(DEFAULT_TOL, 1e-7) raises after it.
     """
     arms = [stack_instruments(arm.instruments) for arm in strategy.parties]
     carriers = [*strategy.process.factors, *([] if states is None else [states])]
@@ -131,59 +161,16 @@ def behaviour(strategy: GameStrategy, states=None, tol: float = DEFAULT_TOL) -> 
     # Axes end in (x, a, y, b, ...); move the outcomes last.
     table = np.moveaxis(table, range(table.ndim - 2 * n + 1, table.ndim, 2), range(-n, 0))
     worst = np.unravel_index(np.argmax(np.abs(table.imag)), table.shape)
-    if abs(table[worst].imag) > max(tol, 1e-7):
+    if abs(table[worst].imag) > max(DEFAULT_TOL, 1e-7):
         raise ValueError(f"probability has a non-real value {table[worst]!r}")
     return table.real
 
 
-def _index(
-    strategy: GameStrategy, inputs: tuple[int, ...], outcomes: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Index of P(outcomes | inputs) in a :func:`behaviour` table, range-checked."""
-    if len(inputs) != len(strategy.parties) or len(outcomes) != len(strategy.parties):
-        raise ValueError("need one input and one outcome per party")
-    for arm, i, o in zip(strategy.parties, inputs, outcomes):
-        if not 0 <= i < len(arm.instruments):
-            raise ValueError(f"input {i} out of range for party {arm.name!r}")
-        if not 0 <= o < arm.instruments[i].n_outcomes:
-            raise ValueError(f"outcome {o} out of range for party {arm.name!r}")
-    return (*inputs, *outcomes)
-
-
-def joint_probability(
-    strategy: GameStrategy,
-    inputs: tuple[int, ...],
-    outcomes: tuple[int, ...],
-    state: LabeledOperator | None = None,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """P(outcomes | inputs) under the strategy, with an optional code state.
-
-    Wire mismatches between the process+state side and the instrument side
-    raise ValueError before any arithmetic.
-    """
-    index = _index(strategy, inputs, outcomes)
-    return float(behaviour(strategy, state, tol)[index])
-
-
-def outcome_distribution(
-    strategy: GameStrategy, inputs: tuple[int, ...], state: LabeledOperator | None = None
-) -> np.ndarray:
-    """Array of P(outcomes | inputs) over all joint outcomes, index-per-party."""
-    inputs = _index(strategy, inputs, (0,) * len(inputs))[: len(inputs)]  # checks inputs
-    return behaviour(strategy, state)[inputs]
-
-
 def gyni_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
     """Per-input success probabilities P(a = i2, b = i1 | i1, i2)."""
-    if strategy.game != "gyni":
-        raise ValueError("strategy is not for the mutual-guessing game")
-    d = input_count(strategy)
+    d = _gyni_dim(strategy)
     table = behaviour(strategy)
-    return {
-        (i1, i2): float(table[_index(strategy, (i1, i2), (i2, i1))])
-        for i1, i2 in product(range(d), repeat=2)
-    }
+    return {(i1, i2): float(table[i1, i2, i2, i1]) for i1, i2 in product(range(d), repeat=2)}
 
 
 def eval_gyni(strategy: GameStrategy) -> float:
@@ -192,37 +179,21 @@ def eval_gyni(strategy: GameStrategy) -> float:
     return float(sum(terms.values()) / len(terms))
 
 
-def bell_encoder(
-    d: int, wire_names: tuple[str, str] = ("A", "B")
-) -> Callable[[tuple[int, int]], LabeledOperator]:
-    """Encoder mapping the symbol pair x to the coded state on given wires."""
-    return lambda x: bell_state(BellCode(d, x[0], x[1]), wire_names)
+def dr_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
+    """Per-code success probabilities P(a = x1, b = x2 | code x).
 
-
-def dr_terms(
-    strategy: GameStrategy,
-    encoder: Callable[[tuple[int, int]], LabeledOperator],
-    d: int | None = None,
-) -> dict[tuple[int, int], float]:
-    """Per-code success probabilities P(a = x1, b = x2 | code x)."""
-    if strategy.game != "dr":
-        raise ValueError("strategy is not for the retrieval game")
-    if input_count(strategy) != 1:
-        raise ValueError("retrieval strategies take no classical input")
-    if d is None:
-        d = encoder((0, 0)).wires[0].dim
+    The referee hides x in the d^2 coded pairs on the strategy's code wires.
+    """
+    d = _code_dim(strategy)
     codes = list(product(range(d), repeat=2))
-    table = behaviour(strategy, stack_operators([encoder(x) for x in codes], (len(codes),)))
-    return {x: float(table[k][_index(strategy, (0, 0), x)]) for k, x in enumerate(codes)}
+    pairs = [bell_state(BellCode(d, x1, x2), strategy.state_wires) for x1, x2 in codes]
+    table = behaviour(strategy, stack_operators(pairs, (len(codes),)))
+    return {(x1, x2): float(table[k, 0, 0, x1, x2]) for k, (x1, x2) in enumerate(codes)}
 
 
-def eval_dr(
-    strategy: GameStrategy,
-    encoder: Callable[[tuple[int, int]], LabeledOperator],
-    d: int | None = None,
-) -> float:
+def eval_dr(strategy: GameStrategy) -> float:
     """Uniform-code success probability of the state-retrieval game."""
-    terms = dr_terms(strategy, encoder, d)
+    terms = dr_terms(strategy)
     return float(sum(terms.values()) / len(terms))
 
 

@@ -111,9 +111,6 @@ class Instrument:
     def wire(self, name: str) -> WireLabel:
         return _find_wire(self.wires, name)
 
-    def total(self) -> LabeledOperator:
-        return coarse_grain(self, [0] * self.n_outcomes, 1).ops[0]
-
 
 @dataclass(frozen=True)
 class InstrumentReport:
@@ -139,7 +136,8 @@ def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> Instrument
     if herm > tol:
         return InstrumentReport((float("nan"),) * ins.n_outcomes, herm, float("inf"), tol)
     eigs = tuple(min_eigenvalue(op, tol, defect) for op, defect in zip(ops, defects))
-    reduced = partial_trace(ins.total(), set(ins.output_wires))
+    total = LabeledOperator(ins.wires, sum(op.matrix for op in ops))
+    reduced = partial_trace(total, set(ins.output_wires))
     tp = float(np.max(np.abs(reduced.matrix - np.eye(reduced.total_dim))))
     return InstrumentReport(eigs, herm, tp, tol)
 

@@ -261,7 +261,9 @@ def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tupl
     """Partial transpose across the party cut; returns (is PPT, min eigenvalue).
 
     ``side`` is a party name; its wires (including assigned ancilla wires) are
-    transposed. Unassigned ancilla wires make the cut ambiguous and raise.
+    transposed. Unassigned ancilla wires make the cut ambiguous and raise. A
+    transposed matrix that is not Hermitian within ``tol`` is not PPT and has
+    no spectrum to report: (False, nan), as in :func:`validate_process`.
     """
     _require_bipartite(proc)
     party = proc.party(side)
@@ -270,7 +272,10 @@ def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tupl
             f"wires {proc.unassigned_wires} are not assigned to a party; cut is ambiguous"
         )
     pt = partial_transpose(proc.op, set(party.all_wires))
-    mineig = min_eigenvalue(pt, tol)
+    defect = hermiticity_defect(pt)
+    if defect > tol:
+        return (False, float("nan"))
+    mineig = min_eigenvalue(pt, tol, defect)
     return (mineig >= -tol, mineig)
 
 

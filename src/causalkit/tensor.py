@@ -364,16 +364,6 @@ def batched_trace(
     return np.einsum(subscripts, *tensors, optimize=plan)
 
 
-def product_trace(
-    carriers: Sequence[LabeledOperator], effects: Sequence[LabeledOperator]
-) -> complex:
-    """Tr[(kron of carriers) @ (kron of effects)] without forming either kron.
-
-    The zero-batch case of :func:`batched_trace`, under the same wire rules.
-    """
-    return complex(batched_trace(carriers, effects))
-
-
 def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
     """U M U^dag for every stacked M, with U on the named wires and I elsewhere.
 

@@ -27,11 +27,8 @@ import pytest
 from causalkit.classical import (
     e_bw,
     ftdr_accounting,
-    ftdr_success,
     tdr_accounting_ebw,
     tdr_relay_accounting,
-    tdr_success_definite_order,
-    tdr_success_ebw,
     tdr_success_no_collab,
     two_copy_locc_decode,
 )
@@ -50,13 +47,11 @@ from causalkit.duality import (
 from causalkit.games import (
     CYRIL_GYNI_VALUE,
     BellCode,
-    bell_encoder,
+    behaviour,
     bell_state,
     cyril_gyni_strategy,
     eval_dr,
     eval_gyni,
-    joint_probability,
-    outcome_distribution,
     pauli_y_baseline_strategy,
 )
 from causalkit.instruments import (
@@ -127,7 +122,7 @@ def test_criterion_03_transpose_dichotomy():
 
 def test_criterion_04_conjugate_baseline_table():
     strategy = pauli_y_baseline_strategy()
-    value = eval_dr(strategy, bell_encoder(2, ("A", "B")), 2)
+    value = eval_dr(strategy)
     assert value == pytest.approx(0.5, abs=TIGHT_TOL)
     # Eight half-weight rows: per code the aligned or anti-aligned outcome
     # pairs each carry 1/2, and exactly one of them is the winning pair.
@@ -136,7 +131,7 @@ def test_criterion_04_conjugate_baseline_table():
         state = bell_state(BellCode(2, x1, x2), ("A", "B"))
         support = {(x1, x2), (1 - x1, 1 - x2)}
         for a, b in product(range(2), repeat=2):
-            p = joint_probability(strategy, (0, 0), (a, b), state=state)
+            p = behaviour(strategy, state)[0, 0, a, b]
             target = 0.5 if (a, b) in support else 0.0
             assert p == pytest.approx(target, abs=TIGHT_TOL)
             rows += p > 0.25
@@ -148,11 +143,7 @@ def test_criterion_05_qubit_duality_certificates():
     cert = check_duality(cyril_gyni_strategy(), "gyni2dr")
     assert cert.source_value == pytest.approx(CYRIL_GYNI_VALUE, abs=TIGHT_TOL)
     assert cert.deviation <= VALUE_TOL
-    direct = eval_dr(
-        gyni_to_dr(cyril_gyni_strategy()),
-        bell_encoder(2, ("A", "B")),
-        2,
-    )
+    direct = eval_dr(gyni_to_dr(cyril_gyni_strategy()))
     assert direct == pytest.approx(CYRIL_GYNI_VALUE, abs=VALUE_TOL)
     rng = np.random.default_rng(20260815)
     checked = 0
@@ -200,15 +191,15 @@ def test_criterion_08_classical_enumeration_and_runtime():
     assert acc.per_input_min == acc.per_input_max == Fraction(27, 32)
     assert acc.branch_weight == (Fraction(27, 32), Fraction(5, 32))
     assert acc.branch_success == (Fraction(1), Fraction(0))
-    assert tdr_success_ebw() == Fraction(27, 32)
+    assert tdr_accounting_ebw().overall == Fraction(27, 32)
     assert elapsed < 1.0
     _accept(8, f"shared-process 27/32, branch split exact, {elapsed * 1e3:.0f} ms")
 
 
 def test_criterion_09_classical_benchmarks_ordering():
     no_collab = tdr_success_no_collab()
-    definite = tdr_success_definite_order()
-    flagged = ftdr_success("definite_order")
+    definite = tdr_relay_accounting().overall
+    flagged = ftdr_accounting("definite_order").overall
     assert no_collab == Fraction(27, 64)
     assert definite == Fraction(3, 4)
     assert flagged == Fraction(21, 32)
@@ -269,13 +260,13 @@ def test_criterion_11_property_suite():
     for _ in range(3):
         strategy = random_gyni_strategy(rng, 2)
         for i1, i2 in product(range(2), repeat=2):
-            assert outcome_distribution(strategy, (i1, i2)).sum() == pytest.approx(
+            assert behaviour(strategy)[i1, i2].sum() == pytest.approx(
                 1.0, abs=VALUE_TOL
             )
         retrieval = random_dr_strategy(rng, 2)
         for x1, x2 in product(range(2), repeat=2):
             state = bell_state(BellCode(2, x1, x2), retrieval.state_wires)
-            assert outcome_distribution(retrieval, (0, 0), state=state).sum() == pytest.approx(
+            assert behaviour(retrieval, state)[0, 0].sum() == pytest.approx(
                 1.0, abs=VALUE_TOL
             )
 

@@ -20,18 +20,14 @@ import pytest
 
 from causalkit.classical import (
     ClassicalProcess3,
-    Guess,
     TDRInput,
     e_bw,
     ebw_process,
     ftdr_accounting,
-    ftdr_success,
     is_logically_consistent,
     shared_process_accounting,
     tdr_accounting_ebw,
     tdr_relay_accounting,
-    tdr_success_definite_order,
-    tdr_success_ebw,
     tdr_success_no_collab,
     two_copy_locc_decode,
     win_set,
@@ -94,15 +90,6 @@ class TestGuessStructure:
             assert (1,) + pair in winners
             assert (0,) + pair not in winners
 
-    def test_guess_round_trip(self):
-        g = Guess(1, 0, 1)
-        assert g.as_tuple() == (1, 0, 1)
-        assert g.as_tuple() in win_set((0, 1))
-
-    def test_guess_bits_checked(self):
-        with pytest.raises(ValueError):
-            Guess(2, 0, 0)
-
     def test_input_pairs(self):
         x = TDRInput((1, 0, 0, 1, 1, 1))
         assert x.pair(1) == (1, 0)
@@ -116,7 +103,7 @@ class TestGuessStructure:
 
 class TestSharedProcessStrategy:
     def test_overall_value_exact(self):
-        value = tdr_success_ebw()
+        value = tdr_accounting_ebw().overall
         assert isinstance(value, Fraction)
         assert value == Fraction(27, 32)
 
@@ -132,9 +119,6 @@ class TestSharedProcessStrategy:
         assert acc.branch_success == (Fraction(1), Fraction(0))
         total = sum(w * s for w, s in zip(acc.branch_weight, acc.branch_success))
         assert total == acc.overall
-
-    def test_free_side_convention_irrelevant(self):
-        assert tdr_accounting_ebw(free_side=0) == tdr_accounting_ebw(free_side=1)
 
 
 ALL_ZERO = ClassicalProcess3(((0, 0, 0),) * 8)
@@ -188,10 +172,6 @@ class TestTableProcesses:
             acc.branch_success,
         ) == loop_accounting(process, reversed_roles)
 
-    def test_free_side_checked(self):
-        with pytest.raises(ValueError, match="free_side"):
-            tdr_accounting_ebw(free_side=2)
-
 
 def fixed_point_counts(process):
     """Fixed points o = f(process(o)) for each of the 64 local-function choices."""
@@ -234,11 +214,11 @@ class TestBenchmarks:
         assert acc.per_player == (Fraction(3, 4), Fraction(1), Fraction(1))
 
     def test_definite_order_benchmark(self):
-        assert tdr_success_definite_order() == Fraction(3, 4)
+        assert tdr_relay_accounting().overall == Fraction(3, 4)
 
     def test_strict_separation(self):
-        assert tdr_success_no_collab() < tdr_success_definite_order()
-        assert tdr_success_definite_order() < tdr_success_ebw()
+        assert tdr_success_no_collab() < tdr_relay_accounting().overall
+        assert tdr_relay_accounting().overall < tdr_accounting_ebw().overall
 
 
 class TestFlaggedVariant:
@@ -253,7 +233,7 @@ class TestFlaggedVariant:
         assert acc.round_success == (Fraction(3, 4), Fraction(9, 16))
 
     def test_flagged_gap(self):
-        assert ftdr_success("definite_order") < ftdr_success("ebw")
+        assert ftdr_accounting("definite_order").overall < ftdr_accounting("ebw").overall
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):

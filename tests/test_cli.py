@@ -46,7 +46,7 @@ def assert_unwritable_is_usage_error(capsys, argv, path) -> None:
 @pytest.fixture
 def drift_at_d3(monkeypatch):
     """Make every gyni-to-dr translation at d=3 drift in value."""
-    from causalkit import duality
+    from causalkit import duality, games
     from causalkit.instruments import coarse_grain
 
     translate = duality.gyni_to_dr
@@ -54,7 +54,7 @@ def drift_at_d3(monkeypatch):
     def drifting(strategy):
         # Relabel the first party's outcomes at d=3 only: the value drifts.
         out = translate(strategy)
-        if duality.input_count(strategy) != 3:
+        if games.input_count(strategy) != 3:
             return out
         arm = out.parties[0]
         shifted = coarse_grain(arm.instruments[0], [1, 2, 0], 3)
@@ -180,6 +180,26 @@ class TestPpt:
             main(["ppt", "--process", "cyril", "--cut", "Z"])
         assert exc.value.code == 2
         assert "cut" in capsys.readouterr().err
+
+    def test_non_hermitian_dump_is_not_ppt(self, capsys, tmp_path):
+        cyril = build_cyril()
+        skewed = cyril.op.matrix.copy()
+        skewed[0, 1] += 0.1
+        path = tmp_path / "skewed.txt"
+        proc = dataclasses.replace(cyril, factors=LabeledOperator(cyril.op.wires, skewed))
+        path.write_text(dump_process(proc), encoding="utf-8")
+        code = main(["ppt", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out)
+        assert code == 1
+        assert payload["ppt"] is False
+        assert np.isnan(payload["min_eigenvalue"])
+        # validate reports the same file the same way.
+        code, payload = run_json(capsys, "validate", str(path))
+        assert code == 1
+        assert payload["psd_ok"] is False
+        assert np.isnan(payload["min_eig"])
 
 
 class TestGameCommands:

@@ -32,7 +32,6 @@ from causalkit.duality import (
 )
 from causalkit.games import (
     CYRIL_GYNI_VALUE,
-    bell_encoder,
     cyril_gyni_strategy,
     eval_dr,
     eval_gyni,
@@ -119,7 +118,7 @@ class TestNamedStrategies:
 
     def test_mapped_cyril_evaluates_directly(self):
         mapped = gyni_to_dr(cyril_gyni_strategy())
-        value = eval_dr(mapped, bell_encoder(2, mapped.state_wires), 2)
+        value = eval_dr(mapped)
         assert value == pytest.approx(CYRIL_GYNI_VALUE, abs=1e-9)
 
     def test_mapped_pauli_y_evaluates_directly(self):

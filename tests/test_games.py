@@ -21,7 +21,6 @@ from causalkit.games import (
     BellCode,
     GameStrategy,
     PartyArm,
-    bell_encoder,
     bell_state,
     bell_vector,
     behaviour,
@@ -31,14 +30,13 @@ from causalkit.games import (
     eval_dr,
     eval_gyni,
     gyni_terms,
-    joint_probability,
-    outcome_distribution,
     pauli_y_baseline_strategy,
     relay_gyni_strategy,
 )
+from causalkit.duality import check_duality
 from causalkit.instruments import Instrument
 from causalkit.processes import ProcessMatrix, PartySlot
-from causalkit.sampling import random_dr_strategy, random_gyni_strategy
+from causalkit.sampling import random_dr_strategy, random_gyni_strategy, random_instrument
 from causalkit.tensor import LabeledOperator, WireLabel, partial_trace, stack_operators
 
 SQRT2 = np.sqrt(2)
@@ -133,18 +131,18 @@ class TestMutualGuessing:
         assert eval_gyni(constant_output_gyni_strategy()) == pytest.approx(0.25, abs=1e-12)
 
     def test_normalization_per_input(self):
-        strategy = cyril_gyni_strategy()
+        table = behaviour(cyril_gyni_strategy())
         for i1, i2 in product(range(2), repeat=2):
-            dist = outcome_distribution(strategy, (i1, i2))
+            dist = table[i1, i2]
             assert dist.min() >= -1e-9
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_random_strategy_probabilities_in_range(self):
         rng = np.random.default_rng(61)
         for _ in range(5):
-            strategy = random_gyni_strategy(rng, 2)
+            table = behaviour(random_gyni_strategy(rng, 2))
             for i1, i2 in product(range(2), repeat=2):
-                dist = outcome_distribution(strategy, (i1, i2))
+                dist = table[i1, i2]
                 assert dist.min() >= -1e-9
                 assert dist.max() <= 1 + 1e-9
                 assert dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -166,7 +164,7 @@ class TestMutualGuessing:
 class TestRetrieval:
     def test_pauli_y_baseline_value(self):
         strategy = pauli_y_baseline_strategy()
-        value = eval_dr(strategy, bell_encoder(2, ("A", "B")), 2)
+        value = eval_dr(strategy)
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_pauli_y_outcome_table_frozen(self):
@@ -182,14 +180,14 @@ class TestRetrieval:
         for (x1, x2), support in expected_half.items():
             state = bell_state(BellCode(2, x1, x2), ("A", "B"))
             for a, b in product(range(2), repeat=2):
-                p = joint_probability(strategy, (0, 0), (a, b), state=state)
+                p = behaviour(strategy, state)[0, 0, a, b]
                 target = 0.5 if (a, b) in support else 0.0
                 assert p == pytest.approx(target, abs=1e-12)
             assert (x1, x2) in support  # the winning pair is always present
 
     def test_dr_terms_all_half(self):
         strategy = pauli_y_baseline_strategy()
-        terms = dr_terms(strategy, bell_encoder(2, ("A", "B")), 2)
+        terms = dr_terms(strategy)
         for p in terms.values():
             assert p == pytest.approx(0.5, abs=1e-12)
 
@@ -197,7 +195,7 @@ class TestRetrieval:
         strategy = pauli_y_baseline_strategy()
         for x1, x2 in product(range(2), repeat=2):
             state = bell_state(BellCode(2, x1, x2), ("A", "B"))
-            dist = outcome_distribution(strategy, (0, 0), state=state)
+            dist = behaviour(strategy, state)[0, 0]
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -225,15 +223,26 @@ class TestStructuralErrors:
     def test_wire_mismatch_rejected(self):
         strategy = pauli_y_baseline_strategy()
         with pytest.raises(ValueError):
-            joint_probability(strategy, (0, 0), (0, 0))  # code wires unfilled
+            behaviour(strategy)  # code wires unfilled
 
-    def test_input_out_of_range(self):
-        with pytest.raises(ValueError, match="input"):
-            joint_probability(cyril_gyni_strategy(), (2, 0), (0, 0))
+    def test_code_wire_dimensions_must_agree(self, monkeypatch):
+        from causalkit import games
 
-    def test_outcome_out_of_range(self):
-        with pytest.raises(ValueError, match="outcome"):
-            joint_probability(cyril_gyni_strategy(), (0, 0), (2, 0))
+        rng = np.random.default_rng(65)
+        arm_a = random_dr_strategy(rng, 2).parties[0]
+        # Party B reads a qutrit code wire against party A's qubit one.
+        wires = (WireLabel("B", 3), WireLabel("B_I", 2)), (WireLabel("B_O", 2),)
+        arm_b = PartyArm("B", (random_instrument(rng, *wires, 2),))
+        mixed = GameStrategy(random_dr_strategy(rng, 2).process, (arm_a, arm_b), "dr", ("A", "B"))
+
+        def contracted(*args):
+            raise AssertionError("contracted before the code wires were checked")
+
+        monkeypatch.setattr(games, "batched_trace", contracted)
+        with pytest.raises(ValueError, match="one dimension"):
+            eval_dr(mixed)
+        with pytest.raises(ValueError, match="one dimension"):
+            check_duality(mixed, "dr2gyni")
 
     def test_game_token_checked(self):
         with pytest.raises(ValueError, match="game"):
@@ -271,6 +280,23 @@ def _renamed_cyril_strategy() -> GameStrategy:
     return GameStrategy(proc, tuple(arms), "gyni")
 
 
+def _renamed_code_wires(strategy: GameStrategy, names: tuple[str, str]) -> GameStrategy:
+    """A retrieval strategy with its two code wires renamed."""
+    mapping = dict(zip(strategy.state_wires, names))
+
+    def rename(wires: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(mapping.get(n, n) for n in wires)
+
+    arms = []
+    for arm in strategy.parties:
+        (ins,) = arm.instruments
+        wires = tuple(WireLabel(mapping.get(w.name, w.name), w.dim) for w in ins.wires)
+        ops = tuple(LabeledOperator(wires, op.matrix) for op in ins.ops)
+        renamed = Instrument(ops, rename(ins.input_wires), rename(ins.output_wires))
+        arms.append(PartyArm(arm.name, (renamed,)))
+    return GameStrategy(strategy.process, tuple(arms), "dr", state_wires=names)
+
+
 class TestRelabelingInvariance:
     def test_renamed_wires_same_value(self):
         original = eval_gyni(cyril_gyni_strategy())
@@ -282,3 +308,13 @@ class TestRelabelingInvariance:
         b = gyni_terms(_renamed_cyril_strategy())
         for key in a:
             assert b[key] == pytest.approx(a[key], abs=1e-12)
+
+    def test_qutrit_retrieval_code_wires_renamed(self):
+        strategy = random_dr_strategy(np.random.default_rng(64), 3)
+        renamed = _renamed_code_wires(strategy, ("P", "Q"))
+        assert renamed.parties[1].instruments[0].wire("Q").dim == 3
+        a, b = dr_terms(strategy), dr_terms(renamed)
+        assert set(b) == set(product(range(3), repeat=2))
+        for key in a:
+            assert b[key] == pytest.approx(a[key], abs=1e-12)
+        assert eval_dr(renamed) == pytest.approx(eval_dr(strategy), abs=1e-12)

@@ -19,8 +19,9 @@ from causalkit.instruments import (
     stack_instruments,
     validate_instrument,
 )
-from causalkit.sampling import random_instrument
-from causalkit.tensor import LabeledOperator, OperatorStack, WireLabel
+from causalkit.duality import gyni_to_dr
+from causalkit.sampling import random_gyni_strategy, random_instrument
+from causalkit.tensor import KronSum, LabeledOperator, OperatorStack, WireLabel
 
 A_IN = WireLabel("A_I", 2)
 A_OUT = WireLabel("A_O", 2)
@@ -126,6 +127,19 @@ class TestValidation:
         ins = random_instrument(np.random.default_rng(4), *qutrits, 4)
         assert validate_instrument(ins).valid
         assert len(calls) == 4
+
+    def test_one_dense_stack_per_call(self, monkeypatch):
+        composite = gyni_to_dr(random_gyni_strategy(np.random.default_rng(6), 3)).parties[0].instruments[0]
+        reads = []
+        dense = KronSum.matrix.fget
+
+        def counted(self):
+            reads.append(self)
+            return dense(self)
+
+        monkeypatch.setattr(KronSum, "matrix", property(counted))
+        assert validate_instrument(composite).valid
+        assert len(reads) == 1
 
 
 class TestConjugation:
@@ -241,7 +255,7 @@ class TestComposition:
         assert merged.n_outcomes == 2
         assert validate_instrument(merged).valid
         np.testing.assert_allclose(
-            merged.total().matrix, ins.total().matrix, atol=1e-12
+            sum(op.matrix for op in merged.ops), sum(op.matrix for op in ins.ops), atol=1e-12
         )
 
 
@@ -306,7 +320,7 @@ class TestFactoredComposite:
         merged = coarse_grain(composite, [0, 1, 0], 2)
         assert merged.readout is composite.readout
         np.testing.assert_allclose(merged.ops[0].matrix, want[0] + want[2], atol=1e-12)
-        np.testing.assert_allclose(merged.total().matrix, sum(want), atol=1e-12)
+        np.testing.assert_allclose(sum(op.matrix for op in merged.ops), sum(want), atol=1e-12)
 
     def test_stack_shares_the_readout(self):
         a, _ = self._composite(2, "pad")

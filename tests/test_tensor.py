@@ -32,7 +32,6 @@ from causalkit.tensor import (
     partial_trace,
     partial_transpose,
     permute_wires,
-    product_trace,
     stack_operators,
 )
 from reference_maps import reference_replace
@@ -265,7 +264,7 @@ class TestProductTrace:
         rng = np.random.default_rng(21)
         s1, s2 = random_herm(rng, 2), random_herm(rng, 3)
         e1, e2 = random_herm(rng, 2), random_herm(rng, 3)
-        got = product_trace(
+        got = batched_trace(
             [op([A], s1), op([C], s2)], [op([A], e1), op([C], e2)]
         )
         want = np.trace(np.kron(s1, s2) @ np.kron(e1, e2))
@@ -276,13 +275,13 @@ class TestProductTrace:
         rng = np.random.default_rng(22)
         carrier = op([A, B], random_herm(rng, 4))
         ea, eb = random_herm(rng, 2), random_herm(rng, 2)
-        got = product_trace([carrier], [op([B], eb), op([A], ea)])
+        got = batched_trace([carrier], [op([B], eb), op([A], ea)])
         want = np.trace(carrier.matrix @ np.kron(ea, eb))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_wire_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            product_trace([op([A], SZ)], [op([B], SX)])
+            batched_trace([op([A], SZ)], [op([B], SX)])
 
     def test_batched_matches_entrywise(self):
         # Batch axes come out in argument order: carriers first, then effects.
@@ -296,7 +295,7 @@ class TestProductTrace:
         )
         assert got.shape == (2, 2, 3, 2)
         for i, j, k, m in np.ndindex(*got.shape):
-            want = product_trace([carriers[2 * i + j], other], [effects[2 * k + m], ident])
+            want = batched_trace([carriers[2 * i + j], other], [effects[2 * k + m], ident])
             assert got[i, j, k, m] == pytest.approx(want, abs=1e-12)
 
     def test_stack_aligns_wire_order(self):
