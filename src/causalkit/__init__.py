@@ -79,7 +79,6 @@ from .games import (
 from .duality import (
     QUBIT_READOUT_UNITARY,
     DualityCertificate,
-    DualityDrift,
     check_duality,
     controlled_shift,
     dr_to_gyni,

@@ -171,6 +171,7 @@ def cmd_ppt(args, parser, tol) -> int:
         "cut": args.cut,
         "ppt": ok,
         "min_eigenvalue": min_eig,
+        "hermiticity": tensor.hermiticity_defect(proc.op),
         "tolerance": tol,
     }
     return _emit(args, payload, 0 if ok else 1)
@@ -193,23 +194,18 @@ def cmd_game(args, parser, tol) -> int:
     return _emit(args, payload)
 
 
-def _certify(strategy: GameStrategy, direction: str, tol: float) -> duality.DualityCertificate:
-    """The duality certificate, kept when it fails so the check reads ``fail``."""
-    try:
-        return duality.check_duality(strategy, direction, tol)
-    except duality.DualityDrift as drift:
-        return drift.certificate
-
-
 def cmd_duality(args, parser, tol) -> int:
-    if args.dim < 2:
-        parser.error(f"--dim must be at least 2, got {args.dim}")
     gyni = args.direction == "gyni2dr"
     if args.seed is not None:
+        dim = 2 if args.dim is None else args.dim
+        if dim < 2:
+            parser.error(f"--dim must be at least 2, got {dim}")
         sample = sampling.random_gyni_strategy if gyni else sampling.random_dr_strategy
-        strategy = sample(np.random.default_rng(args.seed), args.dim)
-        source_name = f"random(seed={args.seed}, d={args.dim})"
+        strategy = sample(np.random.default_rng(args.seed), dim)
+        source_name = f"random(seed={args.seed}, d={dim})"
     else:
+        if args.dim is not None:
+            parser.error("--dim sets the dimension of a --seed strategy and needs --seed")
         registry = GYNI_STRATEGIES if gyni else DRB_STRATEGIES
         source_name = args.process or ("cyril" if gyni else "pauli-y")
         if source_name not in registry:
@@ -217,7 +213,7 @@ def cmd_duality(args, parser, tol) -> int:
                 f"unknown strategy {source_name!r} for {args.direction}; choose from {sorted(registry)}"
             )
         strategy = registry[source_name]()
-    cert = _certify(strategy, args.direction, tol)
+    cert = duality.check_duality(strategy, args.direction, tol)
     payload = dict(cert.to_dict(), strategy=source_name)
     if args.emit_certificate:
         _write(parser, args.emit_certificate, json.dumps(payload, indent=2) + "\n")
@@ -356,8 +352,8 @@ def _worst_round_trip(d: int, rounds: int, tol: float) -> float:
     for _ in range(rounds):
         worst = max(
             worst,
-            _certify(sampling.random_gyni_strategy(rng, d), "gyni2dr", tol).deviation,
-            _certify(sampling.random_dr_strategy(rng, d), "dr2gyni", tol).deviation,
+            duality.check_duality(sampling.random_gyni_strategy(rng, d), "gyni2dr", tol).deviation,
+            duality.check_duality(sampling.random_dr_strategy(rng, d), "dr2gyni", tol).deviation,
         )
     return worst
 
@@ -448,10 +444,12 @@ CLAIMS: tuple[Claim, ...] = (
           lambda tol: _near(games.eval_dr(DRB_STRATEGIES["cyril-dual"]()), CYRIL_GYNI_VALUE, tol)),
     Claim("duality-gyni2dr-cyril", "causalkit duality --direction gyni2dr --process cyril",
           "deviation <= {tol:g}", None,
-          lambda tol: _at_most(_certify(games.cyril_gyni_strategy(), "gyni2dr", tol).deviation, tol)),
+          lambda tol: _at_most(
+              duality.check_duality(games.cyril_gyni_strategy(), "gyni2dr", tol).deviation, tol)),
     Claim("duality-dr2gyni-pauli-y", "causalkit duality --direction dr2gyni --process pauli-y",
           "deviation <= {tol:g}", None,
-          lambda tol: _at_most(_certify(games.pauli_y_baseline_strategy(), "dr2gyni", tol).deviation, tol)),
+          lambda tol: _at_most(
+              duality.check_duality(games.pauli_y_baseline_strategy(), "dr2gyni", tol).deviation, tol)),
     Claim("duality-random-d2", f"causalkit duality --direction gyni2dr --seed {MANIFEST_SEED + 2} --dim 2",
           "max deviation <= {tol:g} over 6 seeded round trips", None,
           lambda tol: _at_most(_worst_round_trip(2, 3, tol), tol)),
@@ -540,9 +538,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("duality", cmd_duality, "translate a strategy between the games and certify the value")
     p.add_argument("--direction", required=True, choices=["gyni2dr", "dr2gyni"])
-    p.add_argument("--process", help="built-in strategy name for the source game")
-    p.add_argument("--seed", type=int, help="use a seeded random strategy instead")
-    p.add_argument("--dim", type=int, default=2, help="local dimension for --seed (default 2)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--process", help="built-in strategy name for the source game")
+    source.add_argument("--seed", type=int, help="use a seeded random strategy instead")
+    p.add_argument("--dim", type=int, help="local dimension for --seed (default 2)")
     p.add_argument("--emit-certificate", metavar="PATH", help="write the certificate JSON here")
 
     p = command("classical", cmd_classical, "exact classical tripartite values")

@@ -11,12 +11,14 @@ to select the original instrument and the other to one-time-pad the answer.
 The readout unitaries are built so the four measured symbols satisfy the
 mod-d sum rules  u + v = x2  and  u' + v' = x1  with probability one; the
 correlation check below is the arbiter for any convention question.
+
+:func:`check_duality` runs one translation and returns its certificate, which
+carries the verdict: a drifted value is a certificate with ``ok`` false.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .games import (
     _code_dim,
     _gyni_dim,
     bell_state,
+    coded_pairs,
     eval_dr,
     eval_gyni,
 )
@@ -36,7 +39,7 @@ from .instruments import (
     extend_instrument_with_measurement,
 )
 from .processes import extend_with_state
-from .tensor import DEFAULT_TOL, WireLabel, batched_trace, stack_operators
+from .tensor import DEFAULT_TOL, WireLabel, batched_trace
 
 DIRECTION_TOKENS = ("gyni2dr", "dr2gyni")
 
@@ -115,10 +118,7 @@ def readout_correlation_residual(d: int) -> float:
     x and projectors by (u, u') and (v, v').
     """
     v_a, v_b = party_readout_unitaries(d)
-    codes = stack_operators(
-        [bell_state(BellCode(d, x1, x2), ("A", "B")) for x1, x2 in product(range(d), repeat=2)],
-        (d * d,),
-    )
+    codes = coded_pairs(d, ("A", "B"))
     aux = bell_state(BellCode(d, 0, 0), ("A'", "B'"))
     proj_a = _readout_projectors(v_a, (WireLabel("A", d), WireLabel("A'", d)))
     proj_b = _readout_projectors(v_b, (WireLabel("B", d), WireLabel("B'", d)))
@@ -159,24 +159,13 @@ class DualityCertificate:
         }
 
 
-class DualityDrift(ValueError):
-    """A translation whose value left the source value by more than the tolerance."""
-
-    def __init__(self, certificate: DualityCertificate) -> None:
-        self.certificate = certificate
-        super().__init__(
-            f"duality violated: |{certificate.source_value:.12f} - {certificate.target_value:.12f}|"
-            f" = {certificate.deviation:.3e} > {certificate.tolerance:.1e}"
-        )
-
-
 def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     """Rebuild a mutual-guessing strategy as a retrieval strategy of equal value.
 
     The returned strategy carries fresh code wires ("A", "B"); its process is
-    the original one extended with a zero-code pair on ("A'", "B'"). Party
-    one selects its inner instrument with the first measured symbol and pads
-    its answer with the second; party two mirrors this.
+    the original one extended with a zero-code pair on ("A'", "B'"). Party i
+    (0 or 1) measures (code wire, fresh wire), selects its inner instrument
+    with measured symbol i and pads its answer with the other symbol.
     """
     d = _gyni_dim(strategy)
     taken = set(strategy.process.names)
@@ -188,32 +177,13 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     extended = extend_with_state(
         strategy.process, aux, assign={"A'": pa.name, "B'": pb.name}
     )
-    v_a, v_b = party_readout_unitaries(d)
-    alice = extend_instrument_with_measurement(
-        strategy.parties[0].instruments,
-        v_a,
-        (WireLabel("A", d), WireLabel("A'", d)),
-        selector=0,
-        postprocess=lambda m, inner: (inner + m[1]) % d,
-        n_outcomes=d,
-    )
-    bob = extend_instrument_with_measurement(
-        strategy.parties[1].instruments,
-        v_b,
-        (WireLabel("B", d), WireLabel("B'", d)),
-        selector=1,
-        postprocess=lambda m, inner: (inner + m[0]) % d,
-        n_outcomes=d,
-    )
-    return GameStrategy(
-        extended,
-        (
-            PartyArm(strategy.parties[0].name, (alice,)),
-            PartyArm(strategy.parties[1].name, (bob,)),
-        ),
-        "dr",
-        state_wires=("A", "B"),
-    )
+    readouts = party_readout_unitaries(d)
+    arms = []
+    for selector, (arm, code) in enumerate(zip(strategy.parties, ("A", "B"))):
+        wires = (WireLabel(code, d), WireLabel(f"{code}'", d))
+        ins = extend_instrument_with_measurement(arm.instruments, readouts[selector], wires, selector)
+        arms.append(PartyArm(arm.name, (ins,)))
+    return GameStrategy(extended, tuple(arms), "dr", state_wires=("A", "B"))
 
 
 def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
@@ -256,9 +226,9 @@ def check_duality(
 ) -> DualityCertificate:
     """Run the requested translation and certify value preservation.
 
-    Raises :class:`DualityDrift`, a ValueError carrying the certificate, when
-    the translated value drifts beyond ``tol``; a drift here means a
-    conventions bug, not a numerical hiccup.
+    The certificate carries the verdict: it is returned whether or not the
+    translated value stays within ``tol`` (:attr:`DualityCertificate.ok`). A
+    drift means a conventions bug, not a numerical hiccup.
     """
     if direction not in DIRECTION_TOKENS:
         raise ValueError(f"direction must be one of {DIRECTION_TOKENS}")
@@ -268,7 +238,4 @@ def check_duality(
     else:
         d = _code_dim(strategy)
         source, target = eval_dr(strategy), eval_gyni(dr_to_gyni(strategy))
-    cert = DualityCertificate(direction, d, source, target, tol)
-    if not cert.ok:
-        raise DualityDrift(cert)
-    return cert
+    return DualityCertificate(direction, d, source, target, tol)

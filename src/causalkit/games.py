@@ -30,7 +30,7 @@ from .instruments import (
     stack_instruments,
 )
 from .processes import ProcessMatrix, build_cyril, channel_process, maximally_mixed_process
-from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel, batched_trace, stack_operators
+from .tensor import DEFAULT_TOL, LabeledOperator, OperatorStack, WireLabel, batched_trace, stack_operators
 
 GAME_TOKENS = ("gyni", "dr")
 
@@ -179,15 +179,20 @@ def eval_gyni(strategy: GameStrategy) -> float:
     return float(sum(terms.values()) / len(terms))
 
 
+def coded_pairs(d: int, wire_names: tuple[str, str]) -> OperatorStack:
+    """The d^2 coded pairs on two wires, stacked by code x = (x1, x2), x1 major."""
+    codes = product(range(d), repeat=2)
+    return stack_operators([bell_state(BellCode(d, x1, x2), wire_names) for x1, x2 in codes], (d * d,))
+
+
 def dr_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
     """Per-code success probabilities P(a = x1, b = x2 | code x).
 
     The referee hides x in the d^2 coded pairs on the strategy's code wires.
     """
     d = _code_dim(strategy)
-    codes = list(product(range(d), repeat=2))
-    pairs = [bell_state(BellCode(d, x1, x2), strategy.state_wires) for x1, x2 in codes]
-    table = behaviour(strategy, stack_operators(pairs, (len(codes),)))
+    table = behaviour(strategy, coded_pairs(d, strategy.state_wires))
+    codes = product(range(d), repeat=2)
     return {(x1, x2): float(table[k, 0, 0, x1, x2]) for k, (x1, x2) in enumerate(codes)}
 
 

@@ -25,8 +25,7 @@ are built only when read, e.g. by :func:`validate_instrument`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -259,21 +258,20 @@ def extend_instrument_with_measurement(
     pre_unitary: np.ndarray,
     measured_wires: tuple[WireLabel, WireLabel],
     selector: int,
-    postprocess: Callable[[tuple[int, int], int], int],
-    n_outcomes: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> Instrument:
-    """Compose: rotate two ancilla wires, read them out, run a selected inner
-    instrument, and relabel the outcome.
+    """Compose: rotate two ancilla wires, read them out, run the inner
+    instrument picked by one symbol, and pad its outcome with the other.
+
+    Outcome k of member ``m[selector]`` becomes (k + m[1 - selector]) mod d,
+    with d the dimension of the padding wire ``measured_wires[1 - selector]``.
 
     :param family: inner instruments, indexed by the selected measured symbol;
-        all must be valid and share wires
+        all must be valid, share wires and have d outcomes
     :param pre_unitary: applied to the two measured wires before the
         computational-basis readout (effective projectors U†|m1 m2><m1 m2|U)
     :param measured_wires: the two fresh wires being measured
     :param selector: 0 or 1, which measured symbol picks the family member
-    :param postprocess: maps ((m1, m2), inner outcome) to the final outcome
-    :param n_outcomes: size of the final outcome set; inferred when omitted
     :return: instrument on (measured wires..., inner wires...) whose input
         side gains the measured wires
     """
@@ -283,37 +281,26 @@ def extend_instrument_with_measurement(
     if not family:
         raise ValueError("need at least one inner instrument")
     w1, w2 = measured_wires
-    sel_dim = (w1, w2)[selector].dim
+    sel_dim, d = (w1.dim, w2.dim)[selector], (w1.dim, w2.dim)[1 - selector]
     if len(family) != sel_dim:
         raise ValueError(
             f"family size {len(family)} must match the selector wire dimension {sel_dim}"
         )
     base = family[0]
     for k, ins in enumerate(family):
+        if ins.n_outcomes != d:
+            raise ValueError(f"inner instrument {k} needs {d} outcomes, one per padding symbol")
         _require_valid(ins, tol, f"inner instrument {k}")
         if ins.wires != base.wires:
             raise ValueError("inner instruments must share identical wires")
-    dim = w1.dim * w2.dim
-    u = _unitary(pre_unitary, dim, tol, "pre-measurement matrix")
+    u = _unitary(pre_unitary, w1.dim * w2.dim, tol, "pre-measurement matrix")
 
     # Branch a is sum_m R[m] (x) S[a, m]: R[m] = U^dag |m><m| U reads out m =
-    # (m1, m2), and S[a, m] sums the selected inner branches relabelled to a.
-    symbols = list(product(range(w1.dim), range(w2.dim)))
-    finals = [
-        [postprocess(m, k) for k in range(family[m[selector]].n_outcomes)] for m in symbols
-    ]
-    if min(min(row) for row in finals) < 0:
-        raise ValueError("postprocess produced a negative outcome")
-    top = max(max(row) for row in finals)
-    count = n_outcomes if n_outcomes is not None else top + 1
-    if top >= count:
-        raise ValueError("postprocess outcome exceeds the declared outcome count")
-    inner = [ins.ops for ins in family]
-    side = OperatorStack.total_dim_of(base.wires)
-    branches = np.zeros((count, dim, side, side), dtype=complex)
-    for m, row in enumerate(finals):
-        for k, final in enumerate(row):
-            branches[final, m] += inner[symbols[m][selector]][k].matrix
+    # (m1, m2), and S[a, m] is branch (a - m[1 - selector]) mod d of member m[selector].
+    symbols = np.divmod(np.arange(w1.dim * w2.dim), w2.dim)
+    chosen, other = symbols[selector], symbols[1 - selector]
+    inner = np.stack([ins.terms.matrix for ins in family])
+    branches = inner[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
     return Instrument(
         OperatorStack(base.wires, branches),
         (w1.name, w2.name) + base.input_wires,

@@ -9,17 +9,16 @@ direct contraction, P = Tr[W (M_A (x) M_B)], so validity is:
 * the reduced-and-replaced combinations below hold, writing
   R_X W = Tr_X(W) (x) I_X / d_X (:func:`causalkit.tensor.add_replaced`):
 
-  1. R over every wire equals (Tr W / D) I      ("uniform blanket")
-  2. R_{A_I A_O} W = R_{A_I A_O B_O} W          ("no signaling to B's past")
-  3. R_{B_I B_O} W = R_{B_I B_O A_O} W          ("no signaling to A's past")
-  4. W + R_{A_O B_O} W = R_{A_O} W + R_{B_O} W  ("affine closure")
+  1. R_{A_I A_O} W = R_{A_I A_O B_O} W          ("no signaling to B's past")
+  2. R_{B_I B_O} W = R_{B_I B_O A_O} W          ("no signaling to A's past")
+  3. W + R_{A_O B_O} W = R_{A_O} W + R_{B_O} W  ("affine closure")
 
-These four are equivalent to the usual projective characterization; each is
-reported with its max-abs residual so a failure names the violated condition.
+With the normalization these are equivalent to the usual projective
+characterization; each is reported with its max-abs residual so a failure
+names the violated condition.
 
 Each residual is taken on the smallest tensor that determines it; none forms
-a kron or permutes wires. The uniform blanket is |Tr W - D_out| / D, as both
-sides are multiples of I. Conditions 2, 3 and the second condition of a fixed
+a kron or permutes wires. Conditions 1, 2 and the second condition of a fixed
 order compare R_X W with R_{X+o} W = R_X R_o W. Their difference,
 (Tr_X W - R_o Tr_X W) (x) I_X / d_X, only repeats the entries of the reduced
 operator Tr_X W, so the residual is taken there and divided by d_X. The rest
@@ -193,7 +192,7 @@ def _require_bipartite(proc: ProcessMatrix) -> tuple[PartySlot, PartySlot]:
 
 
 def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Check positivity, normalization, and the four reduction constraints.
+    """Check positivity, normalization, and the three reduction constraints.
 
     Structural problems (wrong party count, missing wires) raise before any
     numerics run; numerical violations land in the report instead.
@@ -213,7 +212,6 @@ def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityR
         hermiticity=herm,
         constraint_residuals=(
             ("normalization", trace_resid),
-            ("uniform blanket", trace_resid / w.total_dim),
             (f"no signaling to {pb.name}'s past", _flat_once_traced(w, {pa.input_wire, ao}, bo)),
             (f"no signaling to {pa.name}'s past", _flat_once_traced(w, {pb.input_wire, bo}, ao)),
             ("affine closure", _residual(w, (-1.0, {ao}), (-1.0, {bo}), (1.0, {ao, bo}))),

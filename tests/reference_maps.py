@@ -40,12 +40,10 @@ def reference_residuals(proc) -> dict[str, dict[str, float]]:
     def gap(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.max(np.abs(x - y)))
 
-    blanket = proc.output_dim / w.shape[0] * np.eye(w.shape[0])
     ai, ao, bi, bo = a.input_wire, a.output_wire, b.input_wire, b.output_wire
     return {
         "validity": {
             "normalization": abs(np.trace(w) - proc.output_dim),
-            "uniform blanket": gap(r(*names), blanket),
             f"no signaling to {b.name}'s past": gap(r(ai, ao), r(ai, ao, bo)),
             f"no signaling to {a.name}'s past": gap(r(bi, bo), r(bi, bo, ao)),
             "affine closure": gap(w + r(ao, bo), r(ao) + r(bo)),

@@ -43,28 +43,6 @@ def assert_unwritable_is_usage_error(capsys, argv, path) -> None:
     assert not path.exists()
 
 
-@pytest.fixture
-def drift_at_d3(monkeypatch):
-    """Make every gyni-to-dr translation at d=3 drift in value."""
-    from causalkit import duality, games
-    from causalkit.instruments import coarse_grain
-
-    translate = duality.gyni_to_dr
-
-    def drifting(strategy):
-        # Relabel the first party's outcomes at d=3 only: the value drifts.
-        out = translate(strategy)
-        if games.input_count(strategy) != 3:
-            return out
-        arm = out.parties[0]
-        shifted = coarse_grain(arm.instruments[0], [1, 2, 0], 3)
-        return dataclasses.replace(
-            out, parties=(dataclasses.replace(arm, instruments=(shifted,)), out.parties[1])
-        )
-
-    monkeypatch.setattr(duality, "gyni_to_dr", drifting)
-
-
 class TestValidate:
     def test_builtin_valid_process(self, capsys):
         code, payload = run_json(capsys, "validate", "--process", "cyril")
@@ -73,7 +51,6 @@ class TestValidate:
         assert payload["psd_ok"] is True
         assert set(payload["residuals"]) == {
             "normalization",
-            "uniform blanket",
             "no signaling to B's past",
             "no signaling to A's past",
             "affine closure",
@@ -195,6 +172,7 @@ class TestPpt:
         assert code == 1
         assert payload["ppt"] is False
         assert np.isnan(payload["min_eigenvalue"])
+        assert payload["hermiticity"] == pytest.approx(0.1, abs=1e-12)
         # validate reports the same file the same way.
         code, payload = run_json(capsys, "validate", str(path))
         assert code == 1
@@ -281,6 +259,19 @@ class TestDuality:
         assert payload["d"] == 3
         assert payload["deviation"] > payload["tolerance"]
         assert payload["strategy"] == f"random(seed={MANIFEST_SEED + 3}, d=3)"
+
+    def test_dim_without_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["duality", "--direction", "gyni2dr", "--process", "cyril", "--dim", "3"])
+        assert exc.value.code == 2
+        assert "--dim" in capsys.readouterr().err
+
+    def test_process_with_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["duality", "--direction", "gyni2dr", "--process", "cyril", "--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--process" in err
 
     def test_dim_below_two_is_usage_error(self, capsys):
         for dim in ("1", "0"):

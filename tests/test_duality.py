@@ -194,6 +194,13 @@ class TestCertificate:
             "status",
         }
 
+    def test_drift_is_returned_not_raised(self, drift_at_d3):
+        strategy = random_gyni_strategy(np.random.default_rng(31), 3)
+        cert = check_duality(strategy, "gyni2dr")
+        assert not cert.ok
+        assert cert.deviation > cert.tolerance
+        assert cert.to_dict()["status"] == "fail"
+
     def test_failed_certificate_reports(self):
         cert = DualityCertificate("gyni2dr", 2, 0.5, 0.4, 1e-9)
         assert not cert.ok

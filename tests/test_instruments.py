@@ -205,8 +205,6 @@ class TestComposition:
             u,
             (WireLabel("A", 2), WireLabel("A'", 2)),
             selector=0,
-            postprocess=lambda m, k: (k + m[1]) % 2,
-            n_outcomes=2,
         )
         assert composite.input_wires == ("A", "A'", "A_I")
         assert composite.output_wires == ("A_O",)
@@ -225,7 +223,6 @@ class TestComposition:
                 np.eye(4),
                 (WireLabel("A", 2), WireLabel("A'", 2)),
                 selector=0,
-                postprocess=lambda m, k: k,
             )
 
     def test_family_size_must_match_selector_dim(self):
@@ -235,7 +232,6 @@ class TestComposition:
                 np.eye(4),
                 (WireLabel("A", 2), WireLabel("A'", 2)),
                 selector=0,
-                postprocess=lambda m, k: k,
             )
 
     def test_stack_by_member_and_outcome(self):
@@ -259,26 +255,29 @@ class TestComposition:
         )
 
 
-def _kron_composite(family, u, measured, selector, postprocess, count):
-    """The composite as dense blocks: sum over (m, k) of kron(U^dag|m><m|U, inner op)."""
+def _kron_composite(family, u, measured, selector):
+    """The composite as dense blocks: inner outcome k under readout m adds
+    kron(U^dag|m><m|U, inner op) to outcome (k + m[1 - selector]) mod d."""
     w1, w2 = measured
+    d = measured[1 - selector].dim
     side = family[0].ops[0].total_dim
-    out = [np.zeros((w1.dim * w2.dim * side,) * 2, dtype=complex) for _ in range(count)]
-    for m1, m2 in product(range(w1.dim), range(w2.dim)):
-        row = u[m1 * w2.dim + m2]
+    out = [np.zeros((w1.dim * w2.dim * side,) * 2, dtype=complex) for _ in range(d)]
+    for m in product(range(w1.dim), range(w2.dim)):
+        row = u[m[0] * w2.dim + m[1]]
         proj = np.outer(row.conj(), row)
-        for k, op in enumerate(family[(m1, m2)[selector]].ops):
-            out[postprocess((m1, m2), k)] += np.kron(proj, op.matrix)
+        for k, op in enumerate(family[m[selector]].ops):
+            out[(k + m[1 - selector]) % d] += np.kron(proj, op.matrix)
     return out
 
 
 class TestFactoredComposite:
-    POSTPROCESS = {
-        "pad": lambda d: ((lambda m, k: (k + m[1]) % d), d),
-        # Several (m, k) land on each of two outcomes.
-        "merge": lambda d: ((lambda m, k: (m[0] + m[1] + k) % 2), 2),
+    # The composer only pads; merged and empty outcomes come from coarse
+    # graining the padded composite, as (grouping, outcome count).
+    GROUPING = {
+        # Several padded outcomes land on each of two outcomes.
+        "merge": lambda d: ([k % 2 for k in range(d)], 2),
         # Outcome d - 1 is never produced.
-        "empty": lambda d: ((lambda m, k: k % (d - 1)), d),
+        "empty": lambda d: ([k % (d - 1) for k in range(d)], d),
     }
 
     def _composite(self, d, kind, selector=0, seed=0):
@@ -288,11 +287,15 @@ class TestFactoredComposite:
         g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         u, _ = np.linalg.qr(g)
         measured = (WireLabel("A", d), WireLabel("A'", d))
-        postprocess, count = self.POSTPROCESS[kind](d)
-        composite = extend_instrument_with_measurement(
-            family, u, measured, selector, postprocess, n_outcomes=count
-        )
-        return composite, _kron_composite(family, u, measured, selector, postprocess, count)
+        composite = extend_instrument_with_measurement(family, u, measured, selector)
+        want = _kron_composite(family, u, measured, selector)
+        if kind == "pad":
+            return composite, want
+        grouping, count = self.GROUPING[kind](d)
+        merged = [np.zeros_like(want[0]) for _ in range(count)]
+        for block, a in zip(want, grouping):
+            merged[a] += block
+        return coarse_grain(composite, grouping, count), merged
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", ["pad", "merge", "empty"])
@@ -314,6 +317,14 @@ class TestFactoredComposite:
         report = validate_instrument(composite)
         assert report.valid
         assert report.tp_residual <= 1e-12
+
+    def test_outcome_count_must_match_padding_wire(self):
+        rng = np.random.default_rng(517)
+        w_in, w_out = WireLabel("A_I", 3), WireLabel("A_O", 3)
+        family = [random_instrument(rng, (w_in,), (w_out,), 2) for _ in range(3)]
+        measured = (WireLabel("A", 3), WireLabel("A'", 3))
+        with pytest.raises(ValueError, match="needs 3 outcomes"):
+            extend_instrument_with_measurement(family, np.eye(9), measured, 0)
 
     def test_coarse_graining_stays_factored(self):
         composite, want = self._composite(3, "pad")
