@@ -91,7 +91,6 @@ from .duality import (
 )
 from .classical import (
     ClassicalProcess3,
-    TDRInput,
     e_bw,
     ebw_process,
     ftdr_accounting,

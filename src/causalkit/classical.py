@@ -37,22 +37,6 @@ def _check_bits(bits: Bits, n: int, what: str) -> Bits:
     return bits
 
 
-@dataclass(frozen=True)
-class TDRInput:
-    """Six hidden bits: (x1, x1', x2, x2', x3, x3')."""
-
-    bits: Bits
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _check_bits(self.bits, 6, "input"))
-
-    def pair(self, k: int) -> tuple[int, int]:
-        """Hidden string of pair k (1-based)."""
-        if k not in (1, 2, 3):
-            raise ValueError("pair index must be 1, 2, or 3")
-        return self.bits[2 * (k - 1)], self.bits[2 * k - 1]
-
-
 def _wins(g0, g, gp, y, yp):
     """The win rule on ints or bit arrays: guess (g0, g, gp), hidden (y, yp)."""
     return (g0 == 1) == ((g == y) & (gp == yp))

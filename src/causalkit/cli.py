@@ -524,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help_text, *parents, **defaults) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, parents=[*parents, json_flag])
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(func=func, parser=p, **defaults)
         return p
 
     command("validate", cmd_validate, "check process validity constraints", process_arg)
@@ -552,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump", help="print a built-in object in the dump format")
     p.add_argument("--object", required=True, help="cyril | bell:x1,x2[,d] | readout-unitary[:d[:party]]")
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_dump)
+    p.set_defaults(func=cmd_dump, parser=p)
 
     command("manifest", cmd_manifest, "recompute and check every headline claim")
     return parser
@@ -568,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"CAUSALKIT_TOL must be a float, got {tol_env!r}")
     if not (np.isfinite(tol) and tol > 0):
         parser.error(f"CAUSALKIT_TOL must be finite and positive, got {tol_env!r}")
-    return args.func(args, parser, tol)
+    return args.func(args, args.parser, tol)
 
 
 if __name__ == "__main__":

@@ -183,7 +183,7 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
         wires = (WireLabel(code, d), WireLabel(f"{code}'", d))
         ins = extend_instrument_with_measurement(arm.instruments, readouts[selector], wires, selector)
         arms.append(PartyArm(arm.name, (ins,)))
-    return GameStrategy(extended, tuple(arms), "dr", state_wires=("A", "B"))
+    return GameStrategy(extended, tuple(arms), state_wires=("A", "B"))
 
 
 def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
@@ -207,18 +207,14 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
     z_inv = pauli_zd(d).conj().T
     x_inv = pauli_xd(d).conj().T
     alice = tuple(
-        conjugate_instrument(ins_a, np.linalg.matrix_power(z_inv, i1), sa)
+        conjugate_instrument(ins_a, np.linalg.matrix_power(z_inv, i1), (sa,))
         for i1 in range(d)
     )
     bob = tuple(
-        conjugate_instrument(ins_b, np.linalg.matrix_power(x_inv, i2), sb)
+        conjugate_instrument(ins_b, np.linalg.matrix_power(x_inv, i2), (sb,))
         for i2 in range(d)
     )
-    return GameStrategy(
-        extended,
-        (PartyArm(arm_a.name, alice), PartyArm(arm_b.name, bob)),
-        "gyni",
-    )
+    return GameStrategy(extended, (PartyArm(arm_a.name, alice), PartyArm(arm_b.name, bob)))
 
 
 def check_duality(

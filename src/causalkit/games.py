@@ -1,19 +1,20 @@
 """Two retrieval games played across a process matrix.
 
-*Mutual input guessing* (``"gyni"``): each party draws a uniform classical
-input, conditions its instrument on it, and must output the other party's
-input. *State retrieval* (``"dr"``): the referee appends a two-wire code
-state to the process; each party holds one code wire and must output one of
-the two classical symbols hidden in the code (first party the shift symbol,
-second the phase symbol).
+*Mutual input guessing*: each party draws a uniform classical input,
+conditions its instrument on it, and must output the other party's input.
+*State retrieval*: the referee appends a two-wire code state to the process;
+each party holds one code wire and must output one of the two classical
+symbols hidden in the code (first party the shift symbol, second the phase
+symbol). A :class:`GameStrategy` names its code wires in ``state_wires``,
+which only a retrieval strategy has, so that is what tells the games apart.
 
 All probabilities of a game come from one factored contraction of
 ``Tr[(W (x) state) (M_A (x) M_B)]`` over every input, outcome and code
 (:func:`behaviour`), evaluated wire-by-wire so no joint kron is ever formed;
 the other evaluators are index views of that table. The process enters as
-its factors and each party's instruments as their readout and branch stacks,
-whose shared term index the contraction sums, so neither the dense process
-nor a dense composite instrument is built.
+its factors and each party's instruments as the parts of their
+:class:`~causalkit.tensor.KronSum`, whose shared term index the contraction
+sums, so neither the dense process nor a dense composite instrument is built.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .instruments import (
 )
 from .processes import ProcessMatrix, build_cyril, channel_process, maximally_mixed_process
 from .tensor import DEFAULT_TOL, LabeledOperator, OperatorStack, WireLabel, batched_trace, stack_operators
-
-GAME_TOKENS = ("gyni", "dr")
 
 # Closed-form reference values (qubit wires unless stated otherwise).
 CYRIL_GYNI_VALUE = (5 / 16) * (1 + 1 / np.sqrt(2))
@@ -93,14 +92,14 @@ class PartyArm:
 
 @dataclass(frozen=True)
 class GameStrategy:
+    """A process and one arm per party; ``state_wires`` names the code wires
+    of a retrieval strategy and is empty for a mutual-guessing one."""
+
     process: ProcessMatrix
     parties: tuple[PartyArm, ...]
-    game: str
     state_wires: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.game not in GAME_TOKENS:
-            raise ValueError(f"game must be one of {GAME_TOKENS}")
         if len(self.parties) != len(self.process.parties):
             raise ValueError("strategy must equip every process party")
         object.__setattr__(self, "parties", tuple(self.parties))
@@ -116,9 +115,9 @@ def input_count(strategy: GameStrategy) -> int:
 
 
 def _gyni_dim(strategy: GameStrategy) -> int:
-    """d of a mutual-guessing strategy: d inputs of d outcomes per party."""
-    if strategy.game != "gyni":
-        raise ValueError("strategy is not for the mutual-guessing game")
+    """d of a mutual-guessing strategy: no code wires, d inputs of d outcomes per party."""
+    if strategy.state_wires:
+        raise ValueError("strategy has code wires, so it is for the retrieval game")
     d = input_count(strategy)
     if any(ins.n_outcomes != d for arm in strategy.parties for ins in arm.instruments):
         raise ValueError("guessing strategies need d instruments of d outcomes per party")
@@ -131,8 +130,6 @@ def _code_dim(strategy: GameStrategy) -> int:
     The strategy needs two code wires of that dimension, no classical input,
     and d outcomes per party.
     """
-    if strategy.game != "dr":
-        raise ValueError("strategy is not for the retrieval game")
     if len(strategy.state_wires) != 2:
         raise ValueError("retrieval strategies carry exactly two code wires")
     if input_count(strategy) != 1:
@@ -234,7 +231,7 @@ def _forward_or_resend(flip: bool) -> GameStrategy:
         forward = identity_channel_instrument(w_in, w_out, forced_outcome=1, n_outcomes=2)
         resend = measure_prepare_instrument([e0, e1], [e1, e0] if flip else [e0, e1], w_in, w_out)
         arms.append(PartyArm(name, (forward, resend)))
-    return GameStrategy(build_cyril(), tuple(arms), "gyni")
+    return GameStrategy(build_cyril(), tuple(arms))
 
 
 def constant_output_gyni_strategy() -> GameStrategy:
@@ -246,7 +243,7 @@ def constant_output_gyni_strategy() -> GameStrategy:
         zero = LabeledOperator((w_in, w_out), np.zeros((4, 4), dtype=complex))
         ins = Instrument((cj, zero), (w_in.name,), (w_out.name,))
         arms.append(PartyArm(name, (ins, ins)))
-    return GameStrategy(maximally_mixed_process(2), tuple(arms), "gyni")
+    return GameStrategy(maximally_mixed_process(2), tuple(arms))
 
 
 def relay_gyni_strategy() -> GameStrategy:
@@ -263,7 +260,7 @@ def relay_gyni_strategy() -> GameStrategy:
     bob = PartyArm("B", (read, read))
     identity_choi = 2 * bell_state(BellCode(2, 0, 0), ("A_O", "B_I")).matrix
     process = channel_process(np.diag([1.0, 0.0]), identity_choi, "A<B")
-    return GameStrategy(process, (PartyArm("A", tuple(alice)), bob), "gyni")
+    return GameStrategy(process, (PartyArm("A", tuple(alice)), bob))
 
 
 def pauli_y_baseline_strategy() -> GameStrategy:
@@ -285,4 +282,4 @@ def pauli_y_baseline_strategy() -> GameStrategy:
         ops = tuple(LabeledOperator(wires, np.kron(proj, keep_prep0)) for proj in projs)
         ins = Instrument(ops, (code_wire.name, w_in.name), (w_out.name,))
         arms.append(PartyArm(name, (ins,)))
-    return GameStrategy(maximally_mixed_process(2), tuple(arms), "dr", state_wires=("A", "B"))
+    return GameStrategy(maximally_mixed_process(2), tuple(arms), state_wires=("A", "B"))

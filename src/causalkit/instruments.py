@@ -12,14 +12,16 @@ instrument reads (ancillary state wires first, then the lab input wire) and
 ``output_wires`` what it emits. Completeness is the Choi trace-preservation
 condition Tr_out(sum_k M_k) = I_in.
 
-Instruments are stored as factors. Branch k is sum_m R[m] (x) S[k, m], with
-a readout stack R on some wires and a branch stack S on the rest; a plain
-instrument has no readout and one term. Reading out two ancilla wires before
-a selected inner instrument (:func:`extend_instrument_with_measurement`)
-therefore costs one small (outcome, readout) gather instead of a dense block
-of side d^2 D per branch, and game contractions take R and S as they are
-(:func:`stack_instruments`). The dense operators, :attr:`Instrument.ops`,
-are built only when read, e.g. by :func:`validate_instrument`.
+Instruments are stored as factors, in one :class:`KronSum` stacked by
+outcome. A plain instrument is its one part, with one term. The composite
+that reads out two ancilla wires before a selected inner instrument
+(:func:`extend_instrument_with_measurement`) has two parts: branch k is
+sum_m R[m] (x) S[k, m], a readout stack R by term m and a branch stack S by
+(outcome k, term m). It therefore costs one small (outcome, readout) gather
+instead of a dense block of side d^2 D per branch, and game contractions
+take the parts as they are (:func:`stack_instruments`). The dense operators,
+:attr:`Instrument.ops`, are built only when read, e.g. by
+:func:`validate_instrument`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .tensor import (
     hermiticity_defect,
     min_eigenvalue,
     partial_trace,
-    permute_wires,
+    stack_operators,
 )
 
 
@@ -48,50 +50,38 @@ from .tensor import (
 class Instrument:
     """CJ operators per outcome, kept as factors, plus the wire-role split.
 
-    Branch k is sum_m kron(readout[m], branches[k, m]): ``readout`` stacks
-    operators on the readout wires by term m, and ``branches`` stacks
-    operators on the remaining wires by (outcome k, term m). A plain
-    instrument is the one-term case, with no readout wires and m of length 1;
-    it is built as ``Instrument(ops, input_wires, output_wires)`` from one
+    Branch k is sum_m kron(terms.parts[0][m], ..., terms.parts[-1][k, m]):
+    the last part is stacked by (outcome k, term m), every earlier part by
+    the term m alone. A plain instrument is the one-part, one-term case; it
+    is built as ``Instrument(ops, input_wires, output_wires)`` from one
     :class:`LabeledOperator` per outcome. :attr:`ops` is the dense view, one
-    operator per outcome on (readout wires..., branch wires...); it is built
-    on each read, and :attr:`terms` is the same stack kept as factors.
+    operator per outcome on the parts' wires; it is built on each read.
     """
 
-    branches: OperatorStack
+    terms: KronSum
     input_wires: tuple[str, ...]
     output_wires: tuple[str, ...]
-    readout: OperatorStack | None = None
 
     def __post_init__(self) -> None:
-        branches = self.branches
-        if not isinstance(branches, OperatorStack):
-            ops = tuple(branches)
+        terms = self.terms
+        if not isinstance(terms, KronSum):
+            ops = tuple(terms)
             if not ops:
                 raise ValueError("an instrument needs at least one outcome")
-            names = ops[0].names
-            for op in ops[1:]:
-                if op.names != names:
-                    raise ValueError("all outcome operators must share the same wires")
-            branches = OperatorStack(ops[0].wires, np.array([op.matrix for op in ops])[:, None])
-        if branches.matrix.ndim != 4 or not branches.matrix.shape[0]:
-            raise ValueError("branches must be stacked by (outcome, term), one outcome or more")
-        if self.readout is not None and self.readout.matrix.ndim != 3:
-            raise ValueError("the readout must be stacked by term alone")
-        object.__setattr__(self, "branches", branches)
+            terms = KronSum((stack_operators(ops, (len(ops), 1)),))
+        if [p.matrix.ndim for p in terms.parts] != [3] * (len(terms.parts) - 1) + [4]:
+            raise ValueError("the last part must be stacked by (outcome, term), the others by term")
+        if not terms.batch_shape[0]:
+            raise ValueError("an instrument needs at least one outcome")
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "input_wires", tuple(self.input_wires))
         object.__setattr__(self, "output_wires", tuple(self.output_wires))
-        names = tuple(w.name for w in self.terms.wires)
+        names = tuple(w.name for w in terms.wires)
         declared = set(self.input_wires) | set(self.output_wires)
         if set(self.input_wires) & set(self.output_wires):
             raise ValueError("a wire cannot be both input and output")
         if declared != set(names):
             raise ValueError(f"declared wires {sorted(declared)} do not match operator wires {names}")
-
-    @property
-    def terms(self) -> KronSum:
-        """The branches as factors, stacked by outcome."""
-        return KronSum(((self.readout,) if self.readout is not None else ()) + (self.branches,))
 
     @property
     def ops(self) -> tuple[LabeledOperator, ...]:
@@ -101,11 +91,11 @@ class Instrument:
 
     @property
     def n_outcomes(self) -> int:
-        return self.branches.matrix.shape[0]
+        return self.terms.batch_shape[0]
 
     @property
     def wires(self) -> tuple[WireLabel, ...]:
-        return (self.readout.wires if self.readout is not None else ()) + self.branches.wires
+        return self.terms.wires
 
     def wire(self, name: str) -> WireLabel:
         return _find_wire(self.wires, name)
@@ -227,29 +217,25 @@ def measure_prepare_instrument(
 
 
 def conjugate_instrument(
-    ins: Instrument, u: np.ndarray, side: str, tol: float = DEFAULT_TOL
+    ins: Instrument, u: np.ndarray, names: Sequence[str], tol: float = DEFAULT_TOL
 ) -> Instrument:
-    """Conjugate every branch by a unitary on part of the instrument.
+    """Conjugate every branch by a unitary U on the named wires.
 
-    ``side`` is ``"input"`` (all input wires jointly), ``"output"`` (all
-    output wires), or a single wire name. Each branch maps to U M U†, which
-    preserves positivity; acting on inputs or outputs alone also preserves
-    completeness. U acts on the wire axes of the dense branches, and the
-    result is a plain instrument.
+    Each branch maps to U M U†, which preserves positivity; acting on input
+    wires or output wires alone also preserves completeness. U is indexed
+    by the named wires in the instrument's own wire order and acts on their
+    axes of the dense branches (:func:`conjugate_wires`); the result is a
+    plain instrument.
     """
-    if side == "input":
-        targets = ins.input_wires
-    elif side == "output":
-        targets = ins.output_wires
-    else:
-        if side not in ins.input_wires + ins.output_wires:
-            raise ValueError(f"unknown side or wire {side!r}")
-        targets = (side,)
-    dim = OperatorStack.total_dim_of(w for w in ins.wires if w.name in targets)
-    u = _unitary(u, dim, tol, f"conjugation matrix for wires {targets}")
-    dense = conjugate_wires(OperatorStack(ins.wires, ins.terms.matrix), u, targets)
+    names = tuple(names)
+    unknown = set(names) - {w.name for w in ins.wires}
+    if unknown:
+        raise ValueError(f"unknown wires {sorted(unknown)}; instrument has {[w.name for w in ins.wires]}")
+    dim = OperatorStack.total_dim_of(w for w in ins.wires if w.name in names)
+    u = _unitary(u, dim, tol, f"conjugation matrix for wires {names}")
+    dense = conjugate_wires(OperatorStack(ins.wires, ins.terms.matrix), u, names)
     return Instrument(
-        OperatorStack(ins.wires, dense.matrix[:, None]), ins.input_wires, ins.output_wires
+        KronSum((OperatorStack(ins.wires, dense.matrix[:, None]),)), ins.input_wires, ins.output_wires
     )
 
 
@@ -302,53 +288,47 @@ def extend_instrument_with_measurement(
     inner = np.stack([ins.terms.matrix for ins in family])
     branches = inner[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
     return Instrument(
-        OperatorStack(base.wires, branches),
+        KronSum((_readout_projectors(u, (w1, w2)), OperatorStack(base.wires, branches))),
         (w1.name, w2.name) + base.input_wires,
         base.output_wires,
-        _readout_projectors(u, (w1, w2)),
     )
-
-
-def _same_readout(a: OperatorStack | None, b: OperatorStack | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a.wires == b.wires and np.array_equal(a.matrix, b.matrix)
 
 
 def stack_instruments(family: Sequence[Instrument]) -> KronSum:
     """CJ operators of an instrument family, stacked by (member, outcome).
 
-    The stack stays factored: members must share one readout, which is
-    stacked once, and their outcome count; their branch wires may come in
-    any order.
+    The stack stays factored: members must share every part but the last,
+    which is stacked once, and their outcome count; the last parts are
+    stacked by member (:func:`stack_operators`), so they must share wires in
+    one order.
     """
     counts = {ins.n_outcomes for ins in family}
     if len(counts) != 1:
         raise ValueError(f"instruments disagree on the outcome count: {sorted(counts)}")
-    first = family[0]
-    if not all(_same_readout(ins.readout, first.readout) for ins in family[1:]):
-        raise ValueError("instruments in a family must share one readout")
-    names = first.branches.names
-    mats = [
-        (b if b.names == names else permute_wires(b, names)).matrix
-        for b in (ins.branches for ins in family)
-    ]
-    branches = OperatorStack(first.branches.wires, np.stack(mats))
-    return KronSum(((first.readout,) if first.readout is not None else ()) + (branches,))
+    shared = family[0].terms.parts[:-1]
+    for ins in family[1:]:
+        parts = ins.terms.parts[:-1]
+        if len(parts) != len(shared) or any(
+            a.wires != b.wires or not np.array_equal(a.matrix, b.matrix) for a, b in zip(parts, shared)
+        ):
+            raise ValueError("instruments in a family must share one readout")
+    lasts = [ins.terms.parts[-1] for ins in family]
+    return KronSum(shared + (stack_operators(lasts, (len(lasts),)),))
 
 
 def coarse_grain(ins: Instrument, grouping: Sequence[int], n_outcomes: int) -> Instrument:
     """Merge outcomes: ``grouping[k]`` is the new label of old outcome k.
 
-    The readout is kept, so a factored instrument stays factored.
+    Only the last part, which carries the outcome axis, changes, so a
+    factored instrument stays factored.
     """
     if len(grouping) != ins.n_outcomes:
         raise ValueError("grouping must relabel every outcome")
     if any(not 0 <= g < n_outcomes for g in grouping):
         raise ValueError("grouping label out of range")
-    stack = ins.branches.matrix
-    acc = np.zeros((n_outcomes,) + stack.shape[1:], dtype=complex)
-    np.add.at(acc, list(grouping), stack)
+    *shared, last = ins.terms.parts
+    acc = np.zeros((n_outcomes,) + last.matrix.shape[1:], dtype=complex)
+    np.add.at(acc, list(grouping), last.matrix)
     return Instrument(
-        OperatorStack(ins.branches.wires, acc), ins.input_wires, ins.output_wires, ins.readout
+        KronSum((*shared, OperatorStack(last.wires, acc))), ins.input_wires, ins.output_wires
     )

@@ -28,6 +28,7 @@ block where it is nonzero (:func:`causalkit.tensor.add_replaced`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -221,13 +222,6 @@ def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityR
     )
 
 
-def canonical_order_token(order: str) -> str:
-    token = order.replace("≺", "<").replace(" ", "")
-    if token not in ORDER_TOKENS:
-        raise ValueError(f"unknown order token {order!r}; expected one of {ORDER_TOKENS}")
-    return token
-
-
 def check_order(proc: ProcessMatrix, order: str, tol: float = DEFAULT_TOL) -> OrderReport:
     """Test compatibility with a fixed signaling direction (or none).
 
@@ -237,16 +231,17 @@ def check_order(proc: ProcessMatrix, order: str, tol: float = DEFAULT_TOL) -> Or
     from mattering.
     """
     pa, pb = _require_bipartite(proc)
-    token = canonical_order_token(order)
+    if order not in ORDER_TOKENS:
+        raise ValueError(f"unknown order token {order!r}; expected one of {ORDER_TOKENS}")
     w = proc.op
-    if token == "no-signaling":
+    if order == "no-signaling":
         resid = _residual(w, (-1.0, {pa.output_wire, pb.output_wire}))
-        return OrderReport(token, (("outputs ignored", resid),), tol)
-    first, second = (pa, pb) if token == "A<B" else (pb, pa)
+        return OrderReport(order, (("outputs ignored", resid),), tol)
+    first, second = (pa, pb) if order == "A<B" else (pb, pa)
     r1 = _residual(w, (-1.0, {second.output_wire}))
     r2 = _flat_once_traced(w, {second.input_wire, second.output_wire}, first.output_wire)
     return OrderReport(
-        token,
+        order,
         (
             (f"{second.name} output ignored", r1),
             (f"{first.name} output flat once {second.name} is traced", r2),
@@ -350,38 +345,35 @@ def maximally_mixed_process(d: int = 2) -> ProcessMatrix:
     return ProcessMatrix(LabeledOperator(_party_wires(d), mat), default_parties())
 
 
-def shared_state_process(rho: np.ndarray, d: int = 2) -> ProcessMatrix:
+def shared_state_process(rho: np.ndarray) -> ProcessMatrix:
     """No-signaling process handing the parties a joint input state.
 
-    ``rho`` is a density matrix on (A_I, B_I); outputs are discarded, which
-    shows up as identity factors on both output wires.
+    ``rho`` is a density matrix on (A_I, B_I), of side d^2 for wires of
+    dimension d; outputs are discarded, which shows up as identity factors
+    on both output wires.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
-        raise ValueError(f"rho must be {d*d}x{d*d} on the two input wires")
-    ai, ao, bi, bo = _party_wires(d)
+    ai, ao, bi, bo = _party_wires(math.isqrt(rho.shape[0]))
     inputs = LabeledOperator((ai, bi), rho)
     outputs = identity_operator((ao, bo))
     w = permute_wires(kron(inputs, outputs), list(DEFAULT_PARTY_WIRES))
     return ProcessMatrix(w, default_parties())
 
 
-def channel_process(
-    rho_in: np.ndarray, channel_choi: np.ndarray, direction: str = "A<B", d: int = 2
-) -> ProcessMatrix:
+def channel_process(rho_in: np.ndarray, channel_choi: np.ndarray, direction: str = "A<B") -> ProcessMatrix:
     """Definite-order process: a state into the first lab, a channel to the second.
 
     For ``A<B``: W = rho_{A_I} (x) C_{A_O B_I} (x) I_{B_O}, with ``channel_choi``
     the Choi operator of the channel from the first party's output to the
     second party's input (trace-preserving: its A_O reduction is the identity).
+    Every wire has the dimension d of the d x d state ``rho_in``.
     """
-    token = canonical_order_token(direction)
-    if token == "no-signaling":
-        raise ValueError("channel_process needs a signaling direction")
+    if direction not in ("A<B", "B<A"):
+        raise ValueError(f"channel_process needs a signaling direction, A<B or B<A, got {direction!r}")
     rho_in = np.asarray(rho_in, dtype=complex)
     channel_choi = np.asarray(channel_choi, dtype=complex)
-    ai, ao, bi, bo = _party_wires(d)
-    if token == "A<B":
+    ai, ao, bi, bo = _party_wires(rho_in.shape[0])
+    if direction == "A<B":
         state = LabeledOperator((ai,), rho_in)
         link = LabeledOperator((ao, bi), channel_choi)
         tail = identity_operator((bo,))

@@ -66,9 +66,9 @@ def random_instrument(
 def random_process(rng: np.random.Generator, d: int = 2) -> ProcessMatrix:
     """Convex mixture of valid processes on the four standard wires."""
     components = [
-        channel_process(random_density(rng, d), random_channel_choi(rng, d, d), "A<B", d),
-        channel_process(random_density(rng, d), random_channel_choi(rng, d, d), "B<A", d),
-        shared_state_process(random_density(rng, d * d), d),
+        channel_process(random_density(rng, d), random_channel_choi(rng, d, d), "A<B"),
+        channel_process(random_density(rng, d), random_channel_choi(rng, d, d), "B<A"),
+        shared_state_process(random_density(rng, d * d)),
     ]
     if d == 2:
         components.append(build_cyril())
@@ -92,7 +92,7 @@ def random_gyni_strategy(rng: np.random.Generator, d: int = 2) -> GameStrategy:
                 ),
             )
         )
-    return GameStrategy(process, tuple(arms), "gyni")
+    return GameStrategy(process, tuple(arms))
 
 
 def random_dr_strategy(rng: np.random.Generator, d: int = 2) -> GameStrategy:
@@ -104,4 +104,4 @@ def random_dr_strategy(rng: np.random.Generator, d: int = 2) -> GameStrategy:
         w_in, w_out = WireLabel(f"{name}_I", d), WireLabel(f"{name}_O", d)
         ins = random_instrument(rng, (code, w_in), (w_out,), d)
         arms.append(PartyArm(name, (ins,)))
-    return GameStrategy(process, tuple(arms), "dr", state_wires=("A", "B"))
+    return GameStrategy(process, tuple(arms), state_wires=("A", "B"))

@@ -287,16 +287,17 @@ class KronSum:
         return dense.reshape(self.batch_shape + (dim, dim))
 
 
-def stack_operators(ops: Sequence[LabeledOperator], shape: tuple[int, ...]) -> OperatorStack:
-    """Stack ``prod(shape)`` operators, in row-major order, into ``shape``.
+def stack_operators(ops: Sequence[OperatorStack], shape: tuple[int, ...]) -> OperatorStack:
+    """Stack ``prod(shape)`` operators or stacks, in row-major order, into ``shape``.
 
-    Every operator must act on the wires of the first one; those given in
-    another order are permuted to it.
+    Every member must act on the wires of the first one, in the same order,
+    and have its batch shape; ``shape`` leads the batch axes of the result.
     """
-    names = ops[0].names
-    mats = [(op if op.names == names else permute_wires(op, names)).matrix for op in ops]
-    dim = ops[0].total_dim
-    return OperatorStack(ops[0].wires, np.array(mats).reshape(tuple(shape) + (dim, dim)))
+    first = ops[0]
+    if any(op.wires != first.wires for op in ops[1:]):
+        raise ValueError(f"every stacked operator must act on the wires {first.names}, in that order")
+    mats = np.array([op.matrix for op in ops])
+    return OperatorStack(first.wires, mats.reshape(tuple(shape) + first.matrix.shape))
 
 
 def _side_wires(ops, side: str) -> dict[str, int]:
@@ -395,10 +396,10 @@ def dump_operator(op: LabeledOperator) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_wire_line(line: str, expect_key: str = "wires") -> tuple[WireLabel, ...]:
+def _parse_wire_line(line: str) -> tuple[WireLabel, ...]:
     key, _, rest = line.partition(":")
-    if key.strip() != expect_key:
-        raise ValueError(f"expected {expect_key!r} header, got {line!r}")
+    if key.strip() != "wires":
+        raise ValueError(f"expected 'wires' header, got {line!r}")
     wires = []
     for item in rest.strip().split(","):
         name, _, dim = item.strip().rpartition(":")
@@ -408,12 +409,12 @@ def _parse_wire_line(line: str, expect_key: str = "wires") -> tuple[WireLabel, .
     return tuple(wires)
 
 
-def load_operator(text: str | Sequence[str]) -> LabeledOperator:
-    """Inverse of :func:`dump_operator`; takes the text or its lines.
+def load_operator(lines: Sequence[str]) -> LabeledOperator:
+    """Inverse of :func:`dump_operator`, from the dump's lines; blank lines are skipped.
 
     Raises ValueError on a malformed dump or a non-finite matrix entry.
     """
-    lines = [ln for ln in (text.splitlines() if isinstance(text, str) else text) if ln.strip()]
+    lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise ValueError("empty operator dump")
     wires = _parse_wire_line(lines[0])

@@ -245,7 +245,7 @@ def test_criterion_11_property_suite():
         identity_channel_instrument(a_in, a_out, forced_outcome=1, n_outcomes=2),
         measure_prepare_instrument([e0, e1], [e1, e0], a_in, a_out),
     ]
-    built.append(conjugate_instrument(built[2], h, "input"))
+    built.append(conjugate_instrument(built[2], h, built[2].input_wires))
     built.append(coarse_grain(built[1], (0, 0), 1))
     rng = np.random.default_rng(20260817)
     built.append(random_instrument(rng, (a_in,), (a_out,), 3))

@@ -20,7 +20,6 @@ import pytest
 
 from causalkit.classical import (
     ClassicalProcess3,
-    TDRInput,
     e_bw,
     ebw_process,
     ftdr_accounting,
@@ -90,16 +89,6 @@ class TestGuessStructure:
             assert (1,) + pair in winners
             assert (0,) + pair not in winners
 
-    def test_input_pairs(self):
-        x = TDRInput((1, 0, 0, 1, 1, 1))
-        assert x.pair(1) == (1, 0)
-        assert x.pair(2) == (0, 1)
-        assert x.pair(3) == (1, 1)
-        with pytest.raises(ValueError):
-            x.pair(0)
-        with pytest.raises(ValueError):
-            TDRInput((0, 0, 0))
-
 
 class TestSharedProcessStrategy:
     def test_overall_value_exact(self):
@@ -131,8 +120,7 @@ def loop_accounting(process, reversed_roles):
     """Plain per-case reference for ``shared_process_accounting``."""
     wins, per_input, cases, hits = 0, [], [0, 0], [0, 0]
     for xbits in product(range(2), repeat=6):
-        x = TDRInput(xbits)
-        (x1, x1p), (x2, x2p), (x3, x3p) = x.pair(1), x.pair(2), x.pair(3)
+        x1, x1p, x2, x2p, x3, x3p = xbits
         input_wins = 0
         for az, ax, bz, bx, cz, cx in product(range(2), repeat=6):
             a = (az ^ x1) & (ax ^ x1p)
@@ -141,7 +129,7 @@ def loop_accounting(process, reversed_roles):
             outputs = (1 - c, 1 - a, 1 - b) if reversed_roles else (b, c, a)
             flags = process(outputs)
             guesses = ((flags[0], 1 - az, 1 - ax), (flags[1], 1 - bz, 1 - bx), (flags[2], 1 - cz, 1 - cx))
-            won = int(all(g in win_set(x.pair(k + 1)) for k, g in enumerate(guesses)))
+            won = int(all(g in win_set(xbits[2 * k : 2 * k + 2]) for k, g in enumerate(guesses)))
             branch = int(sum(outputs) >= 2)
             input_wins += won
             cases[branch] += 1

@@ -430,3 +430,20 @@ class TestToleranceEnv:
             main(["validate", "--process", "cyril"])
         assert exc.value.code == 2
         assert "CAUSALKIT_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "--direction", "gyni2dr", "--dim", "3"],
+        ["ppt", "--process", "cyril", "--cut", "C"],
+        ["dump", "--object", "nope"],
+        ["validate", "{missing}"],
+    ],
+)
+def test_usage_error_names_the_subcommand(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "absent.txt") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: causalkit {argv[0]} ")

@@ -233,7 +233,7 @@ class TestStructuralErrors:
         # Party B reads a qutrit code wire against party A's qubit one.
         wires = (WireLabel("B", 3), WireLabel("B_I", 2)), (WireLabel("B_O", 2),)
         arm_b = PartyArm("B", (random_instrument(rng, *wires, 2),))
-        mixed = GameStrategy(random_dr_strategy(rng, 2).process, (arm_a, arm_b), "dr", ("A", "B"))
+        mixed = GameStrategy(random_dr_strategy(rng, 2).process, (arm_a, arm_b), ("A", "B"))
 
         def contracted(*args):
             raise AssertionError("contracted before the code wires were checked")
@@ -244,13 +244,12 @@ class TestStructuralErrors:
         with pytest.raises(ValueError, match="one dimension"):
             check_duality(mixed, "dr2gyni")
 
-    def test_game_token_checked(self):
-        with pytest.raises(ValueError, match="game"):
-            GameStrategy(
-                cyril_gyni_strategy().process,
-                cyril_gyni_strategy().parties,
-                "chess",
-            )
+    def test_game_told_by_code_wires(self):
+        retrieval, guessing = pauli_y_baseline_strategy(), cyril_gyni_strategy()
+        with pytest.raises(ValueError, match="has code wires"):
+            eval_gyni(retrieval)
+        with pytest.raises(ValueError, match="two code wires"):
+            eval_dr(guessing)
 
 
 def _renamed_cyril_strategy() -> GameStrategy:
@@ -277,7 +276,7 @@ def _renamed_cyril_strategy() -> GameStrategy:
             for ins in arm.instruments
         )
         arms.append(PartyArm(arm.name, new_ins))
-    return GameStrategy(proc, tuple(arms), "gyni")
+    return GameStrategy(proc, tuple(arms))
 
 
 def _renamed_code_wires(strategy: GameStrategy, names: tuple[str, str]) -> GameStrategy:
@@ -294,7 +293,7 @@ def _renamed_code_wires(strategy: GameStrategy, names: tuple[str, str]) -> GameS
         ops = tuple(LabeledOperator(wires, op.matrix) for op in ins.ops)
         renamed = Instrument(ops, rename(ins.input_wires), rename(ins.output_wires))
         arms.append(PartyArm(arm.name, (renamed,)))
-    return GameStrategy(strategy.process, tuple(arms), "dr", state_wires=names)
+    return GameStrategy(strategy.process, tuple(arms), state_wires=names)
 
 
 class TestRelabelingInvariance:

@@ -21,7 +21,7 @@ from causalkit.instruments import (
 )
 from causalkit.duality import gyni_to_dr
 from causalkit.sampling import random_gyni_strategy, random_instrument
-from causalkit.tensor import KronSum, LabeledOperator, OperatorStack, WireLabel
+from causalkit.tensor import KronSum, LabeledOperator, OperatorStack, WireLabel, permute_wires
 
 A_IN = WireLabel("A_I", 2)
 A_OUT = WireLabel("A_O", 2)
@@ -103,10 +103,10 @@ class TestValidation:
         assert report.tp_residual == pytest.approx(0.5, abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-    def test_random_instruments_valid(self, seed, n_outcomes):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 4))
+    def test_random_instruments_valid(self, seed, d, n_outcomes):
         rng = np.random.default_rng(seed)
-        ins = random_instrument(rng, (A_IN,), (A_OUT,), n_outcomes)
+        ins = random_instrument(rng, (WireLabel("A_I", d),), (WireLabel("A_O", d),), n_outcomes)
         report = validate_instrument(ins)
         assert report.valid
         assert report.tp_residual <= 1e-12
@@ -146,7 +146,7 @@ class TestConjugation:
     def test_hadamard_on_input_frozen(self):
         # Conjugating the computational readout by H yields the +/- readout.
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
-        rot = conjugate_instrument(ins, HADAMARD, "input")
+        rot = conjugate_instrument(ins, HADAMARD, ins.input_wires)
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         expected = np.kron(np.outer(plus, plus), np.diag([1.0, 0.0]))
         np.testing.assert_allclose(rot.ops[0].matrix, expected, atol=1e-12)
@@ -156,8 +156,8 @@ class TestConjugation:
         ins = random_instrument(rng, (A_IN,), (A_OUT,), 2)
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u, _ = np.linalg.qr(g)
-        for side in ("input", "output", "A_I", "A_O"):
-            assert validate_instrument(conjugate_instrument(ins, u, side)).valid
+        for names in (ins.input_wires, ins.output_wires, ("A_I",), ("A_O",)):
+            assert validate_instrument(conjugate_instrument(ins, u, names)).valid
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("side", ["input", "output", "A"])
@@ -174,7 +174,8 @@ class TestConjugation:
         big = np.kron(u, np.eye(d ** len(rest))).reshape((d,) * 6)
         order = list(np.argsort(targets + rest))
         big = big.transpose(order + [3 + i for i in order]).reshape(d**3, d**3)
-        rotated = conjugate_instrument(ins, u, side)
+        names = {"input": ins.input_wires, "output": ins.output_wires, "A": ("A",)}[side]
+        rotated = conjugate_instrument(ins, u, names)
         assert rotated.wires == ins.wires
         for got, op in zip(rotated.ops, ins.ops):
             np.testing.assert_allclose(got.matrix, big @ op.matrix @ big.conj().T, atol=1e-12)
@@ -182,12 +183,12 @@ class TestConjugation:
     def test_dimension_mismatch_rejected(self):
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
         with pytest.raises(ValueError, match="2x2"):
-            conjugate_instrument(ins, np.eye(4), "input")
+            conjugate_instrument(ins, np.eye(4), ins.input_wires)
 
     def test_unknown_wire_rejected(self):
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
-        with pytest.raises(ValueError, match="unknown side"):
-            conjugate_instrument(ins, np.eye(2), "Q")
+        with pytest.raises(ValueError, match="unknown wires"):
+            conjugate_instrument(ins, np.eye(2), ("Q",))
 
 
 class TestComposition:
@@ -243,6 +244,13 @@ class TestComposition:
         forced = identity_channel_instrument(A_IN, A_OUT, forced_outcome=0, n_outcomes=2)
         with pytest.raises(ValueError, match="outcome count"):
             stack_instruments([family[0], forced])
+
+    def test_stack_rejects_another_wire_order(self):
+        ins = random_instrument(np.random.default_rng(192), (A_IN,), (A_OUT,), 2)
+        swapped = tuple(permute_wires(op, ["A_O", "A_I"]) for op in ins.ops)
+        member = Instrument(swapped, ins.input_wires, ins.output_wires)
+        with pytest.raises(ValueError, match="in that order"):
+            stack_instruments([ins, member])
 
     def test_coarse_graining_stays_valid(self):
         rng = np.random.default_rng(5)
@@ -303,7 +311,9 @@ class TestFactoredComposite:
     def test_dense_view_matches_kron_construction(self, d, kind, selector):
         composite, want = self._composite(d, kind, selector)
         assert [w.name for w in composite.wires] == ["A", "A'", "A_I", "A_O"]
-        assert composite.readout.matrix.shape == (d * d, d * d, d * d)
+        readout, branches = composite.terms.parts
+        assert readout.matrix.shape == (d * d, d * d, d * d)
+        assert branches.matrix.shape[:2] == (len(want), d * d)
         assert composite.n_outcomes == len(want)
         for got, ref in zip(composite.ops, want):
             np.testing.assert_allclose(got.matrix, ref, atol=1e-12)
@@ -329,7 +339,7 @@ class TestFactoredComposite:
     def test_coarse_graining_stays_factored(self):
         composite, want = self._composite(3, "pad")
         merged = coarse_grain(composite, [0, 1, 0], 2)
-        assert merged.readout is composite.readout
+        assert merged.terms.parts[0] is composite.terms.parts[0]
         np.testing.assert_allclose(merged.ops[0].matrix, want[0] + want[2], atol=1e-12)
         np.testing.assert_allclose(sum(op.matrix for op in merged.ops), sum(want), atol=1e-12)
 
@@ -345,10 +355,10 @@ class TestFactoredComposite:
     def test_plain_instrument_is_one_term(self):
         rng = np.random.default_rng(7)
         ins = random_instrument(rng, (A_IN,), (A_OUT,), 3)
-        assert ins.readout is None
-        assert ins.branches.matrix.shape == (3, 1, 4, 4)
+        (branches,) = ins.terms.parts
+        assert branches.matrix.shape == (3, 1, 4, 4)
         rebuilt = Instrument(ins.ops, ins.input_wires, ins.output_wires)
         for got, op in zip(rebuilt.ops, ins.ops):
             np.testing.assert_array_equal(got.matrix, op.matrix)
         with pytest.raises(ValueError, match="do not match"):
-            Instrument(OperatorStack((A_IN, A_OUT), ins.branches.matrix), ("A_I",), ("B",))
+            Instrument(KronSum((OperatorStack((A_IN, A_OUT), branches.matrix),)), ("A_I",), ("B",))

@@ -81,9 +81,13 @@ class TestCyril:
             assert max(r for _, r in report.residuals) > 0.17
 
     def test_order_token_aliases(self):
-        fancy = check_order(build_cyril(), "A≺B")
-        plain = check_order(build_cyril(), "A<B")
-        assert fancy.order == plain.order == "A<B"
+        # Only the three plain tokens are accepted; other spellings of them are not.
+        assert check_order(build_cyril(), "A<B").order == "A<B"
+        for alias in ("A≺B", "A < B"):
+            with pytest.raises(ValueError, match="unknown order token"):
+                check_order(build_cyril(), alias)
+            with pytest.raises(ValueError, match="signaling direction"):
+                channel_process(np.diag([1.0, 0.0]), identity_choi(), alias)
 
     def test_ppt_both_cuts(self):
         # Z and X are symmetric matrices, so the partial transpose fixes W.
@@ -134,6 +138,16 @@ class TestValidation:
         ok, min_eig = is_ppt_cut(proc, "B")
         assert not ok
         assert min_eig == pytest.approx(-0.5, abs=1e-12)
+
+    def test_qutrit_constructors_read_d_from_their_matrices(self):
+        rng = np.random.default_rng(818)
+        shared = shared_state_process(random_density(rng, 9))
+        ordered = channel_process(random_density(rng, 3), random_channel_choi(rng, 3, 3), "B<A")
+        for proc in (shared, ordered):
+            assert proc.op.matrix.shape == (81, 81)
+            assert {proc.wire(n).dim for n in proc.names} == {3}
+            assert validate_process(proc).valid
+        assert check_order(ordered, "B<A").compatible
 
     def test_maximally_mixed_valid(self):
         assert validate_process(maximally_mixed_process()).valid
@@ -284,7 +298,7 @@ class TestReducedResiduals:
     @pytest.mark.parametrize("d", [3, 5])
     def test_signalling_bump_is_flagged(self, d, direction, wire):
         rng = np.random.default_rng([d, ORDER_SEEDS[direction]])
-        proc = channel_process(random_density(rng, d), random_channel_choi(rng, d, d), direction, d)
+        proc = channel_process(random_density(rng, d), random_channel_choi(rng, d, d), direction)
         assert validate_process(proc).valid
         assert check_order(proc, direction).compatible
         bad = bumped(proc, wire)
@@ -326,12 +340,12 @@ class TestQutritNormalization:
     def test_behaviour_marginals(self, direction):
         # The party acting first cannot learn the other's input: its marginal ignores it.
         rng = np.random.default_rng([303, ORDER_SEEDS[direction]])
-        proc = channel_process(random_density(rng, 3), random_channel_choi(rng, 3, 3), direction, 3)
+        proc = channel_process(random_density(rng, 3), random_channel_choi(rng, 3, 3), direction)
         arms = tuple(
             PartyArm(p, tuple(random_instrument(rng, (proc.wire(f"{p}_I"),), (proc.wire(f"{p}_O"),), 3) for _ in range(3)))
             for p in ("A", "B")
         )
-        table = behaviour(GameStrategy(proc, arms, "gyni"))  # P[x, y, a, b]
+        table = behaviour(GameStrategy(proc, arms))  # P[x, y, a, b]
         assert table.shape == (3, 3, 3, 3)
         assert table.min() >= -1e-12
         np.testing.assert_allclose(table.sum(axis=(2, 3)), np.ones((3, 3)), atol=1e-12)
@@ -474,7 +488,7 @@ class TestLoaderFuzz:
     @given(MUTATIONS)
     def test_operator_dump(self, mutations):
         try:
-            load_operator(mutate(dump_operator(build_cyril().op), mutations))
+            load_operator(mutate(dump_operator(build_cyril().op), mutations).splitlines())
         except ValueError:
             pass
 

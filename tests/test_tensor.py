@@ -298,12 +298,12 @@ class TestProductTrace:
             want = batched_trace([carriers[2 * i + j], other], [effects[2 * k + m], ident])
             assert got[i, j, k, m] == pytest.approx(want, abs=1e-12)
 
-    def test_stack_aligns_wire_order(self):
+    def test_stack_rejects_another_wire_order(self):
         rng = np.random.default_rng(24)
         m = op([A, C], random_herm(rng, 6))
-        stack = stack_operators([m, permute_wires(m, ["C", "A"])], (2,))
-        assert stack.wires == (A, C)
-        np.testing.assert_array_equal(stack.matrix[1], m.matrix)
+        assert stack_operators([m, m], (2,)).wires == (A, C)
+        with pytest.raises(ValueError, match="in that order"):
+            stack_operators([m, permute_wires(m, ["C", "A"])], (2,))
 
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError):
@@ -396,7 +396,7 @@ class TestDumpLoad:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(33)
         m = op([A, C], rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        back = load_operator(dump_operator(m))
+        back = load_operator(dump_operator(m).splitlines())
         assert back.wires == m.wires
         np.testing.assert_array_equal(back.matrix, m.matrix)
 
@@ -422,8 +422,6 @@ class TestDumpLoad:
         text = dump_operator(m)
         assert text == "\n".join(lines) + "\n"
         assert "-0-0j" in text
-        back = load_operator(text)
-        assert back.matrix.tobytes() == m.matrix.tobytes()
         assert load_operator(text.splitlines()).matrix.tobytes() == m.matrix.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -433,7 +431,7 @@ class TestDumpLoad:
         finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
         mat = data.draw(arrays(np.complex128, (d * d, d * d), elements=finite))
         m = op((WireLabel("X", d), WireLabel("Y", d)), mat)
-        back = load_operator(dump_operator(m))
+        back = load_operator(dump_operator(m).splitlines())
         assert back.wires == m.wires
         assert back.matrix.tobytes() == m.matrix.tobytes()
 
