@@ -101,7 +101,6 @@ from .classical import (
     tdr_relay_accounting,
     tdr_success_no_collab,
     two_copy_locc_decode,
-    win_set,
 )
 
 __version__ = "0.1.0"

@@ -42,12 +42,6 @@ def _wins(g0, g, gp, y, yp):
     return (g0 == 1) == ((g == y) & (gp == yp))
 
 
-def win_set(x_pair: tuple[int, int]) -> frozenset[tuple[int, int, int]]:
-    """All winning guesses against a hidden two-bit string."""
-    y, yp = _check_bits(x_pair, 2, "hidden pair")
-    return frozenset(g for g in product(range(2), repeat=3) if _wins(*g, y, yp))
-
-
 @dataclass(frozen=True)
 class ClassicalProcess3:
     """Deterministic process: ``table[4*o1 + 2*o2 + o3]`` is the flag triple

@@ -135,10 +135,11 @@ def _code_dim(strategy: GameStrategy) -> int:
     if input_count(strategy) != 1:
         raise ValueError("retrieval strategies take no classical input")
     instruments = [arm.instruments[0] for arm in strategy.parties]
-    d = instruments[0].wire(strategy.state_wires[0]).dim
-    if instruments[1].wire(strategy.state_wires[1]).dim != d or any(
-        ins.n_outcomes != d for ins in instruments
-    ):
+    try:
+        d, d_second = (ins.wire(name).dim for ins, name in zip(instruments, strategy.state_wires))
+    except KeyError as err:
+        raise ValueError(f"each party's instrument must act on its code wire: {err.args[0]}") from None
+    if d_second != d or any(ins.n_outcomes != d for ins in instruments):
         raise ValueError("code wires and outcome counts must share one dimension d")
     return d
 

@@ -224,8 +224,11 @@ def conjugate_instrument(
     Each branch maps to U M U†, which preserves positivity; acting on input
     wires or output wires alone also preserves completeness. U is indexed
     by the named wires in the instrument's own wire order and acts on their
-    axes of the dense branches (:func:`conjugate_wires`); the result is a
-    plain instrument.
+    axes (:func:`conjugate_wires`) in the last part, the one stacked by
+    outcome, when that part holds every named wire: U (sum_m R[m] (x) S[m]) U†
+    is sum_m R[m] (x) U S[m] U†, so the shared parts stay as they are and no
+    dense branch is built. Otherwise U reaches a shared part, and the dense
+    branches are conjugated as the one part of a plain instrument.
     """
     names = tuple(names)
     unknown = set(names) - {w.name for w in ins.wires}
@@ -233,9 +236,11 @@ def conjugate_instrument(
         raise ValueError(f"unknown wires {sorted(unknown)}; instrument has {[w.name for w in ins.wires]}")
     dim = OperatorStack.total_dim_of(w for w in ins.wires if w.name in names)
     u = _unitary(u, dim, tol, f"conjugation matrix for wires {names}")
-    dense = conjugate_wires(OperatorStack(ins.wires, ins.terms.matrix), u, names)
+    *shared, last = ins.terms.parts
+    if not set(names) <= set(last.names):
+        shared, last = [], OperatorStack(ins.wires, ins.terms.matrix[:, None])
     return Instrument(
-        KronSum((OperatorStack(ins.wires, dense.matrix[:, None]),)), ins.input_wires, ins.output_wires
+        KronSum((*shared, conjugate_wires(last, u, names))), ins.input_wires, ins.output_wires
     )
 
 

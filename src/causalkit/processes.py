@@ -28,6 +28,7 @@ block where it is nonzero (:func:`causalkit.tensor.add_replaced`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -132,6 +133,15 @@ class ProcessMatrix:
     @property
     def output_dim(self) -> int:
         return LabeledOperator.total_dim_of(self.wire(p.output_wire) for p in self.parties)
+
+    @functools.cached_property
+    def _cut_spectrum(self) -> tuple[float, float]:
+        """(Hermiticity defect, min eigenvalue of the symmetrized matrix) of W
+        with the first party's wires transposed, whatever the defect; kept
+        on the instance after the first read (see :func:`is_ppt_cut`)."""
+        pt = partial_transpose(self.op, set(self.parties[0].all_wires))
+        defect = hermiticity_defect(pt)
+        return defect, min_eigenvalue(pt, math.inf, defect)
 
 
 @dataclass(frozen=True)
@@ -257,18 +267,22 @@ def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tupl
     transposed. Unassigned ancilla wires make the cut ambiguous and raise. A
     transposed matrix that is not Hermitian within ``tol`` is not PPT and has
     no spectrum to report: (False, nan), as in :func:`validate_process`.
+
+    Both sides of the cut share one spectrum: with every wire assigned,
+    W^{T_B} is the full transpose of W^{T_A}, so the two have the same
+    eigenvalues and the same Hermiticity defect. The spectrum is computed
+    once per process, always transposing the first party's wires, and kept
+    on the process as two floats; ``tol`` only decides the verdict.
     """
     _require_bipartite(proc)
-    party = proc.party(side)
+    proc.party(side)  # an unknown side raises KeyError
     if proc.unassigned_wires:
         raise ValueError(
             f"wires {proc.unassigned_wires} are not assigned to a party; cut is ambiguous"
         )
-    pt = partial_transpose(proc.op, set(party.all_wires))
-    defect = hermiticity_defect(pt)
+    defect, mineig = proc._cut_spectrum
     if defect > tol:
         return (False, float("nan"))
-    mineig = min_eigenvalue(pt, tol, defect)
     return (mineig >= -tol, mineig)
 
 

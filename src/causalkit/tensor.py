@@ -409,10 +409,28 @@ def _parse_wire_line(line: str) -> tuple[WireLabel, ...]:
     return tuple(wires)
 
 
+def _read_rows(rows: Sequence[str]) -> np.ndarray:
+    """Matrix rows of complex entries, parsed by numpy's C tokenizer."""
+    return np.loadtxt(rows, dtype=np.complex128, comments=None, ndmin=2)
+
+
+def _unreadable_row(rows: Sequence[str], dim: int) -> str:
+    """Name the first of ``rows`` that does not read as ``dim`` complex entries."""
+    for r, row in enumerate(rows, 1):
+        try:
+            found = _read_rows([row]).shape[1]
+        except ValueError:
+            return f"matrix row {r} has an entry that is not a complex number"
+        if found != dim:
+            return f"matrix row {r}: expected {dim} entries per row, found {found}"
+    return "matrix rows do not read as one table"
+
+
 def load_operator(lines: Sequence[str]) -> LabeledOperator:
     """Inverse of :func:`dump_operator`, from the dump's lines; blank lines are skipped.
 
-    Raises ValueError on a malformed dump or a non-finite matrix entry.
+    Raises ValueError on a malformed dump or a non-finite matrix entry; an
+    unreadable row is named.
     """
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
@@ -421,13 +439,12 @@ def load_operator(lines: Sequence[str]) -> LabeledOperator:
     dim = OperatorStack.total_dim_of(wires)
     if len(lines) - 1 != dim:
         raise ValueError(f"expected {dim} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        entries = ln.split()
-        if len(entries) != dim:
-            raise ValueError(f"expected {dim} entries per row, found {len(entries)}")
-        rows.append([complex(e) for e in entries])
-    matrix = np.array(rows, dtype=np.complex128)
+    try:
+        matrix = _read_rows(lines[1:])
+    except ValueError:
+        raise ValueError(_unreadable_row(lines[1:], dim)) from None
+    if matrix.shape[1] != dim:
+        raise ValueError(f"expected {dim} entries per row, found {matrix.shape[1]}")
     bad = ~np.isfinite(matrix)
     if bad.any():
         raise ValueError(f"matrix row {bad.any(axis=1).argmax() + 1} has a non-finite entry")

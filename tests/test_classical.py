@@ -20,6 +20,7 @@ import pytest
 
 from causalkit.classical import (
     ClassicalProcess3,
+    _wins,
     e_bw,
     ebw_process,
     ftdr_accounting,
@@ -29,7 +30,6 @@ from causalkit.classical import (
     tdr_relay_accounting,
     tdr_success_no_collab,
     two_copy_locc_decode,
-    win_set,
 )
 from causalkit.games import BellCode
 
@@ -75,16 +75,21 @@ class TestProcessTable:
             ebw_process()((0, 0))
 
 
+def winning_guesses(pair):
+    """Every guess (g0, g, gp) that wins against the hidden pair, by the rule ``_wins``."""
+    return frozenset(g for g in product(range(2), repeat=3) if _wins(*g, *pair))
+
+
 class TestGuessStructure:
-    def test_win_set_frozen(self):
-        assert win_set((0, 0)) == frozenset(
+    def test_winning_guesses_frozen(self):
+        assert winning_guesses((0, 0)) == frozenset(
             {(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)}
         )
 
-    def test_win_set_always_four(self):
+    def test_winning_guesses_always_four(self):
         # One identification plus three eliminations, for every hidden pair.
         for pair in product(range(2), repeat=2):
-            winners = win_set(pair)
+            winners = winning_guesses(pair)
             assert len(winners) == 4
             assert (1,) + pair in winners
             assert (0,) + pair not in winners
@@ -129,7 +134,7 @@ def loop_accounting(process, reversed_roles):
             outputs = (1 - c, 1 - a, 1 - b) if reversed_roles else (b, c, a)
             flags = process(outputs)
             guesses = ((flags[0], 1 - az, 1 - ax), (flags[1], 1 - bz, 1 - bx), (flags[2], 1 - cz, 1 - cx))
-            won = int(all(g in win_set(xbits[2 * k : 2 * k + 2]) for k, g in enumerate(guesses)))
+            won = int(all(g in winning_guesses(xbits[2 * k : 2 * k + 2]) for k, g in enumerate(guesses)))
             branch = int(sum(outputs) >= 2)
             input_wins += won
             cases[branch] += 1

@@ -38,6 +38,7 @@ from causalkit.games import (
     pauli_y_baseline_strategy,
 )
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy
+from causalkit.tensor import KronSum
 
 SQRT2 = np.sqrt(2)
 
@@ -174,6 +175,24 @@ class TestRandomizedRoundTrips:
             tracemalloc.stop()
         assert cert.deviation <= 1e-9
         assert peak < 48 * 2**20
+
+
+class TestDenseReads:
+    def test_dr_to_gyni_builds_no_dense_stack_at_d3(self, monkeypatch):
+        # Each twirl conjugates the outcome-stacked part holding the code
+        # wire, so no instrument's dense stack is built (2d reads before).
+        strategy = random_dr_strategy(np.random.default_rng(1106), 3)
+        reads = []
+        dense = KronSum.matrix.fget
+
+        def counted(self):
+            reads.append(self)
+            return dense(self)
+
+        monkeypatch.setattr(KronSum, "matrix", property(counted))
+        translated = dr_to_gyni(strategy)
+        assert reads == []
+        assert eval_gyni(translated) == pytest.approx(eval_dr(strategy), abs=1e-9)
 
 
 class TestCertificate:

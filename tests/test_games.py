@@ -244,6 +244,15 @@ class TestStructuralErrors:
         with pytest.raises(ValueError, match="one dimension"):
             check_duality(mixed, "dr2gyni")
 
+    def test_code_wire_missing_from_instrument(self):
+        # The code wires name wires that neither party's instrument acts on.
+        strategy = random_dr_strategy(np.random.default_rng(66), 2)
+        renamed = GameStrategy(strategy.process, strategy.parties, ("P", "Q"))
+        with pytest.raises(ValueError, match="code wire: no wire named 'P'"):
+            eval_dr(renamed)
+        with pytest.raises(ValueError, match="code wire: no wire named 'P'"):
+            check_duality(renamed, "dr2gyni")
+
     def test_game_told_by_code_wires(self):
         retrieval, guessing = pauli_y_baseline_strategy(), cyril_gyni_strategy()
         with pytest.raises(ValueError, match="has code wires"):

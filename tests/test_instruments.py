@@ -21,7 +21,7 @@ from causalkit.instruments import (
 )
 from causalkit.duality import gyni_to_dr
 from causalkit.sampling import random_gyni_strategy, random_instrument
-from causalkit.tensor import KronSum, LabeledOperator, OperatorStack, WireLabel, permute_wires
+from causalkit.tensor import KronSum, LabeledOperator, OperatorStack, WireLabel, conjugate_wires, permute_wires
 
 A_IN = WireLabel("A_I", 2)
 A_OUT = WireLabel("A_O", 2)
@@ -179,6 +179,22 @@ class TestConjugation:
         assert rotated.wires == ins.wires
         for got, op in zip(rotated.ops, ins.ops):
             np.testing.assert_allclose(got.matrix, big @ op.matrix @ big.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("names", [("A_O",), ("A",), ("A", "A_O")])
+    def test_composite_matches_dense(self, names):
+        # Wires (A, A', A_I, A_O): the readout part holds A, the outcome-stacked
+        # part A_O. Reference: U on the dense branches of the composite.
+        rng = np.random.default_rng(41)
+        composite = gyni_to_dr(random_gyni_strategy(rng, 2)).parties[0].instruments[0]
+        dim = 2 ** len(names)
+        u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        rotated = conjugate_instrument(composite, u, names)
+        dense = OperatorStack(composite.wires, composite.terms.matrix)
+        np.testing.assert_allclose(rotated.terms.matrix, conjugate_wires(dense, u, names).matrix, atol=1e-12)
+        if names == ("A_O",):
+            assert rotated.terms.parts[0] is composite.terms.parts[0]
+        else:
+            assert len(rotated.terms.parts) == 1
 
     def test_dimension_mismatch_rejected(self):
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)

@@ -164,6 +164,76 @@ class TestValidation:
             ProcessMatrix(op, (PartySlot("A", "A_I", "A_O"),))
 
 
+def own_pt_min_eig(proc: ProcessMatrix, side: str) -> float:
+    """Smallest eigenvalue of W with ``side``'s own wires transposed, by plain numpy."""
+    w, wires = proc.op, set(proc.party(side).all_wires)
+    n = len(w.wires)
+    axes = list(range(2 * n))
+    for i, name in enumerate(w.names):
+        if name in wires:
+            axes[i], axes[n + i] = n + i, i
+    pt = w.as_tensor().transpose(axes).reshape(w.total_dim, w.total_dim)
+    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+
+
+class TestCutSpectrum:
+    """Both sides of the party cut share one spectrum, computed once per process."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sides_agree_with_their_own_transpose(self, d):
+        rng = np.random.default_rng([1212, d])
+        procs = [random_process(rng, d) for _ in range(3)]
+        state = LabeledOperator((WireLabel("A'", 2), WireLabel("B'", 2)), random_density(rng, 4))
+        procs.append(extend_with_state(procs[0], state, assign={"A'": "A", "B'": "B"}))
+        for proc in procs:
+            cut_a, cut_b = is_ppt_cut(proc, "A"), is_ppt_cut(proc, "B")
+            assert cut_a == cut_b
+            for side, (ok, eig) in zip("AB", (cut_a, cut_b)):
+                own = own_pt_min_eig(proc, side)
+                assert abs(eig - own) <= 1e-12
+                assert ok == (own >= -1e-9)
+
+    def test_tol_decides_the_verdict_not_the_memo(self):
+        proc = random_process(np.random.default_rng(1213), 2)
+        skewed = proc.op.matrix.copy()
+        skewed[0, 1] += 1e-3
+        proc = ProcessMatrix(LabeledOperator(proc.op.wires, skewed), proc.parties)
+        ok, eig = is_ppt_cut(proc, "A", tol=1e-9)
+        assert not ok and np.isnan(eig)
+        ok, eig = is_ppt_cut(proc, "B", tol=1e-2)
+        assert abs(eig - own_pt_min_eig(proc, "B")) <= 1e-12
+        assert ok == (eig >= -1e-2)
+
+    def test_one_solve_per_process(self, monkeypatch):
+        from causalkit import processes
+
+        solves = []
+        solve = processes.min_eigenvalue
+        monkeypatch.setattr(processes, "min_eigenvalue", lambda *a: solves.append(a) or solve(*a))
+        proc = random_process(np.random.default_rng(1214), 2)
+        for side in ("A", "B", "A"):
+            is_ppt_cut(proc, side)
+        assert len(solves) == 1
+
+    def test_memo_is_two_floats(self):
+        proc = random_process(np.random.default_rng(1215), 3)
+        twin = ProcessMatrix(proc.factors, proc.parties)
+        before = pickle.dumps(proc)
+        is_ppt_cut(proc, "A")
+        after = pickle.dumps(proc)
+        # A dense 81 x 81 complex copy alone would add 105 kB.
+        assert len(after) - len(before) < 100
+        assert all(type(v) is float for v in pickle.loads(after)._cut_spectrum)
+        assert proc == twin
+
+    def test_ambiguous_cut_raises_before_numerics(self):
+        state = LabeledOperator((WireLabel("A'", 2),), np.eye(2) / 2)
+        ext = extend_with_state(build_cyril(), state)
+        with pytest.raises(ValueError, match="ambiguous"):
+            is_ppt_cut(ext, "B")
+        assert "_cut_spectrum" not in vars(ext)
+
+
 class TestRandomProcesses:
     def test_mixtures_valid_and_ppt_symmetric(self):
         # PPT is a property of the cut, not of which side is transposed.
@@ -444,6 +514,12 @@ class TestSerialization:
         proc = random_process(np.random.default_rng(seed), d)
         back = load_process(dump_process(proc))
         assert back.parties == proc.parties
+        assert back.op.wires == proc.op.wires
+        assert back.op.matrix.tobytes() == proc.op.matrix.tobytes()
+
+    def test_d4_round_trip_is_bit_exact(self):
+        proc = random_process(np.random.default_rng(44), 4)
+        back = load_process(dump_process(proc))
         assert back.op.wires == proc.op.wires
         assert back.op.matrix.tobytes() == proc.op.matrix.tobytes()
 

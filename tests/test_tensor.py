@@ -435,12 +435,44 @@ class TestDumpLoad:
         assert back.wires == m.wires
         assert back.matrix.tobytes() == m.matrix.tobytes()
 
-    @pytest.mark.parametrize("entry", ["nan+0j", "0+nanj", "inf+0j", "-inf-1j", "1e999+0j"])
+    @pytest.mark.parametrize(
+        "entry", ["nan+0j", "0+nanj", "inf+0j", "-inf-1j", "1e999+0j", "nan", "inf", "-inf", "nanj", "nan+nanj"]
+    )
     def test_non_finite_entry_rejected(self, entry):
         rows = dump_operator(op([A], np.eye(2))).splitlines()
         rows[2] = f"0+0j {entry}"
         with pytest.raises(ValueError, match="row 2 has a non-finite entry"):
             load_operator(rows)
+
+    def test_ragged_row_named(self):
+        rows = dump_operator(op([A, C], np.eye(6))).splitlines()
+        rows[3] = " ".join(rows[3].split()[:5])
+        with pytest.raises(ValueError, match="matrix row 3: expected 6 entries per row, found 5"):
+            load_operator(rows)
+
+    def test_every_row_short(self):
+        rows = ["wires: A:2", "1+0j", "0+0j"]
+        with pytest.raises(ValueError, match="^expected 2 entries per row, found 1$"):
+            load_operator(rows)
+
+    @pytest.mark.parametrize("tail", ["#", "# note", "#0+0j"])
+    def test_hash_is_not_a_comment(self, tail):
+        rows = dump_operator(op([A], np.eye(2))).splitlines()
+        rows[2] = f"{rows[2]} {tail}"
+        with pytest.raises(ValueError, match="matrix row 2"):
+            load_operator(rows)
+
+    def test_unparsable_entry_named(self):
+        rows = dump_operator(op([A], np.eye(2))).splitlines()
+        rows[2] = "0+0j 1+0k"
+        with pytest.raises(ValueError, match="matrix row 2 has an entry that is not a complex number"):
+            load_operator(rows)
+
+    def test_blank_lines_between_rows_skipped(self):
+        m = op([A, C], np.arange(36).reshape(6, 6) * (1 - 0.5j))
+        rows = dump_operator(m).splitlines()
+        spaced = rows[:1] + ["", " \t"] + rows[1:3] + [""] + rows[3:] + ["  "]
+        assert load_operator(spaced).matrix.tobytes() == m.matrix.tobytes()
 
     def test_identity_helper(self):
         ident = identity_operator([A, C])
