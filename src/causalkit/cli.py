@@ -171,7 +171,7 @@ def cmd_ppt(args, parser, tol) -> int:
         "cut": args.cut,
         "ppt": ok,
         "min_eigenvalue": min_eig,
-        "hermiticity": tensor.hermiticity_defect(proc.op),
+        "hermiticity": proc.hermiticity,
         "tolerance": tol,
     }
     return _emit(args, payload, 0 if ok else 1)

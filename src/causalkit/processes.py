@@ -135,13 +135,21 @@ class ProcessMatrix:
         return LabeledOperator.total_dim_of(self.wire(p.output_wire) for p in self.parties)
 
     @functools.cached_property
+    def hermiticity(self) -> float:
+        """max|W - W^dagger|, kept on the instance after the first read.
+
+        A partial transpose only permutes the entries of W - W^dagger, so
+        every cut of W has this defect too, to the bit.
+        """
+        return hermiticity_defect(self.op)
+
+    @functools.cached_property
     def _cut_spectrum(self) -> tuple[float, float]:
         """(Hermiticity defect, min eigenvalue of the symmetrized matrix) of W
         with the first party's wires transposed, whatever the defect; kept
         on the instance after the first read (see :func:`is_ppt_cut`)."""
         pt = partial_transpose(self.op, set(self.parties[0].all_wires))
-        defect = hermiticity_defect(pt)
-        return defect, min_eigenvalue(pt, math.inf, defect)
+        return self.hermiticity, min_eigenvalue(pt, math.inf, self.hermiticity)
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,7 @@ def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityR
     """
     pa, pb = _require_bipartite(proc)
     w = proc.op
-    herm = hermiticity_defect(w)
+    herm = proc.hermiticity
     scale = float(np.max(np.abs(w.matrix)))
     if herm > tol:
         return ValidityReport(False, float("nan"), herm, (("hermiticity", herm),), scale, tol)

@@ -389,11 +389,19 @@ def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
 
 
 def dump_operator(op: LabeledOperator) -> str:
-    """Serialize to the plain-text wire/matrix format (17 significant digits)."""
-    lines = ["wires: " + ",".join(f"{w.name}:{w.dim}" for w in op.wires)]
-    for row in op.matrix:
-        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row.tolist()))
-    return "\n".join(lines) + "\n"
+    """Serialize to the plain-text wire/matrix format.
+
+    One ``wires:`` header line, then one line per matrix row, each entry
+    ``%.17g%+.17gj`` (17 significant digits, so :func:`load_operator` reads
+    back the same bits). Each row is one ``%`` format over that row's
+    interleaved (re, im) floats, read from a float64 view of the matrix
+    (copied first if it is not C-contiguous).
+    """
+    rows = np.ascontiguousarray(op.matrix).view(np.float64)
+    row = " ".join(["%.17g%+.17gj"] * op.total_dim) + "\n"
+    lines = ["wires: " + ",".join(f"{w.name}:{w.dim}" for w in op.wires) + "\n"]
+    lines += [row % tuple(r.tolist()) for r in rows]
+    return "".join(lines)
 
 
 def _parse_wire_line(line: str) -> tuple[WireLabel, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import pickle
 from itertools import product
 
@@ -164,15 +165,20 @@ class TestValidation:
             ProcessMatrix(op, (PartySlot("A", "A_I", "A_O"),))
 
 
-def own_pt_min_eig(proc: ProcessMatrix, side: str) -> float:
-    """Smallest eigenvalue of W with ``side``'s own wires transposed, by plain numpy."""
+def own_pt(proc: ProcessMatrix, side: str) -> np.ndarray:
+    """W with ``side``'s own wires transposed, by plain numpy."""
     w, wires = proc.op, set(proc.party(side).all_wires)
     n = len(w.wires)
     axes = list(range(2 * n))
     for i, name in enumerate(w.names):
         if name in wires:
             axes[i], axes[n + i] = n + i, i
-    pt = w.as_tensor().transpose(axes).reshape(w.total_dim, w.total_dim)
+    return w.as_tensor().transpose(axes).reshape(w.total_dim, w.total_dim)
+
+
+def own_pt_min_eig(proc: ProcessMatrix, side: str) -> float:
+    """Smallest eigenvalue of W with ``side``'s own wires transposed, by plain numpy."""
+    pt = own_pt(proc, side)
     return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
 
 
@@ -225,6 +231,46 @@ class TestCutSpectrum:
         assert len(after) - len(before) < 100
         assert all(type(v) is float for v in pickle.loads(after)._cut_spectrum)
         assert proc == twin
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_defect_for_every_report(self, d, monkeypatch, tmp_path, capsys):
+        # A partial transpose permutes the entries of W - W^dagger, so each
+        # cut's defect is W's, bit for bit; it is computed once per process.
+        from causalkit import processes, tensor
+        from causalkit.cli import main
+
+        rng = np.random.default_rng([1216, d])
+        base = random_process(rng, d)
+        skewed = base.op.matrix + 1e-3 * rng.normal(size=base.op.matrix.shape)
+        state = LabeledOperator((WireLabel("A'", d),), random_density(rng, d))
+        proc = extend_with_state(
+            ProcessMatrix(LabeledOperator(base.op.wires, skewed), base.parties), state, assign={"A'": "A"}
+        )
+        path = tmp_path / "skewed.txt"
+        path.write_text(dump_process(proc), encoding="utf-8")
+        calls = []
+        defect = tensor.hermiticity_defect
+
+        def counted(op):
+            calls.append(op)
+            return defect(op)
+
+        monkeypatch.setattr(processes, "hermiticity_defect", counted)
+        monkeypatch.setattr(tensor, "hermiticity_defect", counted)
+        herm = validate_process(proc).hermiticity
+        for side in ("A", "B"):
+            ok, eig = is_ppt_cut(proc, side)
+            assert not ok and np.isnan(eig)
+        assert len(calls) == 1
+        assert herm > 1e-6
+        assert proc._cut_spectrum[0] == herm
+        for side in ("A", "B"):
+            pt = own_pt(proc, side)
+            assert float(np.max(np.abs(pt - pt.conj().T))) == herm
+            calls.clear()
+            assert main(["ppt", str(path), "--cut", side, "--json"]) == 1
+            assert json.loads(capsys.readouterr().out)["hermiticity"] == herm
+            assert len(calls) == 1
 
     def test_ambiguous_cut_raises_before_numerics(self):
         state = LabeledOperator((WireLabel("A'", 2),), np.eye(2) / 2)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from causalkit.sampling import random_process
 from causalkit.tensor import (
     DEFAULT_TOL,
     KronSum,
@@ -49,6 +50,15 @@ C = WireLabel("C", 3)
 
 def op(wires, matrix) -> LabeledOperator:
     return LabeledOperator(tuple(wires), np.asarray(matrix, dtype=complex))
+
+
+def per_entry_dump(m: LabeledOperator) -> str:
+    """The dump text built by formatting each numpy entry on its own."""
+    lines = ["wires: " + ",".join(f"{w.name}:{w.dim}" for w in m.wires)]
+    for r in range(m.total_dim):
+        entries = (m.matrix[r, c] for c in range(m.total_dim))
+        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in entries))
+    return "\n".join(lines) + "\n"
 
 
 def replaced(m: LabeledOperator, wires_x) -> LabeledOperator:
@@ -415,14 +425,38 @@ class TestDumpLoad:
         mat[3, 3] = complex(-0.0, -0.0)
         mat[4, 4] = complex(1e-300, -1e300)
         m = op(d3, mat)
-        lines = ["wires: X:3,Y:3"]
-        for r in range(9):
-            entries = (m.matrix[r, c] for c in range(9))
-            lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in entries))
         text = dump_operator(m)
-        assert text == "\n".join(lines) + "\n"
+        assert text.startswith("wires: X:3,Y:3\n")
+        assert text == per_entry_dump(m)
         assert "-0-0j" in text
         assert load_operator(text.splitlines()).matrix.tobytes() == m.matrix.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_any_entries_match_per_entry_formatter(self, d, data):
+        # nan, +-inf, subnormals, extremes and signed zeros in either part.
+        mat = data.draw(arrays(np.complex128, (d * d, d * d), elements=st.complex_numbers()))
+        m = op((WireLabel("X", d), WireLabel("Y", d)), mat)
+        assert dump_operator(m) == per_entry_dump(m)
+
+    def test_non_contiguous_matrix(self):
+        rng = np.random.default_rng(35)
+        mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        swapped = permute_wires(op([A, C], mat), ["C", "A"])
+        strided = LabeledOperator((A, C), mat.T)
+        assert not strided.matrix.flags.c_contiguous
+        for m in (swapped, strided):
+            text = dump_operator(m)
+            assert text == per_entry_dump(m)
+            assert load_operator(text.splitlines()).matrix.tobytes() == np.ascontiguousarray(m.matrix).tobytes()
+
+    def test_d4_process_matches_reference_and_round_trips(self):
+        m = random_process(np.random.default_rng(36), 4).op
+        text = dump_operator(m)
+        assert text == per_entry_dump(m)
+        back = load_operator(text.splitlines())
+        assert back.wires == m.wires
+        assert back.matrix.tobytes() == m.matrix.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3]), st.data())
