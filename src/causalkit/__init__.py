@@ -18,7 +18,6 @@ from .tensor import (
     dump_operator,
     identity_operator,
     kron,
-    kron_all,
     load_operator,
     min_eigenvalue,
     partial_trace,

@@ -162,7 +162,8 @@ class DualityCertificate:
 def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     """Rebuild a mutual-guessing strategy as a retrieval strategy of equal value.
 
-    The returned strategy carries fresh code wires ("A", "B"); its process is
+    The returned strategy's instruments act on fresh code wires ("A", "B"),
+    which are therefore its :attr:`~GameStrategy.state_wires`; its process is
     the original one extended with a zero-code pair on ("A'", "B'"). Party i
     (0 or 1) measures (code wire, fresh wire), selects its inner instrument
     with measured symbol i and pads its answer with the other symbol.
@@ -182,8 +183,8 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     for selector, (arm, code) in enumerate(zip(strategy.parties, ("A", "B"))):
         wires = (WireLabel(code, d), WireLabel(f"{code}'", d))
         ins = extend_instrument_with_measurement(arm.instruments, readouts[selector], wires, selector)
-        arms.append(PartyArm(arm.name, (ins,)))
-    return GameStrategy(extended, tuple(arms), state_wires=("A", "B"))
+        arms.append(PartyArm((ins,)))
+    return GameStrategy(extended, tuple(arms))
 
 
 def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
@@ -196,8 +197,7 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
     """
     d = _code_dim(strategy)
     sa, sb = strategy.state_wires
-    arm_a, arm_b = strategy.parties
-    ins_a, ins_b = arm_a.instruments[0], arm_b.instruments[0]
+    ins_a, ins_b = (arm.instruments[0] for arm in strategy.parties)
     pa, pb = strategy.process.parties
     extended = extend_with_state(
         strategy.process,
@@ -214,7 +214,7 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
         conjugate_instrument(ins_b, np.linalg.matrix_power(x_inv, i2), (sb,))
         for i2 in range(d)
     )
-    return GameStrategy(extended, (PartyArm(arm_a.name, alice), PartyArm(arm_b.name, bob)))
+    return GameStrategy(extended, (PartyArm(alice), PartyArm(bob)))
 
 
 def check_duality(

@@ -5,8 +5,9 @@ conditions its instrument on it, and must output the other party's input.
 *State retrieval*: the referee appends a two-wire code state to the process;
 each party holds one code wire and must output one of the two classical
 symbols hidden in the code (first party the shift symbol, second the phase
-symbol). A :class:`GameStrategy` names its code wires in ``state_wires``,
-which only a retrieval strategy has, so that is what tells the games apart.
+symbol). A :class:`GameStrategy` reads its code wires, ``state_wires``, off
+its instruments: they are the wires an arm acts on that the process lacks.
+Only a retrieval strategy has them, so that is what tells the games apart.
 
 All probabilities of a game come from one factored contraction of
 ``Tr[(W (x) state) (M_A (x) M_B)]`` over every input, outcome and code
@@ -81,29 +82,44 @@ class PartyArm:
     """One player's equipment: an instrument per classical input (one entry
     for the retrieval game, where the only input is the code wire)."""
 
-    name: str
     instruments: tuple[Instrument, ...]
 
     def __post_init__(self) -> None:
         if not self.instruments:
-            raise ValueError(f"party {self.name!r} needs at least one instrument")
+            raise ValueError("an arm needs at least one instrument")
         object.__setattr__(self, "instruments", tuple(self.instruments))
 
 
 @dataclass(frozen=True)
 class GameStrategy:
-    """A process and one arm per party; ``state_wires`` names the code wires
-    of a retrieval strategy and is empty for a mutual-guessing one."""
+    """A process and one arm per party: arm i belongs to process party i.
+
+    An arm may act on its party's process wires (input, output and extra
+    wires) and on wires the process lacks, its code wires. :attr:`state_wires`
+    lists those in party order, computed once here: two for a retrieval
+    strategy, none for a mutual-guessing one.
+    """
 
     process: ProcessMatrix
     parties: tuple[PartyArm, ...]
-    state_wires: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "parties", tuple(self.parties))
         if len(self.parties) != len(self.process.parties):
             raise ValueError("strategy must equip every process party")
-        object.__setattr__(self, "parties", tuple(self.parties))
-        object.__setattr__(self, "state_wires", tuple(self.state_wires))
+        on_process, code_wires = set(self.process.names), []
+        for arm, slot in zip(self.parties, self.process.parties):
+            acted = dict.fromkeys(w.name for ins in arm.instruments for w in ins.wires)
+            foreign = [n for n in acted if n in on_process and n not in slot.all_wires]
+            if foreign:
+                raise ValueError(f"arm of party {slot.name!r} acts on process wires {foreign} it does not hold")
+            code_wires.append(tuple(n for n in acted if n not in on_process))
+        object.__setattr__(self, "_code_wires", tuple(code_wires))
+
+    @property
+    def state_wires(self) -> tuple[str, ...]:
+        """The code wires: each arm's wires that the process lacks, in party order."""
+        return tuple(n for wires in self._code_wires for n in wires)  # type: ignore[attr-defined]
 
 
 def input_count(strategy: GameStrategy) -> int:
@@ -117,7 +133,7 @@ def input_count(strategy: GameStrategy) -> int:
 def _gyni_dim(strategy: GameStrategy) -> int:
     """d of a mutual-guessing strategy: no code wires, d inputs of d outcomes per party."""
     if strategy.state_wires:
-        raise ValueError("strategy has code wires, so it is for the retrieval game")
+        raise ValueError(f"strategy has code wires {strategy.state_wires}, so it is for the retrieval game")
     d = input_count(strategy)
     if any(ins.n_outcomes != d for arm in strategy.parties for ins in arm.instruments):
         raise ValueError("guessing strategies need d instruments of d outcomes per party")
@@ -127,18 +143,18 @@ def _gyni_dim(strategy: GameStrategy) -> int:
 def _code_dim(strategy: GameStrategy) -> int:
     """d of a retrieval strategy, read from the first party's code wire.
 
-    The strategy needs two code wires of that dimension, no classical input,
-    and d outcomes per party.
+    Each party needs exactly one code wire, of that dimension; the strategy
+    needs no classical input and d outcomes per party.
     """
-    if len(strategy.state_wires) != 2:
-        raise ValueError("retrieval strategies carry exactly two code wires")
+    for slot, wires in zip(strategy.process.parties, strategy._code_wires):  # type: ignore[attr-defined]
+        if len(wires) != 1:
+            raise ValueError(
+                f"retrieval needs two code wires, one per party; party {slot.name!r} has {list(wires)}"
+            )
     if input_count(strategy) != 1:
         raise ValueError("retrieval strategies take no classical input")
     instruments = [arm.instruments[0] for arm in strategy.parties]
-    try:
-        d, d_second = (ins.wire(name).dim for ins, name in zip(instruments, strategy.state_wires))
-    except KeyError as err:
-        raise ValueError(f"each party's instrument must act on its code wire: {err.args[0]}") from None
+    d, d_second = (ins.wire(name).dim for ins, name in zip(instruments, strategy.state_wires))
     if d_second != d or any(ins.n_outcomes != d for ins in instruments):
         raise ValueError("code wires and outcome counts must share one dimension d")
     return d
@@ -231,7 +247,7 @@ def _forward_or_resend(flip: bool) -> GameStrategy:
         w_in, w_out = _qubit(f"{name}_I"), _qubit(f"{name}_O")
         forward = identity_channel_instrument(w_in, w_out, forced_outcome=1, n_outcomes=2)
         resend = measure_prepare_instrument([e0, e1], [e1, e0] if flip else [e0, e1], w_in, w_out)
-        arms.append(PartyArm(name, (forward, resend)))
+        arms.append(PartyArm((forward, resend)))
     return GameStrategy(build_cyril(), tuple(arms))
 
 
@@ -243,7 +259,7 @@ def constant_output_gyni_strategy() -> GameStrategy:
         cj = LabeledOperator((w_in, w_out), np.eye(4, dtype=complex) / 2)
         zero = LabeledOperator((w_in, w_out), np.zeros((4, 4), dtype=complex))
         ins = Instrument((cj, zero), (w_in.name,), (w_out.name,))
-        arms.append(PartyArm(name, (ins, ins)))
+        arms.append(PartyArm((ins, ins)))
     return GameStrategy(maximally_mixed_process(2), tuple(arms))
 
 
@@ -258,10 +274,10 @@ def relay_gyni_strategy() -> GameStrategy:
         cj = LabeledOperator((a_in, a_out), np.kron(np.eye(2) / 2, np.outer(e, e.conj())))
         alice.append(Instrument((cj, cj), (a_in.name,), (a_out.name,)))
     read = measure_prepare_instrument([e0, e1], [e0, e1], b_in, b_out)
-    bob = PartyArm("B", (read, read))
+    bob = PartyArm((read, read))
     identity_choi = 2 * bell_state(BellCode(2, 0, 0), ("A_O", "B_I")).matrix
     process = channel_process(np.diag([1.0, 0.0]), identity_choi, "A<B")
-    return GameStrategy(process, (PartyArm("A", tuple(alice)), bob))
+    return GameStrategy(process, (PartyArm(tuple(alice)), bob))
 
 
 def pauli_y_baseline_strategy() -> GameStrategy:
@@ -282,5 +298,5 @@ def pauli_y_baseline_strategy() -> GameStrategy:
         wires = (code_wire, w_in, w_out)
         ops = tuple(LabeledOperator(wires, np.kron(proj, keep_prep0)) for proj in projs)
         ins = Instrument(ops, (code_wire.name, w_in.name), (w_out.name,))
-        arms.append(PartyArm(name, (ins,)))
-    return GameStrategy(maximally_mixed_process(2), tuple(arms), state_wires=("A", "B"))
+        arms.append(PartyArm((ins,)))
+    return GameStrategy(maximally_mixed_process(2), tuple(arms))

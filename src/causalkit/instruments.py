@@ -12,6 +12,9 @@ instrument reads (ancillary state wires first, then the lab input wire) and
 ``output_wires`` what it emits. Completeness is the Choi trace-preservation
 condition Tr_out(sum_k M_k) = I_in.
 
+Constructors check their inputs at ``DEFAULT_TOL`` and raise on a violation;
+only :func:`validate_instrument` takes a ``tol``, which sets its verdict.
+
 Instruments are stored as factors, in one :class:`KronSum` stacked by
 outcome. A plain instrument is its one part, with one term. The composite
 that reads out two ancilla wires before a selected inner instrument
@@ -131,8 +134,8 @@ def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> Instrument
     return InstrumentReport(eigs, herm, tp, tol)
 
 
-def _require_valid(ins: Instrument, tol: float, what: str) -> None:
-    report = validate_instrument(ins, tol)
+def _require_valid(ins: Instrument, what: str) -> None:
+    report = validate_instrument(ins)
     if not report.valid:
         raise ValueError(
             f"{what} is not a valid instrument "
@@ -140,12 +143,12 @@ def _require_valid(ins: Instrument, tol: float, what: str) -> None:
         )
 
 
-def _unitary(u: np.ndarray, dim: int, tol: float, what: str) -> np.ndarray:
-    """``u`` as a complex array; raises unless it is a dim x dim unitary within ``tol``."""
+def _unitary(u: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """``u`` as a complex array; raises unless it is a dim x dim unitary within ``DEFAULT_TOL``."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"{what} must be a {dim}x{dim} unitary, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > tol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > DEFAULT_TOL:
         raise ValueError(f"{what} is not unitary within tolerance")
     return u
 
@@ -155,17 +158,15 @@ def _readout_projectors(v: np.ndarray, wires: Sequence[WireLabel]) -> OperatorSt
     return OperatorStack(wires, v.conj()[:, :, None] * v[:, None, :])
 
 
-def choi_of_unitary(
-    u: np.ndarray, in_wire: WireLabel, out_wire: WireLabel, tol: float = DEFAULT_TOL
-) -> LabeledOperator:
+def choi_of_unitary(u: np.ndarray, in_wire: WireLabel, out_wire: WireLabel) -> LabeledOperator:
     """CJ operator of a unitary channel, on wires (in, out).
 
     The result is rank one with trace d: the outer product of the vector
-    sum_i |i> (x) U|i>. Raises if ``u`` is not unitary within ``tol``.
+    sum_i |i> (x) U|i>. Raises if ``u`` is not unitary within ``DEFAULT_TOL``.
     """
     if out_wire.dim != in_wire.dim:
         raise ValueError(f"a unitary channel needs equal wire dims, got {in_wire.dim}, {out_wire.dim}")
-    vec = _unitary(u, in_wire.dim, tol, "channel matrix").T.reshape(-1)
+    vec = _unitary(u, in_wire.dim, "channel matrix").T.reshape(-1)
     return LabeledOperator((in_wire, out_wire), np.outer(vec, vec.conj()))
 
 
@@ -186,13 +187,12 @@ def measure_prepare_instrument(
     preparations: Sequence[np.ndarray],
     in_wire: WireLabel,
     out_wire: WireLabel,
-    tol: float = DEFAULT_TOL,
 ) -> Instrument:
     """Projective measurement followed by a pure re-preparation per outcome.
 
-    ``basis`` must be a complete orthonormal family on the input wire;
-    ``preparations`` pairs each outcome with the unit vector sent onward.
-    Branch k is |b_k><b_k| (x) |p_k><p_k|.
+    ``basis`` must be a complete orthonormal family on the input wire, and
+    ``preparations`` pairs each outcome with a unit vector sent onward, both
+    within ``DEFAULT_TOL``. Branch k is |b_k><b_k| (x) |p_k><p_k|.
     """
     if len(basis) != len(preparations):
         raise ValueError("need exactly one preparation per basis vector")
@@ -200,12 +200,12 @@ def measure_prepare_instrument(
     if len(basis) != d:
         raise ValueError(f"basis must have {d} vectors, got {len(basis)}")
     bmat = np.column_stack([np.asarray(b, dtype=complex) for b in basis])
-    if bmat.shape != (d, d) or np.max(np.abs(bmat.conj().T @ bmat - np.eye(d))) > tol:
+    if bmat.shape != (d, d) or np.max(np.abs(bmat.conj().T @ bmat - np.eye(d))) > DEFAULT_TOL:
         raise ValueError("measurement family is not an orthonormal basis")
     ops = []
     for b, p in zip(basis, preparations):
         p = np.asarray(p, dtype=complex)
-        if abs(np.linalg.norm(p) - 1.0) > tol:
+        if abs(np.linalg.norm(p) - 1.0) > DEFAULT_TOL:
             raise ValueError("preparation vectors must be normalized")
         ops.append(
             LabeledOperator(
@@ -216,9 +216,7 @@ def measure_prepare_instrument(
     return Instrument(tuple(ops), (in_wire.name,), (out_wire.name,))
 
 
-def conjugate_instrument(
-    ins: Instrument, u: np.ndarray, names: Sequence[str], tol: float = DEFAULT_TOL
-) -> Instrument:
+def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]) -> Instrument:
     """Conjugate every branch by a unitary U on the named wires.
 
     Each branch maps to U M U†, which preserves positivity; acting on input
@@ -235,7 +233,7 @@ def conjugate_instrument(
     if unknown:
         raise ValueError(f"unknown wires {sorted(unknown)}; instrument has {[w.name for w in ins.wires]}")
     dim = OperatorStack.total_dim_of(w for w in ins.wires if w.name in names)
-    u = _unitary(u, dim, tol, f"conjugation matrix for wires {names}")
+    u = _unitary(u, dim, f"conjugation matrix for wires {names}")
     *shared, last = ins.terms.parts
     if not set(names) <= set(last.names):
         shared, last = [], OperatorStack(ins.wires, ins.terms.matrix[:, None])
@@ -249,7 +247,6 @@ def extend_instrument_with_measurement(
     pre_unitary: np.ndarray,
     measured_wires: tuple[WireLabel, WireLabel],
     selector: int,
-    tol: float = DEFAULT_TOL,
 ) -> Instrument:
     """Compose: rotate two ancilla wires, read them out, run the inner
     instrument picked by one symbol, and pad its outcome with the other.
@@ -258,7 +255,7 @@ def extend_instrument_with_measurement(
     with d the dimension of the padding wire ``measured_wires[1 - selector]``.
 
     :param family: inner instruments, indexed by the selected measured symbol;
-        all must be valid, share wires and have d outcomes
+        all must be valid at ``DEFAULT_TOL``, share wires and have d outcomes
     :param pre_unitary: applied to the two measured wires before the
         computational-basis readout (effective projectors U†|m1 m2><m1 m2|U)
     :param measured_wires: the two fresh wires being measured
@@ -281,10 +278,10 @@ def extend_instrument_with_measurement(
     for k, ins in enumerate(family):
         if ins.n_outcomes != d:
             raise ValueError(f"inner instrument {k} needs {d} outcomes, one per padding symbol")
-        _require_valid(ins, tol, f"inner instrument {k}")
+        _require_valid(ins, f"inner instrument {k}")
         if ins.wires != base.wires:
             raise ValueError("inner instruments must share identical wires")
-    u = _unitary(pre_unitary, w1.dim * w2.dim, tol, "pre-measurement matrix")
+    u = _unitary(pre_unitary, w1.dim * w2.dim, "pre-measurement matrix")
 
     # Branch a is sum_m R[m] (x) S[a, m]: R[m] = U^dag |m><m| U reads out m =
     # (m1, m2), and S[a, m] is branch (a - m[1 - selector]) mod d of member m[selector].

@@ -24,13 +24,16 @@ order compare R_X W with R_{X+o} W = R_X R_o W. Their difference,
 operator Tr_X W, so the residual is taken there and divided by d_X. The rest
 involve W itself: each R_X term is added into one copy of W, in place on the
 block where it is nonzero (:func:`causalkit.tensor.add_replaced`).
+
+Constructors check their inputs at ``DEFAULT_TOL`` and raise on a violation;
+the ``tol`` of a check sets only its verdict.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -45,7 +48,6 @@ from .tensor import (
     hermiticity_defect,
     identity_operator,
     kron,
-    kron_all,
     load_operator,
     min_eigenvalue,
     partial_trace,
@@ -111,7 +113,7 @@ class ProcessMatrix:
     @property
     def op(self) -> LabeledOperator:
         """The dense process operator, the kron of the factors."""
-        return self.factors[0] if len(self.factors) == 1 else kron_all(self.factors)
+        return self.factors[0] if len(self.factors) == 1 else kron(*self.factors)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -394,52 +396,49 @@ def channel_process(rho_in: np.ndarray, channel_choi: np.ndarray, direction: str
         raise ValueError(f"channel_process needs a signaling direction, A<B or B<A, got {direction!r}")
     rho_in = np.asarray(rho_in, dtype=complex)
     channel_choi = np.asarray(channel_choi, dtype=complex)
-    ai, ao, bi, bo = _party_wires(rho_in.shape[0])
-    if direction == "A<B":
-        state = LabeledOperator((ai,), rho_in)
-        link = LabeledOperator((ao, bi), channel_choi)
-        tail = identity_operator((bo,))
-    else:
-        state = LabeledOperator((bi,), rho_in)
-        link = LabeledOperator((bo, ai), channel_choi)
-        tail = identity_operator((ao,))
-    w = permute_wires(kron_all([state, link, tail]), list(DEFAULT_PARTY_WIRES))
+    wires = _party_wires(rho_in.shape[0])
+    (first_in, first_out), (second_in, second_out) = (
+        (wires[:2], wires[2:]) if direction == "A<B" else (wires[2:], wires[:2])
+    )
+    state = LabeledOperator((first_in,), rho_in)
+    link = LabeledOperator((first_out, second_in), channel_choi)
+    w = permute_wires(kron(state, link, identity_operator((second_out,))), list(DEFAULT_PARTY_WIRES))
     return ProcessMatrix(w, default_parties())
 
 
 def extend_with_state(
-    proc: ProcessMatrix,
-    state: LabeledOperator,
-    assign: Mapping[str, str] | None = None,
-    tol: float = DEFAULT_TOL,
+    proc: ProcessMatrix, state: LabeledOperator, assign: Mapping[str, str] | None = None
 ) -> ProcessMatrix:
     """Adjoin an ancillary quantum state on fresh wires.
 
-    ``state`` must be a density operator (PSD, unit trace) on wires disjoint
-    from the process. ``assign`` maps each new wire to a party name so later
-    cut-based checks know which side the wire belongs to. The state becomes
-    one more factor of the returned process; W (x) state is never formed
-    unless :attr:`ProcessMatrix.op` is read.
+    ``state`` must be a density operator (PSD, unit trace within
+    ``DEFAULT_TOL``) on wires disjoint from the process. ``assign`` maps each
+    new wire to a party name so later cut-based checks know which side the
+    wire belongs to; an unknown wire or party raises. The state becomes one
+    more factor of the returned process; W (x) state is never formed unless
+    :attr:`ProcessMatrix.op` is read.
     """
     clash = set(state.names) & set(proc.names)
     if clash:
         raise ValueError(f"state wires {sorted(clash)} already used by the process")
-    if abs(complex(np.trace(state.matrix)) - 1.0) > tol:
+    if abs(complex(np.trace(state.matrix)) - 1.0) > DEFAULT_TOL:
         raise ValueError("state is not normalized (trace != 1)")
     defect = hermiticity_defect(state)
-    if defect > tol or min_eigenvalue(state, tol, defect) < -tol:
+    if defect > DEFAULT_TOL or min_eigenvalue(state, DEFAULT_TOL, defect) < -DEFAULT_TOL:
         raise ValueError("state is not positive semidefinite")
     assign = dict(assign or {})
     unknown = set(assign) - set(state.names)
     if unknown:
         raise ValueError(f"assignment mentions unknown wires {sorted(unknown)}")
-    new_parties = []
-    for p in proc.parties:
-        extras = tuple(w for w in state.names if assign.get(w) == p.name)
-        new_parties.append(
-            PartySlot(p.name, p.input_wire, p.output_wire, p.extra_wires + extras)
-        )
-    return ProcessMatrix(proc.factors + (state,), tuple(new_parties))
+    party_names = [p.name for p in proc.parties]
+    strangers = set(assign.values()) - set(party_names)
+    if strangers:
+        raise ValueError(f"assignment names unknown parties {sorted(strangers)}; process has {party_names}")
+    parties = tuple(
+        replace(p, extra_wires=p.extra_wires + tuple(w for w in state.names if assign.get(w) == p.name))
+        for p in proc.parties
+    )
+    return ProcessMatrix(proc.factors + (state,), parties)
 
 
 # ---------------------------------------------------------------------------

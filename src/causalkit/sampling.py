@@ -84,14 +84,7 @@ def random_gyni_strategy(rng: np.random.Generator, d: int = 2) -> GameStrategy:
     arms = []
     for name in ("A", "B"):
         w_in, w_out = WireLabel(f"{name}_I", d), WireLabel(f"{name}_O", d)
-        arms.append(
-            PartyArm(
-                name,
-                tuple(
-                    random_instrument(rng, (w_in,), (w_out,), d) for _ in range(d)
-                ),
-            )
-        )
+        arms.append(PartyArm(tuple(random_instrument(rng, (w_in,), (w_out,), d) for _ in range(d))))
     return GameStrategy(process, tuple(arms))
 
 
@@ -103,5 +96,5 @@ def random_dr_strategy(rng: np.random.Generator, d: int = 2) -> GameStrategy:
         code = WireLabel(name, d)
         w_in, w_out = WireLabel(f"{name}_I", d), WireLabel(f"{name}_O", d)
         ins = random_instrument(rng, (code, w_in), (w_out,), d)
-        arms.append(PartyArm(name, (ins,)))
-    return GameStrategy(process, tuple(arms), state_wires=("A", "B"))
+        arms.append(PartyArm((ins,)))
+    return GameStrategy(process, tuple(arms))

@@ -116,25 +116,19 @@ def identity_operator(wires: Sequence[WireLabel]) -> LabeledOperator:
     return LabeledOperator(wires, np.eye(OperatorStack.total_dim_of(wires)))
 
 
-def kron(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
-    """Tensor product; wires of ``a`` stay most significant.
+def kron(*ops: LabeledOperator) -> LabeledOperator:
+    """Tensor product of one or more operators; earlier wires stay most significant.
 
-    Raises ValueError if the operands share a wire name.
+    Raises ValueError if two operands share a wire name.
     """
-    overlap = set(a.names) & set(b.names)
-    if overlap:
-        raise ValueError(f"kron operands share wires {sorted(overlap)}")
-    return LabeledOperator(a.wires + b.wires, np.kron(a.matrix, b.matrix))
-
-
-def kron_all(ops: Iterable[LabeledOperator]) -> LabeledOperator:
-    ops = list(ops)
     if not ops:
-        raise ValueError("kron_all needs at least one operand")
-    out = ops[0]
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
+        raise ValueError("kron needs at least one operand")
+    names = [n for op in ops for n in op.names]
+    if len(set(names)) != len(names):
+        shared = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"kron operands share wires {shared}")
+    wires = tuple(w for op in ops for w in op.wires)
+    return LabeledOperator(wires, functools.reduce(np.kron, (op.matrix for op in ops)))
 
 
 def _check_names(op: LabeledOperator, names: Iterable[str]) -> set[str]:

@@ -238,11 +238,3 @@ class TestErrors:
             gyni_to_dr(pauli_y_baseline_strategy())
         with pytest.raises(ValueError):
             dr_to_gyni(cyril_gyni_strategy())
-
-    def test_wire_clash_rejected(self):
-        import dataclasses
-
-        strategy = random_dr_strategy(np.random.default_rng(5), 2)
-        renamed = dataclasses.replace(strategy, state_wires=("A_I", "B_I"))
-        with pytest.raises(ValueError):
-            dr_to_gyni(renamed)

@@ -33,7 +33,7 @@ from causalkit.games import (
     pauli_y_baseline_strategy,
     relay_gyni_strategy,
 )
-from causalkit.duality import check_duality
+from causalkit.duality import check_duality, dr_to_gyni, gyni_to_dr
 from causalkit.instruments import Instrument
 from causalkit.processes import ProcessMatrix, PartySlot
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy, random_instrument
@@ -232,8 +232,8 @@ class TestStructuralErrors:
         arm_a = random_dr_strategy(rng, 2).parties[0]
         # Party B reads a qutrit code wire against party A's qubit one.
         wires = (WireLabel("B", 3), WireLabel("B_I", 2)), (WireLabel("B_O", 2),)
-        arm_b = PartyArm("B", (random_instrument(rng, *wires, 2),))
-        mixed = GameStrategy(random_dr_strategy(rng, 2).process, (arm_a, arm_b), ("A", "B"))
+        arm_b = PartyArm((random_instrument(rng, *wires, 2),))
+        mixed = GameStrategy(random_dr_strategy(rng, 2).process, (arm_a, arm_b))
 
         def contracted(*args):
             raise AssertionError("contracted before the code wires were checked")
@@ -244,14 +244,45 @@ class TestStructuralErrors:
         with pytest.raises(ValueError, match="one dimension"):
             check_duality(mixed, "dr2gyni")
 
-    def test_code_wire_missing_from_instrument(self):
-        # The code wires name wires that neither party's instrument acts on.
-        strategy = random_dr_strategy(np.random.default_rng(66), 2)
-        renamed = GameStrategy(strategy.process, strategy.parties, ("P", "Q"))
-        with pytest.raises(ValueError, match="code wire: no wire named 'P'"):
-            eval_dr(renamed)
-        with pytest.raises(ValueError, match="code wire: no wire named 'P'"):
-            check_duality(renamed, "dr2gyni")
+    @pytest.mark.parametrize(
+        "inputs, held",
+        [(("B_I",), r"\[\]"), (("B", "B2", "B_I"), r"\['B', 'B2'\]")],
+        ids=["no-code-wire", "two-code-wires"],
+    )
+    def test_one_code_wire_per_party(self, monkeypatch, inputs, held):
+        from causalkit import games
+
+        rng = np.random.default_rng(66)
+        strategy = random_dr_strategy(rng, 2)
+        # Party B's instrument acts on zero or two wires the process lacks.
+        wires = tuple(WireLabel(n, 2) for n in inputs), (WireLabel("B_O", 2),)
+        arm_b = PartyArm((random_instrument(rng, *wires, 2),))
+        odd = GameStrategy(strategy.process, (strategy.parties[0], arm_b))
+
+        def contracted(*args):
+            raise AssertionError("contracted before the code wires were checked")
+
+        monkeypatch.setattr(games, "batched_trace", contracted)
+        message = f"one per party; party 'B' has {held}"
+        with pytest.raises(ValueError, match=message):
+            eval_dr(odd)
+        with pytest.raises(ValueError, match=message):
+            check_duality(odd, "dr2gyni")
+
+    @pytest.mark.parametrize("build", [cyril_gyni_strategy, pauli_y_baseline_strategy])
+    def test_swapped_arms_rejected(self, build):
+        strategy = build()
+        with pytest.raises(ValueError, match="arm of party 'A' acts on process wires"):
+            GameStrategy(strategy.process, strategy.parties[::-1])
+
+    def test_arm_on_other_party_wire_rejected(self):
+        rng = np.random.default_rng(67)
+        strategy = random_gyni_strategy(rng, 2)
+        # Party A's instrument also reads party B's input wire.
+        wires = (WireLabel("A_I", 2), WireLabel("B_I", 2)), (WireLabel("A_O", 2),)
+        arm_a = PartyArm(tuple(random_instrument(rng, *wires, 2) for _ in range(2)))
+        with pytest.raises(ValueError, match=r"party 'A' acts on process wires \['B_I'\]"):
+            GameStrategy(strategy.process, (arm_a, strategy.parties[1]))
 
     def test_game_told_by_code_wires(self):
         retrieval, guessing = pauli_y_baseline_strategy(), cyril_gyni_strategy()
@@ -284,7 +315,7 @@ def _renamed_cyril_strategy() -> GameStrategy:
             )
             for ins in arm.instruments
         )
-        arms.append(PartyArm(arm.name, new_ins))
+        arms.append(PartyArm(new_ins))
     return GameStrategy(proc, tuple(arms))
 
 
@@ -301,8 +332,8 @@ def _renamed_code_wires(strategy: GameStrategy, names: tuple[str, str]) -> GameS
         wires = tuple(WireLabel(mapping.get(w.name, w.name), w.dim) for w in ins.wires)
         ops = tuple(LabeledOperator(wires, op.matrix) for op in ins.ops)
         renamed = Instrument(ops, rename(ins.input_wires), rename(ins.output_wires))
-        arms.append(PartyArm(arm.name, (renamed,)))
-    return GameStrategy(strategy.process, tuple(arms), state_wires=names)
+        arms.append(PartyArm((renamed,)))
+    return GameStrategy(strategy.process, tuple(arms))
 
 
 class TestRelabelingInvariance:
@@ -320,9 +351,35 @@ class TestRelabelingInvariance:
     def test_qutrit_retrieval_code_wires_renamed(self):
         strategy = random_dr_strategy(np.random.default_rng(64), 3)
         renamed = _renamed_code_wires(strategy, ("P", "Q"))
+        assert renamed.state_wires == ("P", "Q")
         assert renamed.parties[1].instruments[0].wire("Q").dim == 3
         a, b = dr_terms(strategy), dr_terms(renamed)
         assert set(b) == set(product(range(3), repeat=2))
         for key in a:
             assert b[key] == pytest.approx(a[key], abs=1e-12)
         assert eval_dr(renamed) == pytest.approx(eval_dr(strategy), abs=1e-12)
+
+
+class TestDerivedCodeWires:
+    """``state_wires`` is read off the instruments: each arm's off-process wires."""
+
+    @pytest.mark.parametrize(
+        "build", [cyril_gyni_strategy, relay_gyni_strategy, constant_output_gyni_strategy]
+    )
+    def test_guessing_builtins_have_none(self, build):
+        assert build().state_wires == ()
+
+    def test_pauli_y_baseline(self):
+        assert pauli_y_baseline_strategy().state_wires == ("A", "B")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sampled_and_translated(self, d):
+        rng = np.random.default_rng([68, d])
+        guessing, retrieval = random_gyni_strategy(rng, d), random_dr_strategy(rng, d)
+        assert guessing.state_wires == ()
+        assert retrieval.state_wires == ("A", "B")
+        assert gyni_to_dr(guessing).state_wires == ("A", "B")
+        assert dr_to_gyni(retrieval).state_wires == ()
+        if d == 2:
+            assert gyni_to_dr(cyril_gyni_strategy()).state_wires == ("A", "B")
+            assert dr_to_gyni(pauli_y_baseline_strategy()).state_wires == ()

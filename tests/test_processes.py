@@ -386,7 +386,7 @@ class TestReducedResiduals:
             raise AssertionError("dense kron or wire permutation on the validity path")
 
         for module in (processes, tensor):
-            for name in ("kron", "kron_all", "permute_wires"):
+            for name in ("kron", "permute_wires"):
                 monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(np, "kron", forbidden)
         calls = []
@@ -458,7 +458,7 @@ class TestQutritNormalization:
         rng = np.random.default_rng([303, ORDER_SEEDS[direction]])
         proc = channel_process(random_density(rng, 3), random_channel_choi(rng, 3, 3), direction)
         arms = tuple(
-            PartyArm(p, tuple(random_instrument(rng, (proc.wire(f"{p}_I"),), (proc.wire(f"{p}_O"),), 3) for _ in range(3)))
+            PartyArm(tuple(random_instrument(rng, (proc.wire(f"{p}_I"),), (proc.wire(f"{p}_O"),), 3) for _ in range(3)))
             for p in ("A", "B")
         )
         table = behaviour(GameStrategy(proc, arms))  # P[x, y, a, b]
@@ -495,6 +495,12 @@ class TestExtendWithState:
         state = LabeledOperator((WireLabel("A_I", 2),), np.eye(2) / 2)
         with pytest.raises(ValueError, match="already used"):
             extend_with_state(build_cyril(), state)
+
+    def test_rejects_unknown_party(self):
+        # A wire assigned to no party of the process would stay unassigned.
+        state = LabeledOperator((WireLabel("A'", 2),), np.eye(2) / 2)
+        with pytest.raises(ValueError, match=r"unknown parties \['Z'\]; process has \['A', 'B'\]"):
+            extend_with_state(build_cyril(), state, assign={"A'": "Z"})
 
     def test_one_hermiticity_pass_on_the_state(self, monkeypatch):
         from causalkit import processes, tensor

@@ -27,7 +27,6 @@ from causalkit.tensor import (
     hermiticity_defect,
     identity_operator,
     kron,
-    kron_all,
     load_operator,
     min_eigenvalue,
     partial_trace,
@@ -123,6 +122,20 @@ class TestKron:
         assert left.names == right.names
         np.testing.assert_allclose(left.matrix, right.matrix, atol=1e-12)
 
+    def test_variadic_is_the_left_fold_to_the_bit(self):
+        rng = np.random.default_rng(7)
+        x, y, z = (op([w], random_herm(rng, w.dim)) for w in (A, B, C))
+        joint = kron(x, y, z)
+        assert joint.names == ("A", "B", "C")
+        np.testing.assert_array_equal(joint.matrix, np.kron(np.kron(x.matrix, y.matrix), z.matrix))
+        np.testing.assert_array_equal(kron(x).matrix, x.matrix)
+
+    def test_variadic_collision_and_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"share wires \['A'\]"):
+            kron(op([A], SZ), op([B], SX), op([A], SX))
+        with pytest.raises(ValueError, match="at least one operand"):
+            kron()
+
 
 class TestPartialTrace:
     def test_factorized_operand(self):
@@ -183,8 +196,7 @@ class TestPermuteWires:
     @given(st.integers(0, 2**32 - 1), st.permutations(["A", "B", "C"]))
     def test_spectrum_preserved(self, seed, order):
         rng = np.random.default_rng(seed)
-        m = kron_all([op([A], random_herm(rng, 2)), op([B], random_herm(rng, 2)),
-                      op([C], random_herm(rng, 3))])
+        m = kron(op([A], random_herm(rng, 2)), op([B], random_herm(rng, 2)), op([C], random_herm(rng, 3)))
         before = np.linalg.eigvalsh(m.matrix)
         after = np.linalg.eigvalsh(permute_wires(m, order).matrix)
         np.testing.assert_allclose(after, before, atol=1e-9)
