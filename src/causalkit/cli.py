@@ -200,6 +200,8 @@ def cmd_duality(args, parser, tol) -> int:
         dim = 2 if args.dim is None else args.dim
         if dim < 2:
             parser.error(f"--dim must be at least 2, got {dim}")
+        if args.seed < 0:
+            parser.error(f"--seed must be non-negative, got {args.seed}")
         sample = sampling.random_gyni_strategy if gyni else sampling.random_dr_strategy
         strategy = sample(np.random.default_rng(args.seed), dim)
         source_name = f"random(seed={args.seed}, d={dim})"

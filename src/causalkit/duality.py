@@ -115,19 +115,17 @@ def readout_correlation_residual(d: int) -> float:
     readouts and accumulate the probability of measured symbols violating
     u + v = x2 or u' + v' = x1 (mod d). Exactly zero in exact arithmetic.
     All d^6 probabilities come from one contraction, with codes stacked by
-    x and projectors by (u, u') and (v, v').
+    (x1, x2) and projectors by (u, u') and (v, v').
     """
     v_a, v_b = party_readout_unitaries(d)
     codes = coded_pairs(d, ("A", "B"))
     aux = bell_state(BellCode(d, 0, 0), ("A'", "B'"))
     proj_a = _readout_projectors(v_a, (WireLabel("A", d), WireLabel("A'", d)))
     proj_b = _readout_projectors(v_b, (WireLabel("B", d), WireLabel("B'", d)))
-    prob = batched_trace([codes, aux], [proj_a, proj_b]).real  # [x, (u, u'), (v, v')]
-    x1, x2 = u, up = np.divmod(np.arange(d * d), d)  # code x; likewise (u, u'), (v, v')
-    on_rule = ((u[:, None] + u[None, :]) % d == x2[:, None, None]) & (
-        (up[:, None] + up[None, :]) % d == x1[:, None, None]
-    )
-    mass = np.where(on_rule, prob, 0.0).sum(axis=(1, 2))
+    prob = batched_trace([codes, aux], [proj_a, proj_b]).real.reshape((d,) * 6)  # [x1, x2, u, u', v, v']
+    x1, x2, u, up, v, vp = np.ix_(*[np.arange(d)] * 6)
+    on_rule = ((u + v) % d == x2) & ((up + vp) % d == x1)
+    mass = np.where(on_rule, prob, 0.0).sum(axis=(2, 3, 4, 5))
     return float(np.max(np.abs(1.0 - mass)))
 
 
@@ -204,15 +202,10 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
         bell_state(BellCode(d, 0, 0), (sa, sb)),
         assign={sa: pa.name, sb: pb.name},
     )
-    z_inv = pauli_zd(d).conj().T
-    x_inv = pauli_xd(d).conj().T
-    alice = tuple(
-        conjugate_instrument(ins_a, np.linalg.matrix_power(z_inv, i1), (sa,))
-        for i1 in range(d)
-    )
-    bob = tuple(
-        conjugate_instrument(ins_b, np.linalg.matrix_power(x_inv, i2), (sb,))
-        for i2 in range(d)
+    # One stacked conjugation per party, by the inverse powers g^-i, i = 0..d-1.
+    alice, bob = (
+        conjugate_instrument(ins, np.stack([np.linalg.matrix_power(g.conj().T, i) for i in range(d)]), (wire,))
+        for ins, g, wire in ((ins_a, pauli_zd(d), sa), (ins_b, pauli_xd(d), sb))
     )
     return GameStrategy(extended, (PartyArm(alice), PartyArm(bob)))
 

@@ -9,13 +9,13 @@ symbol). A :class:`GameStrategy` reads its code wires, ``state_wires``, off
 its instruments: they are the wires an arm acts on that the process lacks.
 Only a retrieval strategy has them, so that is what tells the games apart.
 
-All probabilities of a game come from one factored contraction of
-``Tr[(W (x) state) (M_A (x) M_B)]`` over every input, outcome and code
-(:func:`behaviour`), evaluated wire-by-wire so no joint kron is ever formed;
-the other evaluators are index views of that table. The process enters as
-its factors and each party's instruments as the parts of their
-:class:`~causalkit.tensor.KronSum`, whose shared term index the contraction
-sums, so neither the dense process nor a dense composite instrument is built.
+Every probability of a game comes from one factored contraction of
+``Tr[(W (x) state) (M_A (x) M_B)]``, wire by wire, so no joint kron is formed:
+:func:`behaviour` over every input, outcome and code, and the evaluators over
+only the d^2 winning entries, each outcome axis tied to the symbol it guesses.
+The process enters as its factors and each party's instruments as the parts
+of their :class:`~causalkit.tensor.KronSum` (whose shared term index is
+summed), so no dense process or composite instrument is built.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .instruments import (
     stack_instruments,
 )
 from .processes import ProcessMatrix, build_cyril, channel_process, maximally_mixed_process
-from .tensor import DEFAULT_TOL, LabeledOperator, OperatorStack, WireLabel, batched_trace, stack_operators
+from .tensor import DEFAULT_TOL, LabeledOperator, OperatorStack, WireLabel, batched_trace
 
 # Closed-form reference values (qubit wires unless stated otherwise).
 CYRIL_GYNI_VALUE = (5 / 16) * (1 + 1 / np.sqrt(2))
@@ -60,21 +60,23 @@ class BellCode:
             raise ValueError(f"code symbols must lie in 0..{self.d - 1}")
 
 
+def _bell_vectors(d: int) -> np.ndarray:
+    """|B^x> for every code, indexed [x1, x2]; see :func:`bell_vector`."""
+    x1, x2, k = np.ix_(range(d), range(d), range(d))
+    vecs = np.zeros((d, d, d * d), dtype=complex)
+    vecs[x1, x2, k * d + (k + x1) % d] = np.exp(2j * np.pi / d) ** (x2 * k) / np.sqrt(d)
+    return vecs
+
+
 def bell_vector(code: BellCode) -> np.ndarray:
     """|B^x> = (1/sqrt d) sum_k w^(x2 k) |k>|k+x1 mod d>."""
-    d = code.d
-    omega = np.exp(2j * np.pi / d)
-    vec = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        vec[k * d + ((k + code.x1) % d)] = omega ** (code.x2 * k) / np.sqrt(d)
-    return vec
+    return _bell_vectors(code.d)[code.x1, code.x2]
 
 
 def bell_state(code: BellCode, wire_names: tuple[str, str] = ("A", "B")) -> LabeledOperator:
     """Density operator of the coded pair on two fresh wires."""
-    vec = bell_vector(code)
-    wires = (WireLabel(wire_names[0], code.d), WireLabel(wire_names[1], code.d))
-    return LabeledOperator(wires, np.outer(vec, vec.conj()))
+    pairs = coded_pairs(code.d, wire_names)
+    return LabeledOperator(pairs.wires, pairs.matrix[code.x1, code.x2])
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,16 @@ class GameStrategy:
         object.__setattr__(self, "parties", tuple(self.parties))
         if len(self.parties) != len(self.process.parties):
             raise ValueError("strategy must equip every process party")
-        on_process, code_wires = set(self.process.names), []
+        on_process, code_wires, owner = set(self.process.names), [], {}
         for arm, slot in zip(self.parties, self.process.parties):
             acted = dict.fromkeys(w.name for ins in arm.instruments for w in ins.wires)
             foreign = [n for n in acted if n in on_process and n not in slot.all_wires]
             if foreign:
                 raise ValueError(f"arm of party {slot.name!r} acts on process wires {foreign} it does not hold")
             code_wires.append(tuple(n for n in acted if n not in on_process))
+            for name in code_wires[-1]:
+                if owner.setdefault(name, slot.name) != slot.name:
+                    raise ValueError(f"parties {owner[name]!r} and {slot.name!r} both act on code wire {name!r}")
         object.__setattr__(self, "_code_wires", tuple(code_wires))
 
     @property
@@ -160,6 +165,18 @@ def _code_dim(strategy: GameStrategy) -> int:
     return d
 
 
+def _probabilities(strategy: GameStrategy, states=None, batch=None) -> np.ndarray:
+    """:func:`behaviour`'s contraction, unmoved; ``batch`` labels the states' and arms' axes."""
+    arms = [stack_instruments(arm.instruments) for arm in strategy.parties]
+    carriers = [*strategy.process.factors, *([] if states is None else [states])]
+    batch = batch and [""] * len(strategy.process.factors) + batch
+    table = batched_trace(carriers, arms, batch)
+    worst = np.unravel_index(np.argmax(np.abs(table.imag)), table.shape)
+    if abs(table[worst].imag) > max(DEFAULT_TOL, 1e-7):
+        raise ValueError(f"probability has a non-real value {table[worst]!r}")
+    return table.real
+
+
 def behaviour(strategy: GameStrategy, states=None) -> np.ndarray:
     """Every Tr[(W (x) state) (M_A (x) M_B)] of the strategy, from one contraction.
 
@@ -169,22 +186,16 @@ def behaviour(strategy: GameStrategy, states=None) -> np.ndarray:
     states. Wire mismatches raise ValueError before any arithmetic, and an
     imaginary part above max(DEFAULT_TOL, 1e-7) raises after it.
     """
-    arms = [stack_instruments(arm.instruments) for arm in strategy.parties]
-    carriers = [*strategy.process.factors, *([] if states is None else [states])]
-    table, n = batched_trace(carriers, arms), len(arms)
+    table, n = _probabilities(strategy, states), len(strategy.parties)
     # Axes end in (x, a, y, b, ...); move the outcomes last.
-    table = np.moveaxis(table, range(table.ndim - 2 * n + 1, table.ndim, 2), range(-n, 0))
-    worst = np.unravel_index(np.argmax(np.abs(table.imag)), table.shape)
-    if abs(table[worst].imag) > max(DEFAULT_TOL, 1e-7):
-        raise ValueError(f"probability has a non-real value {table[worst]!r}")
-    return table.real
+    return np.moveaxis(table, range(table.ndim - 2 * n + 1, table.ndim, 2), range(-n, 0))
 
 
 def gyni_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
-    """Per-input success probabilities P(a = i2, b = i1 | i1, i2)."""
+    """Per-input success probabilities P(a = i2, b = i1 | i1, i2), the only entries contracted."""
     d = _gyni_dim(strategy)
-    table = behaviour(strategy)
-    return {(i1, i2): float(table[i1, i2, i2, i1]) for i1, i2 in product(range(d), repeat=2)}
+    table = _probabilities(strategy, batch=["xy", "yx"])
+    return {(i1, i2): float(table[i1, i2]) for i1, i2 in product(range(d), repeat=2)}
 
 
 def eval_gyni(strategy: GameStrategy) -> float:
@@ -194,20 +205,21 @@ def eval_gyni(strategy: GameStrategy) -> float:
 
 
 def coded_pairs(d: int, wire_names: tuple[str, str]) -> OperatorStack:
-    """The d^2 coded pairs on two wires, stacked by code x = (x1, x2), x1 major."""
-    codes = product(range(d), repeat=2)
-    return stack_operators([bell_state(BellCode(d, x1, x2), wire_names) for x1, x2 in codes], (d * d,))
+    """The d^2 coded pairs on two wires, stacked by code (x1, x2)."""
+    vecs = _bell_vectors(d)
+    wires = (WireLabel(wire_names[0], d), WireLabel(wire_names[1], d))
+    return OperatorStack(wires, vecs[..., :, None] * vecs.conj()[..., None, :])
 
 
 def dr_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
     """Per-code success probabilities P(a = x1, b = x2 | code x).
 
     The referee hides x in the d^2 coded pairs on the strategy's code wires.
+    Only these entries are contracted: each outcome is tied to its code symbol.
     """
     d = _code_dim(strategy)
-    table = behaviour(strategy, coded_pairs(d, strategy.state_wires))
-    codes = product(range(d), repeat=2)
-    return {(x1, x2): float(table[k, 0, 0, x1, x2]) for k, (x1, x2) in enumerate(codes)}
+    table = _probabilities(strategy, coded_pairs(d, strategy.state_wires), ["ab", "ia", "ib"])
+    return {(x1, x2): float(table[x1, x2, 0]) for x1, x2 in product(range(d), repeat=2)}
 
 
 def eval_dr(strategy: GameStrategy) -> float:

@@ -121,15 +121,14 @@ class InstrumentReport:
 
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> InstrumentReport:
-    """Positivity of every branch plus completeness of the sum."""
-    ops = ins.ops
-    defects = [hermiticity_defect(op) for op in ops]
-    herm = max(defects)
+    """Positivity of every branch, in one stacked pass, plus completeness of the sum."""
+    ops = OperatorStack(ins.wires, ins.terms.matrix)
+    defects = hermiticity_defect(ops)
+    herm = float(np.max(defects))
     if herm > tol:
         return InstrumentReport((float("nan"),) * ins.n_outcomes, herm, float("inf"), tol)
-    eigs = tuple(min_eigenvalue(op, tol, defect) for op, defect in zip(ops, defects))
-    total = LabeledOperator(ins.wires, sum(op.matrix for op in ops))
-    reduced = partial_trace(total, set(ins.output_wires))
+    eigs = tuple(min_eigenvalue(ops, tol, defects).tolist())
+    reduced = partial_trace(LabeledOperator(ins.wires, ops.matrix.sum(axis=0)), set(ins.output_wires))
     tp = float(np.max(np.abs(reduced.matrix - np.eye(reduced.total_dim))))
     return InstrumentReport(eigs, herm, tp, tol)
 
@@ -143,12 +142,12 @@ def _require_valid(ins: Instrument, what: str) -> None:
         )
 
 
-def _unitary(u: np.ndarray, dim: int, what: str) -> np.ndarray:
-    """``u`` as a complex array; raises unless it is a dim x dim unitary within ``DEFAULT_TOL``."""
+def _unitary(u: np.ndarray, dim: int, what: str, stack: bool = False) -> np.ndarray:
+    """``u`` as complex; raises unless a dim x dim unitary (with ``stack``, a stack) within ``DEFAULT_TOL``."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
+    if u.shape[-2:] != (dim, dim) or u.ndim > 2 + stack:
         raise ValueError(f"{what} must be a {dim}x{dim} unitary, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > DEFAULT_TOL:
+    if np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim))) > DEFAULT_TOL:
         raise ValueError(f"{what} is not unitary within tolerance")
     return u
 
@@ -216,7 +215,7 @@ def measure_prepare_instrument(
     return Instrument(tuple(ops), (in_wire.name,), (out_wire.name,))
 
 
-def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]) -> Instrument:
+def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
     """Conjugate every branch by a unitary U on the named wires.
 
     Each branch maps to U M U†, which preserves positivity; acting on input
@@ -226,20 +225,23 @@ def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]) -
     outcome, when that part holds every named wire: U (sum_m R[m] (x) S[m]) U†
     is sum_m R[m] (x) U S[m] U†, so the shared parts stay as they are and no
     dense branch is built. Otherwise U reaches a shared part, and the dense
-    branches are conjugated as the one part of a plain instrument.
+    branches are conjugated as the one part of a plain instrument. A stack
+    of n unitaries, shaped (n, D, D), gives a tuple of n instruments.
     """
     names = tuple(names)
     unknown = set(names) - {w.name for w in ins.wires}
     if unknown:
         raise ValueError(f"unknown wires {sorted(unknown)}; instrument has {[w.name for w in ins.wires]}")
     dim = OperatorStack.total_dim_of(w for w in ins.wires if w.name in names)
-    u = _unitary(u, dim, f"conjugation matrix for wires {names}")
+    u = _unitary(u, dim, f"conjugation matrix for wires {names}", stack=True)
     *shared, last = ins.terms.parts
     if not set(names) <= set(last.names):
         shared, last = [], OperatorStack(ins.wires, ins.terms.matrix[:, None])
-    return Instrument(
-        KronSum((*shared, conjugate_wires(last, u, names))), ins.input_wires, ins.output_wires
+    members = tuple(
+        Instrument(KronSum((*shared, OperatorStack(last.wires, m))), ins.input_wires, ins.output_wires)
+        for m in conjugate_wires(last, u, names).matrix.reshape((-1,) + last.matrix.shape)
     )
+    return members if u.ndim == 3 else members[0]
 
 
 def extend_instrument_with_measurement(
@@ -271,9 +273,7 @@ def extend_instrument_with_measurement(
     w1, w2 = measured_wires
     sel_dim, d = (w1.dim, w2.dim)[selector], (w1.dim, w2.dim)[1 - selector]
     if len(family) != sel_dim:
-        raise ValueError(
-            f"family size {len(family)} must match the selector wire dimension {sel_dim}"
-        )
+        raise ValueError(f"family size {len(family)} must match the selector wire dimension {sel_dim}")
     base = family[0]
     for k, ins in enumerate(family):
         if ins.n_outcomes != d:

@@ -16,6 +16,7 @@ through ``numpy.linalg.eigvalsh`` only, and the default comparison tolerance is
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -190,23 +191,24 @@ def permute_wires(op, new_order: Sequence[str]):
     return type(op)(tuple(op.wires[p] for p in perm), out)
 
 
-def hermiticity_defect(op: LabeledOperator) -> float:
-    return float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
+def hermiticity_defect(op: OperatorStack):
+    """max|M - M^dag|: a float for one operator, an array by entry for a stack."""
+    defect = np.max(np.abs(op.matrix - op.matrix.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
-def min_eigenvalue(op: LabeledOperator, tol: float = DEFAULT_TOL, defect: float | None = None) -> float:
-    """Smallest eigenvalue of a Hermitian operator.
+def min_eigenvalue(op: OperatorStack, tol: float = DEFAULT_TOL, defect=None):
+    """Smallest eigenvalue of a Hermitian operator: a float, or an array by entry for a stack.
 
-    The matrix must be Hermitian within ``tol``; it is symmetrized before the
-    solve so eigvalsh sees an exactly Hermitian input. Raises ValueError on a
-    non-Hermitian matrix rather than silently discarding the defect, which a
-    caller that already holds ``hermiticity_defect(op)`` may pass as ``defect``.
+    Symmetrized first, so one stacked eigvalsh sees exactly Hermitian input. Raises
+    ValueError if the defect (``hermiticity_defect(op)``, or ``defect`` if passed) exceeds ``tol``.
     """
     defect = hermiticity_defect(op) if defect is None else defect
-    if defect > tol:
-        raise ValueError(f"operator is not Hermitian (defect {defect:.3e} > tol {tol:.1e})")
-    sym = (op.matrix + op.matrix.conj().T) / 2
-    return float(np.linalg.eigvalsh(sym)[0])
+    if np.max(defect) > tol:
+        raise ValueError(f"operator is not Hermitian (defect {np.max(defect):.3e} > tol {tol:.1e})")
+    sym = (op.matrix + op.matrix.conj().swapaxes(-1, -2)) / 2
+    eig = np.linalg.eigvalsh(sym)[..., 0]
+    return float(eig) if eig.ndim == 0 else eig
 
 
 def add_replaced(out: np.ndarray, op: LabeledOperator, wires_x: Iterable[str], coeff: float = 1.0) -> None:
@@ -314,16 +316,19 @@ def _einsum_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
 def batched_trace(
     carriers: Sequence[LabeledOperator | OperatorStack | KronSum],
     effects: Sequence[LabeledOperator | OperatorStack | KronSum],
+    batch: Sequence[Sequence] | None = None,
 ) -> np.ndarray:
     """Tr[(kron of carriers) @ (kron of effects)] for every choice of stack entries.
 
     Each wire name must appear exactly once on each side; dimensions must
-    match. Wires are checked before any arithmetic. The result has the batch
-    axes of every operand, in argument order (carriers first); a
-    :class:`KronSum` has its parts' own batch axes, and its shared term axis
-    is summed. The contraction is one einsum over the factor tensors, whose
-    order is planned once per subscripts and shapes, so neither kron, nor
-    the dense form of a kron sum, is ever formed.
+    match. A :class:`KronSum` has its parts' own batch axes; its shared term
+    axis is summed. ``batch`` labels each operand's batch axes (carriers
+    first), e.g. ``"xa"``; by default each axis has its own label. Axes with
+    one label are tied, as einsum's repeated letters are: of one length, and
+    only their diagonal is computed. The result has one axis per label, in
+    order of first use. Wires and tied lengths are checked before any
+    arithmetic. The one einsum over the factor tensors is planned once per
+    subscripts and shapes; no kron, nor a kron sum's dense form, is formed.
     """
     carrier_wires = _side_wires(carriers, "carriers")
     effect_wires = _side_wires(effects, "effects")
@@ -335,26 +340,31 @@ def batched_trace(
             if only_c or only_e
             else "carrier/effect wire dimensions differ"
         )
-
+    operands = [*carriers, *effects]
+    shapes = [op.batch_shape if isinstance(op, KronSum) else op.matrix.shape[:-2] for op in operands]
+    batch = [[(k, i) for i in range(len(s))] for k, s in enumerate(shapes)] if batch is None else batch
+    lengths: dict = {}  # label -> axis length, in order of first use
+    for labels, shape in zip(batch, shapes, strict=True):
+        for label, n in zip(labels, shape, strict=True):
+            if lengths.setdefault(label, n) != n:
+                raise ValueError(f"batch label {label!r} ties axes of lengths {lengths[label]} and {n}")
     letters = iter(_LETTERS)
     row = {name: next(letters) for name in carrier_wires}
     col = {name: next(letters) for name in carrier_wires}
-    subs, tensors, batch_out = [], [], ""
-    for k, op in enumerate([*carriers, *effects]):
+    axis = dict(zip(lengths, letters))  # label -> einsum letter
+    subs, tensors = [], []
+    for k, (op, labels) in enumerate(zip(operands, batch)):
         # Tr[S M] = S_rc M_cr: effect factors are indexed column-first.
         first, second = (row, col) if k < len(carriers) else (col, row)
         # A kron sum's parts share its term axis, which is summed.
         parts, term = (op.parts, next(letters)) if isinstance(op, KronSum) else ((op,), "")
+        labels = iter(labels)
         for part in parts:
-            batch = part.matrix.shape[:-2]
-            lead = "".join(next(letters) for _ in batch[: len(batch) - len(term)])
-            batch_out += lead
-            names, dims = part.names, part.dims
-            subs.append(
-                lead + term + "".join(first[n] for n in names) + "".join(second[n] for n in names)
-            )
-            tensors.append(part.matrix.reshape(batch + dims + dims))
-    subscripts = ",".join(subs) + "->" + batch_out
+            shape, names, dims = part.matrix.shape[:-2], part.names, part.dims
+            lead = "".join(axis[label] for label in itertools.islice(labels, len(shape) - len(term)))
+            subs.append(lead + term + "".join(first[n] for n in names) + "".join(second[n] for n in names))
+            tensors.append(part.matrix.reshape(shape + dims + dims))
+    subscripts = ",".join(subs) + "->" + "".join(axis.values())
     plan = _einsum_plan(subscripts, tuple(t.shape for t in tensors))
     return np.einsum(subscripts, *tensors, optimize=plan)
 
@@ -364,22 +374,25 @@ def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
 
     ``u`` is indexed by the named wires in the operator's own wire order.
     Takes a :class:`LabeledOperator` or an :class:`OperatorStack` and returns
-    the same type. U is applied to the named wires' axes of the tensor form,
-    rows then columns, so no dense conjugator is built.
+    the same type; a stack of unitaries, shaped batch + (D_u, D_u), gives a
+    stack led by that batch. U acts on the named wires' axes of the tensor
+    form, rows then columns, one matrix product each, with no dense conjugator.
     """
     names = _check_names(op, names)
     targets = [i for i, name in enumerate(op.names) if name in names]
+    u = np.asarray(u, dtype=np.complex128)
+    lead, u = u.shape[:-2], u.reshape((-1,) + u.shape[-2:])
     batch, dims = op.matrix.shape[:-2], op.dims
-    nb, n, nt = len(batch), len(dims), len(targets)
-    tdims = tuple(dims[i] for i in targets)
-    ut = np.asarray(u, dtype=np.complex128).reshape(tdims + tdims)
-    rows, cols = [nb + i for i in targets], [nb + n + i for i in targets]
-    u_in = list(range(nt, 2 * nt))
-    out = np.tensordot(ut, op.matrix.reshape(batch + dims + dims), axes=(u_in, rows))
-    out = np.moveaxis(out, range(nt), rows)
-    out = np.tensordot(out, ut.conj(), axes=(cols, u_in))
-    out = np.moveaxis(out, range(out.ndim - nt, out.ndim), cols)
-    return type(op)(op.wires, out.reshape(op.matrix.shape))
+    nb, n, nt, t = len(batch), len(dims), len(targets), math.prod(dims[i] for i in targets)
+    rows, cols = [1 + nb + i for i in targets], [1 + nb + n + i for i in targets]
+    # Rows: U @ (named row axes, every other axis).
+    moved = np.moveaxis(op.matrix.reshape(batch + dims + dims), [r - 1 for r in rows], range(nt))
+    out = np.moveaxis((u @ moved.reshape(t, -1)).reshape((len(u),) + moved.shape), range(1, nt + 1), rows)
+    # Columns: (every other axis, named column axes) @ U^dag.
+    moved = np.moveaxis(out, cols, range(-nt, 0))
+    out = (moved.reshape(len(u), -1, t) @ u.conj().swapaxes(-1, -2)).reshape(moved.shape)
+    out = np.moveaxis(out, range(-nt, 0), cols).reshape(lead + op.matrix.shape)
+    return OperatorStack(op.wires, out) if lead else type(op)(op.wires, out)
 
 
 def dump_operator(op: LabeledOperator) -> str:

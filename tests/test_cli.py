@@ -280,6 +280,16 @@ class TestDuality:
             assert exc.value.code == 2
             assert "--dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("direction", ["gyni2dr", "dr2gyni"])
+    def test_negative_seed_is_usage_error(self, capsys, direction):
+        # numpy's generators take no negative seed; the CLI says so itself.
+        with pytest.raises(SystemExit) as exc:
+            main(["duality", "--direction", direction, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: causalkit duality ")
+        assert "--seed must be non-negative, got -1" in err
+
 
 class TestClassical:
     def test_tdr_ebw_exact(self, capsys):

@@ -24,6 +24,7 @@ from causalkit.games import (
     bell_state,
     bell_vector,
     behaviour,
+    coded_pairs,
     constant_output_gyni_strategy,
     cyril_gyni_strategy,
     dr_terms,
@@ -34,10 +35,18 @@ from causalkit.games import (
     relay_gyni_strategy,
 )
 from causalkit.duality import check_duality, dr_to_gyni, gyni_to_dr
-from causalkit.instruments import Instrument
+from causalkit.instruments import Instrument, validate_instrument
 from causalkit.processes import ProcessMatrix, PartySlot
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy, random_instrument
-from causalkit.tensor import LabeledOperator, WireLabel, partial_trace, stack_operators
+from causalkit.tensor import (
+    LabeledOperator,
+    OperatorStack,
+    WireLabel,
+    batched_trace,
+    min_eigenvalue,
+    partial_trace,
+    stack_operators,
+)
 
 SQRT2 = np.sqrt(2)
 
@@ -284,6 +293,15 @@ class TestStructuralErrors:
         with pytest.raises(ValueError, match=r"party 'A' acts on process wires \['B_I'\]"):
             GameStrategy(strategy.process, (arm_a, strategy.parties[1]))
 
+    def test_code_wire_of_two_parties_rejected(self):
+        rng = np.random.default_rng(68)
+        strategy = random_dr_strategy(rng, 2)
+        # Party B's instrument reads party A's code wire (A, B_I) -> B_O.
+        wires = (WireLabel("A", 2), WireLabel("B_I", 2)), (WireLabel("B_O", 2),)
+        arm_b = PartyArm((random_instrument(rng, *wires, 2),))
+        with pytest.raises(ValueError, match="parties 'A' and 'B' both act on code wire 'A'"):
+            GameStrategy(strategy.process, (strategy.parties[0], arm_b))
+
     def test_game_told_by_code_wires(self):
         retrieval, guessing = pauli_y_baseline_strategy(), cyril_gyni_strategy()
         with pytest.raises(ValueError, match="has code wires"):
@@ -383,3 +401,55 @@ class TestDerivedCodeWires:
         if d == 2:
             assert gyni_to_dr(cyril_gyni_strategy()).state_wires == ("A", "B")
             assert dr_to_gyni(pauli_y_baseline_strategy()).state_wires == ()
+
+
+def _seeded_strategies(d: int, seed: int) -> dict[str, GameStrategy]:
+    """Seeded sources of both games and their translations, whose processes
+    are extended and whose retrieval instruments are two-part kron sums."""
+    rng = np.random.default_rng([seed, d])
+    gyni, dr = random_gyni_strategy(rng, d), random_dr_strategy(rng, d)
+    return {"gyni": gyni, "dr": dr, "gyni_to_dr": gyni_to_dr(gyni), "dr_to_gyni": dr_to_gyni(dr)}
+
+
+class TestTiedContraction:
+    """The evaluators contract only each game's winning entries; these are
+    the entries of the full behaviour table that the game reads."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_terms_are_entries_of_the_full_table(self, d, seed):
+        strategies = _seeded_strategies(d, seed)
+        assert len(strategies["gyni_to_dr"].parties[0].instruments[0].terms.parts) == 2
+        assert len(strategies["dr_to_gyni"].process.factors) == 2
+        for name in ("gyni", "dr_to_gyni"):
+            table = behaviour(strategies[name])  # P[x, y, a, b]
+            for (i1, i2), p in gyni_terms(strategies[name]).items():
+                assert abs(p - table[i1, i2, i2, i1]) <= 1e-12, name
+        for name in ("dr", "gyni_to_dr"):
+            strategy = strategies[name]
+            table = behaviour(strategy, coded_pairs(d, strategy.state_wires))  # P[x1, x2, 0, 0, a, b]
+            for (x1, x2), p in dr_terms(strategy).items():
+                assert abs(p - table[x1, x2, 0, 0, x1, x2]) <= 1e-12, name
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_eigenvalues_match_each_branch(self, d):
+        for strategy in _seeded_strategies(d, 2).values():
+            for ins in (ins for arm in strategy.parties for ins in arm.instruments):
+                stacked = validate_instrument(ins).outcome_min_eigs
+                assert stacked == tuple(min_eigenvalue(op) for op in ins.ops)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_tie_of_unequal_lengths_rejected_before_arithmetic(self, monkeypatch, d):
+        from causalkit import tensor
+
+        wire = (WireLabel("A", d),)
+        carrier = OperatorStack(wire, np.zeros((d, d, d)))
+        effect = OperatorStack(wire, np.zeros((d + 1, d, d)))
+
+        def contracted(*args):
+            raise AssertionError("contracted before the tied lengths were checked")
+
+        monkeypatch.setattr(tensor, "_einsum_plan", contracted)
+        monkeypatch.setattr(tensor.np, "einsum", contracted)
+        with pytest.raises(ValueError, match=f"ties axes of lengths {d} and {d + 1}"):
+            batched_trace([carrier], [effect], ["x", "x"])

@@ -111,7 +111,9 @@ class TestValidation:
         assert report.valid
         assert report.tp_residual <= 1e-12
 
-    def test_one_hermiticity_pass_per_branch(self, monkeypatch):
+    def test_one_hermiticity_pass_for_all_branches(self, monkeypatch):
+        # The branches are checked as one stack: a single pass covers all
+        # four, and the eigenvalue solve reuses its defects.
         from causalkit import instruments, tensor
 
         calls = []
@@ -126,7 +128,8 @@ class TestValidation:
         qutrits = (WireLabel("A_I", 3),), (WireLabel("A_O", 3),)
         ins = random_instrument(np.random.default_rng(4), *qutrits, 4)
         assert validate_instrument(ins).valid
-        assert len(calls) == 4
+        assert len(calls) == 1
+        assert calls[0].matrix.shape == (4, 9, 9)
 
     def test_one_dense_stack_per_call(self, monkeypatch):
         composite = gyni_to_dr(random_gyni_strategy(np.random.default_rng(6), 3)).parties[0].instruments[0]
@@ -195,6 +198,22 @@ class TestConjugation:
             assert rotated.terms.parts[0] is composite.terms.parts[0]
         else:
             assert len(rotated.terms.parts) == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_of_unitaries_matches_one_call_each(self, d):
+        rng = np.random.default_rng(42 + d)
+        wires = (WireLabel("A", d), WireLabel("A_I", d), WireLabel("A_O", d))
+        ins = random_instrument(rng, wires[:2], wires[2:], d)
+        us = np.stack([np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] for _ in range(3)])
+        stacked = conjugate_instrument(ins, us, ("A",))
+        assert len(stacked) == 3
+        for got, u in zip(stacked, us):
+            assert np.array_equal(got.terms.matrix, conjugate_instrument(ins, u, ("A",)).terms.matrix)
+
+    def test_every_stacked_unitary_checked(self):
+        ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
+        with pytest.raises(ValueError, match="not unitary"):
+            conjugate_instrument(ins, np.stack([np.eye(2), HADAMARD, np.diag([1.0, 2.0])]), ("A_I",))
 
     def test_dimension_mismatch_rejected(self):
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
