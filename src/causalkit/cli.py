@@ -18,7 +18,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -253,27 +252,26 @@ def cmd_classical(args, parser, tol) -> int:
 
 def cmd_dump(args, parser, tol) -> int:
     token = args.object
-    parts = token.split(":")
+    kind, *fields = token.split(":")
+    # The most ':'-separated fields each kind takes; -1 rejects an unknown kind.
+    if len(fields) > {"cyril": 0, "bell": 1, "readout-unitary": 2}.get(kind, -1):
+        parser.error(f"unknown object {token!r}; choose cyril, bell:x1,x2[,d], readout-unitary[:d[:party]]")
     try:
-        if parts[0] == "cyril":
+        if kind == "cyril":
             text = processes.dump_process(processes.build_cyril())
-        elif parts[0] == "bell":
-            nums = [int(p) for p in parts[1].split(",")] if len(parts) == 2 else []
+        elif kind == "bell":
+            nums = [int(p) for p in fields[0].split(",")] if fields else []
             if len(nums) not in (2, 3):
                 raise ValueError("bell object syntax: bell:x1,x2[,d]")
             code = BellCode(nums[2] if len(nums) == 3 else 2, nums[0], nums[1])
             text = tensor.dump_operator(games.bell_state(code))
-        elif parts[0] == "readout-unitary":
-            d = int(parts[1]) if len(parts) > 1 else 2
-            party = int(parts[2]) if len(parts) > 2 else 1
+        else:
+            d = int(fields[0]) if fields else 2
+            party = int(fields[1]) if len(fields) > 1 else 1
             if party not in (1, 2):
                 raise ValueError("readout party must be 1 or 2")
             wires = (WireLabel("code", d), WireLabel("fresh", d))
             text = tensor.dump_operator(LabeledOperator(wires, duality.party_readout_unitaries(d)[party - 1]))
-        else:
-            parser.error(
-                f"unknown object {token!r}; choose cyril, bell:x1,x2[,d], readout-unitary[:d[:party]]"
-            )
     except ValueError as exc:
         parser.error(str(exc))
     if args.out:
@@ -338,7 +336,7 @@ def _cyril_valid(tol):
 
 def _cyril_unordered(tol):
     cyril = processes.build_cyril()
-    orders = {o: processes.check_order(cyril, o, tol).compatible for o in ("A<B", "B<A", "no-signaling")}
+    orders = {o: processes.check_order(cyril, o, tol).compatible for o in processes.ORDER_TOKENS}
     return _holds(", ".join(f"{k}: {v}" for k, v in orders.items()), not any(orders.values()))
 
 
@@ -413,13 +411,9 @@ def _mutant_detected(tol):
 
 def _hiding_defect() -> float:
     """Largest entry of |marginal - I/2| over the four qubit codes and both wires."""
-    hide = 0.0
-    for x1, x2 in product(range(2), repeat=2):
-        state = games.bell_state(BellCode(2, x1, x2))
-        for wire in ("A", "B"):
-            marg = tensor.partial_trace(state, {wire})
-            hide = max(hide, float(np.max(np.abs(marg.matrix - np.eye(2) / 2))))
-    return hide
+    pairs = games.coded_pairs(2, ("A", "B"))
+    marginals = [tensor.batched_trace([tensor.identity_operator([w])], [pairs]) for w in pairs.wires]
+    return float(np.max(np.abs(np.array(marginals) - np.eye(2) / 2)))
 
 
 _CYRIL_VALUE_TEXT = f"5/16*(1+1/sqrt(2)) = {_fmt(CYRIL_GYNI_VALUE)}"
@@ -539,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="pauli-y", choices=sorted(DRB_STRATEGIES))
 
     p = command("duality", cmd_duality, "translate a strategy between the games and certify the value")
-    p.add_argument("--direction", required=True, choices=["gyni2dr", "dr2gyni"])
+    p.add_argument("--direction", required=True, choices=duality.DIRECTION_TOKENS)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--process", help="built-in strategy name for the source game")
     source.add_argument("--seed", type=int, help="use a seeded random strategy instead")

@@ -167,6 +167,9 @@ def _code_dim(strategy: GameStrategy) -> int:
 
 def _probabilities(strategy: GameStrategy, states=None, batch=None) -> np.ndarray:
     """:func:`behaviour`'s contraction, unmoved; ``batch`` labels the states' and arms' axes."""
+    unfilled = [n for n in strategy.state_wires if states is None or n not in states.names]
+    if unfilled:
+        raise ValueError(f"code wires {unfilled} hold no state")
     arms = [stack_instruments(arm.instruments) for arm in strategy.parties]
     carriers = [*strategy.process.factors, *([] if states is None else [states])]
     batch = batch and [""] * len(strategy.process.factors) + batch

@@ -392,7 +392,7 @@ def channel_process(rho_in: np.ndarray, channel_choi: np.ndarray, direction: str
     second party's input (trace-preserving: its A_O reduction is the identity).
     Every wire has the dimension d of the d x d state ``rho_in``.
     """
-    if direction not in ("A<B", "B<A"):
+    if direction not in ORDER_TOKENS[:2]:
         raise ValueError(f"channel_process needs a signaling direction, A<B or B<A, got {direction!r}")
     rho_in = np.asarray(rho_in, dtype=complex)
     channel_choi = np.asarray(channel_choi, dtype=complex)

@@ -268,19 +268,9 @@ class KronSum:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense stack, of shape ``batch_shape + (D, D)``."""
-        letters = iter(_LETTERS)
-        term = next(letters)
-        subs, lead_out, row_out, col_out = [], "", "", ""
-        for p in self.parts:
-            lead = "".join(next(letters) for _ in p.matrix.shape[:-3])
-            row, col = next(letters), next(letters)
-            subs.append(lead + term + row + col)
-            lead_out, row_out, col_out = lead_out + lead, row_out + row, col_out + col
-        subscripts = ",".join(subs) + "->" + lead_out + row_out + col_out
-        dense = np.einsum(subscripts, *(p.matrix for p in self.parts))
+        """The dense stack, of shape ``batch_shape + (D, D)``: every wire left open."""
         dim = OperatorStack.total_dim_of(self.wires)
-        return dense.reshape(self.batch_shape + (dim, dim))
+        return batched_trace([], [self]).reshape(self.batch_shape + (dim, dim))
 
 
 def stack_operators(ops: Sequence[OperatorStack], shape: tuple[int, ...]) -> OperatorStack:
@@ -320,26 +310,28 @@ def batched_trace(
 ) -> np.ndarray:
     """Tr[(kron of carriers) @ (kron of effects)] for every choice of stack entries.
 
-    Each wire name must appear exactly once on each side; dimensions must
-    match. A :class:`KronSum` has its parts' own batch axes; its shared term
-    axis is summed. ``batch`` labels each operand's batch axes (carriers
-    first), e.g. ``"xa"``; by default each axis has its own label. Axes with
-    one label are tied, as einsum's repeated letters are: of one length, and
-    only their diagonal is computed. The result has one axis per label, in
-    order of first use. Wires and tied lengths are checked before any
-    arithmetic. The one einsum over the factor tensors is planned once per
-    subscripts and shapes; no kron, nor a kron sum's dense form, is formed.
+    Each wire name appears at most once on each side, and every carrier wire
+    on the effect side too, with the same dimension. A wire that only the
+    effects hold stays open: the result ends in the open wires' row axes,
+    then their column axes, in effect order, so that this E satisfies
+    ``Tr[rho E] == batched_trace([*carriers, rho], effects)``. A
+    :class:`KronSum` has its parts' own batch axes; its shared term axis is
+    summed. ``batch`` labels each operand's batch axes (carriers first),
+    e.g. ``"xa"``; by default each axis has its own label. Axes with one
+    label are tied, as einsum's repeated letters are: of one length, and
+    only their diagonal is computed. The result's batch axes come one per
+    label, in order of first use. Wires and tied lengths are checked before
+    any arithmetic. The one einsum over the factor tensors is planned once
+    per subscripts and shapes when it has three or more; no kron, nor a kron
+    sum's dense form, is formed.
     """
     carrier_wires = _side_wires(carriers, "carriers")
     effect_wires = _side_wires(effects, "effects")
-    if carrier_wires != effect_wires:
-        only_c = sorted(set(carrier_wires) - set(effect_wires))
-        only_e = sorted(set(effect_wires) - set(carrier_wires))
-        raise ValueError(
-            f"carrier/effect wires differ (carriers only: {only_c}, effects only: {only_e})"
-            if only_c or only_e
-            else "carrier/effect wire dimensions differ"
-        )
+    unmet = sorted(set(carrier_wires) - set(effect_wires))
+    if unmet:
+        raise ValueError(f"carrier wires {unmet} meet no effect")
+    if any(effect_wires[name] != dim for name, dim in carrier_wires.items()):
+        raise ValueError("carrier/effect wire dimensions differ")
     operands = [*carriers, *effects]
     shapes = [op.batch_shape if isinstance(op, KronSum) else op.matrix.shape[:-2] for op in operands]
     batch = [[(k, i) for i in range(len(s))] for k, s in enumerate(shapes)] if batch is None else batch
@@ -349,8 +341,9 @@ def batched_trace(
             if lengths.setdefault(label, n) != n:
                 raise ValueError(f"batch label {label!r} ties axes of lengths {lengths[label]} and {n}")
     letters = iter(_LETTERS)
-    row = {name: next(letters) for name in carrier_wires}
-    col = {name: next(letters) for name in carrier_wires}
+    wires = {**carrier_wires, **effect_wires}  # carrier order, then the open wires
+    row = {name: next(letters) for name in wires}
+    col = {name: next(letters) for name in wires}
     axis = dict(zip(lengths, letters))  # label -> einsum letter
     subs, tensors = [], []
     for k, (op, labels) in enumerate(zip(operands, batch)):
@@ -364,8 +357,13 @@ def batched_trace(
             lead = "".join(axis[label] for label in itertools.islice(labels, len(shape) - len(term)))
             subs.append(lead + term + "".join(first[n] for n in names) + "".join(second[n] for n in names))
             tensors.append(part.matrix.reshape(shape + dims + dims))
-    subscripts = ",".join(subs) + "->" + "".join(axis.values())
-    plan = _einsum_plan(subscripts, tuple(t.shape for t in tensors))
+    # An open wire keeps the effect's own row, col[n], and column, row[n].
+    open_wires = list(wires)[len(carrier_wires) :]
+    subscripts = ",".join(subs) + "->" + "".join(
+        [*axis.values(), *(col[n] for n in open_wires), *(row[n] for n in open_wires)]
+    )
+    # Two tensors leave no order to choose: einsum's C loop takes them unplanned.
+    plan = len(tensors) > 2 and _einsum_plan(subscripts, tuple(t.shape for t in tensors))
     return np.einsum(subscripts, *tensors, optimize=plan)
 
 

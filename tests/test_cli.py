@@ -365,6 +365,14 @@ class TestDump:
             main(["dump", "--object", "spaghetti"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("token", ["cyril:junk", "bell:1,1:junk", "readout-unitary:3:2:junk"])
+    def test_surplus_fields_are_usage_errors(self, capsys, token):
+        with pytest.raises(SystemExit) as exc:
+            main(["dump", "--object", token])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "choose cyril, bell:x1,x2[,d], readout-unitary[:d[:party]]" in err
+
 
 class TestManifest:
     def test_manifest_passes(self, capsys):

@@ -218,12 +218,16 @@ class TestRetrieval:
         # Effect wires (A, A_I, A_O, B, B_I, B_O) reordered to the carrier's
         # (A_I, A_O, B_I, B_O, A, B), rows and columns alike.
         order = [1, 2, 4, 5, 0, 3]
+        # Each effect transposed once: Tr[C E] is the entrywise sum of C * E^T.
+        transposed = {}
+        for a, b in product(range(3), repeat=2):
+            effect = np.kron(ins_a.ops[a].matrix, ins_b.ops[b].matrix)
+            effect = effect.reshape((3,) * 12).transpose(order + [6 + i for i in order])
+            transposed[a, b] = effect.reshape(729, 729).T
         for k, code in enumerate(codes):
             carrier = np.kron(w, code.matrix)
-            for a, b in product(range(3), repeat=2):
-                effect = np.kron(ins_a.ops[a].matrix, ins_b.ops[b].matrix)
-                effect = effect.reshape((3,) * 12).transpose(order + [6 + i for i in order])
-                want = np.trace(carrier @ effect.reshape(729, 729)).real
+            for (a, b), effect_t in transposed.items():
+                want = np.sum(carrier * effect_t).real
                 assert table[k, 0, 0, a, b] == pytest.approx(want, abs=1e-12)
             assert table[k, 0, 0].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -233,6 +237,19 @@ class TestStructuralErrors:
         strategy = pauli_y_baseline_strategy()
         with pytest.raises(ValueError):
             behaviour(strategy)  # code wires unfilled
+
+    def test_unfilled_code_wire_rejected_before_contraction(self, monkeypatch):
+        from causalkit import games
+
+        def no_contraction(*args, **kwargs):
+            raise AssertionError("contraction ran")
+
+        strategy = pauli_y_baseline_strategy()
+        monkeypatch.setattr(games, "batched_trace", no_contraction)
+        half = LabeledOperator((WireLabel("A", 2),), np.eye(2) / 2)
+        for states in (None, half):
+            with pytest.raises(ValueError, match="hold no state"):
+                behaviour(strategy, states)
 
     def test_code_wire_dimensions_must_agree(self, monkeypatch):
         from causalkit import games

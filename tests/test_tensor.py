@@ -395,6 +395,43 @@ class TestKronSum:
             KronSum((r, OperatorStack((A,), r.matrix)))
 
 
+class TestOpenWires:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_open_wires_are_the_effective_operator(self, d):
+        # Wires only the effects hold (Q, R, S) stay open: for every rho on
+        # them, Tr[rho E] is the contraction with rho as one more carrier.
+        rng = np.random.default_rng(40 + d)
+        p, q, r, s = (WireLabel(n, d) for n in "PQRS")
+        carrier = stack_operators([op([p], random_herm(rng, d)) for _ in range(2)], (2,))
+        first = OperatorStack((q, p), np.array([[random_herm(rng, d * d) for _ in range(3)] for _ in range(4)]))
+        second = OperatorStack((r,), np.array([random_herm(rng, d) for _ in range(3)]))
+        last = stack_operators([op([s], random_herm(rng, d)) for _ in range(2)], (2,))
+        effects = [KronSum((first, second)), last]
+        # The carrier's stack axis is tied to the last effect's.
+        effective = batched_trace([carrier], effects, ["x", "k", "x"])
+        assert effective.shape == (2, 4) + (d,) * 6
+        rho = op([q, r, s], random_herm(rng, d**3))
+        want = batched_trace([carrier, rho], effects, ["x", "", "k", "x"])
+        got = np.einsum("ij,xkji->xk", rho.matrix, effective.reshape(2, 4, d**3, d**3))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "carriers, effects",
+        [
+            ([op([A, B], PHI_PLUS)], [op([A], SZ)]),  # B meets no effect
+            ([op([WireLabel("A", 3)], np.eye(3))], [op([A], SZ)]),  # dimensions differ
+        ],
+    )
+    def test_rejected_before_any_arithmetic(self, monkeypatch, carriers, effects):
+        def no_arithmetic(*args, **kwargs):
+            raise AssertionError("einsum ran")
+
+        monkeypatch.setattr(np, "einsum", no_arithmetic)
+        monkeypatch.setattr(np, "einsum_path", no_arithmetic)
+        with pytest.raises(ValueError):
+            batched_trace(carriers, effects)
+
+
 class TestConjugateWires:
     def test_stack_keeps_batch_and_type(self):
         rng = np.random.default_rng(28)
