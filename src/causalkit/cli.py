@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -62,18 +63,15 @@ def _fraction_dict(fr: Fraction) -> dict:
 
 def _bell_pair_outputs_process() -> ProcessMatrix:
     """Trace-normalized coded pairs on inputs and outputs; fails validity."""
-    inputs = games.bell_state(BellCode(2, 0, 0), ("A_I", "B_I"))
-    outputs = games.bell_state(BellCode(2, 0, 0), ("A_O", "B_O"))
-    op = tensor.permute_wires(tensor.kron(inputs, outputs), processes.DEFAULT_PARTY_WIRES)
-    return ProcessMatrix(LabeledOperator(op.wires, 4 * op.matrix), processes.default_parties())
+    (ai, ao), (bi, bo) = processes.lab_wires(2)
+    pair = 2 * games.bell_state(BellCode(2, 0, 0)).matrix
+    return processes.party_process(LabeledOperator((ai, bi), pair), LabeledOperator((ao, bo), pair))
 
 
 PROCESS_BUILDERS: dict[str, Callable[[], ProcessMatrix]] = {
     "cyril": processes.build_cyril,
     "mixed": processes.maximally_mixed_process,
-    "shared-bell": lambda: processes.shared_state_process(
-        games.bell_state(BellCode(2, 0, 0), ("A_I", "B_I")).matrix
-    ),
+    "shared-bell": lambda: processes.shared_state_process(games.bell_state(BellCode(2, 0, 0)).matrix),
     "bell-pair-outputs": _bell_pair_outputs_process,
 }
 
@@ -250,24 +248,23 @@ def cmd_classical(args, parser, tol) -> int:
     return _emit(args, payload)
 
 
+# cyril, bell:x1,x2[,d] or readout-unitary[:d[:party]]; compiled on first use, not on import.
+_DUMP_OBJECT = r"cyril|bell:(-?\d+),(-?\d+)(?:,(-?\d+))?|readout-unitary(?::(-?\d+)(?::(-?\d+))?)?"
+
+
 def cmd_dump(args, parser, tol) -> int:
     token = args.object
-    kind, *fields = token.split(":")
-    # The most ':'-separated fields each kind takes; -1 rejects an unknown kind.
-    if len(fields) > {"cyril": 0, "bell": 1, "readout-unitary": 2}.get(kind, -1):
+    match = re.fullmatch(_DUMP_OBJECT, token)
+    if not match:
         parser.error(f"unknown object {token!r}; choose cyril, bell:x1,x2[,d], readout-unitary[:d[:party]]")
+    # An absent field takes its default: d = 2, party 1.
+    x1, x2, code_d, d, party = (int(g or default) for g, default in zip(match.groups(), (0, 0, 2, 2, 1)))
     try:
-        if kind == "cyril":
+        if token == "cyril":
             text = processes.dump_process(processes.build_cyril())
-        elif kind == "bell":
-            nums = [int(p) for p in fields[0].split(",")] if fields else []
-            if len(nums) not in (2, 3):
-                raise ValueError("bell object syntax: bell:x1,x2[,d]")
-            code = BellCode(nums[2] if len(nums) == 3 else 2, nums[0], nums[1])
-            text = tensor.dump_operator(games.bell_state(code))
+        elif token.startswith("bell"):
+            text = tensor.dump_operator(games.bell_state(BellCode(code_d, x1, x2)))
         else:
-            d = int(fields[0]) if fields else 2
-            party = int(fields[1]) if len(fields) > 1 else 1
             if party not in (1, 2):
                 raise ValueError("readout party must be 1 or 2")
             wires = (WireLabel("code", d), WireLabel("fresh", d))
@@ -291,7 +288,8 @@ class Claim:
 
     ``expected`` may name the tolerance as ``{tol:g}``. ``tolerance`` is a
     fixed tolerance, or None for the run's. ``evaluate(tol)`` returns
-    (computed text, passed). Rows look library functions up by name when
+    (computed text, passed); if it raises, the row fails and its computed
+    text names the exception. Rows look library functions up by name when
     they run, so nothing is computed on import.
     """
 
@@ -303,7 +301,10 @@ class Claim:
 
     def check(self, tol: float = DEFAULT_TOL) -> ReproductionRecord:
         tol = tol if self.tolerance is None else self.tolerance
-        computed, passed = self.evaluate(tol)
+        try:
+            computed, passed = self.evaluate(tol)
+        except Exception as exc:
+            computed, passed = f"error: {type(exc).__name__}: {exc}", False
         expected = self.expected.format(tol=tol)
         status = "pass" if passed else "fail"
         return ReproductionRecord(self.claim_id, self.command, expected, computed, tol, status)

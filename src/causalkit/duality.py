@@ -38,7 +38,7 @@ from .instruments import (
     conjugate_instrument,
     extend_instrument_with_measurement,
 )
-from .processes import extend_with_state
+from .processes import ProcessMatrix, extend_with_state
 from .tensor import DEFAULT_TOL, WireLabel, batched_trace
 
 DIRECTION_TOKENS = ("gyni2dr", "dr2gyni")
@@ -157,6 +157,12 @@ class DualityCertificate:
         }
 
 
+def _with_zero_code(process: ProcessMatrix, d: int, names: tuple[str, str]) -> ProcessMatrix:
+    """``process`` with the zero-code pair adjoined on ``names``, one wire per party, in party order."""
+    pair = bell_state(BellCode(d, 0, 0), names)
+    return extend_with_state(process, pair, assign={n: p.name for n, p in zip(names, process.parties)})
+
+
 def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     """Rebuild a mutual-guessing strategy as a retrieval strategy of equal value.
 
@@ -171,11 +177,7 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     for name in ("A", "B", "A'", "B'"):
         if name in taken:
             raise ValueError(f"process already uses wire {name!r}; cannot add code wires")
-    pa, pb = strategy.process.parties
-    aux = bell_state(BellCode(d, 0, 0), ("A'", "B'"))
-    extended = extend_with_state(
-        strategy.process, aux, assign={"A'": pa.name, "B'": pb.name}
-    )
+    extended = _with_zero_code(strategy.process, d, ("A'", "B'"))
     readouts = party_readout_unitaries(d)
     arms = []
     for selector, (arm, code) in enumerate(zip(strategy.parties, ("A", "B"))):
@@ -196,12 +198,7 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
     d = _code_dim(strategy)
     sa, sb = strategy.state_wires
     ins_a, ins_b = (arm.instruments[0] for arm in strategy.parties)
-    pa, pb = strategy.process.parties
-    extended = extend_with_state(
-        strategy.process,
-        bell_state(BellCode(d, 0, 0), (sa, sb)),
-        assign={sa: pa.name, sb: pb.name},
-    )
+    extended = _with_zero_code(strategy.process, d, (sa, sb))
     # One stacked conjugation per party, by the inverse powers g^-i, i = 0..d-1.
     alice, bob = (
         conjugate_instrument(ins, np.stack([np.linalg.matrix_power(g.conj().T, i) for i in range(d)]), (wire,))

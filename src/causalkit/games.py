@@ -31,7 +31,7 @@ from .instruments import (
     measure_prepare_instrument,
     stack_instruments,
 )
-from .processes import ProcessMatrix, build_cyril, channel_process, maximally_mixed_process
+from .processes import ProcessMatrix, build_cyril, channel_process, lab_wires, maximally_mixed_process
 from .tensor import DEFAULT_TOL, LabeledOperator, OperatorStack, WireLabel, batched_trace
 
 # Closed-form reference values (qubit wires unless stated otherwise).
@@ -234,10 +234,6 @@ def eval_dr(strategy: GameStrategy) -> float:
 # ---------------------------------------------------------------------------
 # Reference strategies
 
-def _qubit(name: str) -> WireLabel:
-    return WireLabel(name, 2)
-
-
 def cyril_gyni_strategy() -> GameStrategy:
     """The mutual-guessing strategy beating every causally ordered one.
 
@@ -258,8 +254,7 @@ def _resend_same_mutant() -> GameStrategy:
 def _forward_or_resend(flip: bool) -> GameStrategy:
     e0, e1 = np.eye(2, dtype=complex)
     arms = []
-    for name in ("A", "B"):
-        w_in, w_out = _qubit(f"{name}_I"), _qubit(f"{name}_O")
+    for w_in, w_out in lab_wires(2):
         forward = identity_channel_instrument(w_in, w_out, forced_outcome=1, n_outcomes=2)
         resend = measure_prepare_instrument([e0, e1], [e1, e0] if flip else [e0, e1], w_in, w_out)
         arms.append(PartyArm((forward, resend)))
@@ -269,8 +264,7 @@ def _forward_or_resend(flip: bool) -> GameStrategy:
 def constant_output_gyni_strategy() -> GameStrategy:
     """Both parties discard everything and always answer 0 (value 1/4)."""
     arms = []
-    for name in ("A", "B"):
-        w_in, w_out = _qubit(f"{name}_I"), _qubit(f"{name}_O")
+    for w_in, w_out in lab_wires(2):
         cj = LabeledOperator((w_in, w_out), np.eye(4, dtype=complex) / 2)
         zero = LabeledOperator((w_in, w_out), np.zeros((4, 4), dtype=complex))
         ins = Instrument((cj, zero), (w_in.name,), (w_out.name,))
@@ -282,15 +276,14 @@ def relay_gyni_strategy() -> GameStrategy:
     """Best fixed-order benchmark: the second party learns the first's input
     through an identity channel; the first party answers a fair coin (1/2)."""
     e0, e1 = np.eye(2, dtype=complex)
-    a_in, a_out = _qubit("A_I"), _qubit("A_O")
-    b_in, b_out = _qubit("B_I"), _qubit("B_O")
+    (a_in, a_out), (b_in, b_out) = lab_wires(2)
     alice = []
     for e in (e0, e1):
         cj = LabeledOperator((a_in, a_out), np.kron(np.eye(2) / 2, np.outer(e, e.conj())))
         alice.append(Instrument((cj, cj), (a_in.name,), (a_out.name,)))
     read = measure_prepare_instrument([e0, e1], [e0, e1], b_in, b_out)
     bob = PartyArm((read, read))
-    identity_choi = 2 * bell_state(BellCode(2, 0, 0), ("A_O", "B_I")).matrix
+    identity_choi = 2 * bell_state(BellCode(2, 0, 0)).matrix
     process = channel_process(np.diag([1.0, 0.0]), identity_choi, "A<B")
     return GameStrategy(process, (PartyArm(tuple(alice)), bob))
 
@@ -307,9 +300,8 @@ def pauli_y_baseline_strategy() -> GameStrategy:
     down = (np.eye(2) - sy) / 2
     keep_prep0 = np.kron(np.eye(2), np.diag([1.0, 0.0]))  # (w_in, w_out) factor
     arms = []
-    for name, projs in (("A", (up, down)), ("B", (down, up))):
-        code_wire = _qubit(name)
-        w_in, w_out = _qubit(f"{name}_I"), _qubit(f"{name}_O")
+    for (name, projs), (w_in, w_out) in zip((("A", (up, down)), ("B", (down, up))), lab_wires(2)):
+        code_wire = WireLabel(name, 2)
         wires = (code_wire, w_in, w_out)
         ops = tuple(LabeledOperator(wires, np.kron(proj, keep_prep0)) for proj in projs)
         ins = Instrument(ops, (code_wire.name, w_in.name), (w_out.name,))

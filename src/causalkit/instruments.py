@@ -122,7 +122,12 @@ class InstrumentReport:
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> InstrumentReport:
     """Positivity of every branch, in one stacked pass, plus completeness of the sum."""
-    ops = OperatorStack(ins.wires, ins.terms.matrix)
+    return _report(ins, ins.terms.matrix, tol)
+
+
+def _report(ins: Instrument, branches: np.ndarray, tol: float) -> InstrumentReport:
+    """The report of :func:`validate_instrument` on ``ins``, given its dense branch stack."""
+    ops = OperatorStack(ins.wires, branches)
     defects = hermiticity_defect(ops)
     herm = float(np.max(defects))
     if herm > tol:
@@ -131,15 +136,6 @@ def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> Instrument
     reduced = partial_trace(LabeledOperator(ins.wires, ops.matrix.sum(axis=0)), set(ins.output_wires))
     tp = float(np.max(np.abs(reduced.matrix - np.eye(reduced.total_dim))))
     return InstrumentReport(eigs, herm, tp, tol)
-
-
-def _require_valid(ins: Instrument, what: str) -> None:
-    report = validate_instrument(ins)
-    if not report.valid:
-        raise ValueError(
-            f"{what} is not a valid instrument "
-            f"(min eig {min(report.outcome_min_eigs):.3e}, tp residual {report.tp_residual:.3e})"
-        )
 
 
 def _unitary(u: np.ndarray, dim: int, what: str, stack: bool = False) -> np.ndarray:
@@ -275,10 +271,17 @@ def extend_instrument_with_measurement(
     if len(family) != sel_dim:
         raise ValueError(f"family size {len(family)} must match the selector wire dimension {sel_dim}")
     base = family[0]
+    inner = []
     for k, ins in enumerate(family):
         if ins.n_outcomes != d:
             raise ValueError(f"inner instrument {k} needs {d} outcomes, one per padding symbol")
-        _require_valid(ins, f"inner instrument {k}")
+        inner.append(ins.terms.matrix)
+        report = _report(ins, inner[k], DEFAULT_TOL)
+        if not report.valid:
+            raise ValueError(
+                f"inner instrument {k} is not a valid instrument "
+                f"(min eig {min(report.outcome_min_eigs):.3e}, tp residual {report.tp_residual:.3e})"
+            )
         if ins.wires != base.wires:
             raise ValueError("inner instruments must share identical wires")
     u = _unitary(pre_unitary, w1.dim * w2.dim, "pre-measurement matrix")
@@ -287,8 +290,7 @@ def extend_instrument_with_measurement(
     # (m1, m2), and S[a, m] is branch (a - m[1 - selector]) mod d of member m[selector].
     symbols = np.divmod(np.arange(w1.dim * w2.dim), w2.dim)
     chosen, other = symbols[selector], symbols[1 - selector]
-    inner = np.stack([ins.terms.matrix for ins in family])
-    branches = inner[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
+    branches = np.stack(inner)[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
     return Instrument(
         KronSum((_readout_projectors(u, (w1, w2)), OperatorStack(base.wires, branches))),
         (w1.name, w2.name) + base.input_wires,

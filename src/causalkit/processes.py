@@ -302,16 +302,20 @@ def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tupl
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-DEFAULT_PARTY_WIRES = ("A_I", "A_O", "B_I", "B_O")
+# The two labs of every built-in process; their wires, in this order, are
+# (A_I, A_O, B_I, B_O) (Oreshkov, Costa & Brukner, arXiv:1105.4464).
+PARTIES = (PartySlot("A", "A_I", "A_O"), PartySlot("B", "B_I", "B_O"))
 
 
-def default_parties() -> tuple[PartySlot, PartySlot]:
-    return (PartySlot("A", "A_I", "A_O"), PartySlot("B", "B_I", "B_O"))
+def lab_wires(d: int) -> tuple[tuple[WireLabel, WireLabel], ...]:
+    """Each party's (input, output) wire of :data:`PARTIES`, of dimension d."""
+    return tuple((WireLabel(p.input_wire, d), WireLabel(p.output_wire, d)) for p in PARTIES)
 
 
-def _party_wires(d: int) -> tuple[WireLabel, ...]:
-    """The wires (A_I, A_O, B_I, B_O) of :func:`default_parties`, each of dimension d."""
-    return tuple(WireLabel(n, d) for n in DEFAULT_PARTY_WIRES)
+def party_process(*factors: LabeledOperator) -> ProcessMatrix:
+    """The process W = kron(factors), its wires put in :data:`PARTIES` order."""
+    w = permute_wires(kron(*factors), [n for p in PARTIES for n in p.all_wires])
+    return ProcessMatrix(w, PARTIES)
 
 
 def build_cyril() -> ProcessMatrix:
@@ -324,7 +328,7 @@ def build_cyril() -> ProcessMatrix:
     term1 = np.kron(np.kron(_SZ, _SZ), np.kron(_SZ, eye))
     term2 = np.kron(np.kron(_SZ, eye), np.kron(_SX, _SX))
     mat = (np.eye(16, dtype=complex) + (term1 + term2) / np.sqrt(2)) / 4
-    return ProcessMatrix(LabeledOperator(_party_wires(2), mat), default_parties())
+    return party_process(LabeledOperator(sum(lab_wires(2), ()), mat))
 
 
 def verify_cyril_separable_decomposition() -> float:
@@ -364,9 +368,8 @@ def verify_cyril_separable_decomposition() -> float:
 
 
 def maximally_mixed_process(d: int = 2) -> ProcessMatrix:
-    """The fully uninformative process: normalized identity on all four wires."""
-    mat = np.eye(d**4, dtype=complex) / d**2
-    return ProcessMatrix(LabeledOperator(_party_wires(d), mat), default_parties())
+    """The fully uninformative process: the shared-state process of I/d^2."""
+    return shared_state_process(np.eye(d * d) / d**2)
 
 
 def shared_state_process(rho: np.ndarray) -> ProcessMatrix:
@@ -377,11 +380,8 @@ def shared_state_process(rho: np.ndarray) -> ProcessMatrix:
     on both output wires.
     """
     rho = np.asarray(rho, dtype=complex)
-    ai, ao, bi, bo = _party_wires(math.isqrt(rho.shape[0]))
-    inputs = LabeledOperator((ai, bi), rho)
-    outputs = identity_operator((ao, bo))
-    w = permute_wires(kron(inputs, outputs), list(DEFAULT_PARTY_WIRES))
-    return ProcessMatrix(w, default_parties())
+    (ai, ao), (bi, bo) = lab_wires(math.isqrt(rho.shape[0]))
+    return party_process(LabeledOperator((ai, bi), rho), identity_operator((ao, bo)))
 
 
 def channel_process(rho_in: np.ndarray, channel_choi: np.ndarray, direction: str = "A<B") -> ProcessMatrix:
@@ -395,15 +395,13 @@ def channel_process(rho_in: np.ndarray, channel_choi: np.ndarray, direction: str
     if direction not in ORDER_TOKENS[:2]:
         raise ValueError(f"channel_process needs a signaling direction, A<B or B<A, got {direction!r}")
     rho_in = np.asarray(rho_in, dtype=complex)
-    channel_choi = np.asarray(channel_choi, dtype=complex)
-    wires = _party_wires(rho_in.shape[0])
-    (first_in, first_out), (second_in, second_out) = (
-        (wires[:2], wires[2:]) if direction == "A<B" else (wires[2:], wires[:2])
+    labs = lab_wires(rho_in.shape[0])
+    (first_in, first_out), (second_in, second_out) = labs if direction == "A<B" else labs[::-1]
+    return party_process(
+        LabeledOperator((first_in,), rho_in),
+        LabeledOperator((first_out, second_in), np.asarray(channel_choi, dtype=complex)),
+        identity_operator((second_out,)),
     )
-    state = LabeledOperator((first_in,), rho_in)
-    link = LabeledOperator((first_out, second_in), channel_choi)
-    w = permute_wires(kron(state, link, identity_operator((second_out,))), list(DEFAULT_PARTY_WIRES))
-    return ProcessMatrix(w, default_parties())
 
 
 def extend_with_state(

@@ -17,6 +17,7 @@ from .processes import (
     ProcessMatrix,
     build_cyril,
     channel_process,
+    lab_wires,
     shared_state_process,
 )
 from .tensor import LabeledOperator, WireLabel
@@ -81,20 +82,15 @@ def random_process(rng: np.random.Generator, d: int = 2) -> ProcessMatrix:
 def random_gyni_strategy(rng: np.random.Generator, d: int = 2) -> GameStrategy:
     """Random valid process and a random d-outcome instrument per input."""
     process = random_process(rng, d)
-    arms = []
-    for name in ("A", "B"):
-        w_in, w_out = WireLabel(f"{name}_I", d), WireLabel(f"{name}_O", d)
-        arms.append(PartyArm(tuple(random_instrument(rng, (w_in,), (w_out,), d) for _ in range(d))))
+    arms = [PartyArm(tuple(random_instrument(rng, (i,), (o,), d) for _ in range(d))) for i, o in lab_wires(d)]
     return GameStrategy(process, tuple(arms))
 
 
 def random_dr_strategy(rng: np.random.Generator, d: int = 2) -> GameStrategy:
     """Random retrieval strategy: each party reads its code wire and lab input."""
     process = random_process(rng, d)
-    arms = []
-    for name in ("A", "B"):
-        code = WireLabel(name, d)
-        w_in, w_out = WireLabel(f"{name}_I", d), WireLabel(f"{name}_O", d)
-        ins = random_instrument(rng, (code, w_in), (w_out,), d)
-        arms.append(PartyArm((ins,)))
+    arms = [
+        PartyArm((random_instrument(rng, (WireLabel(name, d), i), (o,), d),))
+        for name, (i, o) in zip(("A", "B"), lab_wires(d))
+    ]
     return GameStrategy(process, tuple(arms))

@@ -13,6 +13,7 @@ import shlex
 import numpy as np
 import pytest
 
+from causalkit import duality
 from causalkit.cli import CLAIMS, MANIFEST_SEED, build_manifest, main
 from causalkit.games import CYRIL_GYNI_VALUE
 from causalkit.processes import dump_process, extend_with_state, load_process, build_cyril
@@ -365,13 +366,28 @@ class TestDump:
             main(["dump", "--object", "spaghetti"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("token", ["cyril:junk", "bell:1,1:junk", "readout-unitary:3:2:junk"])
+    # Tokens off the grammar: surplus fields, and empty or non-numeric ones.
+    @pytest.mark.parametrize(
+        "token",
+        ["cyril:junk", "bell:1,1:junk", "readout-unitary:3:2:junk"]
+        + ["bell:", "bell:1,x", "bell:1,1,", "readout-unitary:", "readout-unitary:a", "readout-unitary:3:"],
+    )
     def test_surplus_fields_are_usage_errors(self, capsys, token):
         with pytest.raises(SystemExit) as exc:
             main(["dump", "--object", token])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "choose cyril, bell:x1,x2[,d], readout-unitary[:d[:party]]" in err
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("bell:5,0", "code symbols must lie in 0..1"), ("readout-unitary:3:3", "party must be 1 or 2")],
+    )
+    def test_value_errors_keep_their_message(self, capsys, token, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["dump", "--object", token])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestManifest:
@@ -407,6 +423,18 @@ class TestManifest:
         assert len(records) == 24
         assert [k for k, r in records.items() if r["status"] != "pass"] == ["duality-random-d3"]
         assert float(records["duality-random-d3"]["computed"]) > 1e-9
+
+    def test_raising_claim_is_a_fail_row(self, capsys, monkeypatch):
+        def broken(d):
+            raise ValueError("readout broke")
+
+        monkeypatch.setattr(duality, "readout_correlation_residual", broken)
+        code, payload = run_json(capsys, "manifest")
+        assert code == 1
+        assert payload["total"] == len(payload["records"]) == 24
+        records = {r["claim_id"]: r for r in payload["records"]}
+        assert [k for k, r in records.items() if r["status"] != "pass"] == ["readout-correlation"]
+        assert records["readout-correlation"]["computed"] == "error: ValueError: readout broke"
 
     @pytest.mark.parametrize("claim", CLAIMS, ids=[c.claim_id for c in CLAIMS])
     def test_claim_command_runs(self, capsys, claim):

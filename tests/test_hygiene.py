@@ -3,7 +3,8 @@
 Every imported name is used in its module, and every private module-level
 function is referenced somewhere in the package besides its definition. The
 package ``__init__`` is left out of the import check: its imports are the
-public re-exports.
+public re-exports. Only ``processes`` spells a lab wire's name; every other
+module reads the two-party layout from it.
 """
 
 from __future__ import annotations
@@ -58,3 +59,17 @@ def test_every_private_function_is_referenced():
     ]
     assert private, "the scan found no private function at all"
     assert sorted(name for name in private if name.split(":")[1] not in read) == []
+
+
+# The four lab wires, and the suffixes an f-string like f"{name}_I" would build them from.
+LAB_WIRE_NAMES = {"A_I", "A_O", "B_I", "B_O", "_I", "_O"}
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"processes.py"}))
+def test_only_processes_spells_a_lab_wire(module):
+    spelled = [
+        node.value
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in LAB_WIRE_NAMES
+    ]
+    assert spelled == []

@@ -261,6 +261,22 @@ class TestComposition:
                 selector=0,
             )
 
+    def test_one_dense_stack_per_member(self, monkeypatch):
+        # Each member's stack is built once and both validated and gathered
+        # (6 reads for 3 members when validation built its own).
+        qutrits = (WireLabel("A_I", 3),), (WireLabel("A_O", 3),)
+        family = [random_instrument(np.random.default_rng(30 + k), *qutrits, 3) for k in range(3)]
+        reads = []
+        dense = KronSum.matrix.fget
+
+        def counted(self):
+            reads.append(self)
+            return dense(self)
+
+        monkeypatch.setattr(KronSum, "matrix", property(counted))
+        extend_instrument_with_measurement(family, np.eye(9), (WireLabel("A", 3), WireLabel("A'", 3)), 0)
+        assert len(reads) == 3
+
     def test_family_size_must_match_selector_dim(self):
         with pytest.raises(ValueError, match="selector wire dimension"):
             extend_instrument_with_measurement(

@@ -26,6 +26,7 @@ from causalkit.processes import (
     validate_process,
     verify_cyril_separable_decomposition,
 )
+from causalkit.cli import PROCESS_BUILDERS
 from causalkit.games import GameStrategy, PartyArm, behaviour
 from causalkit.sampling import random_channel_choi, random_density, random_instrument, random_process
 from causalkit.tensor import LabeledOperator, WireLabel, dump_operator, kron, load_operator, permute_wires
@@ -278,6 +279,31 @@ class TestCutSpectrum:
         with pytest.raises(ValueError, match="ambiguous"):
             is_ppt_cut(ext, "B")
         assert "_cut_spectrum" not in vars(ext)
+
+
+class TestPartyLayout:
+    """Every constructor lays its process on the wires (A_I, A_O, B_I, B_O)."""
+
+    LAYOUT = ("A_I", "A_O", "B_I", "B_O")
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_maximally_mixed_is_the_normalized_identity(self, d):
+        assert np.array_equal(maximally_mixed_process(d).op.matrix, np.eye(d**4) / d**2)
+
+    @pytest.mark.parametrize("name", ["cyril", "shared-bell", "bell-pair-outputs"])
+    def test_qubit_builtins(self, name):
+        assert PROCESS_BUILDERS[name]().op.names == self.LAYOUT
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_constructors(self, d):
+        rng = np.random.default_rng(60 + d)
+        procs = [maximally_mixed_process(d), shared_state_process(random_density(rng, d * d))] + [
+            channel_process(random_density(rng, d), random_channel_choi(rng, d, d), direction)
+            for direction in ("A<B", "B<A")
+        ]
+        for proc in procs:
+            assert proc.op.names == self.LAYOUT
+            assert proc.op.dims == (d,) * 4
 
 
 class TestRandomProcesses:
