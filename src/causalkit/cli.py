@@ -26,6 +26,7 @@ import numpy as np
 from . import classical, duality, games, processes, sampling, tensor
 from .games import CAUSAL_GYNI_BOUND, CONSTANT_GUESS_VALUE, CYRIL_GYNI_VALUE, LOCC_RETRIEVAL_BOUND
 from .games import BellCode, GameStrategy
+from .instruments import choi_of_unitary
 from .processes import ProcessMatrix
 from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel
 
@@ -62,10 +63,9 @@ def _fraction_dict(fr: Fraction) -> dict:
 # Built-in objects
 
 def _bell_pair_outputs_process() -> ProcessMatrix:
-    """Trace-normalized coded pairs on inputs and outputs; fails validity."""
+    """The identity channel's Choi operator on both inputs and on both outputs; fails validity."""
     (ai, ao), (bi, bo) = processes.lab_wires(2)
-    pair = 2 * games.bell_state(BellCode(2, 0, 0)).matrix
-    return processes.party_process(LabeledOperator((ai, bi), pair), LabeledOperator((ao, bo), pair))
+    return processes.party_process(choi_of_unitary(np.eye(2), ai, bi), choi_of_unitary(np.eye(2), ao, bo))
 
 
 PROCESS_BUILDERS: dict[str, Callable[[], ProcessMatrix]] = {
@@ -158,14 +158,15 @@ def cmd_validate(args, parser, tol) -> int:
 def cmd_ppt(args, parser, tol) -> int:
     name, proc = _load_process_arg(args, parser)
     parties = [p.name for p in proc.parties]
-    if args.cut not in parties:
-        parser.error(f"unknown cut {args.cut!r}; choose a party from {parties}")
+    cut = parties[1] if args.cut is None else args.cut  # both cuts share one spectrum
+    if cut not in parties:
+        parser.error(f"unknown cut {cut!r}; choose a party from {parties}")
     if proc.unassigned_wires:
         parser.error(f"{name!r}: wires {list(proc.unassigned_wires)} belong to no party; the cut is ambiguous")
-    ok, min_eig = processes.is_ppt_cut(proc, args.cut, tol)
+    ok, min_eig = processes.is_ppt_cut(proc, cut, tol)
     payload = {
         "process": name,
-        "cut": args.cut,
+        "cut": cut,
         "ppt": ok,
         "min_eigenvalue": min_eig,
         "hermiticity": proc.hermiticity,
@@ -219,32 +220,28 @@ def cmd_duality(args, parser, tol) -> int:
     return _emit(args, payload, 0 if cert.ok else 1)
 
 
+# (variant, strategy) -> the exact library call: an accounting record or a bare value.
+CLASSICAL_CALLS: dict[tuple[str, str], Callable[[], object]] = {
+    ("tdr", "ebw"): classical.tdr_accounting_ebw,
+    ("tdr", "definite"): classical.tdr_relay_accounting,
+    ("tdr", "none"): classical.tdr_success_no_collab,
+    ("ftdr", "ebw"): lambda: classical.ftdr_accounting("ebw"),
+    ("ftdr", "definite"): lambda: classical.ftdr_accounting("definite_order"),
+}
+
+
 def cmd_classical(args, parser, tol) -> int:
-    options = ("ebw", "definite", "none") if args.variant == "tdr" else ("ebw", "definite")
+    options = sorted(strategy for variant, strategy in CLASSICAL_CALLS if variant == args.variant)
     if args.strategy not in options:
-        parser.error(f"unknown strategy {args.strategy!r} for {args.variant}; choose from {sorted(options)}")
-    extras: dict = {}
-    if args.variant == "ftdr":
-        acc = classical.ftdr_accounting("ebw" if args.strategy == "ebw" else "definite_order")
-        value = acc.overall
-        extras = {"round_success": [_fraction_dict(f) for f in acc.round_success]}
-    elif args.strategy == "ebw":
-        acc = classical.tdr_accounting_ebw()
-        value = acc.overall
-        extras = {
-            "logically_consistent": classical.is_logically_consistent(classical.ebw_process()),
-            "per_input_min": _fraction_dict(acc.per_input_min),
-            "per_input_max": _fraction_dict(acc.per_input_max),
-            "branch_weight": [_fraction_dict(f) for f in acc.branch_weight],
-            "branch_success": [_fraction_dict(f) for f in acc.branch_success],
-        }
-    elif args.strategy == "definite":
-        rel = classical.tdr_relay_accounting()
-        value = rel.overall
-        extras = {"per_player": [_fraction_dict(f) for f in rel.per_player]}
-    else:
-        value = classical.tdr_success_no_collab()
-    payload = {"game": args.variant, "strategy": args.strategy, **_fraction_dict(value), **extras}
+        parser.error(f"unknown strategy {args.strategy!r} for {args.variant}; choose from {options}")
+    result = CLASSICAL_CALLS[args.variant, args.strategy]()
+    # The record's overall value leads, then its other fields in their order.
+    fields = {"overall": result} if isinstance(result, Fraction) else asdict(result)
+    payload = {"game": args.variant, "strategy": args.strategy, **_fraction_dict(fields.pop("overall"))}
+    if (args.variant, args.strategy) == ("tdr", "ebw"):
+        payload["logically_consistent"] = classical.is_logically_consistent(classical.ebw_process())
+    for key, value in fields.items():
+        payload[key] = _fraction_dict(value) if isinstance(value, Fraction) else list(map(_fraction_dict, value))
     return _emit(args, payload)
 
 
@@ -413,7 +410,7 @@ def _mutant_detected(tol):
 def _hiding_defect() -> float:
     """Largest entry of |marginal - I/2| over the four qubit codes and both wires."""
     pairs = games.coded_pairs(2, ("A", "B"))
-    marginals = [tensor.batched_trace([tensor.identity_operator([w])], [pairs]) for w in pairs.wires]
+    marginals = [tensor.partial_trace(pairs, {w.name}).matrix for w in pairs.wires]
     return float(np.max(np.abs(np.array(marginals) - np.eye(2) / 2)))
 
 
@@ -526,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("validate", cmd_validate, "check process validity constraints", process_arg)
     p = command("ppt", cmd_ppt, "partial-transpose test across the party cut", process_arg)
-    p.add_argument("--cut", default="B", help="party whose wires are transposed (default B)")
+    p.add_argument("--cut", help="party whose wires are transposed (default: second party, B for built-ins)")
 
     p = command("gyni", cmd_game, "evaluate the mutual input-guessing game", game="gyni")
     p.add_argument("--process", dest="strategy", default="cyril", choices=sorted(GYNI_STRATEGIES))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .instruments import (
     Instrument,
+    choi_of_unitary,
     identity_channel_instrument,
     measure_prepare_instrument,
     stack_instruments,
@@ -283,7 +284,7 @@ def relay_gyni_strategy() -> GameStrategy:
         alice.append(Instrument((cj, cj), (a_in.name,), (a_out.name,)))
     read = measure_prepare_instrument([e0, e1], [e0, e1], b_in, b_out)
     bob = PartyArm((read, read))
-    identity_choi = 2 * bell_state(BellCode(2, 0, 0)).matrix
+    identity_choi = choi_of_unitary(np.eye(2), a_out, b_in).matrix
     process = channel_process(np.diag([1.0, 0.0]), identity_choi, "A<B")
     return GameStrategy(process, (PartyArm(tuple(alice)), bob))
 

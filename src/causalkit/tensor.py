@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,6 +90,10 @@ class OperatorStack:
     def wire(self, name: str) -> WireLabel:
         return _find_wire(self.wires, name)
 
+    def as_tensor(self) -> np.ndarray:
+        """Reshape to the batch axes, then one row axis plus one column axis per wire."""
+        return self.matrix.reshape(self.matrix.shape[:-2] + self.dims + self.dims)
+
 
 @dataclass(frozen=True)
 class LabeledOperator(OperatorStack):
@@ -98,10 +103,6 @@ class LabeledOperator(OperatorStack):
         super().__post_init__()
         if self.matrix.ndim != 2:
             raise ValueError(f"an operator takes one matrix, got shape {self.matrix.shape}")
-
-    def as_tensor(self) -> np.ndarray:
-        """Reshape to one row axis plus one column axis per wire."""
-        return self.matrix.reshape(self.dims + self.dims)
 
 
 def _find_wire(wires: Sequence[WireLabel], name: str) -> WireLabel:
@@ -132,45 +133,42 @@ def kron(*ops: LabeledOperator) -> LabeledOperator:
     return LabeledOperator(wires, functools.reduce(np.kron, (op.matrix for op in ops)))
 
 
-def _check_names(op: LabeledOperator, names: Iterable[str]) -> set[str]:
+def _positions(op: OperatorStack, names: Iterable[str]) -> tuple[int, ...]:
+    """Positions of the named wires in ``op``'s wire order; an unknown name raises KeyError."""
     names = set(names)
     missing = names - set(op.names)
     if missing:
         raise KeyError(f"unknown wires {sorted(missing)}; operator has {op.names}")
-    return names
+    return tuple(i for i, name in enumerate(op.names) if name in names)
 
 
-def partial_trace(op: LabeledOperator, traced: Iterable[str]) -> LabeledOperator:
-    """Trace out the named wires, keeping the rest in their original order."""
-    traced = _check_names(op, traced)
-    if not traced:
-        return op
-    n = len(op.wires)
-    row = list(_LETTERS[:n])
-    col = list(_LETTERS[n : 2 * n])
-    for i, w in enumerate(op.wires):
-        if w.name in traced:
-            col[i] = row[i]
-    kept = [i for i, w in enumerate(op.wires) if w.name not in traced]
-    sub = "".join(row) + "".join(col) + "->" + "".join(row[i] for i in kept) + "".join(
-        col[i] for i in kept
-    )
-    reduced = np.einsum(sub, op.as_tensor())
-    new_wires = tuple(op.wires[i] for i in kept)
-    dim = OperatorStack.total_dim_of(new_wires)
-    return LabeledOperator(new_wires, reduced.reshape(dim, dim))
+def _diagonal(tensor: np.ndarray, n: int, axes: tuple[int, ...]) -> np.ndarray:
+    """Writable view of a ``batch + dims + dims`` tensor on n wires, each column in ``axes``
+    tied to its row: batch, n rows, other columns. Summing those rows is the partial trace."""
+    sub = list(_LETTERS[: 2 * n])
+    for i in axes:
+        sub[n + i] = sub[i]
+    kept = [sub[n + i] for i in range(n) if i not in axes]
+    return np.einsum("..." + "".join(sub) + "->..." + "".join(sub[:n] + kept), tensor)
+
+
+def partial_trace(op, traced: Iterable[str]):
+    """Trace out the named wires of an operator or a stack, keeping the rest (and any batch axes) in order."""
+    axes = _positions(op, traced)
+    batch = op.matrix.shape[:-2]
+    reduced = _diagonal(op.as_tensor(), len(op.wires), axes).sum(axis=tuple(len(batch) + i for i in axes))
+    kept = tuple(w for i, w in enumerate(op.wires) if i not in axes)
+    dim = OperatorStack.total_dim_of(kept)
+    return type(op)(kept, reduced.reshape(batch + (dim, dim)))
 
 
 def partial_transpose(op: LabeledOperator, transposed: Iterable[str]) -> LabeledOperator:
     """Transpose the named wires in place (row and column axes swapped)."""
-    transposed = _check_names(op, transposed)
     n = len(op.wires)
-    tensor = op.as_tensor()
     axes = list(range(2 * n))
-    for i, w in enumerate(op.wires):
-        if w.name in transposed:
-            axes[i], axes[n + i] = axes[n + i], axes[i]
-    out = tensor.transpose(axes).reshape(op.total_dim, op.total_dim)
+    for i in _positions(op, transposed):
+        axes[i], axes[n + i] = axes[n + i], axes[i]
+    out = op.as_tensor().transpose(axes).reshape(op.total_dim, op.total_dim)
     return LabeledOperator(op.wires, out)
 
 
@@ -183,11 +181,10 @@ def permute_wires(op, new_order: Sequence[str]):
     new_order, names = list(new_order), op.names
     if sorted(new_order) != sorted(names):
         raise ValueError(f"{new_order} is not a permutation of {names}")
-    n, batch = len(names), op.matrix.shape[:-2]
-    nb = len(batch)
+    n, nb = len(names), op.matrix.ndim - 2
     perm = [names.index(name) for name in new_order]
     axes = list(range(nb)) + [nb + p for p in perm] + [nb + n + p for p in perm]
-    out = op.matrix.reshape(batch + op.dims + op.dims).transpose(axes).reshape(op.matrix.shape)
+    out = op.as_tensor().transpose(axes).reshape(op.matrix.shape)
     return type(op)(tuple(op.wires[p] for p in perm), out)
 
 
@@ -216,19 +213,14 @@ def add_replaced(out: np.ndarray, op: LabeledOperator, wires_x: Iterable[str], c
 
     R_X(op) = Tr_X(op) (x) I_X / d_X, in op's wire order, replaces the wires
     X by the normalized identity. It vanishes unless row and column agree on
-    every wire in X, so Tr_X(op), one einsum trace, is broadcast into an
-    einsum view of that block; on a zero ``out`` this leaves R_X(op) itself.
+    every wire in X, so Tr_X(op), summed on the diagonal view of
+    :func:`partial_trace`, is broadcast into that view of ``out``; on a zero
+    ``out`` this leaves R_X(op) itself.
     """
-    wires_x = _check_names(op, wires_x)
-    n = len(op.wires)
-    axes = tuple(i for i, w in enumerate(op.wires) if w.name in wires_x)
-    sub = list(_LETTERS[: 2 * n])
-    for i in axes:
-        sub[n + i] = sub[i]
-    block = "".join(sub) + "->" + "".join(sub[:n] + [sub[n + i] for i in range(n) if i not in axes])
+    axes, n = _positions(op, wires_x), len(op.wires)
     d_x = OperatorStack.total_dim_of([op.wires[i] for i in axes])
-    diagonal = np.einsum(block, out)
-    diagonal += coeff * np.einsum(block, op.as_tensor()).sum(axis=axes, keepdims=True) / d_x
+    diagonal = _diagonal(out, n, axes)
+    diagonal += coeff * _diagonal(op.as_tensor(), n, axes).sum(axis=axes, keepdims=True) / d_x
 
 
 @dataclass(frozen=True)
@@ -353,10 +345,10 @@ def batched_trace(
         parts, term = (op.parts, next(letters)) if isinstance(op, KronSum) else ((op,), "")
         labels = iter(labels)
         for part in parts:
-            shape, names, dims = part.matrix.shape[:-2], part.names, part.dims
+            shape, names = part.matrix.shape[:-2], part.names
             lead = "".join(axis[label] for label in itertools.islice(labels, len(shape) - len(term)))
             subs.append(lead + term + "".join(first[n] for n in names) + "".join(second[n] for n in names))
-            tensors.append(part.matrix.reshape(shape + dims + dims))
+            tensors.append(part.as_tensor())
     # An open wire keeps the effect's own row, col[n], and column, row[n].
     open_wires = list(wires)[len(carrier_wires) :]
     subscripts = ",".join(subs) + "->" + "".join(
@@ -376,15 +368,14 @@ def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
     stack led by that batch. U acts on the named wires' axes of the tensor
     form, rows then columns, one matrix product each, with no dense conjugator.
     """
-    names = _check_names(op, names)
-    targets = [i for i, name in enumerate(op.names) if name in names]
+    targets = _positions(op, names)
     u = np.asarray(u, dtype=np.complex128)
     lead, u = u.shape[:-2], u.reshape((-1,) + u.shape[-2:])
-    batch, dims = op.matrix.shape[:-2], op.dims
-    nb, n, nt, t = len(batch), len(dims), len(targets), math.prod(dims[i] for i in targets)
+    dims = op.dims
+    nb, n, nt, t = op.matrix.ndim - 2, len(dims), len(targets), math.prod(dims[i] for i in targets)
     rows, cols = [1 + nb + i for i in targets], [1 + nb + n + i for i in targets]
     # Rows: U @ (named row axes, every other axis).
-    moved = np.moveaxis(op.matrix.reshape(batch + dims + dims), [r - 1 for r in rows], range(nt))
+    moved = np.moveaxis(op.as_tensor(), [r - 1 for r in rows], range(nt))
     out = np.moveaxis((u @ moved.reshape(t, -1)).reshape((len(u),) + moved.shape), range(1, nt + 1), rows)
     # Columns: (every other axis, named column axes) @ U^dag.
     moved = np.moveaxis(out, cols, range(-nt, 0))
@@ -416,7 +407,7 @@ def _parse_wire_line(line: str) -> tuple[WireLabel, ...]:
     wires = []
     for item in rest.strip().split(","):
         name, _, dim = item.strip().rpartition(":")
-        if not name:
+        if not name or not re.fullmatch(r"\s*[+-]?\d+\s*", dim):  # what int() reads, bar underscores
             raise ValueError(f"malformed wire entry {item!r}")
         wires.append(WireLabel(name, int(dim)))
     return tuple(wires)

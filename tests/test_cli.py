@@ -64,6 +64,11 @@ class TestValidate:
         assert payload["valid"] is False
         assert payload["residuals"]["affine closure"] > 0.5
 
+    def test_bell_pair_outputs_residuals_are_exact(self, capsys):
+        _, payload = run_json(capsys, "validate", "--process", "bell-pair-outputs")
+        assert payload["residuals"]["normalization"] == 0.0
+        assert payload["residuals"]["affine closure"] == 1.0
+
     def test_file_argument(self, capsys, tmp_path):
         path = tmp_path / "proc.txt"
         path.write_text(dump_process(build_cyril()), encoding="utf-8")
@@ -95,6 +100,13 @@ class TestValidate:
         path.write_text("\n".join(dump_process(build_cyril()).splitlines()[:3]), encoding="utf-8")
         message = self._usage_error(capsys, path)
         assert "expected 16 matrix rows, found 1" in message
+
+    def test_non_integer_wire_dim_is_usage_error(self, capsys, tmp_path):
+        lines = dump_process(build_cyril()).splitlines()
+        lines[1] = lines[1].replace("A_I:2", "A_I:x")
+        path = tmp_path / "bad_dim.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert "malformed wire entry 'A_I:x'" in self._usage_error(capsys, path)
 
     def test_relative_residuals_are_extra_keys(self, capsys):
         code, payload = run_json(capsys, "validate", "--process", "bell-pair-outputs")
@@ -152,6 +164,17 @@ class TestPpt:
         assert code == 1
         assert payload["ppt"] is False
         assert payload["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_default_cut_is_the_second_party(self, capsys, tmp_path):
+        lines = dump_process(build_cyril()).splitlines()
+        assert lines[0] == "parties: A=(A_I,A_O);B=(B_I,B_O)"
+        lines[0] = "parties: P=(A_I,A_O);Q=(B_I,B_O)"
+        path = tmp_path / "renamed.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, payload = run_json(capsys, "ppt", str(path))
+        assert code == 0
+        assert payload["cut"] == "Q"
+        assert payload["ppt"] is True
 
     def test_unknown_cut_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -493,3 +516,18 @@ def test_usage_error_names_the_subcommand(capsys, tmp_path, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: causalkit {argv[0]} ")
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["validate"], "provide a process file or --process <name>"),
+        (["duality", "--direction", "dr2gyni", "--process", "relay"], "unknown strategy 'relay' for dr2gyni"),
+    ],
+)
+def test_unreached_usage_errors(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err

@@ -32,13 +32,15 @@ from causalkit.duality import (
 )
 from causalkit.games import (
     CYRIL_GYNI_VALUE,
+    GameStrategy,
     cyril_gyni_strategy,
     eval_dr,
     eval_gyni,
     pauli_y_baseline_strategy,
 )
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy
-from causalkit.tensor import KronSum
+from causalkit.processes import extend_with_state
+from causalkit.tensor import KronSum, LabeledOperator, WireLabel
 
 SQRT2 = np.sqrt(2)
 
@@ -238,3 +240,11 @@ class TestErrors:
             gyni_to_dr(pauli_y_baseline_strategy())
         with pytest.raises(ValueError):
             dr_to_gyni(cyril_gyni_strategy())
+
+
+def test_gyni_to_dr_rejects_a_process_with_a_code_wire():
+    strategy = cyril_gyni_strategy()
+    ancilla = LabeledOperator((WireLabel("A", 2),), np.eye(2) / 2)
+    taken = GameStrategy(extend_with_state(strategy.process, ancilla), strategy.parties)
+    with pytest.raises(ValueError, match="process already uses wire 'A'; cannot add code wires"):
+        gyni_to_dr(taken)

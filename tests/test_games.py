@@ -35,7 +35,7 @@ from causalkit.games import (
     relay_gyni_strategy,
 )
 from causalkit.duality import check_duality, dr_to_gyni, gyni_to_dr
-from causalkit.instruments import Instrument, validate_instrument
+from causalkit.instruments import Instrument, identity_channel_instrument, validate_instrument
 from causalkit.processes import ProcessMatrix, PartySlot
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy, random_instrument
 from causalkit.tensor import (
@@ -135,6 +135,10 @@ class TestMutualGuessing:
 
     def test_relay_benchmark(self):
         assert eval_gyni(relay_gyni_strategy()) == pytest.approx(0.5, abs=1e-12)
+
+    def test_relay_terms_are_exact(self):
+        # The identity channel's Choi operator has entries exactly 1, so no term rounds.
+        assert set(gyni_terms(relay_gyni_strategy()).values()) == {0.5}
 
     def test_constant_benchmark(self):
         assert eval_gyni(constant_output_gyni_strategy()) == pytest.approx(0.25, abs=1e-12)
@@ -470,3 +474,62 @@ class TestTiedContraction:
         monkeypatch.setattr(tensor.np, "einsum", contracted)
         with pytest.raises(ValueError, match=f"ties axes of lengths {d} and {d + 1}"):
             batched_trace([carrier], [effect], ["x", "x"])
+
+
+def _imaginary(arm: PartyArm) -> PartyArm:
+    """The arm with every CJ operator multiplied by i."""
+    instruments = []
+    for ins in arm.instruments:
+        ops = tuple(LabeledOperator(o.wires, 1j * o.matrix) for o in ins.ops)
+        instruments.append(Instrument(ops, ins.input_wires, ins.output_wires))
+    return PartyArm(tuple(instruments))
+
+
+def _rearmed(strategy: GameStrategy, arm) -> GameStrategy:
+    """``strategy`` with ``arm(k, party's arm)`` for party k's arm."""
+    return GameStrategy(strategy.process, tuple(arm(k, a) for k, a in enumerate(strategy.parties)))
+
+
+def _three_outcome_arm(k: int, arm: PartyArm) -> PartyArm:
+    ins = arm.instruments[0]
+    wires = ins.wire(ins.input_wires[-1]), ins.wire(ins.output_wires[0])
+    return PartyArm((identity_channel_instrument(*wires, 0, 3),) * 2)
+
+
+class TestInputChecks:
+    """Input checks that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            pytest.param(lambda: PartyArm(()), "at least one instrument", id="empty-arm"),
+            pytest.param(
+                lambda: GameStrategy(relay_gyni_strategy().process, relay_gyni_strategy().parties[:1]),
+                "must equip every process party",
+                id="missing-arm",
+            ),
+            pytest.param(
+                lambda: eval_gyni(_rearmed(relay_gyni_strategy(), lambda k, a: PartyArm(a.instruments[k:]))),
+                "disagree on the number of classical inputs",
+                id="input-counts",
+            ),
+            pytest.param(
+                lambda: eval_gyni(_rearmed(relay_gyni_strategy(), _three_outcome_arm)),
+                "d instruments of d outcomes",
+                id="outcome-count",
+            ),
+            pytest.param(
+                lambda: eval_dr(_rearmed(pauli_y_baseline_strategy(), lambda k, a: PartyArm(a.instruments * 2))),
+                "take no classical input",
+                id="retrieval-inputs",
+            ),
+            pytest.param(
+                lambda: eval_gyni(_rearmed(relay_gyni_strategy(), lambda k, a: _imaginary(a) if k == 0 else a)),
+                "non-real value",
+                id="non-real",
+            ),
+        ],
+    )
+    def test_raises(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 import numpy as np
@@ -413,3 +414,89 @@ class TestFactoredComposite:
             np.testing.assert_array_equal(got.matrix, op.matrix)
         with pytest.raises(ValueError, match="do not match"):
             Instrument(KronSum((OperatorStack((A_IN, A_OUT), branches.matrix),)), ("A_I",), ("B",))
+
+
+def _passes() -> list[Instrument]:
+    """Two valid two-outcome instruments on (A_I, A_O)."""
+    return [identity_channel_instrument(A_IN, A_OUT, k, 2) for k in (0, 1)]
+
+
+def _plain(branches: np.ndarray) -> Instrument:
+    """An instrument from A_I to A_O whose one part is stacked as ``branches`` is."""
+    return Instrument(KronSum((OperatorStack((A_IN, A_OUT), branches),)), ("A_I",), ("A_O",))
+
+
+MEASURED = (WireLabel("m1", 2), WireLabel("m2", 2))
+
+
+class TestInputChecks:
+    """Input checks that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            pytest.param(
+                lambda: _plain(np.zeros((2, 4, 4))),
+                "stacked by (outcome, term)",
+                id="misshapen-part",
+            ),
+            pytest.param(
+                lambda: _plain(np.zeros((0, 1, 4, 4))),
+                "at least one outcome",
+                id="no-outcome",
+            ),
+            pytest.param(
+                lambda: Instrument((choi_of_unitary(np.eye(2), A_IN, A_OUT),), ("A_I", "A_O"), ("A_O",)),
+                "both input and output",
+                id="input-and-output",
+            ),
+            pytest.param(
+                lambda: choi_of_unitary(np.eye(2), A_IN, WireLabel("out", 3)), "equal wire dims", id="choi-dims"
+            ),
+            pytest.param(
+                lambda: identity_channel_instrument(A_IN, A_OUT, 2, 2), "out of range", id="forced-outcome"
+            ),
+            pytest.param(
+                lambda: measure_prepare_instrument([E0], [E0], A_IN, A_OUT), "must have 2 vectors", id="basis-size"
+            ),
+            pytest.param(
+                lambda: measure_prepare_instrument([E0, E1], [E0, 2 * E1], A_IN, A_OUT),
+                "must be normalized",
+                id="preparation-norm",
+            ),
+            pytest.param(
+                lambda: extend_instrument_with_measurement(_passes(), np.eye(4), MEASURED, 2),
+                "selector must be 0 or 1",
+                id="selector",
+            ),
+            pytest.param(
+                lambda: extend_instrument_with_measurement([], np.eye(4), MEASURED, 0),
+                "at least one inner instrument",
+                id="empty-family",
+            ),
+            pytest.param(
+                lambda: extend_instrument_with_measurement(
+                    [_passes()[0], identity_channel_instrument(WireLabel("X", 2), WireLabel("Y", 2), 1, 2)],
+                    np.eye(4),
+                    MEASURED,
+                    0,
+                ),
+                "share identical wires",
+                id="family-wires",
+            ),
+            pytest.param(lambda: coarse_grain(_passes()[0], [0], 1), "relabel every outcome", id="grouping-size"),
+            pytest.param(lambda: coarse_grain(_passes()[0], [0, 2], 2), "label out of range", id="grouping-label"),
+        ],
+    )
+    def test_raises(self, call, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            call()
+
+    def test_non_hermitian_branch_gets_the_nan_report(self):
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1] = 1.0
+        report = validate_instrument(Instrument((LabeledOperator((A_IN, A_OUT), skew),), ("A_I",), ("A_O",)))
+        assert report.hermiticity == 1.0
+        assert np.isnan(report.outcome_min_eigs).all()
+        assert report.tp_residual == float("inf")
+        assert not report.valid

@@ -653,3 +653,59 @@ class TestLoaderFuzz:
             load_process(mutate(dump_process(build_cyril()), mutations))
         except ValueError:
             pass
+
+
+def _qubits(*names: str) -> LabeledOperator:
+    return LabeledOperator(tuple(WireLabel(n, 2) for n in names), np.eye(2 ** len(names)) / 2 ** len(names))
+
+
+class TestInputChecks:
+    """Input checks that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, error, fragment",
+        [
+            pytest.param(lambda: ProcessMatrix((), ()), ValueError, "at least one factor", id="no-factor"),
+            pytest.param(
+                lambda: ProcessMatrix((_qubits("A_I"), _qubits("A_I")), ()), ValueError, "share wires", id="shared"
+            ),
+            pytest.param(
+                lambda: ProcessMatrix(
+                    _qubits("A_I", "A_O", "B_I", "B_O"),
+                    (PartySlot("A", "A_I", "A_O"), PartySlot("A", "B_I", "B_O")),
+                ),
+                ValueError,
+                "duplicate party names",
+                id="party-names",
+            ),
+            pytest.param(
+                lambda: ProcessMatrix(
+                    _qubits("A_I", "A_O", "B_I", "B_O"),
+                    (PartySlot("A", "A_I", "A_O"), PartySlot("B", "A_I", "B_O")),
+                ),
+                ValueError,
+                "overlapping wires",
+                id="party-wires",
+            ),
+            pytest.param(lambda: build_cyril().party("C"), KeyError, "no party 'C'", id="party"),
+            pytest.param(
+                lambda: validate_process(build_cyril()).residual("positivity"), KeyError, "'positivity'", id="report"
+            ),
+            pytest.param(
+                lambda: extend_with_state(build_cyril(), _qubits("X"), {"Y": "A"}),
+                ValueError,
+                "unknown wires ['Y']",
+                id="assign-wire",
+            ),
+            pytest.param(
+                lambda: load_process("parties: A=(A_I);B=(B_I,B_O)\n" + dump_operator(build_cyril().op)),
+                ValueError,
+                "party 'A' needs at least input and output wires",
+                id="one-wire-party",
+            ),
+        ],
+    )
+    def test_raises(self, call, error, fragment):
+        with pytest.raises(error) as exc:
+            call()
+        assert fragment in str(exc.value)

@@ -6,6 +6,7 @@ frozen as literals; the library is never used to generate its own oracle.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -155,6 +156,26 @@ class TestPartialTrace:
     def test_unknown_wire_rejected(self):
         with pytest.raises(KeyError):
             partial_trace(op([A], SZ), {"Q"})
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("traced", [{"X"}, {"Y"}, {"X", "Z"}, {"Y", "Z"}], ids=["X", "Y", "XZ", "YZ"])
+    def test_stack_with_two_batch_axes(self, d, traced):
+        wires = (WireLabel("X", d), WireLabel("Y", 2), WireLabel("Z", d))
+        rng = np.random.default_rng(d)
+        shape = (2, 3, 2 * d * d, 2 * d * d)
+        stack = OperatorStack(wires, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        reduced = partial_trace(stack, traced)
+        assert type(reduced) is OperatorStack
+        assert reduced.names == tuple(n for n in ("X", "Y", "Z") if n not in traced)
+        flat = stack.matrix.reshape((6,) + shape[2:])
+        entries = [partial_trace(LabeledOperator(wires, m), traced).matrix for m in flat]
+        np.testing.assert_array_equal(reduced.matrix, np.reshape(entries, reduced.matrix.shape))
+        # Reference: trace each named wire's row and column axes with np.trace, last wire first.
+        tensor = stack.matrix.reshape((2, 3) + stack.dims + stack.dims)
+        for i in sorted((stack.names.index(n) for n in traced), reverse=True):
+            n = (tensor.ndim - 2) // 2
+            tensor = np.trace(tensor, axis1=2 + i, axis2=2 + n + i)
+        np.testing.assert_allclose(reduced.matrix, tensor.reshape(reduced.matrix.shape), rtol=0, atol=1e-12)
 
 
 class TestPartialTranspose:
@@ -561,3 +582,23 @@ class TestDumpLoad:
         ident = identity_operator([A, C])
         assert ident.total_dim == 6
         np.testing.assert_array_equal(ident.matrix, np.eye(6))
+
+
+class TestInputChecks:
+    """Input checks that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, error, fragment",
+        [
+            pytest.param(lambda: KronSum(()), ValueError, "at least one part", id="empty-kron-sum"),
+            pytest.param(lambda: load_operator(["", "  "]), ValueError, "empty operator dump", id="empty-dump"),
+            pytest.param(
+                lambda: load_operator(["wires: A:x", "1+0j"]), ValueError, "malformed wire entry 'A:x'", id="dim-x"
+            ),
+            pytest.param(lambda: load_operator(["wires: A:2,B:2.5"]), ValueError, "entry 'B:2.5'", id="dim-float"),
+            pytest.param(lambda: load_operator(["wires: A:1", "1+0j"]), ValueError, "dim >= 2", id="dim-1"),
+        ],
+    )
+    def test_raises(self, call, error, fragment):
+        with pytest.raises(error, match=re.escape(fragment)):
+            call()
