@@ -71,7 +71,6 @@ from .games import (
     eval_dr,
     eval_gyni,
     gyni_terms,
-    input_count,
     pauli_y_baseline_strategy,
     relay_gyni_strategy,
 )

@@ -113,6 +113,17 @@ def _write(parser: argparse.ArgumentParser, path: str, text: str) -> None:
         parser.error(f"cannot write {path!r}: {exc.strerror or exc}")
 
 
+def _print(text: str) -> None:
+    """Write to stdout. If its reader has gone, stdout turns to devnull (so the
+    flush at exit stays silent) and the command keeps its exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _emit(args: argparse.Namespace, payload: dict, code: int = 0, text: list[str] | None = None) -> int:
     """Print a command's payload and return its exit code.
 
@@ -121,7 +132,7 @@ def _emit(args: argparse.Namespace, payload: dict, code: int = 0, text: list[str
     their key.
     """
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _print(json.dumps(payload, indent=2) + "\n")
         return code
     if text is None:
         text = []
@@ -131,7 +142,7 @@ def _emit(args: argparse.Namespace, payload: dict, code: int = 0, text: list[str
                 text.extend(f"  {k}: {v}" for k, v in value.items())
             else:
                 text.append(f"{key}: {json.dumps(value) if isinstance(value, list) else value}")
-    print("\n".join(text))
+    _print("\n".join(text) + "\n")
     return code
 
 
@@ -271,7 +282,7 @@ def cmd_dump(args, parser, tol) -> int:
     if args.out:
         _write(parser, args.out, text)
     else:
-        sys.stdout.write(text)
+        _print(text)
     return 0
 
 

@@ -12,6 +12,7 @@ The readout unitaries are built so the four measured symbols satisfy the
 mod-d sum rules  u + v = x2  and  u' + v' = x1  with probability one; the
 correlation check below is the arbiter for any convention question.
 
+A translation reads ``d`` off its source, settled when that strategy was built.
 :func:`check_duality` runs one translation and returns its certificate, which
 carries the verdict: a drifted value is a certificate with ``ok`` false.
 """
@@ -26,8 +27,6 @@ from .games import (
     BellCode,
     GameStrategy,
     PartyArm,
-    _code_dim,
-    _gyni_dim,
     bell_state,
     coded_pairs,
     eval_dr,
@@ -172,7 +171,7 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     (0 or 1) measures (code wire, fresh wire), selects its inner instrument
     with measured symbol i and pads its answer with the other symbol.
     """
-    d = _gyni_dim(strategy)
+    d = strategy.game_dim(retrieval=False)
     taken = set(strategy.process.names)
     for name in ("A", "B", "A'", "B'"):
         if name in taken:
@@ -195,7 +194,7 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
     inverse phase power Z^-i, the second by the inverse shift power X^-i,
     which re-encodes (i2, i1) into the effective pair.
     """
-    d = _code_dim(strategy)
+    d = strategy.game_dim(retrieval=True)
     sa, sb = strategy.state_wires
     ins_a, ins_b = (arm.instruments[0] for arm in strategy.parties)
     extended = _with_zero_code(strategy.process, d, (sa, sb))
@@ -219,9 +218,7 @@ def check_duality(
     if direction not in DIRECTION_TOKENS:
         raise ValueError(f"direction must be one of {DIRECTION_TOKENS}")
     if direction == "gyni2dr":
-        d = _gyni_dim(strategy)
         source, target = eval_gyni(strategy), eval_dr(gyni_to_dr(strategy))
     else:
-        d = _code_dim(strategy)
         source, target = eval_dr(strategy), eval_gyni(dr_to_gyni(strategy))
-    return DualityCertificate(direction, d, source, target, tol)
+    return DualityCertificate(direction, strategy.d, source, target, tol)

@@ -8,6 +8,7 @@ symbols hidden in the code (first party the shift symbol, second the phase
 symbol). A :class:`GameStrategy` reads its code wires, ``state_wires``, off
 its instruments: they are the wires an arm acts on that the process lacks.
 Only a retrieval strategy has them, so that is what tells the games apart.
+A strategy's game and dimension ``d`` are settled, and checked, when it is built.
 
 Every probability of a game comes from one factored contraction of
 ``Tr[(W (x) state) (M_A (x) M_B)]``, wire by wire, so no joint kron is formed:
@@ -20,7 +21,7 @@ summed), so no dense process or composite instrument is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -98,13 +99,16 @@ class GameStrategy:
     """A process and one arm per party: arm i belongs to process party i.
 
     An arm may act on its party's process wires (input, output and extra
-    wires) and on wires the process lacks, its code wires. :attr:`state_wires`
-    lists those in party order, computed once here: two for a retrieval
-    strategy, none for a mutual-guessing one.
+    wires) and on wires the process lacks, its code wires: :attr:`state_wires`,
+    in party order. The game and its dimension :attr:`d` are settled here. With
+    no code wire (mutual guessing) every party has d inputs of d outcomes; with
+    one code wire per party, of dimension d (retrieval), one input of d outcomes.
     """
 
     process: ProcessMatrix
     parties: tuple[PartyArm, ...]
+    d: int = field(init=False)
+    state_wires: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parties", tuple(self.parties))
@@ -116,54 +120,38 @@ class GameStrategy:
             foreign = [n for n in acted if n in on_process and n not in slot.all_wires]
             if foreign:
                 raise ValueError(f"arm of party {slot.name!r} acts on process wires {foreign} it does not hold")
-            code_wires.append(tuple(n for n in acted if n not in on_process))
+            code_wires.append([n for n in acted if n not in on_process])
             for name in code_wires[-1]:
                 if owner.setdefault(name, slot.name) != slot.name:
                     raise ValueError(f"parties {owner[name]!r} and {slot.name!r} both act on code wire {name!r}")
-        object.__setattr__(self, "_code_wires", tuple(code_wires))
+        counts = {len(arm.instruments) for arm in self.parties}
+        if len(counts) != 1:
+            raise ValueError("parties disagree on the number of classical inputs")
+        (d,) = counts
+        outcomes = {ins.n_outcomes for arm in self.parties for ins in arm.instruments}
+        if owner:
+            for slot, wires in zip(self.process.parties, code_wires):
+                if len(wires) != 1:
+                    raise ValueError(f"retrieval needs two code wires, one per party; party {slot.name!r} has {wires}")
+            if d != 1:
+                raise ValueError("retrieval strategies take no classical input")
+            dims = {arm.instruments[0].wire(name).dim for arm, (name,) in zip(self.parties, code_wires)}
+            if len(dims) != 1 or outcomes != dims:
+                raise ValueError("code wires and outcome counts must share one dimension d")
+            (d,) = dims
+        elif outcomes != {d}:
+            raise ValueError("guessing strategies need d instruments of d outcomes per party")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "state_wires", tuple(owner))
 
-    @property
-    def state_wires(self) -> tuple[str, ...]:
-        """The code wires: each arm's wires that the process lacks, in party order."""
-        return tuple(n for wires in self._code_wires for n in wires)  # type: ignore[attr-defined]
-
-
-def input_count(strategy: GameStrategy) -> int:
-    """Number of classical inputs, which every party must share."""
-    counts = {len(arm.instruments) for arm in strategy.parties}
-    if len(counts) != 1:
-        raise ValueError("parties disagree on the number of classical inputs")
-    return counts.pop()
-
-
-def _gyni_dim(strategy: GameStrategy) -> int:
-    """d of a mutual-guessing strategy: no code wires, d inputs of d outcomes per party."""
-    if strategy.state_wires:
-        raise ValueError(f"strategy has code wires {strategy.state_wires}, so it is for the retrieval game")
-    d = input_count(strategy)
-    if any(ins.n_outcomes != d for arm in strategy.parties for ins in arm.instruments):
-        raise ValueError("guessing strategies need d instruments of d outcomes per party")
-    return d
-
-
-def _code_dim(strategy: GameStrategy) -> int:
-    """d of a retrieval strategy, read from the first party's code wire.
-
-    Each party needs exactly one code wire, of that dimension; the strategy
-    needs no classical input and d outcomes per party.
-    """
-    for slot, wires in zip(strategy.process.parties, strategy._code_wires):  # type: ignore[attr-defined]
-        if len(wires) != 1:
-            raise ValueError(
-                f"retrieval needs two code wires, one per party; party {slot.name!r} has {list(wires)}"
-            )
-    if input_count(strategy) != 1:
-        raise ValueError("retrieval strategies take no classical input")
-    instruments = [arm.instruments[0] for arm in strategy.parties]
-    d, d_second = (ins.wire(name).dim for ins, name in zip(instruments, strategy.state_wires))
-    if d_second != d or any(ins.n_outcomes != d for ins in instruments):
-        raise ValueError("code wires and outcome counts must share one dimension d")
-    return d
+    def game_dim(self, retrieval: bool) -> int:
+        """:attr:`d`, once the strategy is checked to play retrieval (or, if not ``retrieval``, guessing)."""
+        if self.state_wires and not retrieval:
+            raise ValueError(f"strategy has code wires {self.state_wires}, so it is for the retrieval game")
+        if retrieval and not self.state_wires:
+            first = self.process.parties[0].name
+            raise ValueError(f"retrieval needs two code wires, one per party; party {first!r} has []")
+        return self.d
 
 
 def _probabilities(strategy: GameStrategy, states=None, batch=None) -> np.ndarray:
@@ -197,7 +185,7 @@ def behaviour(strategy: GameStrategy, states=None) -> np.ndarray:
 
 def gyni_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
     """Per-input success probabilities P(a = i2, b = i1 | i1, i2), the only entries contracted."""
-    d = _gyni_dim(strategy)
+    d = strategy.game_dim(retrieval=False)
     table = _probabilities(strategy, batch=["xy", "yx"])
     return {(i1, i2): float(table[i1, i2]) for i1, i2 in product(range(d), repeat=2)}
 
@@ -221,7 +209,7 @@ def dr_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
     The referee hides x in the d^2 coded pairs on the strategy's code wires.
     Only these entries are contracted: each outcome is tied to its code symbol.
     """
-    d = _code_dim(strategy)
+    d = strategy.game_dim(retrieval=True)
     table = _probabilities(strategy, coded_pairs(d, strategy.state_wires), ["ab", "ia", "ib"])
     return {(x1, x2): float(table[x1, x2, 0]) for x1, x2 in product(range(d), repeat=2)}
 

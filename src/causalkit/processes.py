@@ -67,6 +67,10 @@ class PartySlot:
     output_wire: str
     extra_wires: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not (self.name and all(self.all_wires)):
+            raise ValueError(f"party entry '{self.name}=({','.join(self.all_wires)})' has an empty party or wire name")
+
     @property
     def all_wires(self) -> tuple[str, ...]:
         return (self.input_wire, self.output_wire) + self.extra_wires

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,18 @@ class TestValidate:
         path = tmp_path / "bad_dim.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert "malformed wire entry 'A_I:x'" in self._usage_error(capsys, path)
+
+    @pytest.mark.parametrize("command", ["validate", "ppt"])
+    @pytest.mark.parametrize(
+        "header, entry", [("=(A_I,A_O)", "'=(A_I,A_O)'"), ("A=(,)", "'A=(,)'")], ids=["party-name", "wire-names"]
+    )
+    def test_empty_party_or_wire_name_is_usage_error(self, capsys, tmp_path, command, header, entry):
+        lines = dump_process(build_cyril()).splitlines()
+        lines[0] = f"parties: {header};B=(B_I,B_O)"
+        path = tmp_path / "empty_name.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = self._usage_error(capsys, path, command)
+        assert f"party entry {entry} has an empty party or wire name" in message
 
     def test_relative_residuals_are_extra_keys(self, capsys):
         code, payload = run_json(capsys, "validate", "--process", "bell-pair-outputs")
@@ -531,3 +547,22 @@ def test_unreached_usage_errors(capsys, argv, fragment):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert fragment in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["manifest", "--json"], 0), (["validate", "--process", "bell-pair-outputs", "--json"], 1)],
+    ids=["manifest", "validate"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # The module entry point writes into a pipe whose reader is already gone.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        command = [sys.executable, "-m", "causalkit.cli", *argv]
+        done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr.decode()) == (code, "")

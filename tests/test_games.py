@@ -34,7 +34,7 @@ from causalkit.games import (
     pauli_y_baseline_strategy,
     relay_gyni_strategy,
 )
-from causalkit.duality import check_duality, dr_to_gyni, gyni_to_dr
+from causalkit.duality import dr_to_gyni, gyni_to_dr
 from causalkit.instruments import Instrument, identity_channel_instrument, validate_instrument
 from causalkit.processes import ProcessMatrix, PartySlot
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy, random_instrument
@@ -263,16 +263,14 @@ class TestStructuralErrors:
         # Party B reads a qutrit code wire against party A's qubit one.
         wires = (WireLabel("B", 3), WireLabel("B_I", 2)), (WireLabel("B_O", 2),)
         arm_b = PartyArm((random_instrument(rng, *wires, 2),))
-        mixed = GameStrategy(random_dr_strategy(rng, 2).process, (arm_a, arm_b))
+        process = random_dr_strategy(rng, 2).process
 
         def contracted(*args):
             raise AssertionError("contracted before the code wires were checked")
 
         monkeypatch.setattr(games, "batched_trace", contracted)
         with pytest.raises(ValueError, match="one dimension"):
-            eval_dr(mixed)
-        with pytest.raises(ValueError, match="one dimension"):
-            check_duality(mixed, "dr2gyni")
+            GameStrategy(process, (arm_a, arm_b))
 
     @pytest.mark.parametrize(
         "inputs, held",
@@ -287,17 +285,13 @@ class TestStructuralErrors:
         # Party B's instrument acts on zero or two wires the process lacks.
         wires = tuple(WireLabel(n, 2) for n in inputs), (WireLabel("B_O", 2),)
         arm_b = PartyArm((random_instrument(rng, *wires, 2),))
-        odd = GameStrategy(strategy.process, (strategy.parties[0], arm_b))
 
         def contracted(*args):
             raise AssertionError("contracted before the code wires were checked")
 
         monkeypatch.setattr(games, "batched_trace", contracted)
-        message = f"one per party; party 'B' has {held}"
-        with pytest.raises(ValueError, match=message):
-            eval_dr(odd)
-        with pytest.raises(ValueError, match=message):
-            check_duality(odd, "dr2gyni")
+        with pytest.raises(ValueError, match=f"one per party; party 'B' has {held}"):
+            GameStrategy(strategy.process, (strategy.parties[0], arm_b))
 
     @pytest.mark.parametrize("build", [cyril_gyni_strategy, pauli_y_baseline_strategy])
     def test_swapped_arms_rejected(self, build):
@@ -422,6 +416,59 @@ class TestDerivedCodeWires:
         if d == 2:
             assert gyni_to_dr(cyril_gyni_strategy()).state_wires == ("A", "B")
             assert dr_to_gyni(pauli_y_baseline_strategy()).state_wires == ()
+
+
+# (id, builder, d, plays retrieval): the named strategies and seeded samples.
+BUILT = [
+    ("cyril", cyril_gyni_strategy, 2, False),
+    ("relay", relay_gyni_strategy, 2, False),
+    ("constant", constant_output_gyni_strategy, 2, False),
+    ("pauli-y", pauli_y_baseline_strategy, 2, True),
+    ("cyril-dual", lambda: gyni_to_dr(cyril_gyni_strategy()), 2, True),
+    *(
+        (f"{game}-d{d}", lambda sample=sample, d=d: sample(np.random.default_rng([69, d]), d), d, game == "dr")
+        for game, sample in (("gyni", random_gyni_strategy), ("dr", random_dr_strategy))
+        for d in range(2, 6)
+    ),
+]
+
+
+class TestGameSettledAtBuild:
+    """A strategy's game and ``d`` are settled, and its shape checked, when it is built."""
+
+    @pytest.mark.parametrize("translate", [False, True], ids=["source", "translated"])
+    @pytest.mark.parametrize("build, d, retrieval", [case[1:] for case in BUILT], ids=[case[0] for case in BUILT])
+    def test_dimension_and_code_wires(self, build, d, retrieval, translate):
+        strategy = build()
+        if translate:
+            strategy, retrieval = (dr_to_gyni if retrieval else gyni_to_dr)(strategy), not retrieval
+        assert strategy.d == d
+        assert strategy.state_wires == (("A", "B") if retrieval else ())
+        for arm, code_wire in zip(strategy.parties, strategy.state_wires or (None, None)):
+            assert len(arm.instruments) == (1 if retrieval else d)
+            assert {ins.n_outcomes for ins in arm.instruments} == {d}
+            if retrieval:
+                assert arm.instruments[0].wire(code_wire).dim == d
+        assert strategy.game_dim(retrieval) == d
+        with pytest.raises(ValueError, match="code wires"):
+            strategy.game_dim(not retrieval)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_three_parties(self, d):
+        rng = np.random.default_rng([70, d])
+        wires = [WireLabel(f"{p}_{end}", d) for p in "ABC" for end in "IO"]
+        slots = tuple(PartySlot(p, f"{p}_I", f"{p}_O") for p in "ABC")
+        process = ProcessMatrix(LabeledOperator(tuple(wires), np.eye(d**6) / d**3), slots)
+        labs = zip(wires[::2], wires[1::2])
+        arms = [PartyArm(tuple(random_instrument(rng, (i,), (o,), d) for _ in range(d))) for i, o in labs]
+        strategy = GameStrategy(process, tuple(arms))
+        assert (strategy.d, strategy.state_wires) == (d, ())
+        table = behaviour(strategy)  # P[x, y, z, a, b, c]
+        assert table.shape == (d,) * 6
+        np.testing.assert_allclose(table.sum(axis=(3, 4, 5)), np.ones((d,) * 3), atol=1e-12)
+        arms[2] = PartyArm(arms[2].instruments[1:])
+        with pytest.raises(ValueError, match="disagree on the number of classical inputs"):
+            GameStrategy(process, tuple(arms))
 
 
 def _seeded_strategies(d: int, seed: int) -> dict[str, GameStrategy]:

@@ -703,6 +703,21 @@ class TestInputChecks:
                 "party 'A' needs at least input and output wires",
                 id="one-wire-party",
             ),
+            pytest.param(
+                lambda: load_process("parties: =(A_I,A_O);B=(B_I,B_O)\n" + dump_operator(build_cyril().op)),
+                ValueError,
+                "party entry '=(A_I,A_O)' has an empty party or wire name",
+                id="empty-party-name",
+            ),
+            pytest.param(
+                lambda: load_process("parties: A=(,);B=(B_I,B_O)\n" + dump_operator(build_cyril().op)),
+                ValueError,
+                "party entry 'A=(,)' has an empty party or wire name",
+                id="empty-wire-names",
+            ),
+            pytest.param(
+                lambda: PartySlot("A", "A_I", "A_O", ("",)), ValueError, "'A=(A_I,A_O,)'", id="empty-extra-wire"
+            ),
         ],
     )
     def test_raises(self, call, error, fragment):
