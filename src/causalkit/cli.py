@@ -124,15 +124,22 @@ def _print(text: str) -> None:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
+def _json(payload: dict) -> str:
+    """``payload`` as strict JSON, indented: each nan or infinite float in it, however nested, is
+    null. A float survives the round trip through its repr to the bit."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2) + "\n"
+
+
 def _emit(args: argparse.Namespace, payload: dict, code: int = 0, text: list[str] | None = None) -> int:
     """Print a command's payload and return its exit code.
 
-    ``--json`` prints the payload as JSON; otherwise ``text`` is printed, by
-    default one ``key: value`` line per entry, nested dicts indented below
-    their key.
+    ``--json`` prints the payload as strict JSON (:func:`_json`); otherwise
+    ``text`` is printed, by default one ``key: value`` line per entry, nested
+    dicts indented below their key.
     """
     if args.json:
-        _print(json.dumps(payload, indent=2) + "\n")
+        _print(_json(payload))
         return code
     if text is None:
         text = []
@@ -227,7 +234,7 @@ def cmd_duality(args, parser, tol) -> int:
     cert = duality.check_duality(strategy, args.direction, tol)
     payload = dict(cert.to_dict(), strategy=source_name)
     if args.emit_certificate:
-        _write(parser, args.emit_certificate, json.dumps(payload, indent=2) + "\n")
+        _write(parser, args.emit_certificate, _json(payload))
     return _emit(args, payload, 0 if cert.ok else 1)
 
 

@@ -76,9 +76,9 @@ def bell_vector(code: BellCode) -> np.ndarray:
 
 
 def bell_state(code: BellCode, wire_names: tuple[str, str] = ("A", "B")) -> LabeledOperator:
-    """Density operator of the coded pair on two fresh wires."""
-    pairs = coded_pairs(code.d, wire_names)
-    return LabeledOperator(pairs.wires, pairs.matrix[code.x1, code.x2])
+    """Density operator of the coded pair on two fresh wires; the other codes are not built."""
+    vec = bell_vector(code)
+    return LabeledOperator(tuple(WireLabel(n, code.d) for n in wire_names), np.outer(vec, vec.conj()))
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ def constant_output_gyni_strategy() -> GameStrategy:
     for w_in, w_out in lab_wires(2):
         cj = LabeledOperator((w_in, w_out), np.eye(4, dtype=complex) / 2)
         zero = LabeledOperator((w_in, w_out), np.zeros((4, 4), dtype=complex))
-        ins = Instrument((cj, zero), (w_in.name,), (w_out.name,))
+        ins = Instrument((cj, zero), (w_out.name,))
         arms.append(PartyArm((ins, ins)))
     return GameStrategy(maximally_mixed_process(2), tuple(arms))
 
@@ -269,7 +269,7 @@ def relay_gyni_strategy() -> GameStrategy:
     alice = []
     for e in (e0, e1):
         cj = LabeledOperator((a_in, a_out), np.kron(np.eye(2) / 2, np.outer(e, e.conj())))
-        alice.append(Instrument((cj, cj), (a_in.name,), (a_out.name,)))
+        alice.append(Instrument((cj, cj), (a_out.name,)))
     read = measure_prepare_instrument([e0, e1], [e0, e1], b_in, b_out)
     bob = PartyArm((read, read))
     identity_choi = choi_of_unitary(np.eye(2), a_out, b_in).matrix
@@ -293,6 +293,6 @@ def pauli_y_baseline_strategy() -> GameStrategy:
         code_wire = WireLabel(name, 2)
         wires = (code_wire, w_in, w_out)
         ops = tuple(LabeledOperator(wires, np.kron(proj, keep_prep0)) for proj in projs)
-        ins = Instrument(ops, (code_wire.name, w_in.name), (w_out.name,))
+        ins = Instrument(ops, (w_out.name,))
         arms.append(PartyArm((ins,)))
     return GameStrategy(maximally_mixed_process(2), tuple(arms))

@@ -7,10 +7,9 @@ is direct contraction: a measure-and-prepare branch that detects basis vector
 are plain traces against the carrying process, with no transpose inserted at
 contraction time.
 
-Wire roles are declared, not positional: ``input_wires`` lists everything the
-instrument reads (ancillary state wires first, then the lab input wire) and
-``output_wires`` what it emits. Completeness is the Choi trace-preservation
-condition Tr_out(sum_k M_k) = I_in.
+Wire roles are not positional: outputs are declared; every other wire is
+read, in wire order (ancillary state wires first, then the lab input wire).
+Completeness is the Choi trace-preservation condition Tr_out(sum_k M_k) = I_in.
 
 Constructors check their inputs at ``DEFAULT_TOL`` and raise on a violation;
 only :func:`validate_instrument` takes a ``tol``, which sets its verdict.
@@ -51,18 +50,18 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class Instrument:
-    """CJ operators per outcome, kept as factors, plus the wire-role split.
+    """CJ operators per outcome, kept as factors, plus the wires it emits.
 
     Branch k is sum_m kron(terms.parts[0][m], ..., terms.parts[-1][k, m]):
     the last part is stacked by (outcome k, term m), every earlier part by
     the term m alone. A plain instrument is the one-part, one-term case; it
-    is built as ``Instrument(ops, input_wires, output_wires)`` from one
-    :class:`LabeledOperator` per outcome. :attr:`ops` is the dense view, one
+    is built as ``Instrument(ops, output_wires)`` from one
+    :class:`LabeledOperator` per outcome. Every wire that is not an output is
+    an input (:attr:`input_wires`). :attr:`ops` is the dense view, one
     operator per outcome on the parts' wires; it is built on each read.
     """
 
     terms: KronSum
-    input_wires: tuple[str, ...]
     output_wires: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -77,14 +76,15 @@ class Instrument:
         if not terms.batch_shape[0]:
             raise ValueError("an instrument needs at least one outcome")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "input_wires", tuple(self.input_wires))
         object.__setattr__(self, "output_wires", tuple(self.output_wires))
         names = tuple(w.name for w in terms.wires)
-        declared = set(self.input_wires) | set(self.output_wires)
-        if set(self.input_wires) & set(self.output_wires):
-            raise ValueError("a wire cannot be both input and output")
-        if declared != set(names):
-            raise ValueError(f"declared wires {sorted(declared)} do not match operator wires {names}")
+        if not set(self.output_wires) <= set(names):
+            raise ValueError(f"declared outputs {sorted(self.output_wires)} do not match operator wires {names}")
+
+    @property
+    def input_wires(self) -> tuple[str, ...]:
+        """Every wire that is not an output, in wire order."""
+        return tuple(w.name for w in self.wires if w.name not in self.output_wires)
 
     @property
     def ops(self) -> tuple[LabeledOperator, ...]:
@@ -128,11 +128,10 @@ def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> Instrument
 def _report(ins: Instrument, branches: np.ndarray, tol: float) -> InstrumentReport:
     """The report of :func:`validate_instrument` on ``ins``, given its dense branch stack."""
     ops = OperatorStack(ins.wires, branches)
-    defects = hermiticity_defect(ops)
-    herm = float(np.max(defects))
+    herm = float(np.max(hermiticity_defect(ops)))
     if herm > tol:
         return InstrumentReport((float("nan"),) * ins.n_outcomes, herm, float("inf"), tol)
-    eigs = tuple(min_eigenvalue(ops, tol, defects).tolist())
+    eigs = tuple(min_eigenvalue(ops).tolist())
     reduced = partial_trace(LabeledOperator(ins.wires, ops.matrix.sum(axis=0)), set(ins.output_wires))
     tp = float(np.max(np.abs(reduced.matrix - np.eye(reduced.total_dim))))
     return InstrumentReport(eigs, herm, tp, tol)
@@ -174,7 +173,7 @@ def identity_channel_instrument(
     cj = choi_of_unitary(np.eye(in_wire.dim), in_wire, out_wire)
     zero = LabeledOperator(cj.wires, np.zeros_like(cj.matrix))
     ops = tuple(cj if k == forced_outcome else zero for k in range(n_outcomes))
-    return Instrument(ops, (in_wire.name,), (out_wire.name,))
+    return Instrument(ops, (out_wire.name,))
 
 
 def measure_prepare_instrument(
@@ -208,7 +207,7 @@ def measure_prepare_instrument(
                 np.kron(np.outer(b, np.conj(b)), np.outer(p, np.conj(p))),
             )
         )
-    return Instrument(tuple(ops), (in_wire.name,), (out_wire.name,))
+    return Instrument(tuple(ops), (out_wire.name,))
 
 
 def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
@@ -234,7 +233,7 @@ def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
     if not set(names) <= set(last.names):
         shared, last = [], OperatorStack(ins.wires, ins.terms.matrix[:, None])
     members = tuple(
-        Instrument(KronSum((*shared, OperatorStack(last.wires, m))), ins.input_wires, ins.output_wires)
+        Instrument(KronSum((*shared, OperatorStack(last.wires, m))), ins.output_wires)
         for m in conjugate_wires(last, u, names).matrix.reshape((-1,) + last.matrix.shape)
     )
     return members if u.ndim == 3 else members[0]
@@ -291,11 +290,8 @@ def extend_instrument_with_measurement(
     symbols = np.divmod(np.arange(w1.dim * w2.dim), w2.dim)
     chosen, other = symbols[selector], symbols[1 - selector]
     branches = np.stack(inner)[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
-    return Instrument(
-        KronSum((_readout_projectors(u, (w1, w2)), OperatorStack(base.wires, branches))),
-        (w1.name, w2.name) + base.input_wires,
-        base.output_wires,
-    )
+    readout = _readout_projectors(u, (w1, w2))
+    return Instrument(KronSum((readout, OperatorStack(base.wires, branches))), base.output_wires)
 
 
 def stack_instruments(family: Sequence[Instrument]) -> KronSum:
@@ -333,6 +329,4 @@ def coarse_grain(ins: Instrument, grouping: Sequence[int], n_outcomes: int) -> I
     *shared, last = ins.terms.parts
     acc = np.zeros((n_outcomes,) + last.matrix.shape[1:], dtype=complex)
     np.add.at(acc, list(grouping), last.matrix)
-    return Instrument(
-        KronSum((*shared, OperatorStack(last.wires, acc))), ins.input_wires, ins.output_wires
-    )
+    return Instrument(KronSum((*shared, OperatorStack(last.wires, acc))), ins.output_wires)

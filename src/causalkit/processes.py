@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -90,6 +90,7 @@ class ProcessMatrix:
 
     factors: tuple[LabeledOperator, ...]
     parties: tuple[PartySlot, ...]
+    unassigned_wires: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         factors = self.factors
@@ -112,7 +113,7 @@ class ProcessMatrix:
         missing = set(claimed) - set(self.names)
         if missing:
             raise ValueError(f"party wires {sorted(missing)} absent from operator")
-        object.__setattr__(self, "_unassigned", tuple(n for n in self.names if n not in set(claimed)))
+        object.__setattr__(self, "unassigned_wires", tuple(n for n in self.names if n not in set(claimed)))
 
     @property
     def op(self) -> LabeledOperator:
@@ -125,10 +126,6 @@ class ProcessMatrix:
 
     def wire(self, name: str) -> WireLabel:
         return _find_wire([w for f in self.factors for w in f.wires], name)
-
-    @property
-    def unassigned_wires(self) -> tuple[str, ...]:
-        return self._unassigned  # type: ignore[attr-defined]
 
     def party(self, name: str) -> PartySlot:
         for p in self.parties:
@@ -155,19 +152,22 @@ class ProcessMatrix:
         with the first party's wires transposed, whatever the defect; kept
         on the instance after the first read (see :func:`is_ppt_cut`)."""
         pt = partial_transpose(self.op, set(self.parties[0].all_wires))
-        return self.hermiticity, min_eigenvalue(pt, math.inf, self.hermiticity)
+        return self.hermiticity, min_eigenvalue(pt)
 
 
 @dataclass(frozen=True)
 class ValidityReport:
     """Validity residuals, absolute, and the scale max|W_ij| that relates them to W."""
 
-    psd_ok: bool
     min_eig: float
     hermiticity: float
     constraint_residuals: tuple[tuple[str, float], ...]
     scale: float
     tolerance: float = DEFAULT_TOL
+
+    @property
+    def psd_ok(self) -> bool:
+        return self.min_eig >= -self.tolerance  # False on the nan of a non-Hermitian W
 
     @property
     def valid(self) -> bool:
@@ -227,13 +227,11 @@ def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityR
     herm = proc.hermiticity
     scale = float(np.max(np.abs(w.matrix)))
     if herm > tol:
-        return ValidityReport(False, float("nan"), herm, (("hermiticity", herm),), scale, tol)
-    mineig = min_eigenvalue(w, tol, defect=herm)
+        return ValidityReport(float("nan"), herm, (("hermiticity", herm),), scale, tol)
     trace_resid = float(abs(complex(np.trace(w.matrix)) - proc.output_dim))
     ao, bo = pa.output_wire, pb.output_wire
     return ValidityReport(
-        psd_ok=mineig >= -tol,
-        min_eig=mineig,
+        min_eig=min_eigenvalue(w),
         hermiticity=herm,
         constraint_residuals=(
             ("normalization", trace_resid),
@@ -425,8 +423,7 @@ def extend_with_state(
         raise ValueError(f"state wires {sorted(clash)} already used by the process")
     if abs(complex(np.trace(state.matrix)) - 1.0) > DEFAULT_TOL:
         raise ValueError("state is not normalized (trace != 1)")
-    defect = hermiticity_defect(state)
-    if defect > DEFAULT_TOL or min_eigenvalue(state, DEFAULT_TOL, defect) < -DEFAULT_TOL:
+    if hermiticity_defect(state) > DEFAULT_TOL or min_eigenvalue(state) < -DEFAULT_TOL:
         raise ValueError("state is not positive semidefinite")
     assign = dict(assign or {})
     unknown = set(assign) - set(state.names)

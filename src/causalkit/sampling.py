@@ -59,9 +59,7 @@ def random_instrument(
     wires = input_wires + output_wires
     d_in, d_out = LabeledOperator.total_dim_of(input_wires), LabeledOperator.total_dim_of(output_wires)
     ops = tuple(LabeledOperator(wires, b) for b in _random_cptp(rng, d_in, d_out, n_outcomes))
-    return Instrument(
-        ops, tuple(w.name for w in input_wires), tuple(w.name for w in output_wires)
-    )
+    return Instrument(ops, tuple(w.name for w in output_wires))
 
 
 def random_process(rng: np.random.Generator, d: int = 2) -> ProcessMatrix:

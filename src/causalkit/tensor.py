@@ -194,15 +194,12 @@ def hermiticity_defect(op: OperatorStack):
     return float(defect) if defect.ndim == 0 else defect
 
 
-def min_eigenvalue(op: OperatorStack, tol: float = DEFAULT_TOL, defect=None):
-    """Smallest eigenvalue of a Hermitian operator: a float, or an array by entry for a stack.
+def min_eigenvalue(op: OperatorStack):
+    """Smallest eigenvalue of the Hermitian part (M + M^dag)/2: a float, or an array by entry for a stack.
 
-    Symmetrized first, so one stacked eigvalsh sees exactly Hermitian input. Raises
-    ValueError if the defect (``hermiticity_defect(op)``, or ``defect`` if passed) exceeds ``tol``.
+    One stacked eigvalsh sees the symmetrized matrix. Whether that is the
+    spectrum of ``op`` is the caller's verdict, on :func:`hermiticity_defect`.
     """
-    defect = hermiticity_defect(op) if defect is None else defect
-    if np.max(defect) > tol:
-        raise ValueError(f"operator is not Hermitian (defect {np.max(defect):.3e} > tol {tol:.1e})")
     sym = (op.matrix + op.matrix.conj().swapaxes(-1, -2)) / 2
     eig = np.linalg.eigvalsh(sym)[..., 0]
     return float(eig) if eig.ndim == 0 else eig

@@ -211,13 +211,46 @@ class TestPpt:
         payload = json.loads(captured.out)
         assert code == 1
         assert payload["ppt"] is False
-        assert np.isnan(payload["min_eigenvalue"])
+        assert payload["min_eigenvalue"] is None
         assert payload["hermiticity"] == pytest.approx(0.1, abs=1e-12)
         # validate reports the same file the same way.
         code, payload = run_json(capsys, "validate", str(path))
         assert code == 1
         assert payload["psd_ok"] is False
-        assert np.isnan(payload["min_eig"])
+        assert payload["min_eig"] is None
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+RESIDUAL_KEYS = ["normalization", "no signaling to B's past", "no signaling to A's past", "affine closure"]
+
+
+@pytest.mark.parametrize(
+    "dump, command, code, nulls",
+    [
+        ("non-hermitian", "validate", 1, ["min_eig"]),
+        ("non-hermitian", "ppt", 1, ["min_eigenvalue"]),
+        ("all-zero", "validate", 1, [f"relative_residuals.{k}" for k in RESIDUAL_KEYS]),
+        ("all-zero", "ppt", 0, []),
+    ],
+    ids=["non-hermitian-validate", "non-hermitian-ppt", "all-zero-validate", "all-zero-ppt"],
+)
+def test_json_prints_nan_as_null(capsys, tmp_path, dump, command, code, nulls):
+    # A skewed W has no spectrum to report (nan), and W = 0 no scale to divide by (nan).
+    cyril = build_cyril()
+    matrix = np.zeros_like(cyril.op.matrix)
+    if dump == "non-hermitian":
+        matrix = cyril.op.matrix.copy()
+        matrix[0, 1] += 0.1
+    path = tmp_path / "w.txt"
+    path.write_text(dump_process(dataclasses.replace(cyril, factors=LabeledOperator(cyril.op.wires, matrix))))
+    got, out = run(capsys, command, str(path), "--json")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    flat = {f"{k}.{n}": w for k, v in payload.items() if isinstance(v, dict) for n, w in v.items()}
+    flat.update(payload)
+    assert (got, sorted(k for k, v in flat.items() if v is None)) == (code, sorted(nulls))
 
 
 class TestGameCommands:

@@ -11,6 +11,7 @@ implementation existed and are frozen as closed forms:
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -90,6 +91,24 @@ class TestBellCodes:
             for wire in ("A", "B"):
                 marg = partial_trace(state, {wire})
                 assert np.max(np.abs(marg.matrix - np.eye(2) / 2)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bell_state_is_its_coded_pair(self, d):
+        pairs = coded_pairs(d, ("P", "Q"))
+        for x1, x2 in product(range(d), repeat=2):
+            state = bell_state(BellCode(d, x1, x2), ("P", "Q"))
+            assert state.wires == pairs.wires
+            np.testing.assert_array_equal(state.matrix, pairs.matrix[x1, x2])
+
+    def test_bell_state_builds_only_its_pair(self):
+        # All d^2 coded pairs take d^2 times the memory of the one returned.
+        tracemalloc.start()
+        try:
+            state = bell_state(BellCode(12, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * state.matrix.nbytes
 
     def test_code_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -343,7 +362,6 @@ def _renamed_cyril_strategy() -> GameStrategy:
         new_ins = tuple(
             Instrument(
                 tuple(rename_op(op) for op in ins.ops),
-                tuple(mapping[w] for w in ins.input_wires),
                 tuple(mapping[w] for w in ins.output_wires),
             )
             for ins in arm.instruments
@@ -364,7 +382,7 @@ def _renamed_code_wires(strategy: GameStrategy, names: tuple[str, str]) -> GameS
         (ins,) = arm.instruments
         wires = tuple(WireLabel(mapping.get(w.name, w.name), w.dim) for w in ins.wires)
         ops = tuple(LabeledOperator(wires, op.matrix) for op in ins.ops)
-        renamed = Instrument(ops, rename(ins.input_wires), rename(ins.output_wires))
+        renamed = Instrument(ops, rename(ins.output_wires))
         arms.append(PartyArm((renamed,)))
     return GameStrategy(strategy.process, tuple(arms))
 
@@ -471,6 +489,26 @@ class TestGameSettledAtBuild:
             GameStrategy(process, tuple(arms))
 
 
+class TestDerivedInputWires:
+    """An instrument reads every wire it does not emit: its lab input, after
+    its code wire, after the fresh wire a gyni_to_dr readout measures."""
+
+    @pytest.mark.parametrize("translate", [False, True], ids=["source", "translated"])
+    @pytest.mark.parametrize("case", BUILT, ids=[case[0] for case in BUILT])
+    def test_every_instrument(self, case, translate):
+        name, build, _, retrieval = case
+        strategy = build()
+        read_out = name == "cyril-dual" or (translate and not retrieval)
+        if translate:
+            strategy = (dr_to_gyni if retrieval else gyni_to_dr)(strategy)
+        coded = retrieval or translate
+        for code, slot, arm in zip("AB", strategy.process.parties, strategy.parties):
+            expected = ((code, f"{code}'") if read_out else (code,) if coded else ()) + (slot.input_wire,)
+            assert {(ins.input_wires, ins.output_wires) for ins in arm.instruments} == {
+                (expected, (slot.output_wire,))
+            }
+
+
 def _seeded_strategies(d: int, seed: int) -> dict[str, GameStrategy]:
     """Seeded sources of both games and their translations, whose processes
     are extended and whose retrieval instruments are two-part kron sums."""
@@ -528,7 +566,7 @@ def _imaginary(arm: PartyArm) -> PartyArm:
     instruments = []
     for ins in arm.instruments:
         ops = tuple(LabeledOperator(o.wires, 1j * o.matrix) for o in ins.ops)
-        instruments.append(Instrument(ops, ins.input_wires, ins.output_wires))
+        instruments.append(Instrument(ops, ins.output_wires))
     return PartyArm(tuple(instruments))
 
 

@@ -90,7 +90,7 @@ class TestMeasurePrepare:
 class TestValidation:
     def test_empty_outcome_list_rejected(self):
         with pytest.raises(ValueError, match="at least one outcome"):
-            Instrument((), ("A_I",), ("A_O",))
+            Instrument((), ("A_O",))
 
     def test_forced_outcome_instrument(self):
         ins = identity_channel_instrument(A_IN, A_OUT, forced_outcome=1, n_outcomes=2)
@@ -99,7 +99,7 @@ class TestValidation:
 
     def test_tp_violation_reported(self):
         half = LabeledOperator((A_IN, A_OUT), np.eye(4, dtype=complex) / 4)
-        report = validate_instrument(Instrument((half,), ("A_I",), ("A_O",)))
+        report = validate_instrument(Instrument((half,), ("A_O",)))
         assert not report.valid
         assert report.tp_residual == pytest.approx(0.5, abs=1e-12)
 
@@ -253,7 +253,7 @@ class TestComposition:
         # Two copies of I/2 sum to the identity, whose output trace is 2*I:
         # not trace preserving.
         half = LabeledOperator((A_IN, A_OUT), np.eye(4, dtype=complex) / 2)
-        bad = Instrument((half, half), ("A_I",), ("A_O",))
+        bad = Instrument((half, half), ("A_O",))
         with pytest.raises(ValueError, match="not a valid instrument"):
             extend_instrument_with_measurement(
                 (bad, bad),
@@ -300,7 +300,7 @@ class TestComposition:
     def test_stack_rejects_another_wire_order(self):
         ins = random_instrument(np.random.default_rng(192), (A_IN,), (A_OUT,), 2)
         swapped = tuple(permute_wires(op, ["A_O", "A_I"]) for op in ins.ops)
-        member = Instrument(swapped, ins.input_wires, ins.output_wires)
+        member = Instrument(swapped, ins.output_wires)
         with pytest.raises(ValueError, match="in that order"):
             stack_instruments([ins, member])
 
@@ -409,11 +409,11 @@ class TestFactoredComposite:
         ins = random_instrument(rng, (A_IN,), (A_OUT,), 3)
         (branches,) = ins.terms.parts
         assert branches.matrix.shape == (3, 1, 4, 4)
-        rebuilt = Instrument(ins.ops, ins.input_wires, ins.output_wires)
+        rebuilt = Instrument(ins.ops, ins.output_wires)
         for got, op in zip(rebuilt.ops, ins.ops):
             np.testing.assert_array_equal(got.matrix, op.matrix)
         with pytest.raises(ValueError, match="do not match"):
-            Instrument(KronSum((OperatorStack((A_IN, A_OUT), branches.matrix),)), ("A_I",), ("B",))
+            Instrument(KronSum((OperatorStack((A_IN, A_OUT), branches.matrix),)), ("B",))
 
 
 def _passes() -> list[Instrument]:
@@ -423,7 +423,7 @@ def _passes() -> list[Instrument]:
 
 def _plain(branches: np.ndarray) -> Instrument:
     """An instrument from A_I to A_O whose one part is stacked as ``branches`` is."""
-    return Instrument(KronSum((OperatorStack((A_IN, A_OUT), branches),)), ("A_I",), ("A_O",))
+    return Instrument(KronSum((OperatorStack((A_IN, A_OUT), branches),)), ("A_O",))
 
 
 MEASURED = (WireLabel("m1", 2), WireLabel("m2", 2))
@@ -444,11 +444,6 @@ class TestInputChecks:
                 lambda: _plain(np.zeros((0, 1, 4, 4))),
                 "at least one outcome",
                 id="no-outcome",
-            ),
-            pytest.param(
-                lambda: Instrument((choi_of_unitary(np.eye(2), A_IN, A_OUT),), ("A_I", "A_O"), ("A_O",)),
-                "both input and output",
-                id="input-and-output",
             ),
             pytest.param(
                 lambda: choi_of_unitary(np.eye(2), A_IN, WireLabel("out", 3)), "equal wire dims", id="choi-dims"
@@ -495,7 +490,7 @@ class TestInputChecks:
     def test_non_hermitian_branch_gets_the_nan_report(self):
         skew = np.zeros((4, 4), dtype=complex)
         skew[0, 1] = 1.0
-        report = validate_instrument(Instrument((LabeledOperator((A_IN, A_OUT), skew),), ("A_I",), ("A_O",)))
+        report = validate_instrument(Instrument((LabeledOperator((A_IN, A_OUT), skew),), ("A_O",)))
         assert report.hermiticity == 1.0
         assert np.isnan(report.outcome_min_eigs).all()
         assert report.tp_residual == float("inf")

@@ -124,6 +124,16 @@ class TestValidation:
         assert report.residual("normalization") <= 1e-12
         assert report.residual("affine closure") == pytest.approx(1.0, abs=1e-12)
 
+    def test_psd_verdict_is_set_by_the_tolerance(self):
+        # I/4 less (1/4 + 1e-8)|0><0|: Hermitian, with min eigenvalue -1e-8.
+        mixed = maximally_mixed_process()
+        matrix = mixed.op.matrix.copy()
+        matrix[0, 0] -= 0.25 + 1e-8
+        proc = ProcessMatrix(LabeledOperator(mixed.op.wires, matrix), mixed.parties)
+        strict, loose = validate_process(proc, 1e-9), validate_process(proc, 1e-6)
+        assert strict.min_eig == loose.min_eig == pytest.approx(-1e-8, rel=1e-6)
+        assert (strict.psd_ok, loose.psd_ok) == (False, True)
+
     def test_channel_process_valid_and_ordered(self):
         proc = channel_process(np.diag([1.0, 0.0]), identity_choi(), "A<B")
         assert validate_process(proc).valid

@@ -230,10 +230,10 @@ class TestPermuteWires:
 
 
 class TestMinEigenvalue:
-    def test_non_hermitian_rejected(self):
+    def test_non_hermitian_reads_its_hermitian_part(self):
+        # (M + M^dag)/2 = X/2, whose spectrum is {-1/2, 1/2}; no tolerance is consulted.
         skew = op([A], np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            min_eigenvalue(skew)
+        assert min_eigenvalue(skew) == pytest.approx(-0.5, abs=1e-15)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
