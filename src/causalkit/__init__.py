@@ -67,10 +67,8 @@ from .games import (
     behaviour,
     constant_output_gyni_strategy,
     cyril_gyni_strategy,
-    dr_terms,
-    eval_dr,
-    eval_gyni,
-    gyni_terms,
+    game_terms,
+    game_value,
     pauli_y_baseline_strategy,
     relay_gyni_strategy,
 )

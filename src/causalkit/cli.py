@@ -195,12 +195,8 @@ def cmd_ppt(args, parser, tol) -> int:
 
 def cmd_game(args, parser, tol) -> int:
     """Per-input terms and value of a named strategy for ``gyni`` or ``drb``."""
-    if args.game == "gyni":
-        strategy = GYNI_STRATEGIES[args.strategy]()
-        terms, symbol = games.gyni_terms(strategy), "i"
-    else:
-        strategy = DRB_STRATEGIES[args.strategy]()
-        terms, symbol = games.dr_terms(strategy), "x"
+    registry, symbol = (GYNI_STRATEGIES, "i") if args.game == "gyni" else (DRB_STRATEGIES, "x")
+    terms = games.game_terms(registry[args.strategy]())
     payload = {
         "game": args.game,
         "process_name": args.strategy,
@@ -420,7 +416,7 @@ def _ftdr(strategy: str, overall: Fraction, rounds: tuple[Fraction, Fraction]) -
 
 
 def _mutant_detected(tol):
-    mutant = games.eval_gyni(games._resend_same_mutant())
+    mutant = games.game_value(games._resend_same_mutant())
     gap = abs(mutant - CYRIL_GYNI_VALUE)
     return _holds(f"mutant {_fmt(mutant)}, gap {_fmt(gap)}", gap > tol)
 
@@ -436,7 +432,7 @@ _CYRIL_VALUE_TEXT = f"5/16*(1+1/sqrt(2)) = {_fmt(CYRIL_GYNI_VALUE)}"
 
 CLAIMS: tuple[Claim, ...] = (
     Claim("gyni-cyril-value", "causalkit gyni --process cyril", _CYRIL_VALUE_TEXT, None,
-          lambda tol: _near(games.eval_gyni(games.cyril_gyni_strategy()), CYRIL_GYNI_VALUE, tol)),
+          lambda tol: _near(games.game_value(games.cyril_gyni_strategy()), CYRIL_GYNI_VALUE, tol)),
     Claim("process-cyril-valid", "causalkit validate --process cyril", "all residuals <= {tol:g}", None,
           _cyril_valid),
     Claim("process-cyril-unordered", "causalkit validate --process cyril",
@@ -447,13 +443,13 @@ CLAIMS: tuple[Claim, ...] = (
           "eight-product-term rebuild residual <= {tol:g}", 1e-12,
           lambda tol: _at_most(processes.verify_cyril_separable_decomposition(), tol)),
     Claim("gyni-relay-value", "causalkit gyni --process relay", _fmt(CAUSAL_GYNI_BOUND), None,
-          lambda tol: _near(games.eval_gyni(GYNI_STRATEGIES["relay"]()), CAUSAL_GYNI_BOUND, tol)),
+          lambda tol: _near(games.game_value(GYNI_STRATEGIES["relay"]()), CAUSAL_GYNI_BOUND, tol)),
     Claim("gyni-constant-value", "causalkit gyni --process constant", _fmt(CONSTANT_GUESS_VALUE), None,
-          lambda tol: _near(games.eval_gyni(GYNI_STRATEGIES["constant"]()), CONSTANT_GUESS_VALUE, tol)),
+          lambda tol: _near(games.game_value(GYNI_STRATEGIES["constant"]()), CONSTANT_GUESS_VALUE, tol)),
     Claim("drb-pauli-y-value", "causalkit drb --strategy pauli-y", _fmt(LOCC_RETRIEVAL_BOUND), None,
-          lambda tol: _near(games.eval_dr(games.pauli_y_baseline_strategy()), LOCC_RETRIEVAL_BOUND, tol)),
+          lambda tol: _near(games.game_value(games.pauli_y_baseline_strategy()), LOCC_RETRIEVAL_BOUND, tol)),
     Claim("drb-cyril-dual-value", "causalkit drb --strategy cyril-dual", _CYRIL_VALUE_TEXT, None,
-          lambda tol: _near(games.eval_dr(DRB_STRATEGIES["cyril-dual"]()), CYRIL_GYNI_VALUE, tol)),
+          lambda tol: _near(games.game_value(DRB_STRATEGIES["cyril-dual"]()), CYRIL_GYNI_VALUE, tol)),
     Claim("duality-gyni2dr-cyril", "causalkit duality --direction gyni2dr --process cyril",
           "deviation <= {tol:g}", None,
           lambda tol: _at_most(

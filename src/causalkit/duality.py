@@ -12,9 +12,11 @@ The readout unitaries are built so the four measured symbols satisfy the
 mod-d sum rules  u + v = x2  and  u' + v' = x1  with probability one; the
 correlation check below is the arbiter for any convention question.
 
-A translation reads ``d`` off its source, settled when that strategy was built.
-:func:`check_duality` runs one translation and returns its certificate, which
-carries the verdict: a drifted value is a certificate with ``ok`` false.
+A translation reads ``d`` off its source, settled when that strategy was built,
+and refuses a source of the other game or of other than two parties.
+:func:`check_duality` runs the translation its direction names and scores both
+sides with :func:`~causalkit.games.game_value`. Its certificate carries the
+verdict: a drifted value is a certificate with ``ok`` false.
 """
 
 from __future__ import annotations
@@ -29,15 +31,14 @@ from .games import (
     PartyArm,
     bell_state,
     coded_pairs,
-    eval_dr,
-    eval_gyni,
+    game_value,
 )
 from .instruments import (
     _readout_projectors,
     conjugate_instrument,
     extend_instrument_with_measurement,
 )
-from .processes import ProcessMatrix, extend_with_state
+from .processes import ProcessMatrix, _require_bipartite, extend_with_state
 from .tensor import DEFAULT_TOL, WireLabel, batched_trace
 
 DIRECTION_TOKENS = ("gyni2dr", "dr2gyni")
@@ -171,8 +172,10 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     (0 or 1) measures (code wire, fresh wire), selects its inner instrument
     with measured symbol i and pads its answer with the other symbol.
     """
-    d = strategy.game_dim(retrieval=False)
-    taken = set(strategy.process.names)
+    _require_bipartite(strategy.process)
+    if strategy.state_wires:
+        raise ValueError(f"strategy has code wires {strategy.state_wires}, so it is for the retrieval game")
+    d, taken = strategy.d, set(strategy.process.names)
     for name in ("A", "B", "A'", "B'"):
         if name in taken:
             raise ValueError(f"process already uses wire {name!r}; cannot add code wires")
@@ -194,8 +197,10 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
     inverse phase power Z^-i, the second by the inverse shift power X^-i,
     which re-encodes (i2, i1) into the effective pair.
     """
-    d = strategy.game_dim(retrieval=True)
-    sa, sb = strategy.state_wires
+    first, _ = _require_bipartite(strategy.process)
+    if not strategy.state_wires:
+        raise ValueError(f"retrieval needs two code wires, one per party; party {first.name!r} has []")
+    d, (sa, sb) = strategy.d, strategy.state_wires
     ins_a, ins_b = (arm.instruments[0] for arm in strategy.parties)
     extended = _with_zero_code(strategy.process, d, (sa, sb))
     # One stacked conjugation per party, by the inverse powers g^-i, i = 0..d-1.
@@ -217,8 +222,5 @@ def check_duality(
     """
     if direction not in DIRECTION_TOKENS:
         raise ValueError(f"direction must be one of {DIRECTION_TOKENS}")
-    if direction == "gyni2dr":
-        source, target = eval_gyni(strategy), eval_dr(gyni_to_dr(strategy))
-    else:
-        source, target = eval_dr(strategy), eval_gyni(dr_to_gyni(strategy))
-    return DualityCertificate(direction, strategy.d, source, target, tol)
+    target = (gyni_to_dr if direction == "gyni2dr" else dr_to_gyni)(strategy)
+    return DualityCertificate(direction, strategy.d, game_value(strategy), game_value(target), tol)

@@ -8,11 +8,12 @@ symbols hidden in the code (first party the shift symbol, second the phase
 symbol). A :class:`GameStrategy` reads its code wires, ``state_wires``, off
 its instruments: they are the wires an arm acts on that the process lacks.
 Only a retrieval strategy has them, so that is what tells the games apart.
-A strategy's game and dimension ``d`` are settled, and checked, when it is built.
+A strategy's game and dimension ``d`` are settled, and checked, when it is
+built, so no caller names the game: :func:`game_terms` reads it off the strategy.
 
 Every probability of a game comes from one factored contraction of
 ``Tr[(W (x) state) (M_A (x) M_B)]``, wire by wire, so no joint kron is formed:
-:func:`behaviour` over every input, outcome and code, and the evaluators over
+:func:`behaviour` over every input, outcome and code, and :func:`game_terms` over
 only the d^2 winning entries, each outcome axis tied to the symbol it guesses.
 The process enters as its factors and each party's instruments as the parts
 of their :class:`~causalkit.tensor.KronSum` (whose shared term index is
@@ -33,7 +34,9 @@ from .instruments import (
     measure_prepare_instrument,
     stack_instruments,
 )
-from .processes import ProcessMatrix, build_cyril, channel_process, lab_wires, maximally_mixed_process
+from .processes import (
+    ProcessMatrix, _require_bipartite, build_cyril, channel_process, lab_wires, maximally_mixed_process,
+)
 from .tensor import DEFAULT_TOL, LabeledOperator, OperatorStack, WireLabel, batched_trace
 
 # Closed-form reference values (qubit wires unless stated otherwise).
@@ -62,17 +65,18 @@ class BellCode:
             raise ValueError(f"code symbols must lie in 0..{self.d - 1}")
 
 
-def _bell_vectors(d: int) -> np.ndarray:
-    """|B^x> for every code, indexed [x1, x2]; see :func:`bell_vector`."""
-    x1, x2, k = np.ix_(range(d), range(d), range(d))
-    vecs = np.zeros((d, d, d * d), dtype=complex)
-    vecs[x1, x2, k * d + (k + x1) % d] = np.exp(2j * np.pi / d) ** (x2 * k) / np.sqrt(d)
+def _bell_vectors(d: int, x1s, x2s) -> np.ndarray:
+    """|B^x> for every code x in x1s × x2s, indexed by position [i1, i2]; see :func:`bell_vector`."""
+    i1, i2, k = np.ix_(range(len(x1s)), range(len(x2s)), range(d))
+    x1, x2 = np.asarray(x1s)[i1], np.asarray(x2s)[i2]
+    vecs = np.zeros((len(x1s), len(x2s), d * d), dtype=complex)
+    vecs[i1, i2, k * d + (k + x1) % d] = np.exp(2j * np.pi / d) ** (x2 * k) / np.sqrt(d)
     return vecs
 
 
 def bell_vector(code: BellCode) -> np.ndarray:
-    """|B^x> = (1/sqrt d) sum_k w^(x2 k) |k>|k+x1 mod d>."""
-    return _bell_vectors(code.d)[code.x1, code.x2]
+    """|B^x> = (1/sqrt d) sum_k w^(x2 k) |k>|k+x1 mod d>; the other codes are not built."""
+    return _bell_vectors(code.d, [code.x1], [code.x2])[0, 0]
 
 
 def bell_state(code: BellCode, wire_names: tuple[str, str] = ("A", "B")) -> LabeledOperator:
@@ -100,9 +104,10 @@ class GameStrategy:
 
     An arm may act on its party's process wires (input, output and extra
     wires) and on wires the process lacks, its code wires: :attr:`state_wires`,
-    in party order. The game and its dimension :attr:`d` are settled here. With
-    no code wire (mutual guessing) every party has d inputs of d outcomes; with
-    one code wire per party, of dimension d (retrieval), one input of d outcomes.
+    in party order. The game and its dimension :attr:`d` are settled here, for
+    :func:`game_terms` and the translations to read. With no code wire (mutual
+    guessing) every party has d inputs of d outcomes; with one code wire per
+    party, of dimension d (retrieval), one input of d outcomes.
     """
 
     process: ProcessMatrix
@@ -144,15 +149,6 @@ class GameStrategy:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "state_wires", tuple(owner))
 
-    def game_dim(self, retrieval: bool) -> int:
-        """:attr:`d`, once the strategy is checked to play retrieval (or, if not ``retrieval``, guessing)."""
-        if self.state_wires and not retrieval:
-            raise ValueError(f"strategy has code wires {self.state_wires}, so it is for the retrieval game")
-        if retrieval and not self.state_wires:
-            first = self.process.parties[0].name
-            raise ValueError(f"retrieval needs two code wires, one per party; party {first!r} has []")
-        return self.d
-
 
 def _probabilities(strategy: GameStrategy, states=None, batch=None) -> np.ndarray:
     """:func:`behaviour`'s contraction, unmoved; ``batch`` labels the states' and arms' axes."""
@@ -183,40 +179,33 @@ def behaviour(strategy: GameStrategy, states=None) -> np.ndarray:
     return np.moveaxis(table, range(table.ndim - 2 * n + 1, table.ndim, 2), range(-n, 0))
 
 
-def gyni_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
-    """Per-input success probabilities P(a = i2, b = i1 | i1, i2), the only entries contracted."""
-    d = strategy.game_dim(retrieval=False)
-    table = _probabilities(strategy, batch=["xy", "yx"])
-    return {(i1, i2): float(table[i1, i2]) for i1, i2 in product(range(d), repeat=2)}
-
-
-def eval_gyni(strategy: GameStrategy) -> float:
-    """Uniform-input success probability of mutual input guessing."""
-    terms = gyni_terms(strategy)
-    return float(sum(terms.values()) / len(terms))
-
-
 def coded_pairs(d: int, wire_names: tuple[str, str]) -> OperatorStack:
     """The d^2 coded pairs on two wires, stacked by code (x1, x2)."""
-    vecs = _bell_vectors(d)
+    vecs = _bell_vectors(d, range(d), range(d))
     wires = (WireLabel(wire_names[0], d), WireLabel(wire_names[1], d))
     return OperatorStack(wires, vecs[..., :, None] * vecs.conj()[..., None, :])
 
 
-def dr_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
-    """Per-code success probabilities P(a = x1, b = x2 | code x).
+def game_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:
+    """Per-input success probabilities of the strategy's game, the only entries contracted.
 
-    The referee hides x in the d^2 coded pairs on the strategy's code wires.
-    Only these entries are contracted: each outcome is tied to its code symbol.
+    With code wires (retrieval) these are P(a = x1, b = x2 | code x), the
+    referee hiding x in the d^2 coded pairs on those wires; with none (mutual
+    guessing), P(a = i2, b = i1 | i1, i2). Each outcome is tied to the symbol it
+    guesses. Only two-party strategies play either game.
     """
-    d = strategy.game_dim(retrieval=True)
-    table = _probabilities(strategy, coded_pairs(d, strategy.state_wires), ["ab", "ia", "ib"])
-    return {(x1, x2): float(table[x1, x2, 0]) for x1, x2 in product(range(d), repeat=2)}
+    _require_bipartite(strategy.process)
+    if strategy.state_wires:
+        codes = coded_pairs(strategy.d, strategy.state_wires)
+        table = _probabilities(strategy, codes, ["ab", "ia", "ib"])[..., 0]
+    else:
+        table = _probabilities(strategy, batch=["xy", "yx"])
+    return {(u, v): float(table[u, v]) for u, v in product(range(strategy.d), repeat=2)}
 
 
-def eval_dr(strategy: GameStrategy) -> float:
-    """Uniform-code success probability of the state-retrieval game."""
-    terms = dr_terms(strategy)
+def game_value(strategy: GameStrategy) -> float:
+    """Uniform-input success probability of the strategy's game."""
+    terms = game_terms(strategy)
     return float(sum(terms.values()) / len(terms))
 
 

@@ -27,3 +27,19 @@ def drift_at_d3(monkeypatch):
         )
 
     monkeypatch.setattr(duality, "gyni_to_dr", drifting)
+
+
+@pytest.fixture
+def forbid_contraction(monkeypatch):
+    """Call it to make every later ``batched_trace`` call fail, wherever the
+    package looks the name up (a dense instrument stack contracts too)."""
+    from causalkit import duality, games, tensor
+
+    def contracted(*args, **kwargs):
+        raise AssertionError("contracted before the inputs were checked")
+
+    def forbid():
+        for module in (tensor, games, duality):
+            monkeypatch.setattr(module, "batched_trace", contracted)
+
+    return forbid

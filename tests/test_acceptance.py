@@ -50,8 +50,7 @@ from causalkit.games import (
     behaviour,
     bell_state,
     cyril_gyni_strategy,
-    eval_dr,
-    eval_gyni,
+    game_value,
     pauli_y_baseline_strategy,
 )
 from causalkit.instruments import (
@@ -87,7 +86,7 @@ def _accept(n: int, label: str) -> None:
 
 def test_criterion_01_guessing_value_and_runtime():
     start = time.perf_counter()
-    value = eval_gyni(cyril_gyni_strategy())
+    value = game_value(cyril_gyni_strategy())
     elapsed = time.perf_counter() - start
     target = (5 / 16) * (1 + 1 / SQRT2)
     assert value == pytest.approx(target, abs=VALUE_TOL)
@@ -122,7 +121,7 @@ def test_criterion_03_transpose_dichotomy():
 
 def test_criterion_04_conjugate_baseline_table():
     strategy = pauli_y_baseline_strategy()
-    value = eval_dr(strategy)
+    value = game_value(strategy)
     assert value == pytest.approx(0.5, abs=TIGHT_TOL)
     # Eight half-weight rows: per code the aligned or anti-aligned outcome
     # pairs each carry 1/2, and exactly one of them is the winning pair.
@@ -143,7 +142,7 @@ def test_criterion_05_qubit_duality_certificates():
     cert = check_duality(cyril_gyni_strategy(), "gyni2dr")
     assert cert.source_value == pytest.approx(CYRIL_GYNI_VALUE, abs=TIGHT_TOL)
     assert cert.deviation <= VALUE_TOL
-    direct = eval_dr(gyni_to_dr(cyril_gyni_strategy()))
+    direct = game_value(gyni_to_dr(cyril_gyni_strategy()))
     assert direct == pytest.approx(CYRIL_GYNI_VALUE, abs=VALUE_TOL)
     rng = np.random.default_rng(20260815)
     checked = 0

@@ -34,8 +34,7 @@ from causalkit.games import (
     CYRIL_GYNI_VALUE,
     GameStrategy,
     cyril_gyni_strategy,
-    eval_dr,
-    eval_gyni,
+    game_value,
     pauli_y_baseline_strategy,
 )
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy
@@ -121,12 +120,12 @@ class TestNamedStrategies:
 
     def test_mapped_cyril_evaluates_directly(self):
         mapped = gyni_to_dr(cyril_gyni_strategy())
-        value = eval_dr(mapped)
+        value = game_value(mapped)
         assert value == pytest.approx(CYRIL_GYNI_VALUE, abs=1e-9)
 
     def test_mapped_pauli_y_evaluates_directly(self):
         mapped = dr_to_gyni(pauli_y_baseline_strategy())
-        assert eval_gyni(mapped) == pytest.approx(0.5, abs=1e-9)
+        assert game_value(mapped) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestRandomizedRoundTrips:
@@ -194,7 +193,7 @@ class TestDenseReads:
         monkeypatch.setattr(KronSum, "matrix", property(counted))
         translated = dr_to_gyni(strategy)
         assert reads == []
-        assert eval_gyni(translated) == pytest.approx(eval_dr(strategy), abs=1e-9)
+        assert game_value(translated) == pytest.approx(game_value(strategy), abs=1e-9)
 
 
 class TestCertificate:
@@ -240,6 +239,25 @@ class TestErrors:
             gyni_to_dr(pauli_y_baseline_strategy())
         with pytest.raises(ValueError):
             dr_to_gyni(cyril_gyni_strategy())
+
+    @pytest.mark.parametrize(
+        "build, direction, message",
+        [
+            (
+                pauli_y_baseline_strategy,
+                "gyni2dr",
+                r"^strategy has code wires \('A', 'B'\), so it is for the retrieval game$",
+            ),
+            (cyril_gyni_strategy, "dr2gyni", r"^retrieval needs two code wires, one per party; party 'A' has \[\]$"),
+        ],
+        ids=["gyni2dr", "dr2gyni"],
+    )
+    def test_wrong_direction_rejected_before_contraction(self, forbid_contraction, build, direction, message):
+        # The translation runs, and refuses the other game, before either side is scored.
+        strategy = build()
+        forbid_contraction()
+        with pytest.raises(ValueError, match=message):
+            check_duality(strategy, direction)
 
 
 def test_gyni_to_dr_rejects_a_process_with_a_code_wire():

@@ -12,6 +12,7 @@ implementation existed and are frozen as closed forms:
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -28,14 +29,12 @@ from causalkit.games import (
     coded_pairs,
     constant_output_gyni_strategy,
     cyril_gyni_strategy,
-    dr_terms,
-    eval_dr,
-    eval_gyni,
-    gyni_terms,
+    game_terms,
+    game_value,
     pauli_y_baseline_strategy,
     relay_gyni_strategy,
 )
-from causalkit.duality import dr_to_gyni, gyni_to_dr
+from causalkit.duality import DIRECTION_TOKENS, check_duality, dr_to_gyni, gyni_to_dr
 from causalkit.instruments import Instrument, identity_channel_instrument, validate_instrument
 from causalkit.processes import ProcessMatrix, PartySlot
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy, random_instrument
@@ -100,6 +99,16 @@ class TestBellCodes:
             assert state.wires == pairs.wires
             np.testing.assert_array_equal(state.matrix, pairs.matrix[x1, x2])
 
+    def test_bell_vector_builds_only_its_code(self):
+        # All d^2 code vectors take d^2 times the memory of the one returned.
+        tracemalloc.start()
+        try:
+            vec = bell_vector(BellCode(32, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * vec.nbytes
+
     def test_bell_state_builds_only_its_pair(self):
         # All d^2 coded pairs take d^2 times the memory of the one returned.
         tracemalloc.start()
@@ -138,29 +147,29 @@ class TestBellCodes:
 
 class TestMutualGuessing:
     def test_cyril_value_closed_form(self):
-        value = eval_gyni(cyril_gyni_strategy())
+        value = game_value(cyril_gyni_strategy())
         assert value == pytest.approx((5 / 16) * (1 + 1 / SQRT2), abs=1e-12)
         assert value == pytest.approx(CYRIL_GYNI_VALUE, abs=1e-15)
 
     def test_cyril_per_input_branches_frozen(self):
-        terms = gyni_terms(cyril_gyni_strategy())
+        terms = game_terms(cyril_gyni_strategy())
         assert terms[(0, 0)] == pytest.approx(0.0, abs=1e-12)
         assert terms[(0, 1)] == pytest.approx((2 + SQRT2) / 4, abs=1e-12)
         assert terms[(1, 0)] == pytest.approx((2 + SQRT2) / 4, abs=1e-12)
         assert terms[(1, 1)] == pytest.approx((1 + 1 / SQRT2) / 4, abs=1e-12)
 
     def test_cyril_beats_every_ordered_benchmark(self):
-        assert eval_gyni(cyril_gyni_strategy()) > 0.5 + 0.03
+        assert game_value(cyril_gyni_strategy()) > 0.5 + 0.03
 
     def test_relay_benchmark(self):
-        assert eval_gyni(relay_gyni_strategy()) == pytest.approx(0.5, abs=1e-12)
+        assert game_value(relay_gyni_strategy()) == pytest.approx(0.5, abs=1e-12)
 
     def test_relay_terms_are_exact(self):
         # The identity channel's Choi operator has entries exactly 1, so no term rounds.
-        assert set(gyni_terms(relay_gyni_strategy()).values()) == {0.5}
+        assert set(game_terms(relay_gyni_strategy()).values()) == {0.5}
 
     def test_constant_benchmark(self):
-        assert eval_gyni(constant_output_gyni_strategy()) == pytest.approx(0.25, abs=1e-12)
+        assert game_value(constant_output_gyni_strategy()) == pytest.approx(0.25, abs=1e-12)
 
     def test_normalization_per_input(self):
         table = behaviour(cyril_gyni_strategy())
@@ -196,7 +205,7 @@ class TestMutualGuessing:
 class TestRetrieval:
     def test_pauli_y_baseline_value(self):
         strategy = pauli_y_baseline_strategy()
-        value = eval_dr(strategy)
+        value = game_value(strategy)
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_pauli_y_outcome_table_frozen(self):
@@ -217,9 +226,9 @@ class TestRetrieval:
                 assert p == pytest.approx(target, abs=1e-12)
             assert (x1, x2) in support  # the winning pair is always present
 
-    def test_dr_terms_all_half(self):
+    def test_retrieval_terms_all_half(self):
         strategy = pauli_y_baseline_strategy()
-        terms = dr_terms(strategy)
+        terms = game_terms(strategy)
         for p in terms.values():
             assert p == pytest.approx(0.5, abs=1e-12)
 
@@ -336,13 +345,6 @@ class TestStructuralErrors:
         with pytest.raises(ValueError, match="parties 'A' and 'B' both act on code wire 'A'"):
             GameStrategy(strategy.process, (strategy.parties[0], arm_b))
 
-    def test_game_told_by_code_wires(self):
-        retrieval, guessing = pauli_y_baseline_strategy(), cyril_gyni_strategy()
-        with pytest.raises(ValueError, match="has code wires"):
-            eval_gyni(retrieval)
-        with pytest.raises(ValueError, match="two code wires"):
-            eval_dr(guessing)
-
 
 def _renamed_cyril_strategy() -> GameStrategy:
     """The forced-answer/flip-readout strategy with every wire renamed."""
@@ -389,13 +391,13 @@ def _renamed_code_wires(strategy: GameStrategy, names: tuple[str, str]) -> GameS
 
 class TestRelabelingInvariance:
     def test_renamed_wires_same_value(self):
-        original = eval_gyni(cyril_gyni_strategy())
-        renamed = eval_gyni(_renamed_cyril_strategy())
+        original = game_value(cyril_gyni_strategy())
+        renamed = game_value(_renamed_cyril_strategy())
         assert renamed == pytest.approx(original, abs=1e-12)
 
     def test_renamed_terms_match(self):
-        a = gyni_terms(cyril_gyni_strategy())
-        b = gyni_terms(_renamed_cyril_strategy())
+        a = game_terms(cyril_gyni_strategy())
+        b = game_terms(_renamed_cyril_strategy())
         for key in a:
             assert b[key] == pytest.approx(a[key], abs=1e-12)
 
@@ -404,11 +406,11 @@ class TestRelabelingInvariance:
         renamed = _renamed_code_wires(strategy, ("P", "Q"))
         assert renamed.state_wires == ("P", "Q")
         assert renamed.parties[1].instruments[0].wire("Q").dim == 3
-        a, b = dr_terms(strategy), dr_terms(renamed)
+        a, b = game_terms(strategy), game_terms(renamed)
         assert set(b) == set(product(range(3), repeat=2))
         for key in a:
             assert b[key] == pytest.approx(a[key], abs=1e-12)
-        assert eval_dr(renamed) == pytest.approx(eval_dr(strategy), abs=1e-12)
+        assert game_value(renamed) == pytest.approx(game_value(strategy), abs=1e-12)
 
 
 class TestDerivedCodeWires:
@@ -467,23 +469,30 @@ class TestGameSettledAtBuild:
             assert {ins.n_outcomes for ins in arm.instruments} == {d}
             if retrieval:
                 assert arm.instruments[0].wire(code_wire).dim == d
-        assert strategy.game_dim(retrieval) == d
-        with pytest.raises(ValueError, match="code wires"):
-            strategy.game_dim(not retrieval)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_three_parties(self, d):
+    def test_three_parties(self, d, forbid_contraction):
         rng = np.random.default_rng([70, d])
         wires = [WireLabel(f"{p}_{end}", d) for p in "ABC" for end in "IO"]
         slots = tuple(PartySlot(p, f"{p}_I", f"{p}_O") for p in "ABC")
         process = ProcessMatrix(LabeledOperator(tuple(wires), np.eye(d**6) / d**3), slots)
-        labs = zip(wires[::2], wires[1::2])
+        labs = list(zip(wires[::2], wires[1::2]))
         arms = [PartyArm(tuple(random_instrument(rng, (i,), (o,), d) for _ in range(d))) for i, o in labs]
         strategy = GameStrategy(process, tuple(arms))
         assert (strategy.d, strategy.state_wires) == (d, ())
         table = behaviour(strategy)  # P[x, y, z, a, b, c]
         assert table.shape == (d,) * 6
         np.testing.assert_allclose(table.sum(axis=(3, 4, 5)), np.ones((d,) * 3), atol=1e-12)
+        # One code wire per party (X, Y, Z): a three-party retrieval strategy.
+        coded = [random_instrument(rng, (WireLabel(c, d), i), (o,), d) for c, (i, o) in zip("XYZ", labs)]
+        retrieval = GameStrategy(process, tuple(PartyArm((ins,)) for ins in coded))
+        assert (retrieval.d, retrieval.state_wires) == (d, ("X", "Y", "Z"))
+        # Behaviour takes any number of parties; the games take two, checked before any contraction.
+        forbid_contraction()
+        for source in (strategy, retrieval):
+            for score in (game_value, *(partial(check_duality, direction=t) for t in DIRECTION_TOKENS)):
+                with pytest.raises(ValueError, match="expected a bipartite process, got 3 parties"):
+                    score(source)
         arms[2] = PartyArm(arms[2].instruments[1:])
         with pytest.raises(ValueError, match="disagree on the number of classical inputs"):
             GameStrategy(process, tuple(arms))
@@ -518,7 +527,7 @@ def _seeded_strategies(d: int, seed: int) -> dict[str, GameStrategy]:
 
 
 class TestTiedContraction:
-    """The evaluators contract only each game's winning entries; these are
+    """game_terms contracts only each game's winning entries; these are
     the entries of the full behaviour table that the game reads."""
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -527,15 +536,18 @@ class TestTiedContraction:
         strategies = _seeded_strategies(d, seed)
         assert len(strategies["gyni_to_dr"].parties[0].instruments[0].terms.parts) == 2
         assert len(strategies["dr_to_gyni"].process.factors) == 2
-        for name in ("gyni", "dr_to_gyni"):
-            table = behaviour(strategies[name])  # P[x, y, a, b]
-            for (i1, i2), p in gyni_terms(strategies[name]).items():
-                assert abs(p - table[i1, i2, i2, i1]) <= 1e-12, name
-        for name in ("dr", "gyni_to_dr"):
-            strategy = strategies[name]
-            table = behaviour(strategy, coded_pairs(d, strategy.state_wires))  # P[x1, x2, 0, 0, a, b]
-            for (x1, x2), p in dr_terms(strategy).items():
-                assert abs(p - table[x1, x2, 0, 0, x1, x2]) <= 1e-12, name
+        for name, strategy in strategies.items():
+            # The one game_terms reads the game off the strategy.
+            if strategy.state_wires:
+                table = behaviour(strategy, coded_pairs(d, strategy.state_wires))  # P[x1, x2, 0, 0, a, b]
+                wins = {(x1, x2): table[x1, x2, 0, 0, x1, x2] for x1, x2 in product(range(d), repeat=2)}
+            else:
+                table = behaviour(strategy)  # P[x, y, a, b]
+                wins = {(i1, i2): table[i1, i2, i2, i1] for i1, i2 in product(range(d), repeat=2)}
+            terms = game_terms(strategy)
+            assert terms.keys() == wins.keys(), name
+            for key, p in terms.items():
+                assert abs(p - wins[key]) <= 1e-12, name
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_eigenvalues_match_each_branch(self, d):
@@ -594,22 +606,22 @@ class TestInputChecks:
                 id="missing-arm",
             ),
             pytest.param(
-                lambda: eval_gyni(_rearmed(relay_gyni_strategy(), lambda k, a: PartyArm(a.instruments[k:]))),
+                lambda: game_value(_rearmed(relay_gyni_strategy(), lambda k, a: PartyArm(a.instruments[k:]))),
                 "disagree on the number of classical inputs",
                 id="input-counts",
             ),
             pytest.param(
-                lambda: eval_gyni(_rearmed(relay_gyni_strategy(), _three_outcome_arm)),
+                lambda: game_value(_rearmed(relay_gyni_strategy(), _three_outcome_arm)),
                 "d instruments of d outcomes",
                 id="outcome-count",
             ),
             pytest.param(
-                lambda: eval_dr(_rearmed(pauli_y_baseline_strategy(), lambda k, a: PartyArm(a.instruments * 2))),
+                lambda: game_value(_rearmed(pauli_y_baseline_strategy(), lambda k, a: PartyArm(a.instruments * 2))),
                 "take no classical input",
                 id="retrieval-inputs",
             ),
             pytest.param(
-                lambda: eval_gyni(_rearmed(relay_gyni_strategy(), lambda k, a: _imaginary(a) if k == 0 else a)),
+                lambda: game_value(_rearmed(relay_gyni_strategy(), lambda k, a: _imaginary(a) if k == 0 else a)),
                 "non-real value",
                 id="non-real",
             ),
