@@ -99,8 +99,6 @@ def _load_process_arg(args: argparse.Namespace, parser: argparse.ArgumentParser)
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         parser.error(f"cannot load process file {path!r}: {reason}")
-    if len(proc.parties) != 2:
-        parser.error(f"process file {path!r} is not two-party: parties {[p.name for p in proc.parties]}")
     return path, proc
 
 
@@ -176,6 +174,8 @@ def cmd_validate(args, parser, tol) -> int:
 def cmd_ppt(args, parser, tol) -> int:
     name, proc = _load_process_arg(args, parser)
     parties = [p.name for p in proc.parties]
+    if len(parties) != 2:
+        parser.error(f"process file {name!r} is not two-party: parties {parties}")
     cut = parties[1] if args.cut is None else args.cut  # both cuts share one spectrum
     if cut not in parties:
         parser.error(f"unknown cut {cut!r}; choose a party from {parties}")

@@ -122,19 +122,19 @@ class InstrumentReport:
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> InstrumentReport:
     """Positivity of every branch, in one stacked pass, plus completeness of the sum."""
-    return _report(ins, ins.terms.matrix, tol)
+    return _reports(ins, ins.terms.matrix, tol)[0]
 
 
-def _report(ins: Instrument, branches: np.ndarray, tol: float) -> InstrumentReport:
-    """The report of :func:`validate_instrument` on ``ins``, given its dense branch stack."""
+def _reports(ins: Instrument, branches: np.ndarray, tol: float) -> list[InstrumentReport]:
+    """The report of :func:`validate_instrument` for each instrument on ``ins``'s wires and
+    outputs in ``branches``, a dense stack by outcome or by (member, outcome), in one pass."""
     ops = OperatorStack(ins.wires, branches)
-    herm = float(np.max(hermiticity_defect(ops)))
-    if herm > tol:
-        return InstrumentReport((float("nan"),) * ins.n_outcomes, herm, float("inf"), tol)
-    eigs = tuple(min_eigenvalue(ops).tolist())
-    reduced = partial_trace(LabeledOperator(ins.wires, ops.matrix.sum(axis=0)), set(ins.output_wires))
-    tp = float(np.max(np.abs(reduced.matrix - np.eye(reduced.total_dim))))
-    return InstrumentReport(eigs, herm, tp, tol)
+    herm = np.max(hermiticity_defect(ops), axis=-1).reshape(-1)
+    eigs = min_eigenvalue(ops).reshape(herm.size, -1)
+    reduced = partial_trace(OperatorStack(ins.wires, branches.sum(axis=-3)), set(ins.output_wires))
+    tp = np.max(np.abs(reduced.matrix - np.eye(reduced.total_dim)), axis=(-2, -1)).reshape(-1)
+    eigs[herm > tol], tp[herm > tol] = np.nan, np.inf  # a member not Hermitian within tol has no spectrum
+    return [InstrumentReport(tuple(e.tolist()), h, t, tol) for h, e, t in zip(herm.tolist(), eigs, tp.tolist())]
 
 
 def _unitary(u: np.ndarray, dim: int, what: str, stack: bool = False) -> np.ndarray:
@@ -270,26 +270,25 @@ def extend_instrument_with_measurement(
     if len(family) != sel_dim:
         raise ValueError(f"family size {len(family)} must match the selector wire dimension {sel_dim}")
     base = family[0]
-    inner = []
     for k, ins in enumerate(family):
         if ins.n_outcomes != d:
             raise ValueError(f"inner instrument {k} needs {d} outcomes, one per padding symbol")
-        inner.append(ins.terms.matrix)
-        report = _report(ins, inner[k], DEFAULT_TOL)
+        if ins.wires != base.wires:
+            raise ValueError("inner instruments must share identical wires")
+    inner = np.stack([ins.terms.matrix for ins in family])
+    for k, report in enumerate(_reports(base, inner, DEFAULT_TOL)):
         if not report.valid:
             raise ValueError(
                 f"inner instrument {k} is not a valid instrument "
                 f"(min eig {min(report.outcome_min_eigs):.3e}, tp residual {report.tp_residual:.3e})"
             )
-        if ins.wires != base.wires:
-            raise ValueError("inner instruments must share identical wires")
     u = _unitary(pre_unitary, w1.dim * w2.dim, "pre-measurement matrix")
 
     # Branch a is sum_m R[m] (x) S[a, m]: R[m] = U^dag |m><m| U reads out m =
     # (m1, m2), and S[a, m] is branch (a - m[1 - selector]) mod d of member m[selector].
     symbols = np.divmod(np.arange(w1.dim * w2.dim), w2.dim)
     chosen, other = symbols[selector], symbols[1 - selector]
-    branches = np.stack(inner)[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
+    branches = inner[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
     readout = _readout_projectors(u, (w1, w2))
     return Instrument(KronSum((readout, OperatorStack(base.wires, branches))), base.output_wires)
 

@@ -1,29 +1,30 @@
-"""Bipartite process matrices: validity, causal order, and the PPT cut.
+"""Process matrices of any number of parties: validity; two-party causal order and PPT cut.
 
-A process matrix W lives on the four party wires (two input wires, two output
-wires) plus any ancillary state wires appended later. Probabilities come from
-direct contraction, P = Tr[W (M_A (x) M_B)], so validity is:
+A process matrix W lives on each party's input and output wires plus any
+ancillary state wires appended later. Probabilities come from direct
+contraction, P = Tr[W (M_A (x) M_B (x) ...)], so validity is:
 
 * W is positive semidefinite,
 * Tr W equals the product D_out of the output dimensions,
-* the reduced-and-replaced combinations below hold, writing
-  R_X W = Tr_X(W) (x) I_X / d_X (:func:`causalkit.tensor.add_replaced`):
+* each orthogonal component of 1 - L_V vanishes on W. Writing
+  R_X W = Tr_X(W) (x) I_X / d_X, 1 - L_V is the sum over nonempty party sets
+  S of prod_{i in S} (1 - R_{O_i}) prod_{i not in S} R_{I_i O_i} (Araujo et
+  al., NJP 17, 102001, 2015; arXiv:1506.03776), named "no signaling to <S>'s
+  past", or "affine closure" when S is every party. For two parties these are
 
   1. R_{A_I A_O} W = R_{A_I A_O B_O} W          ("no signaling to B's past")
   2. R_{B_I B_O} W = R_{B_I B_O A_O} W          ("no signaling to A's past")
   3. W + R_{A_O B_O} W = R_{A_O} W + R_{B_O} W  ("affine closure")
 
-With the normalization these are equivalent to the usual projective
-characterization; each is reported with its max-abs residual so a failure
-names the violated condition.
+Each is reported with its max-abs residual, so a failure names the violated
+condition.
 
 Each residual is taken on the smallest tensor that determines it; none forms
-a kron or permutes wires. Conditions 1, 2 and the second condition of a fixed
-order compare R_X W with R_{X+o} W = R_X R_o W. Their difference,
-(Tr_X W - R_o Tr_X W) (x) I_X / d_X, only repeats the entries of the reduced
-operator Tr_X W, so the residual is taken there and divided by d_X. The rest
-involve W itself: each R_X term is added into one copy of W, in place on the
-block where it is nonzero (:func:`causalkit.tensor.add_replaced`).
+a kron or permutes wires. The component with the labs X traced is
+(prod_o (1 - R_o) Tr_X W) (x) I_X / d_X, so its residual is taken on Tr_X W
+and divided by d_X: the R_o terms of the product are added into one copy of
+Tr_X W, in place on the block where each is nonzero
+(:func:`causalkit.tensor.add_replaced`).
 
 Constructors check their inputs at ``DEFAULT_TOL`` and raise on a violation;
 the ``tol`` of a check sets only its verdict.
@@ -32,9 +33,10 @@ the ``tol`` of a check sets only its verdict.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -204,10 +206,11 @@ def _residual(op: LabeledOperator, *terms: tuple[float, set[str]]) -> float:
     return float(np.max(np.abs(out)))
 
 
-def _flat_once_traced(op: LabeledOperator, traced: set[str], wire: str) -> float:
-    """max|R_X op - R_{X+wire} op|, taken on Tr_X op (see the module docstring)."""
+def _flat(op: LabeledOperator, outputs: Sequence[str], traced: Iterable[str] = ()) -> float:
+    """max|prod_{o in outputs} (1 - R_o) R_X op|, taken on Tr_X op (see the module docstring)."""
     reduced = partial_trace(op, traced)
-    return _residual(reduced, (-1.0, {wire})) / (op.total_dim // reduced.total_dim)
+    terms = (((-1.0) ** k, set(s)) for k in range(1, len(outputs) + 1) for s in itertools.combinations(outputs, k))
+    return _residual(reduced, *terms) / (op.total_dim // reduced.total_dim)
 
 
 def _require_bipartite(proc: ProcessMatrix) -> tuple[PartySlot, PartySlot]:
@@ -217,31 +220,24 @@ def _require_bipartite(proc: ProcessMatrix) -> tuple[PartySlot, PartySlot]:
 
 
 def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Check positivity, normalization, and the three reduction constraints.
+    """Check positivity, normalization, and the 2^N - 1 reduction constraints of N parties.
 
-    Structural problems (wrong party count, missing wires) raise before any
-    numerics run; numerical violations land in the report instead.
+    With k = N - 1 down to 0 labs traced, each k-set of traced parties in
+    party order (see the module docstring); violations land in the report.
     """
-    pa, pb = _require_bipartite(proc)
     w = proc.op
     herm = proc.hermiticity
     scale = float(np.max(np.abs(w.matrix)))
     if herm > tol:
         return ValidityReport(float("nan"), herm, (("hermiticity", herm),), scale, tol)
-    trace_resid = float(abs(complex(np.trace(w.matrix)) - proc.output_dim))
-    ao, bo = pa.output_wire, pb.output_wire
-    return ValidityReport(
-        min_eig=min_eigenvalue(w),
-        hermiticity=herm,
-        constraint_residuals=(
-            ("normalization", trace_resid),
-            (f"no signaling to {pb.name}'s past", _flat_once_traced(w, {pa.input_wire, ao}, bo)),
-            (f"no signaling to {pa.name}'s past", _flat_once_traced(w, {pb.input_wire, bo}, ao)),
-            ("affine closure", _residual(w, (-1.0, {ao}), (-1.0, {bo}), (1.0, {ao, bo}))),
-        ),
-        scale=scale,
-        tolerance=tol,
-    )
+    residuals = [("normalization", float(abs(complex(np.trace(w.matrix)) - proc.output_dim)))]
+    for k in range(len(proc.parties) - 1, -1, -1):
+        for traced in itertools.combinations(proc.parties, k):
+            others = [p for p in proc.parties if p not in traced]
+            name = f"no signaling to {' and '.join(p.name for p in others)}'s past" if traced else "affine closure"
+            labs = {n for p in traced for n in (p.input_wire, p.output_wire)}
+            residuals.append((name, _flat(w, [p.output_wire for p in others], labs)))
+    return ValidityReport(min_eigenvalue(w), herm, tuple(residuals), scale, tol)
 
 
 def check_order(proc: ProcessMatrix, order: str, tol: float = DEFAULT_TOL) -> OrderReport:
@@ -260,8 +256,8 @@ def check_order(proc: ProcessMatrix, order: str, tol: float = DEFAULT_TOL) -> Or
         resid = _residual(w, (-1.0, {pa.output_wire, pb.output_wire}))
         return OrderReport(order, (("outputs ignored", resid),), tol)
     first, second = (pa, pb) if order == "A<B" else (pb, pa)
-    r1 = _residual(w, (-1.0, {second.output_wire}))
-    r2 = _flat_once_traced(w, {second.input_wire, second.output_wire}, first.output_wire)
+    r1 = _flat(w, [second.output_wire])
+    r2 = _flat(w, [first.output_wire], {second.input_wire, second.output_wire})
     return OrderReport(
         order,
         (

@@ -8,6 +8,8 @@ forms this kron; these tests compare its reductions against it.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 
@@ -58,3 +60,23 @@ def reference_residuals(proc) -> dict[str, dict[str, float]]:
         },
         "no-signaling": {"outputs ignored": gap(w, r(ao, bo))},
     }
+
+
+def reference_components(proc) -> dict[str, float]:
+    """max|prod_{i in S} (1 - R_{O_i}) prod_{i not in S} R_{I_i O_i} W| for every nonempty
+    set S of parties, any number of them, applying one dense factor at a time."""
+    w, dims, names = proc.op.matrix, proc.op.dims, proc.op.names
+
+    def r(matrix: np.ndarray, *wires: str) -> np.ndarray:
+        return reference_replace(matrix, dims, {names.index(x) for x in wires})
+
+    out = {}
+    for kept in product((False, True), repeat=len(proc.parties)):
+        if not any(kept):
+            continue
+        m = w
+        for keep, p in zip(kept, proc.parties):
+            m = m - r(m, p.output_wire) if keep else r(m, p.input_wire, p.output_wire)
+        s = [p.name for keep, p in zip(kept, proc.parties) if keep]
+        out["affine closure" if all(kept) else f"no signaling to {' and '.join(s)}'s past"] = float(np.max(np.abs(m)))
+    return out

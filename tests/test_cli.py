@@ -151,13 +151,26 @@ class TestValidate:
         message = self._usage_error(capsys, path, command)
         assert "row 2 has a non-finite entry" in message
 
-    @pytest.mark.parametrize("argv", [["validate"], ["ppt", "--cut", "A"]])
-    def test_one_party_dump_is_usage_error(self, capsys, tmp_path, argv):
+    @staticmethod
+    def _one_party_dump(tmp_path) -> Path:
         lines = dump_process(build_cyril()).splitlines()
         lines[0] = "parties: A=(A_I,A_O)"
         path = tmp_path / "one_party.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert "not two-party" in self._usage_error(capsys, path, *argv)
+        return path
+
+    def test_one_party_dump_gets_a_report(self, capsys, tmp_path):
+        # Validity holds for any party count: cyril's Tr W = 4 against the one output's d_O = 2.
+        code = main(["validate", str(self._one_party_dump(tmp_path)), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out, parse_constant=lambda c: pytest.fail(f"bare {c}"))
+        assert payload["valid"] is False
+        assert payload["residuals"]["normalization"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_one_party_dump_is_usage_error(self, capsys, tmp_path):
+        assert "not two-party" in self._usage_error(capsys, self._one_party_dump(tmp_path), "ppt", "--cut", "A")
 
     def test_ppt_with_unassigned_wire_is_usage_error(self, capsys, tmp_path):
         ancilla = LabeledOperator((WireLabel("X", 2),), np.eye(2) / 2)

@@ -262,6 +262,16 @@ class TestComposition:
                 selector=0,
             )
 
+    def test_error_names_the_first_invalid_member(self):
+        # The members are checked as one stack; the error still names the member.
+        half = LabeledOperator((A_IN, A_OUT), np.eye(4, dtype=complex) / 2)
+        bad = Instrument((half, half), ("A_O",))
+        message = "inner instrument 1 is not a valid instrument (min eig 5.000e-01, tp residual 1.000e+00)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extend_instrument_with_measurement(
+                (self._family()[0], bad), np.eye(4), (WireLabel("A", 2), WireLabel("A'", 2)), selector=0
+            )
+
     def test_one_dense_stack_per_member(self, monkeypatch):
         # Each member's stack is built once and both validated and gathered
         # (6 reads for 3 members when validation built its own).

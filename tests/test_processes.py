@@ -26,11 +26,12 @@ from causalkit.processes import (
     validate_process,
     verify_cyril_separable_decomposition,
 )
+from causalkit.classical import ClassicalProcess3, ebw_process, is_logically_consistent
 from causalkit.cli import PROCESS_BUILDERS
 from causalkit.games import GameStrategy, PartyArm, behaviour
 from causalkit.sampling import random_channel_choi, random_density, random_instrument, random_process
 from causalkit.tensor import LabeledOperator, WireLabel, dump_operator, kron, load_operator, permute_wires
-from reference_maps import reference_residuals
+from reference_maps import reference_components, reference_residuals
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -164,11 +165,11 @@ class TestValidation:
     def test_maximally_mixed_valid(self):
         assert validate_process(maximally_mixed_process()).valid
 
-    def test_structural_error_before_numerics(self):
+    def test_one_party_process_gets_a_report(self):
         op = LabeledOperator((WireLabel("A_I", 2), WireLabel("A_O", 2)), np.eye(4))
-        proc = ProcessMatrix(op, (PartySlot("A", "A_I", "A_O"),))
-        with pytest.raises(ValueError):
-            validate_process(proc)
+        report = validate_process(ProcessMatrix(op, (PartySlot("A", "A_I", "A_O"),)))
+        assert report.residual("normalization") == 2.0  # |Tr I_4 - d_O| = |4 - 2|
+        assert report.valid is False
 
     def test_wires_must_exist(self):
         op = LabeledOperator((WireLabel("A_I", 2),), np.eye(2))
@@ -475,6 +476,63 @@ class TestReducedResiduals:
             [r for _, r in report.relative_residuals[1:]],
             rtol=1e-12,
         )
+
+
+THREE_PARTIES = tuple(PartySlot(n, f"{n}_I", f"{n}_O") for n in "ABC")
+
+
+def classical_process(process: ClassicalProcess3) -> ProcessMatrix:
+    """W = sum_o |f(o)><f(o)|_I (x) |o><o|_O on six qubit wires, I = (A_I, B_I, C_I), O = (A_O, B_O, C_O)."""
+    diagonal = np.zeros((2,) * 6)
+    for o in product(range(2), repeat=3):
+        f = process(o)
+        diagonal[f[0], o[0], f[1], o[1], f[2], o[2]] = 1.0
+    wires = tuple(WireLabel(n, 2) for p in THREE_PARTIES for n in (p.input_wire, p.output_wire))
+    return ProcessMatrix(LabeledOperator(wires, np.diag(diagonal.reshape(-1))), THREE_PARTIES)
+
+
+def edits_of_ebw() -> list[ClassicalProcess3]:
+    """Every table that differs from E_BW's in exactly one of its eight entries: 8 x 7 = 56."""
+    table = ebw_process().table
+    return [
+        ClassicalProcess3(table[:k] + (flags,) + table[k + 1 :])
+        for k in range(8)
+        for flags in product(range(2), repeat=3)
+        if flags != table[k]
+    ]
+
+
+class TestTripartite:
+    """Validity at N = 3, against Baumeler and Wolf's logical consistency of classical processes."""
+
+    def test_ebw_has_every_component_exactly_zero(self):
+        report = validate_process(classical_process(ebw_process()))
+        assert len(report.constraint_residuals) == 2**3  # seven components plus normalization
+        assert all(r == 0.0 for _, r in report.constraint_residuals)
+        assert report.valid
+
+    def test_validity_is_logical_consistency(self):
+        # Every edit of E_BW is inconsistent, and so almost every random table; E_BW and the
+        # causal chain A -> B -> C, which hands each party its predecessor's output, are consistent.
+        rng = np.random.default_rng(2016)
+        chain = ClassicalProcess3(tuple((0, o[0], o[1]) for o in product(range(2), repeat=3)))
+        randoms = [ClassicalProcess3(tuple(map(tuple, rng.integers(0, 2, (8, 3))))) for _ in range(200)]
+        tables = [ebw_process(), chain] + edits_of_ebw() + randoms
+        assert len(tables) == 2 + 56 + 200
+        verdicts = [(validate_process(classical_process(t)).valid, is_logically_consistent(t)) for t in tables]
+        assert all(valid == consistent for valid, consistent in verdicts)
+        assert {consistent for _, consistent in verdicts} == {True, False}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_component_matches_dense_reference(self, seed):
+        proc = perturbed(classical_process(ebw_process()), seed)
+        got = dict(validate_process(proc).constraint_residuals)
+        assert got.pop("normalization") == pytest.approx(abs(np.trace(proc.op.matrix) - 8), abs=1e-12)
+        want = reference_components(proc)
+        assert set(got) == set(want) and len(want) == 7
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, abs=1e-12), name
+            assert value > 1e-6, name
 
 
 class TestQutritNormalization:
