@@ -435,11 +435,11 @@ CLAIMS: tuple[Claim, ...] = (
           lambda tol: _near(games.game_value(games.cyril_gyni_strategy()), CYRIL_GYNI_VALUE, tol)),
     Claim("process-cyril-valid", "causalkit validate --process cyril", "all residuals <= {tol:g}", None,
           _cyril_valid),
-    Claim("process-cyril-unordered", "causalkit validate --process cyril",
+    Claim("process-cyril-unordered", "causalkit manifest",
           "incompatible with A<B, B<A, and no-signaling", None, _cyril_unordered),
     Claim("process-cyril-ppt", "causalkit ppt --process cyril --cut B",
           "PPT across the party cut (min eig >= -{tol:g})", None, _cyril_ppt),
-    Claim("process-cyril-separable", "causalkit validate --process cyril",
+    Claim("process-cyril-separable", "causalkit manifest",
           "eight-product-term rebuild residual <= {tol:g}", 1e-12,
           lambda tol: _at_most(processes.verify_cyril_separable_decomposition(), tol)),
     Claim("gyni-relay-value", "causalkit gyni --process relay", _fmt(CAUSAL_GYNI_BOUND), None,
@@ -464,7 +464,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("duality-random-d3", f"causalkit duality --direction gyni2dr --seed {MANIFEST_SEED + 3} --dim 3",
           "max deviation <= {tol:g} over 4 seeded round trips", None,
           lambda tol: _at_most(_worst_round_trip(3, 2, tol), tol)),
-    Claim("readout-correlation", "causalkit dump --object readout-unitary:3",
+    Claim("readout-correlation", "causalkit manifest",
           "off-rule probability mass <= {tol:g} at d=2 and d=3", None,
           lambda tol: _at_most(max(duality.readout_correlation_residual(d) for d in (2, 3)), tol)),
     Claim("process-shared-bell-npt", "causalkit ppt --process shared-bell --cut B",
@@ -484,9 +484,9 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("classical-ftdr-definite", "causalkit classical ftdr --strategy definite --exact",
           "21/32 with rounds 3/4 and 9/16", 0.0,
           lambda tol: _ftdr("definite_order", Fraction(21, 32), (Fraction(3, 4), Fraction(9, 16)))),
-    Claim("mutation-resend-same-detected", "causalkit gyni --process cyril",
+    Claim("mutation-resend-same-detected", "causalkit manifest",
           "re-preparing the measured bit unchanged shifts the value by > {tol:g}", 0.05, _mutant_detected),
-    Claim("codes-hide-marginals", "causalkit dump --object bell:1,1",
+    Claim("codes-hide-marginals", "causalkit manifest",
           "single-wire marginals of all four qubit codes equal I/2 within {tol:g}", 1e-12,
           lambda tol: _at_most(_hiding_defect(), tol)),
 )

@@ -29,6 +29,7 @@ from .games import (
     BellCode,
     GameStrategy,
     PartyArm,
+    _real,
     bell_state,
     coded_pairs,
     game_value,
@@ -115,14 +116,15 @@ def readout_correlation_residual(d: int) -> float:
     readouts and accumulate the probability of measured symbols violating
     u + v = x2 or u' + v' = x1 (mod d). Exactly zero in exact arithmetic.
     All d^6 probabilities come from one contraction, with codes stacked by
-    (x1, x2) and projectors by (u, u') and (v, v').
+    (x1, x2) and projectors by (u, u') and (v, v'); an imaginary part above
+    max(DEFAULT_TOL, 1e-7) raises, as for every game probability.
     """
     v_a, v_b = party_readout_unitaries(d)
     codes = coded_pairs(d, ("A", "B"))
     aux = bell_state(BellCode(d, 0, 0), ("A'", "B'"))
     proj_a = _readout_projectors(v_a, (WireLabel("A", d), WireLabel("A'", d)))
     proj_b = _readout_projectors(v_b, (WireLabel("B", d), WireLabel("B'", d)))
-    prob = batched_trace([codes, aux], [proj_a, proj_b]).real.reshape((d,) * 6)  # [x1, x2, u, u', v, v']
+    prob = _real(batched_trace([codes, aux], [proj_a, proj_b])).reshape((d,) * 6)  # [x1, x2, u, u', v, v']
     x1, x2, u, up, v, vp = np.ix_(*[np.arange(d)] * 6)
     on_rule = ((u + v) % d == x2) & ((up + vp) % d == x1)
     mass = np.where(on_rule, prob, 0.0).sum(axis=(2, 3, 4, 5))

@@ -158,7 +158,11 @@ def _probabilities(strategy: GameStrategy, states=None, batch=None) -> np.ndarra
     arms = [stack_instruments(arm.instruments) for arm in strategy.parties]
     carriers = [*strategy.process.factors, *([] if states is None else [states])]
     batch = batch and [""] * len(strategy.process.factors) + batch
-    table = batched_trace(carriers, arms, batch)
+    return _real(batched_trace(carriers, arms, batch))
+
+
+def _real(table: np.ndarray) -> np.ndarray:
+    """The real part of a table of probabilities; an imaginary part above max(DEFAULT_TOL, 1e-7) raises."""
     worst = np.unravel_index(np.argmax(np.abs(table.imag)), table.shape)
     if abs(table[worst].imag) > max(DEFAULT_TOL, 1e-7):
         raise ValueError(f"probability has a non-real value {table[worst]!r}")

@@ -1,4 +1,4 @@
-"""Process matrices of any number of parties: validity; two-party causal order and PPT cut.
+"""Process matrices of any number of parties: validity and causal order; two-party PPT cut.
 
 A process matrix W lives on each party's input and output wires plus any
 ancillary state wires appended later. Probabilities come from direct
@@ -15,6 +15,9 @@ contraction, P = Tr[W (M_A (x) M_B (x) ...)], so validity is:
   1. R_{A_I A_O} W = R_{A_I A_O B_O} W          ("no signaling to B's past")
   2. R_{B_I B_O} W = R_{B_I B_O A_O} W          ("no signaling to A's past")
   3. W + R_{A_O B_O} W = R_{A_O} W + R_{B_O} W  ("affine closure")
+
+A fixed order A_1 < ... < A_N holds when (1 - R_{O_k}) Tr_{labs after k} W = 0
+for every k; no-signaling puts every party last: W = R_{O_k} W for every k.
 
 Each is reported with its max-abs residual, so a failure names the violated
 condition.
@@ -149,12 +152,10 @@ class ProcessMatrix:
         return hermiticity_defect(self.op)
 
     @functools.cached_property
-    def _cut_spectrum(self) -> tuple[float, float]:
-        """(Hermiticity defect, min eigenvalue of the symmetrized matrix) of W
-        with the first party's wires transposed, whatever the defect; kept
-        on the instance after the first read (see :func:`is_ppt_cut`)."""
-        pt = partial_transpose(self.op, set(self.parties[0].all_wires))
-        return self.hermiticity, min_eigenvalue(pt)
+    def _cut_min_eig(self) -> float:
+        """Min eigenvalue of the symmetrized W with the first party's wires transposed,
+        whatever its Hermiticity defect; kept after the first read (see :func:`is_ppt_cut`)."""
+        return min_eigenvalue(partial_transpose(self.op, set(self.parties[0].all_wires)))
 
 
 @dataclass(frozen=True)
@@ -198,19 +199,14 @@ class OrderReport:
         return all(r <= self.tolerance for _, r in self.residuals)
 
 
-def _residual(op: LabeledOperator, *terms: tuple[float, set[str]]) -> float:
-    """Max-abs entry of op + sum_k c_k R_{X_k} op, over the terms (c_k, X_k)."""
-    out = op.as_tensor().copy()
-    for coeff, wires in terms:
-        add_replaced(out, op, wires, coeff)
-    return float(np.max(np.abs(out)))
-
-
 def _flat(op: LabeledOperator, outputs: Sequence[str], traced: Iterable[str] = ()) -> float:
     """max|prod_{o in outputs} (1 - R_o) R_X op|, taken on Tr_X op (see the module docstring)."""
     reduced = partial_trace(op, traced)
-    terms = (((-1.0) ** k, set(s)) for k in range(1, len(outputs) + 1) for s in itertools.combinations(outputs, k))
-    return _residual(reduced, *terms) / (op.total_dim // reduced.total_dim)
+    out = reduced.as_tensor().copy()
+    for k in range(1, len(outputs) + 1):
+        for s in itertools.combinations(outputs, k):
+            add_replaced(out, reduced, s, (-1.0) ** k)
+    return float(np.max(np.abs(out))) / (op.total_dim // reduced.total_dim)
 
 
 def _require_bipartite(proc: ProcessMatrix) -> tuple[PartySlot, PartySlot]:
@@ -241,31 +237,26 @@ def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityR
 
 
 def check_order(proc: ProcessMatrix, order: str, tol: float = DEFAULT_TOL) -> OrderReport:
-    """Test compatibility with a fixed signaling direction (or none).
+    """Test compatibility with a fixed causal order of the parties (or none).
 
-    ``A<B`` means the first party cannot receive from the second: W ignores
-    the second output, and the reduction over the second lab is flat on the
-    first output. ``B<A`` mirrors it; ``no-signaling`` forbids both outputs
-    from mattering.
+    ``order`` names every party once, joined by ``<`` (``A<B``, ``B<A``,
+    ``A<B<C``), or is ``no-signaling``, which puts every party last. Each
+    party's output may matter only once the labs after it are traced:
+    (1 - R_{O_k}) Tr_{labs after k} W = 0, one residual per party, last party
+    first, named "X output ignored" when no lab comes after X.
     """
-    pa, pb = _require_bipartite(proc)
-    if order not in ORDER_TOKENS:
-        raise ValueError(f"unknown order token {order!r}; expected one of {ORDER_TOKENS}")
-    w = proc.op
-    if order == "no-signaling":
-        resid = _residual(w, (-1.0, {pa.output_wire, pb.output_wire}))
-        return OrderReport(order, (("outputs ignored", resid),), tol)
-    first, second = (pa, pb) if order == "A<B" else (pb, pa)
-    r1 = _flat(w, [second.output_wire])
-    r2 = _flat(w, [first.output_wire], {second.input_wire, second.output_wire})
-    return OrderReport(
-        order,
-        (
-            (f"{second.name} output ignored", r1),
-            (f"{first.name} output flat once {second.name} is traced", r2),
-        ),
-        tol,
-    )
+    names = [p.name for p in proc.parties]
+    chain = names if order == "no-signaling" else order.split("<")
+    if sorted(chain) != sorted(names):
+        raise ValueError(f"unknown order token {order!r}; expected parties {names} joined by '<' or 'no-signaling'")
+    w, residuals = proc.op, []
+    for k in reversed(range(len(chain))):
+        party = proc.party(chain[k])
+        later = [] if order == "no-signaling" else [proc.party(n) for n in chain[k + 1 :]]
+        labs = {n for p in later for n in (p.input_wire, p.output_wire)}
+        after = f"flat once {' and '.join(p.name for p in later)} {'is' if len(later) == 1 else 'are'} traced"
+        residuals.append((f"{party.name} output {after if later else 'ignored'}", _flat(w, [party.output_wire], labs)))
+    return OrderReport(order, tuple(residuals), tol)
 
 
 def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -280,7 +271,7 @@ def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tupl
     W^{T_B} is the full transpose of W^{T_A}, so the two have the same
     eigenvalues and the same Hermiticity defect. The spectrum is computed
     once per process, always transposing the first party's wires, and kept
-    on the process as two floats; ``tol`` only decides the verdict.
+    on the process beside its Hermiticity defect; ``tol`` only decides the verdict.
     """
     _require_bipartite(proc)
     proc.party(side)  # an unknown side raises KeyError
@@ -288,10 +279,9 @@ def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tupl
         raise ValueError(
             f"wires {proc.unassigned_wires} are not assigned to a party; cut is ambiguous"
         )
-    defect, mineig = proc._cut_spectrum
-    if defect > tol:
+    if proc.hermiticity > tol:
         return (False, float("nan"))
-    return (mineig >= -tol, mineig)
+    return (proc._cut_min_eig >= -tol, proc._cut_min_eig)
 
 
 # ---------------------------------------------------------------------------

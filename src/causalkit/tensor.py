@@ -153,8 +153,11 @@ def _diagonal(tensor: np.ndarray, n: int, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def partial_trace(op, traced: Iterable[str]):
-    """Trace out the named wires of an operator or a stack, keeping the rest (and any batch axes) in order."""
+    """Trace out the named wires of an operator or a stack, keeping the rest (and any batch axes) in order;
+    with no wire named, ``op`` itself, not a copy."""
     axes = _positions(op, traced)
+    if not axes:
+        return op
     batch = op.matrix.shape[:-2]
     reduced = _diagonal(op.as_tensor(), len(op.wires), axes).sum(axis=tuple(len(batch) + i for i in axes))
     kept = tuple(w for i, w in enumerate(op.wires) if i not in axes)

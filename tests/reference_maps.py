@@ -58,8 +58,23 @@ def reference_residuals(proc) -> dict[str, dict[str, float]]:
             f"{a.name} output ignored": gap(w, r(ao)),
             f"{b.name} output flat once {a.name} is traced": gap(r(ai, ao), r(ai, ao, bo)),
         },
-        "no-signaling": {"outputs ignored": gap(w, r(ao, bo))},
+        "no-signaling": {f"{a.name} output ignored": gap(w, r(ao)), f"{b.name} output ignored": gap(w, r(bo))},
     }
+
+
+def reference_order(proc, order: str) -> dict[str, float]:
+    """max|(1 - R_{O_k}) R_{labs after k} W| for each party k of the chain ``order``
+    (``A<B<C``; ``no-signaling`` puts every party last), any number of parties, from dense R_X."""
+    w, dims, names = proc.op.matrix, proc.op.dims, proc.op.names
+    chain = [p.name for p in proc.parties] if order == "no-signaling" else order.split("<")
+    out = {}
+    for k, name in enumerate(chain):
+        later = [] if order == "no-signaling" else [proc.party(n) for n in chain[k + 1 :]]
+        m = reference_replace(w, dims, {names.index(x) for p in later for x in (p.input_wire, p.output_wire)})
+        m = m - reference_replace(m, dims, {names.index(proc.party(name).output_wire)})
+        traced = f"flat once {' and '.join(p.name for p in later)} {'is' if len(later) == 1 else 'are'} traced"
+        out[f"{name} output {traced if later else 'ignored'}"] = float(np.max(np.abs(m)))
+    return out
 
 
 def reference_components(proc) -> dict[str, float]:

@@ -528,6 +528,24 @@ class TestManifest:
         assert main(shlex.split(claim.command)[1:]) == expected
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "claim_id",
+        [
+            "process-cyril-unordered",
+            "process-cyril-separable",
+            "readout-correlation",
+            "mutation-resend-same-detected",
+            "codes-hide-marginals",
+        ],
+    )
+    def test_claim_command_prints_its_number(self, capsys, claim_id):
+        # No other command prints these rows' numbers, so each row names the manifest.
+        claim = next(c for c in CLAIMS if c.claim_id == claim_id)
+        main(shlex.split(claim.command)[1:])
+        out = capsys.readouterr().out
+        assert claim_id in out
+        assert claim.check().computed in out
+
     def test_builder_is_deterministic(self):
         a = [r.to_dict() for r in build_manifest()]
         b = [r.to_dict() for r in build_manifest()]

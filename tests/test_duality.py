@@ -105,6 +105,15 @@ class TestGates:
         assert readout_correlation_residual(2) <= 1e-12
         assert readout_correlation_residual(3) <= 1e-12
 
+    def test_readout_correlation_rejects_imaginary_mass(self, monkeypatch):
+        # A convention bug that leaves imaginary mass fails the check instead of vanishing in .real.
+        from causalkit import duality
+
+        contract = duality.batched_trace
+        monkeypatch.setattr(duality, "batched_trace", lambda *args: contract(*args) + 1e-3j)
+        with pytest.raises(ValueError, match="non-real value"):
+            readout_correlation_residual(2)
+
 
 class TestNamedStrategies:
     def test_cyril_maps_to_retrieval_at_same_value(self):

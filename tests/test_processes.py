@@ -5,7 +5,8 @@ from __future__ import annotations
 import functools
 import json
 import pickle
-from itertools import product
+from dataclasses import replace
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from causalkit.cli import PROCESS_BUILDERS
 from causalkit.games import GameStrategy, PartyArm, behaviour
 from causalkit.sampling import random_channel_choi, random_density, random_instrument, random_process
 from causalkit.tensor import LabeledOperator, WireLabel, dump_operator, kron, load_operator, permute_wires
-from reference_maps import reference_components, reference_residuals
+from reference_maps import reference_components, reference_order, reference_residuals
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -91,6 +92,15 @@ class TestCyril:
                 check_order(build_cyril(), alias)
             with pytest.raises(ValueError, match="signaling direction"):
                 channel_process(np.diag([1.0, 0.0]), identity_choi(), alias)
+
+    def test_orders_are_read_by_party_name(self):
+        # Renamed parties P and Q: "P<Q" is cyril's A<B residual for residual, and "A<B" names no party.
+        cyril = build_cyril()
+        renamed = ProcessMatrix(cyril.factors, tuple(replace(p, name=n) for p, n in zip(cyril.parties, "PQ")))
+        want = [r for _, r in check_order(cyril, "A<B").residuals]
+        assert [r for _, r in check_order(renamed, "P<Q").residuals] == want
+        with pytest.raises(ValueError, match="unknown order token 'A<B'"):
+            check_order(renamed, "A<B")
 
     def test_ppt_both_cuts(self):
         # Z and X are symmetric matrices, so the partial transpose fixes W.
@@ -241,7 +251,8 @@ class TestCutSpectrum:
         after = pickle.dumps(proc)
         # A dense 81 x 81 complex copy alone would add 105 kB.
         assert len(after) - len(before) < 100
-        assert all(type(v) is float for v in pickle.loads(after)._cut_spectrum)
+        memo = vars(pickle.loads(after))
+        assert all(type(memo[k]) is float for k in ("hermiticity", "_cut_min_eig"))
         assert proc == twin
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -275,7 +286,7 @@ class TestCutSpectrum:
             assert not ok and np.isnan(eig)
         assert len(calls) == 1
         assert herm > 1e-6
-        assert proc._cut_spectrum[0] == herm
+        assert proc.hermiticity == herm
         for side in ("A", "B"):
             pt = own_pt(proc, side)
             assert float(np.max(np.abs(pt - pt.conj().T))) == herm
@@ -289,7 +300,7 @@ class TestCutSpectrum:
         ext = extend_with_state(build_cyril(), state)
         with pytest.raises(ValueError, match="ambiguous"):
             is_ppt_cut(ext, "B")
-        assert "_cut_spectrum" not in vars(ext)
+        assert "_cut_min_eig" not in vars(ext)
 
 
 class TestPartyLayout:
@@ -491,6 +502,10 @@ def classical_process(process: ClassicalProcess3) -> ProcessMatrix:
     return ProcessMatrix(LabeledOperator(wires, np.diag(diagonal.reshape(-1))), THREE_PARTIES)
 
 
+# The causal chain A -> B -> C: each party receives its predecessor's output.
+CHAIN = ClassicalProcess3(tuple((0, o[0], o[1]) for o in product(range(2), repeat=3)))
+
+
 def edits_of_ebw() -> list[ClassicalProcess3]:
     """Every table that differs from E_BW's in exactly one of its eight entries: 8 x 7 = 56."""
     table = ebw_process().table
@@ -513,11 +528,10 @@ class TestTripartite:
 
     def test_validity_is_logical_consistency(self):
         # Every edit of E_BW is inconsistent, and so almost every random table; E_BW and the
-        # causal chain A -> B -> C, which hands each party its predecessor's output, are consistent.
+        # causal chain A -> B -> C are consistent.
         rng = np.random.default_rng(2016)
-        chain = ClassicalProcess3(tuple((0, o[0], o[1]) for o in product(range(2), repeat=3)))
         randoms = [ClassicalProcess3(tuple(map(tuple, rng.integers(0, 2, (8, 3))))) for _ in range(200)]
-        tables = [ebw_process(), chain] + edits_of_ebw() + randoms
+        tables = [ebw_process(), CHAIN] + edits_of_ebw() + randoms
         assert len(tables) == 2 + 56 + 200
         verdicts = [(validate_process(classical_process(t)).valid, is_logically_consistent(t)) for t in tables]
         assert all(valid == consistent for valid, consistent in verdicts)
@@ -533,6 +547,52 @@ class TestTripartite:
         for name, value in want.items():
             assert got[name] == pytest.approx(value, abs=1e-12), name
             assert value > 1e-6, name
+
+
+ORDERS3 = ["<".join(names) for names in permutations("ABC")] + ["no-signaling"]
+
+
+class TestTripartiteOrder:
+    """Causal order at N = 3: one condition (1 - R_{O_k}) Tr_{labs after k} W = 0 per party."""
+
+    def test_ebw_fits_no_order(self):
+        proc = classical_process(ebw_process())
+        for order in ORDERS3:
+            report = check_order(proc, order)
+            assert len(report.residuals) == 3
+            assert not report.compatible, order
+
+    def test_chain_fits_its_own_order_only(self):
+        proc = classical_process(CHAIN)
+        verdicts = {order: check_order(proc, order).compatible for order in ORDERS3}
+        assert verdicts == {order: order == "A<B<C" for order in ORDERS3}
+        assert [name for name, _ in check_order(proc, "A<B<C").residuals] == [
+            "C output ignored",
+            "B output flat once C is traced",
+            "A output flat once B and C are traced",
+        ]
+
+    @pytest.mark.parametrize("order", ORDERS3)
+    @pytest.mark.parametrize("table", [ebw_process(), CHAIN], ids=["ebw", "chain"])
+    def test_every_residual_matches_dense_reference(self, table, order):
+        proc = perturbed(classical_process(table), seed=22)
+        got = dict(check_order(proc, order).residuals)
+        want = reference_order(proc, order)
+        assert set(got) == set(want) and len(want) == 3
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, abs=1e-12), name
+            assert value > 1e-6, name
+
+    @pytest.mark.parametrize("order", ["A<B<A", "A<A<B<C", "A<B", "A<B<D", "A<B<C<D", "a<b<c", "A<B<C<", "A<<B<C"])
+    def test_order_must_name_every_party_once(self, monkeypatch, order):
+        from causalkit import processes
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reduction before the order was read")
+
+        monkeypatch.setattr(processes, "add_replaced", forbidden)
+        with pytest.raises(ValueError, match="unknown order token"):
+            check_order(classical_process(CHAIN), order)
 
 
 class TestQutritNormalization:
