@@ -22,6 +22,7 @@ summed), so no dense process or composite instrument is built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -183,11 +184,14 @@ def behaviour(strategy: GameStrategy, states=None) -> np.ndarray:
     return np.moveaxis(table, range(table.ndim - 2 * n + 1, table.ndim, 2), range(-n, 0))
 
 
+@functools.lru_cache(maxsize=64)
 def coded_pairs(d: int, wire_names: tuple[str, str]) -> OperatorStack:
-    """The d^2 coded pairs on two wires, stacked by code (x1, x2)."""
+    """The d^2 coded pairs on two wires, stacked by code (x1, x2): built once per (d, names), read-only."""
     vecs = _bell_vectors(d, range(d), range(d))
     wires = (WireLabel(wire_names[0], d), WireLabel(wire_names[1], d))
-    return OperatorStack(wires, vecs[..., :, None] * vecs.conj()[..., None, :])
+    pairs = OperatorStack(wires, vecs[..., :, None] * vecs.conj()[..., None, :])
+    pairs.matrix.flags.writeable = False
+    return pairs
 
 
 def game_terms(strategy: GameStrategy) -> dict[tuple[int, int], float]:

@@ -11,6 +11,12 @@ bookkeeping never leaks into calling code.
 Numerical policy: matrices are dense ``complex128``, Hermitian spectra go
 through ``numpy.linalg.eigvalsh`` only, and the default comparison tolerance is
 ``DEFAULT_TOL`` (absolute, entrywise).
+
+Every probability is one einsum over factor tensors (:func:`batched_trace`): a
+plan cached per operand signature (checks, subscripts, numpy's greedy path) and
+a runner that replays numpy's pairwise executor, each side's copy in one reused
+per-thread complex128 workspace, so its bits are ``np.einsum``'s. One or two
+tensors, or a step that is not one matmul of two operands, run through ``np.einsum``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import functools
 import itertools
 import math
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -247,7 +254,7 @@ class KronSum:
         terms = {p.matrix.shape[-3] for p in parts}
         if len(terms) != 1:
             raise ValueError(f"parts disagree on the term count: {sorted(terms)}")
-        _side_wires(parts, "kron sum parts")
+        _side_wires((p.wires for p in parts), "kron sum parts")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -270,29 +277,130 @@ def stack_operators(ops: Sequence[OperatorStack], shape: tuple[int, ...]) -> Ope
 
     Every member must act on the wires of the first one, in the same order,
     and have its batch shape; ``shape`` leads the batch axes of the result.
+    One member, or members that are the rows of one array in order, stack with no copy.
     """
-    first = ops[0]
+    first, n = ops[0], len(ops)
     if any(op.wires != first.wires for op in ops[1:]):
         raise ValueError(f"every stacked operator must act on the wires {first.names}, in that order")
-    mats = np.array([op.matrix for op in ops])
-    return OperatorStack(first.wires, mats.reshape(tuple(shape) + first.matrix.shape))
+    base = first.matrix[None] if n == 1 else first.matrix.base
+    if n > 1 and not (
+        isinstance(base, np.ndarray) and base.flags.c_contiguous and base.size == n * first.matrix.size
+        and all(op.matrix.__array_interface__ == row.__array_interface__
+                for op, row in zip(ops, base.reshape((n,) + first.matrix.shape)))
+    ):
+        base = np.array([op.matrix for op in ops])
+    return OperatorStack(first.wires, base.reshape(tuple(shape) + first.matrix.shape))
 
 
-def _side_wires(ops, side: str) -> dict[str, int]:
+def _side_wires(wire_tuples, side: str) -> dict[str, int]:
     wires: dict[str, int] = {}
-    for op in ops:
-        for w in op.wires:
-            if w.name in wires:
-                raise ValueError(f"wire {w.name!r} appears twice among {side}")
-            wires[w.name] = w.dim
+    for w in itertools.chain.from_iterable(wire_tuples):
+        if w.name in wires:
+            raise ValueError(f"wire {w.name!r} appears twice among {side}")
+        wires[w.name] = w.dim
     return wires
 
 
 @functools.lru_cache(maxsize=256)
-def _einsum_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
-    """Contraction order for one (subscripts, shapes) pair, planned once."""
-    blanks = [np.broadcast_to(np.zeros((), dtype=np.complex128), s) for s in shapes]
-    return np.einsum_path(subscripts, *blanks, optimize="greedy")[0]
+def _plan(n_carriers: int, operands: tuple, batch: tuple | None) -> tuple:
+    """Check and compile one operand signature of :func:`batched_trace`: (subscripts, tensor
+    shapes, numpy's path, the runner's steps, workspace entries). A failed check is not cached."""
+    carrier_wires = _side_wires([wires for _, parts in operands[:n_carriers] for wires, _ in parts], "carriers")
+    effect_wires = _side_wires([wires for _, parts in operands[n_carriers:] for wires, _ in parts], "effects")
+    unmet = sorted(set(carrier_wires) - set(effect_wires))
+    if unmet:
+        raise ValueError(f"carrier wires {unmet} meet no effect")
+    if any(effect_wires[name] != dim for name, dim in carrier_wires.items()):
+        raise ValueError("carrier/effect wire dimensions differ")
+    # A kron sum's batch axes are its parts' own, not the shared term axis.
+    shapes = [tuple(n for _, s in parts for n in s[:-3]) if kron else parts[0][1][:-2] for kron, parts in operands]
+    batch = [[(k, i) for i in range(len(s))] for k, s in enumerate(shapes)] if batch is None else batch
+    lengths: dict = {}  # label -> axis length, in order of first use
+    for labels, shape in zip(batch, shapes, strict=True):
+        for label, n in zip(labels, shape, strict=True):
+            if lengths.setdefault(label, n) != n:
+                raise ValueError(f"batch label {label!r} ties axes of lengths {lengths[label]} and {n}")
+    letters = iter(_LETTERS)
+    wires = {**carrier_wires, **effect_wires}  # carrier order, then the open wires
+    row = {name: next(letters) for name in wires}
+    col = {name: next(letters) for name in wires}
+    axis = dict(zip(lengths, letters))  # label -> einsum letter
+    subs, tensor_shapes, sizes = [], [], {}
+    for k, ((kron, parts), labels) in enumerate(zip(operands, batch)):
+        # Tr[S M] = S_rc M_cr: effect factors are indexed column-first.
+        first, second = (row, col) if k < n_carriers else (col, row)
+        # A kron sum's parts share its term axis, which is summed.
+        term, labels = next(letters) if kron else "", iter(labels)
+        for part_wires, shape in parts:
+            names = [w.name for w in part_wires]
+            lead = "".join(axis[label] for label in itertools.islice(labels, len(shape) - 2 - len(term)))
+            subs.append(lead + term + "".join(first[n] for n in names) + "".join(second[n] for n in names))
+            tensor_shapes.append(shape[:-2] + 2 * tuple(w.dim for w in part_wires))
+            sizes.update(zip(subs[-1], tensor_shapes[-1]))
+    # An open wire keeps the effect's own row, col[n], and column, row[n].
+    open_wires = list(wires)[len(carrier_wires) :]
+    out = "".join([*axis.values(), *(col[n] for n in open_wires), *(row[n] for n in open_wires)])
+    subscripts = ",".join(subs) + "->" + out
+    if len(subs) < 3:  # no order to choose: einsum's C loop takes them unplanned
+        return subscripts, tuple(tensor_shapes), False, None, 0
+    blanks = [np.broadcast_to(np.zeros((), dtype=np.complex128), s) for s in tensor_shapes]
+    path = np.einsum_path(subscripts, *blanks, optimize="greedy")[0]
+    return subscripts, tuple(tensor_shapes), path, *_steps(subs, out, sizes, path)
+
+
+def _steps(terms: list, out: str, sizes: dict, path: list) -> tuple:
+    """(steps, workspace entries) that replay numpy's pairwise executor, ``bmm_einsum``, along
+    ``path``; (None, 0) if a step is not one matmul of two operands. The bits are numpy's only
+    because this mirrors it: a step pops the higher position first, orders its product's axes by
+    (length, letter), drops axes of length 1 and lays its sides out as (batch, kept, contracted)
+    and (batch, contracted, kept), each by one einsum copy, for one matmul."""
+    steps, size = [], 0
+    for n, inds in enumerate(path[1:]):
+        inds = sorted(inds, reverse=True)
+        if len(inds) != 2:
+            return None, 0
+        a, b = (terms.pop(i) for i in inds)
+        res = out if n == len(path) - 2 else "".join(
+            sorted(set(a + b) & set(out).union(*terms), key=lambda ix: (sizes[ix], ix))
+        )
+        left, right = ([ix for ix in dict.fromkeys(t) if sizes[ix] > 1] for t in (a, b))
+        bat, con = ([ix for ix in left if ix in right and (ix in res) == kept] for kept in (True, False))
+        if not con:  # a pure multiplication
+            return None, 0
+        a_keep, b_keep = ([ix for ix in s if ix not in o and ix in res] for s, o in ((left, right), (right, left)))
+        sides, top = [], 0  # (copy's einsum or None, its workspace span and shape, matmul shape) per side
+        for term, groups in ((a, (bat, a_keep, con)), (b, (bat, con, b_keep))):
+            want = "".join(itertools.chain(*groups))
+            shape, entries = tuple(sizes[ix] for ix in want), math.prod(sizes[ix] for ix in want) * (term != want)
+            fused = tuple(math.prod(sizes[ix] for ix in g) for g in groups[0 if bat else 1 :])
+            sides.append((term != want and f"{term}->{want}", slice(top, top + entries), shape, fused))
+            top += entries
+        made = [ix for ix in res if sizes[ix] == 1] + bat + a_keep + b_keep
+        steps.append((tuple(inds), tuple(sides), tuple(sizes[ix] for ix in made), tuple(made.index(ix) for ix in res)))
+        terms.append(res)
+        size = max(size, top)
+    return tuple(steps), size
+
+
+_workspace = threading.local()  # .buf: this thread's complex128 buffer, reused by every run
+
+
+def _run(plan: tuple, tensors: list) -> np.ndarray:
+    """Execute a plan's steps, each side's copy in the workspace."""
+    subscripts, _, path, steps, size = plan
+    if steps is None:
+        return np.einsum(subscripts, *tensors, optimize=path)
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        _workspace.buf = buf = None  # drop the old buffer before the larger one is taken
+        _workspace.buf = buf = np.empty(size, dtype=np.complex128)
+    ops = list(tensors)
+    for inds, sides, shape, perm in steps:
+        pair = [ops.pop(i) for i in inds]
+        for k, (eq, at, want, fused) in enumerate(sides):
+            pair[k] = (np.einsum(eq, pair[k], out=buf[at].reshape(want)) if eq else pair[k]).reshape(fused)
+        ops.append(np.matmul(*pair).reshape(shape).transpose(perm))
+    return ops[0]
 
 
 def batched_trace(
@@ -312,51 +420,14 @@ def batched_trace(
     e.g. ``"xa"``; by default each axis has its own label. Axes with one
     label are tied, as einsum's repeated letters are: of one length, and
     only their diagonal is computed. The result's batch axes come one per
-    label, in order of first use. Wires and tied lengths are checked before
-    any arithmetic. The one einsum over the factor tensors is planned once
-    per subscripts and shapes when it has three or more; no kron, nor a kron
-    sum's dense form, is formed.
+    label, in order of first use. No kron, nor a kron sum's dense form, is
+    formed. The plan checks wires and tied lengths once per signature, before
+    any arithmetic, and the runner replays numpy's steps (module docstring).
     """
-    carrier_wires = _side_wires(carriers, "carriers")
-    effect_wires = _side_wires(effects, "effects")
-    unmet = sorted(set(carrier_wires) - set(effect_wires))
-    if unmet:
-        raise ValueError(f"carrier wires {unmet} meet no effect")
-    if any(effect_wires[name] != dim for name, dim in carrier_wires.items()):
-        raise ValueError("carrier/effect wire dimensions differ")
-    operands = [*carriers, *effects]
-    shapes = [op.batch_shape if isinstance(op, KronSum) else op.matrix.shape[:-2] for op in operands]
-    batch = [[(k, i) for i in range(len(s))] for k, s in enumerate(shapes)] if batch is None else batch
-    lengths: dict = {}  # label -> axis length, in order of first use
-    for labels, shape in zip(batch, shapes, strict=True):
-        for label, n in zip(labels, shape, strict=True):
-            if lengths.setdefault(label, n) != n:
-                raise ValueError(f"batch label {label!r} ties axes of lengths {lengths[label]} and {n}")
-    letters = iter(_LETTERS)
-    wires = {**carrier_wires, **effect_wires}  # carrier order, then the open wires
-    row = {name: next(letters) for name in wires}
-    col = {name: next(letters) for name in wires}
-    axis = dict(zip(lengths, letters))  # label -> einsum letter
-    subs, tensors = [], []
-    for k, (op, labels) in enumerate(zip(operands, batch)):
-        # Tr[S M] = S_rc M_cr: effect factors are indexed column-first.
-        first, second = (row, col) if k < len(carriers) else (col, row)
-        # A kron sum's parts share its term axis, which is summed.
-        parts, term = (op.parts, next(letters)) if isinstance(op, KronSum) else ((op,), "")
-        labels = iter(labels)
-        for part in parts:
-            shape, names = part.matrix.shape[:-2], part.names
-            lead = "".join(axis[label] for label in itertools.islice(labels, len(shape) - len(term)))
-            subs.append(lead + term + "".join(first[n] for n in names) + "".join(second[n] for n in names))
-            tensors.append(part.as_tensor())
-    # An open wire keeps the effect's own row, col[n], and column, row[n].
-    open_wires = list(wires)[len(carrier_wires) :]
-    subscripts = ",".join(subs) + "->" + "".join(
-        [*axis.values(), *(col[n] for n in open_wires), *(row[n] for n in open_wires)]
-    )
-    # Two tensors leave no order to choose: einsum's C loop takes them unplanned.
-    plan = len(tensors) > 2 and _einsum_plan(subscripts, tuple(t.shape for t in tensors))
-    return np.einsum(subscripts, *tensors, optimize=plan)
+    kinds = [(isinstance(op, KronSum), op.parts if isinstance(op, KronSum) else (op,)) for op in (*carriers, *effects)]
+    signature = tuple((kron, tuple((p.wires, p.matrix.shape) for p in parts)) for kron, parts in kinds)
+    plan = _plan(len(carriers), signature, None if batch is None else tuple(map(tuple, batch)))
+    return _run(plan, [p.matrix.reshape(s) for p, s in zip((p for _, parts in kinds for p in parts), plan[1])])
 
 
 def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
@@ -365,22 +436,22 @@ def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
     ``u`` is indexed by the named wires in the operator's own wire order.
     Takes a :class:`LabeledOperator` or an :class:`OperatorStack` and returns
     the same type; a stack of unitaries, shaped batch + (D_u, D_u), gives a
-    stack led by that batch. U acts on the named wires' axes of the tensor
-    form, rows then columns, one matrix product each, with no dense conjugator.
+    stack led by that batch. Adjacent named wires split each index into
+    (left, t, right), so U is two broadcast matmuls on reshaped views, U on
+    the rows and conj(U) on the columns; other wires are permuted together first.
     """
     targets = _positions(op, names)
+    if targets != tuple(range(targets[0], targets[0] + len(targets))):
+        named, rest = [op.names[i] for i in targets], [n for i, n in enumerate(op.names) if i not in targets]
+        moved = permute_wires(op, rest[: targets[0]] + named + rest[targets[0] :])
+        return permute_wires(conjugate_wires(moved, u, named), op.names)
     u = np.asarray(u, dtype=np.complex128)
-    lead, u = u.shape[:-2], u.reshape((-1,) + u.shape[-2:])
-    dims = op.dims
-    nb, n, nt, t = op.matrix.ndim - 2, len(dims), len(targets), math.prod(dims[i] for i in targets)
-    rows, cols = [1 + nb + i for i in targets], [1 + nb + n + i for i in targets]
-    # Rows: U @ (named row axes, every other axis).
-    moved = np.moveaxis(op.as_tensor(), [r - 1 for r in rows], range(nt))
-    out = np.moveaxis((u @ moved.reshape(t, -1)).reshape((len(u),) + moved.shape), range(1, nt + 1), rows)
-    # Columns: (every other axis, named column axes) @ U^dag.
-    moved = np.moveaxis(out, cols, range(-nt, 0))
-    out = (moved.reshape(len(u), -1, t) @ u.conj().swapaxes(-1, -2)).reshape(moved.shape)
-    out = np.moveaxis(out, range(-nt, 0), cols).reshape(lead + op.matrix.shape)
+    lead, batch, side = u.shape[:-2], op.matrix.shape[:-2], op.total_dim
+    left, t = math.prod(op.dims[: targets[0]]), math.prod(op.dims[i] for i in targets)
+    u = u.reshape((-1,) + (1,) * (len(batch) + 1) + u.shape[-2:])
+    out = u @ op.matrix.reshape(batch + (left, t, side * side // (left * t)))  # rows
+    out = u.conj() @ out.reshape((len(u),) + batch + (side * left, t, side // (left * t)))  # columns
+    out = out.reshape(lead + op.matrix.shape)
     return OperatorStack(op.wires, out) if lead else type(op)(op.wires, out)
 
 

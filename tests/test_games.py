@@ -567,10 +567,77 @@ class TestTiedContraction:
         def contracted(*args):
             raise AssertionError("contracted before the tied lengths were checked")
 
-        monkeypatch.setattr(tensor, "_einsum_plan", contracted)
-        monkeypatch.setattr(tensor.np, "einsum", contracted)
+        for name in ("einsum_path", "einsum", "matmul"):
+            monkeypatch.setattr(tensor.np, name, contracted)
         with pytest.raises(ValueError, match=f"ties axes of lengths {d} and {d + 1}"):
             batched_trace([carrier], [effect], ["x", "x"])
+
+
+try:
+    from numpy._core import einsumfunc as _einsumfunc
+except ImportError:  # numpy 1.x
+    _einsumfunc = None
+# numpy 2.4's einsum contracts each pair of a path by matmul, the steps the runner replays.
+PAIRS_BY_MATMUL = hasattr(_einsumfunc, "bmm_einsum")
+
+
+def _spy_runs(monkeypatch) -> tuple:
+    """The runner, and the list it records every (plan, tensors) into that ``batched_trace`` hands it."""
+    from causalkit import tensor
+
+    run, seen = tensor._run, []
+    monkeypatch.setattr(tensor, "_run", lambda plan, tensors: seen.append((plan, tensors)) or run(plan, tensors))
+    return run, seen
+
+
+class TestCompiledContraction:
+    """The runner replays np.einsum's pairwise steps into its workspace, so it
+    returns np.einsum's bits; a step that is not one matmul leaves the whole
+    contraction to np.einsum. On a numpy whose einsum does not contract pairs
+    by matmul there are no such bits to match, and the comparison is to 16 ulp
+    of the largest entry instead."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_runner_gives_einsums_bits(self, monkeypatch, d):
+        run, seen = _spy_runs(monkeypatch)
+        for strategy in _seeded_strategies(d, 23).values():
+            game_terms(strategy)
+            behaviour(strategy, coded_pairs(d, strategy.state_wires) if strategy.state_wires else None)
+            for arm in strategy.parties:
+                assert arm.instruments[0].terms.matrix.ndim == 3
+        assert sum(plan[3] is not None for plan, _ in seen) >= 8
+        for plan, tensors in seen:
+            got = np.ascontiguousarray(run(plan, tensors))
+            want = np.ascontiguousarray(np.einsum(plan[0], *tensors, optimize=plan[2]))
+            if PAIRS_BY_MATMUL:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), plan[0]
+            else:
+                # Another numpy sums each pair in its own order. On this path, a
+                # per-pair c_einsum replay differed by up to 8 ulp of the largest entry.
+                assert np.abs(got - want).max() <= 16 * np.spacing(np.abs(want).max()), plan[0]
+
+    def test_pure_multiplication_falls_back(self, monkeypatch):
+        # The readout contraction has a step with nothing contracted, which
+        # numpy runs as a multiplication, not a matmul.
+        from causalkit import duality
+
+        _, seen = _spy_runs(monkeypatch)
+        duality.readout_correlation_residual(2)
+        ((plan, _),) = seen
+        assert plan[2] is not False and plan[3] is None
+
+    def test_warm_d4_translation_stays_small(self):
+        # einsum's own transposed copies and a re-copied stack of the
+        # conjugated arm would take 6.0 MB here.
+        strategy = dr_to_gyni(random_dr_strategy(np.random.default_rng([1, 0]), 4))
+        game_value(strategy)  # plans made and the workspace taken
+        tracemalloc.start()
+        try:
+            game_value(strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
 
 
 def _imaginary(arm: PartyArm) -> PartyArm:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 from itertools import product
 
@@ -210,6 +211,24 @@ class TestConjugation:
         assert len(stacked) == 3
         for got, u in zip(stacked, us):
             assert np.array_equal(got.terms.matrix, conjugate_instrument(ins, u, ("A",)).terms.matrix)
+
+    def test_stacked_members_stack_without_a_copy(self):
+        # A stacked conjugation's members are the rows of one array, so their
+        # stack is a view of it; in another order they are copied.
+        rng = np.random.default_rng(46)
+        wires = (WireLabel("A", 3), WireLabel("A_I", 3), WireLabel("A_O", 3))
+        ins = random_instrument(rng, wires[:2], wires[2:], 3)
+        members = conjugate_instrument(ins, np.stack([np.eye(3), np.roll(np.eye(3), 1, axis=0)]), ("A",))
+        lasts = [m.terms.parts[-1].matrix for m in members]
+        stacked = stack_instruments(members).parts[-1].matrix
+        assert all(np.shares_memory(stacked, last) for last in lasts)
+        assert np.array_equal(stacked, np.array(lasts))
+        swapped = stack_instruments(members[::-1]).parts[-1].matrix
+        assert not np.shares_memory(swapped, lasts[0])
+        assert np.array_equal(swapped, np.array(lasts[::-1]))
+        # Unpickled members keep their bytes in a buffer that is not an array.
+        unpickled = stack_instruments(pickle.loads(pickle.dumps(members))).parts[-1].matrix
+        assert np.array_equal(unpickled, stacked)
 
     def test_every_stacked_unitary_checked(self):
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
