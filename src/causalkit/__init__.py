@@ -1,10 +1,11 @@
 """causalkit: process matrices, causal-order tests, and retrieval games.
 
-The package builds and validates bipartite process matrices over labeled
-tensor wires, evaluates two classically scored games on them (mutual input
-guessing and coded-state retrieval), translates strategies between the games
-in both directions with certified value preservation, and enumerates the
-classical tripartite counterparts with exact rationals.
+The package builds process matrices over labeled tensor wires and checks
+their validity and causal order for any number of parties, evaluates two
+classically scored two-party games on them (mutual input guessing and
+coded-state retrieval), translates strategies between the games in both
+directions with certified value preservation, and enumerates the classical
+tripartite counterparts with exact rationals.
 """
 
 from .tensor import (
@@ -45,13 +46,13 @@ from .processes import (
 from .instruments import (
     Instrument,
     InstrumentReport,
+    PartyArm,
     choi_of_unitary,
     coarse_grain,
     conjugate_instrument,
     extend_instrument_with_measurement,
     identity_channel_instrument,
     measure_prepare_instrument,
-    stack_instruments,
     validate_instrument,
 )
 from .games import (
@@ -61,7 +62,6 @@ from .games import (
     LOCC_RETRIEVAL_BOUND,
     BellCode,
     GameStrategy,
-    PartyArm,
     bell_state,
     bell_vector,
     behaviour,

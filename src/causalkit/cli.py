@@ -576,7 +576,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"CAUSALKIT_TOL must be a float, got {tol_env!r}")
     if not (np.isfinite(tol) and tol > 0):
         parser.error(f"CAUSALKIT_TOL must be finite and positive, got {tol_env!r}")
-    return args.func(args, args.parser, tol)
+    try:
+        return args.func(args, args.parser, tol)
+    except MemoryError as exc:  # a dimension too large to allocate is a usage error
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -15,9 +15,9 @@ Every probability of a game comes from one factored contraction of
 ``Tr[(W (x) state) (M_A (x) M_B)]``, wire by wire, so no joint kron is formed:
 :func:`behaviour` over every input, outcome and code, and :func:`game_terms` over
 only the d^2 winning entries, each outcome axis tied to the symbol it guesses.
-The process enters as its factors and each party's instruments as the parts
-of their :class:`~causalkit.tensor.KronSum` (whose shared term index is
-summed), so no dense process or composite instrument is built.
+The process enters as its factors and each party's arm as the parts of its
+:attr:`~causalkit.instruments.PartyArm.stack`, stacked when the arm was built
+(its shared term index is summed), so no dense process or instrument is built.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import numpy as np
 
 from .instruments import (
     Instrument,
+    PartyArm,
     choi_of_unitary,
     identity_channel_instrument,
     measure_prepare_instrument,
-    stack_instruments,
 )
 from .processes import (
     ProcessMatrix, _require_bipartite, build_cyril, channel_process, lab_wires, maximally_mixed_process,
@@ -87,19 +87,6 @@ def bell_state(code: BellCode, wire_names: tuple[str, str] = ("A", "B")) -> Labe
 
 
 @dataclass(frozen=True)
-class PartyArm:
-    """One player's equipment: an instrument per classical input (one entry
-    for the retrieval game, where the only input is the code wire)."""
-
-    instruments: tuple[Instrument, ...]
-
-    def __post_init__(self) -> None:
-        if not self.instruments:
-            raise ValueError("an arm needs at least one instrument")
-        object.__setattr__(self, "instruments", tuple(self.instruments))
-
-
-@dataclass(frozen=True)
 class GameStrategy:
     """A process and one arm per party: arm i belongs to process party i.
 
@@ -122,7 +109,7 @@ class GameStrategy:
             raise ValueError("strategy must equip every process party")
         on_process, code_wires, owner = set(self.process.names), [], {}
         for arm, slot in zip(self.parties, self.process.parties):
-            acted = dict.fromkeys(w.name for ins in arm.instruments for w in ins.wires)
+            acted = [w.name for w in arm.stack.wires]
             foreign = [n for n in acted if n in on_process and n not in slot.all_wires]
             if foreign:
                 raise ValueError(f"arm of party {slot.name!r} acts on process wires {foreign} it does not hold")
@@ -130,11 +117,11 @@ class GameStrategy:
             for name in code_wires[-1]:
                 if owner.setdefault(name, slot.name) != slot.name:
                     raise ValueError(f"parties {owner[name]!r} and {slot.name!r} both act on code wire {name!r}")
-        counts = {len(arm.instruments) for arm in self.parties}
+        counts = {arm.stack.batch_shape[0] for arm in self.parties}
         if len(counts) != 1:
             raise ValueError("parties disagree on the number of classical inputs")
         (d,) = counts
-        outcomes = {ins.n_outcomes for arm in self.parties for ins in arm.instruments}
+        outcomes = {arm.stack.batch_shape[1] for arm in self.parties}
         if owner:
             for slot, wires in zip(self.process.parties, code_wires):
                 if len(wires) != 1:
@@ -156,10 +143,9 @@ def _probabilities(strategy: GameStrategy, states=None, batch=None) -> np.ndarra
     unfilled = [n for n in strategy.state_wires if states is None or n not in states.names]
     if unfilled:
         raise ValueError(f"code wires {unfilled} hold no state")
-    arms = [stack_instruments(arm.instruments) for arm in strategy.parties]
     carriers = [*strategy.process.factors, *([] if states is None else [states])]
     batch = batch and [""] * len(strategy.process.factors) + batch
-    return _real(batched_trace(carriers, arms, batch))
+    return _real(batched_trace(carriers, [arm.stack for arm in strategy.parties], batch))
 
 
 def _real(table: np.ndarray) -> np.ndarray:

@@ -20,15 +20,15 @@ that reads out two ancilla wires before a selected inner instrument
 (:func:`extend_instrument_with_measurement`) has two parts: branch k is
 sum_m R[m] (x) S[k, m], a readout stack R by term m and a branch stack S by
 (outcome k, term m). It therefore costs one small (outcome, readout) gather
-instead of a dense block of side d^2 D per branch, and game contractions
-take the parts as they are (:func:`stack_instruments`). The dense operators,
-:attr:`Instrument.ops`, are built only when read, e.g. by
-:func:`validate_instrument`.
+instead of a dense block of side d^2 D per branch. A :class:`PartyArm` stacks
+its family, one instrument per classical input, once, and game contractions
+take that stack's parts as they are. The dense operators,
+:attr:`Instrument.ops`, are built only when read, e.g. by :func:`validate_instrument`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +102,42 @@ class Instrument:
 
     def wire(self, name: str) -> WireLabel:
         return _find_wire(self.wires, name)
+
+
+@dataclass(frozen=True)
+class PartyArm:
+    """One player's equipment: an instrument per classical input (one entry
+    for the retrieval game, where the only input is the code wire).
+
+    :attr:`stack` holds the family by (input, outcome), checked and stacked
+    once, here: members share every part but the last and their outcome count,
+    and their last parts share wires in one order (:func:`stack_operators`).
+    A pickled or copied arm carries its instruments alone and restacks them.
+    """
+
+    instruments: tuple[Instrument, ...]
+    stack: KronSum = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        family = tuple(self.instruments)
+        if not family:
+            raise ValueError("an arm needs at least one instrument")
+        counts = {ins.n_outcomes for ins in family}
+        if len(counts) != 1:
+            raise ValueError(f"instruments disagree on the outcome count: {sorted(counts)}")
+        shared = family[0].terms.parts[:-1]
+        for ins in family[1:]:
+            parts = ins.terms.parts[:-1]
+            if len(parts) != len(shared) or any(
+                a.wires != b.wires or not np.array_equal(a.matrix, b.matrix) for a, b in zip(parts, shared)
+            ):
+                raise ValueError("instruments in a family must share one readout")
+        lasts = [ins.terms.parts[-1] for ins in family]
+        object.__setattr__(self, "instruments", family)
+        object.__setattr__(self, "stack", KronSum(shared + (stack_operators(lasts, (len(lasts),)),)))
+
+    def __reduce__(self):
+        return PartyArm, (self.instruments,)
 
 
 @dataclass(frozen=True)
@@ -252,7 +288,7 @@ def extend_instrument_with_measurement(
     with d the dimension of the padding wire ``measured_wires[1 - selector]``.
 
     :param family: inner instruments, indexed by the selected measured symbol;
-        all must be valid at ``DEFAULT_TOL``, share wires and have d outcomes
+        a :class:`PartyArm`'s family, each valid at ``DEFAULT_TOL`` with d outcomes
     :param pre_unitary: applied to the two measured wires before the
         computational-basis readout (effective projectors U†|m1 m2><m1 m2|U)
     :param measured_wires: the two fresh wires being measured
@@ -262,20 +298,15 @@ def extend_instrument_with_measurement(
     """
     if selector not in (0, 1):
         raise ValueError("selector must be 0 or 1")
-    family = list(family)
-    if not family:
-        raise ValueError("need at least one inner instrument")
+    arm = PartyArm(family)
     w1, w2 = measured_wires
     sel_dim, d = (w1.dim, w2.dim)[selector], (w1.dim, w2.dim)[1 - selector]
-    if len(family) != sel_dim:
-        raise ValueError(f"family size {len(family)} must match the selector wire dimension {sel_dim}")
-    base = family[0]
-    for k, ins in enumerate(family):
-        if ins.n_outcomes != d:
-            raise ValueError(f"inner instrument {k} needs {d} outcomes, one per padding symbol")
-        if ins.wires != base.wires:
-            raise ValueError("inner instruments must share identical wires")
-    inner = np.stack([ins.terms.matrix for ins in family])
+    members, outcomes = arm.stack.batch_shape
+    if members != sel_dim:
+        raise ValueError(f"family size {members} must match the selector wire dimension {sel_dim}")
+    if outcomes != d:
+        raise ValueError(f"every inner instrument needs {d} outcomes, one per padding symbol; got {outcomes}")
+    base, inner = arm.instruments[0], arm.stack.matrix
     for k, report in enumerate(_reports(base, inner, DEFAULT_TOL)):
         if not report.valid:
             raise ValueError(
@@ -291,28 +322,6 @@ def extend_instrument_with_measurement(
     branches = inner[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
     readout = _readout_projectors(u, (w1, w2))
     return Instrument(KronSum((readout, OperatorStack(base.wires, branches))), base.output_wires)
-
-
-def stack_instruments(family: Sequence[Instrument]) -> KronSum:
-    """CJ operators of an instrument family, stacked by (member, outcome).
-
-    The stack stays factored: members must share every part but the last,
-    which is stacked once, and their outcome count; the last parts are
-    stacked by member (:func:`stack_operators`), so they must share wires in
-    one order.
-    """
-    counts = {ins.n_outcomes for ins in family}
-    if len(counts) != 1:
-        raise ValueError(f"instruments disagree on the outcome count: {sorted(counts)}")
-    shared = family[0].terms.parts[:-1]
-    for ins in family[1:]:
-        parts = ins.terms.parts[:-1]
-        if len(parts) != len(shared) or any(
-            a.wires != b.wires or not np.array_equal(a.matrix, b.matrix) for a, b in zip(parts, shared)
-        ):
-            raise ValueError("instruments in a family must share one readout")
-    lasts = [ins.terms.parts[-1] for ins in family]
-    return KronSum(shared + (stack_operators(lasts, (len(lasts),)),))
 
 
 def coarse_grain(ins: Instrument, grouping: Sequence[int], n_outcomes: int) -> Instrument:

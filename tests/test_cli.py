@@ -474,6 +474,15 @@ class TestDump:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_oversized_dimension_is_usage_error(self, capsys):
+        # d = 10^7 asks numpy for 1.42 PiB, past any address space, so the
+        # allocation fails at once and no memory is touched.
+        with pytest.raises(SystemExit) as exc:
+            main(["dump", "--object", "bell:0,0,10000000"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "causalkit dump: error: Unable to allocate" in err
+
 
 class TestManifest:
     def test_manifest_passes(self, capsys):

@@ -550,6 +550,22 @@ class TestTiedContraction:
                 assert abs(p - wins[key]) <= 1e-12, name
 
     @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scoring_stacks_no_arm(self, monkeypatch, d):
+        # Every arm is stacked when it is built; scoring only reads the stacks.
+        from causalkit import instruments, tensor
+
+        strategies = _seeded_strategies(d, 3)
+
+        def stacked(*args):
+            raise AssertionError("an instrument family was stacked while scoring")
+
+        for module in (instruments, tensor):
+            monkeypatch.setattr(module, "stack_operators", stacked)
+        for strategy in strategies.values():
+            codes = coded_pairs(d, strategy.state_wires) if strategy.state_wires else None
+            game_value(strategy), game_terms(strategy), behaviour(strategy, codes)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_eigenvalues_match_each_branch(self, d):
         for strategy in _seeded_strategies(d, 2).values():
             for ins in (ins for arm in strategy.parties for ins in arm.instruments):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 import re
 from itertools import product
@@ -12,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from causalkit.instruments import (
     Instrument,
+    PartyArm,
     choi_of_unitary,
     coarse_grain,
     conjugate_instrument,
     extend_instrument_with_measurement,
     identity_channel_instrument,
     measure_prepare_instrument,
-    stack_instruments,
     validate_instrument,
 )
 from causalkit.duality import gyni_to_dr
@@ -220,14 +221,14 @@ class TestConjugation:
         ins = random_instrument(rng, wires[:2], wires[2:], 3)
         members = conjugate_instrument(ins, np.stack([np.eye(3), np.roll(np.eye(3), 1, axis=0)]), ("A",))
         lasts = [m.terms.parts[-1].matrix for m in members]
-        stacked = stack_instruments(members).parts[-1].matrix
+        stacked = PartyArm(members).stack.parts[-1].matrix
         assert all(np.shares_memory(stacked, last) for last in lasts)
         assert np.array_equal(stacked, np.array(lasts))
-        swapped = stack_instruments(members[::-1]).parts[-1].matrix
+        swapped = PartyArm(members[::-1]).stack.parts[-1].matrix
         assert not np.shares_memory(swapped, lasts[0])
         assert np.array_equal(swapped, np.array(lasts[::-1]))
         # Unpickled members keep their bytes in a buffer that is not an array.
-        unpickled = stack_instruments(pickle.loads(pickle.dumps(members))).parts[-1].matrix
+        unpickled = PartyArm(pickle.loads(pickle.dumps(members))).stack.parts[-1].matrix
         assert np.array_equal(unpickled, stacked)
 
     def test_every_stacked_unitary_checked(self):
@@ -292,8 +293,8 @@ class TestComposition:
             )
 
     def test_one_dense_stack_per_member(self, monkeypatch):
-        # Each member's stack is built once and both validated and gathered
-        # (6 reads for 3 members when validation built its own).
+        # The family's dense stack is read once, from its arm, and both
+        # validated and gathered (3 reads when each member built its own).
         qutrits = (WireLabel("A_I", 3),), (WireLabel("A_O", 3),)
         family = [random_instrument(np.random.default_rng(30 + k), *qutrits, 3) for k in range(3)]
         reads = []
@@ -305,7 +306,7 @@ class TestComposition:
 
         monkeypatch.setattr(KronSum, "matrix", property(counted))
         extend_instrument_with_measurement(family, np.eye(9), (WireLabel("A", 3), WireLabel("A'", 3)), 0)
-        assert len(reads) == 3
+        assert len(reads) == 1
 
     def test_family_size_must_match_selector_dim(self):
         with pytest.raises(ValueError, match="selector wire dimension"):
@@ -319,19 +320,19 @@ class TestComposition:
     def test_stack_by_member_and_outcome(self):
         rng = np.random.default_rng(191)
         family = [random_instrument(rng, (A_IN,), (A_OUT,), 3) for _ in range(2)]
-        stack = stack_instruments(family)
+        stack = PartyArm(family).stack
         assert stack.matrix.shape == (2, 3, 4, 4)
         np.testing.assert_array_equal(stack.matrix[1, 2], family[1].ops[2].matrix)
         forced = identity_channel_instrument(A_IN, A_OUT, forced_outcome=0, n_outcomes=2)
         with pytest.raises(ValueError, match="outcome count"):
-            stack_instruments([family[0], forced])
+            PartyArm([family[0], forced])
 
     def test_stack_rejects_another_wire_order(self):
         ins = random_instrument(np.random.default_rng(192), (A_IN,), (A_OUT,), 2)
         swapped = tuple(permute_wires(op, ["A_O", "A_I"]) for op in ins.ops)
         member = Instrument(swapped, ins.output_wires)
         with pytest.raises(ValueError, match="in that order"):
-            stack_instruments([ins, member])
+            PartyArm([ins, member])
 
     def test_coarse_graining_stays_valid(self):
         rng = np.random.default_rng(5)
@@ -342,6 +343,64 @@ class TestComposition:
         np.testing.assert_allclose(
             sum(op.matrix for op in merged.ops), sum(op.matrix for op in ins.ops), atol=1e-12
         )
+
+
+def _families(d: int) -> dict[str, list[Instrument]]:
+    """Seeded d-member families: plain instruments on (A_I, A_O), and
+    read-out composites that share one readout, conjugated on A_I."""
+    rng = np.random.default_rng([600, d])
+    w_in, w_out = WireLabel("A_I", d), WireLabel("A_O", d)
+    plain = [random_instrument(rng, (w_in,), (w_out,), d) for _ in range(d)]
+    u, _ = np.linalg.qr(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
+    composite = extend_instrument_with_measurement(plain, u, (WireLabel("A", d), WireLabel("A'", d)), 0)
+    shifts = np.stack([np.linalg.matrix_power(np.roll(np.eye(d), 1, axis=0), i) for i in range(d)])
+    return {"plain": plain, "readout": list(conjugate_instrument(composite, shifts, ("A_I",)))}
+
+
+class TestPartyArm:
+    """An arm checks and stacks its family once, when built."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["plain", "readout"])
+    def test_stack_entries_are_the_members_branches(self, d, kind):
+        arm = PartyArm(_families(d)[kind])
+        assert len(arm.stack.parts) == (1 if kind == "plain" else 2)
+        stack = arm.stack.matrix
+        assert stack.shape[:2] == (d, d)
+        for i, ins in enumerate(arm.instruments):
+            for k, op in enumerate(ins.ops):
+                assert np.array_equal(stack[i, k], op.matrix), (i, k)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["plain", "readout"])
+    def test_pickle_and_copy_carry_the_instruments_once(self, d, kind):
+        arm = PartyArm(_families(d)[kind])
+        data = pickle.dumps(arm)
+        # The stack is rebuilt on load, not pickled: at most a fixed overhead
+        # over the instruments' own pickle.
+        assert len(data) <= len(pickle.dumps(arm.instruments)) + 200
+        for loaded in (pickle.loads(data), copy.deepcopy(arm)):
+            assert len(loaded.stack.parts) == len(arm.stack.parts)
+            for got, want in zip(loaded.stack.parts, arm.stack.parts):
+                assert got.wires == want.wires
+                assert np.array_equal(got.matrix, want.matrix)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mismatched_families_raise_when_built(self, d):
+        families = _families(d)
+        plain, readout = families["plain"], families["readout"]
+        w_in, w_out = plain[0].wire("A_I"), plain[0].wire("A_O")
+        fewer = random_instrument(np.random.default_rng([601, d]), (w_in,), (w_out,), d - 1)
+        with pytest.raises(ValueError, match="outcome count"):
+            PartyArm([*plain[1:], fewer])
+        swapped = Instrument(tuple(permute_wires(op, ["A_O", "A_I"]) for op in plain[0].ops), ("A_O",))
+        with pytest.raises(ValueError, match="in that order"):
+            PartyArm([plain[1], swapped])
+        other = extend_instrument_with_measurement(plain, np.eye(d * d), (WireLabel("A", d), WireLabel("A'", d)), 0)
+        with pytest.raises(ValueError, match="share one readout"):
+            PartyArm([readout[0], other])
+        with pytest.raises(ValueError, match="share one readout"):
+            PartyArm([readout[0], plain[0]])
 
 
 def _kron_composite(family, u, measured, selector):
@@ -426,12 +485,12 @@ class TestFactoredComposite:
 
     def test_stack_shares_the_readout(self):
         a, _ = self._composite(2, "pad")
-        stack = stack_instruments([a, a])
+        stack = PartyArm([a, a]).stack
         assert stack.batch_shape == (2, 2)
         np.testing.assert_allclose(stack.matrix[1, 0], a.ops[0].matrix, atol=1e-12)
         b, _ = self._composite(2, "pad", seed=1)
         with pytest.raises(ValueError, match="readout"):
-            stack_instruments([a, b])
+            PartyArm([a, b])
 
     def test_plain_instrument_is_one_term(self):
         rng = np.random.default_rng(7)
@@ -495,7 +554,7 @@ class TestInputChecks:
             ),
             pytest.param(
                 lambda: extend_instrument_with_measurement([], np.eye(4), MEASURED, 0),
-                "at least one inner instrument",
+                "an arm needs at least one instrument",
                 id="empty-family",
             ),
             pytest.param(
@@ -505,7 +564,7 @@ class TestInputChecks:
                     MEASURED,
                     0,
                 ),
-                "share identical wires",
+                "every stacked operator must act on the wires ('A_I', 'A_O'), in that order",
                 id="family-wires",
             ),
             pytest.param(lambda: coarse_grain(_passes()[0], [0], 1), "relabel every outcome", id="grouping-size"),
