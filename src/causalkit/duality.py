@@ -186,7 +186,7 @@ def gyni_to_dr(strategy: GameStrategy) -> GameStrategy:
     arms = []
     for selector, (arm, code) in enumerate(zip(strategy.parties, ("A", "B"))):
         wires = (WireLabel(code, d), WireLabel(f"{code}'", d))
-        ins = extend_instrument_with_measurement(arm.instruments, readouts[selector], wires, selector)
+        ins = extend_instrument_with_measurement(arm, readouts[selector], wires, selector)
         arms.append(PartyArm((ins,)))
     return GameStrategy(extended, tuple(arms))
 

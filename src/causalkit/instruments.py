@@ -21,8 +21,9 @@ that reads out two ancilla wires before a selected inner instrument
 sum_m R[m] (x) S[k, m], a readout stack R by term m and a branch stack S by
 (outcome k, term m). It therefore costs one small (outcome, readout) gather
 instead of a dense block of side d^2 D per branch. A :class:`PartyArm` stacks
-its family, one instrument per classical input, once, and game contractions
-take that stack's parts as they are. The dense operators,
+its family, one instrument per classical input, once; game contractions
+take that stack's parts as they are, and the composer takes the source arm
+and gathers from its stack. The dense operators,
 :attr:`Instrument.ops`, are built only when read, e.g. by :func:`validate_instrument`.
 """
 
@@ -229,9 +230,7 @@ def measure_prepare_instrument(
     d = in_wire.dim
     if len(basis) != d:
         raise ValueError(f"basis must have {d} vectors, got {len(basis)}")
-    bmat = np.column_stack([np.asarray(b, dtype=complex) for b in basis])
-    if bmat.shape != (d, d) or np.max(np.abs(bmat.conj().T @ bmat - np.eye(d))) > DEFAULT_TOL:
-        raise ValueError("measurement family is not an orthonormal basis")
+    _unitary(np.column_stack(basis), d, "measurement basis (orthonormal columns)")
     ops = []
     for b, p in zip(basis, preparations):
         p = np.asarray(p, dtype=complex)
@@ -276,7 +275,7 @@ def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
 
 
 def extend_instrument_with_measurement(
-    family: Sequence[Instrument],
+    arm: PartyArm,
     pre_unitary: np.ndarray,
     measured_wires: tuple[WireLabel, WireLabel],
     selector: int,
@@ -287,8 +286,9 @@ def extend_instrument_with_measurement(
     Outcome k of member ``m[selector]`` becomes (k + m[1 - selector]) mod d,
     with d the dimension of the padding wire ``measured_wires[1 - selector]``.
 
-    :param family: inner instruments, indexed by the selected measured symbol;
-        a :class:`PartyArm`'s family, each valid at ``DEFAULT_TOL`` with d outcomes
+    :param arm: the source :class:`PartyArm`; its family, checked and stacked
+        when the arm was built, holds the inner instruments, indexed by the
+        selected measured symbol, each valid at ``DEFAULT_TOL`` with d outcomes
     :param pre_unitary: applied to the two measured wires before the
         computational-basis readout (effective projectors U†|m1 m2><m1 m2|U)
     :param measured_wires: the two fresh wires being measured
@@ -298,7 +298,6 @@ def extend_instrument_with_measurement(
     """
     if selector not in (0, 1):
         raise ValueError("selector must be 0 or 1")
-    arm = PartyArm(family)
     w1, w2 = measured_wires
     sel_dim, d = (w1.dim, w2.dim)[selector], (w1.dim, w2.dim)[1 - selector]
     members, outcomes = arm.stack.batch_shape

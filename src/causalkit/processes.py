@@ -369,7 +369,7 @@ def shared_state_process(rho: np.ndarray) -> ProcessMatrix:
     """
     rho = np.asarray(rho, dtype=complex)
     (ai, ao), (bi, bo) = lab_wires(math.isqrt(rho.shape[0]))
-    return party_process(LabeledOperator((ai, bi), rho), identity_operator((ao, bo)))
+    return party_process(_require_state(LabeledOperator((ai, bi), rho)), identity_operator((ao, bo)))
 
 
 def channel_process(rho_in: np.ndarray, channel_choi: np.ndarray, direction: str = "A<B") -> ProcessMatrix:
@@ -385,11 +385,22 @@ def channel_process(rho_in: np.ndarray, channel_choi: np.ndarray, direction: str
     rho_in = np.asarray(rho_in, dtype=complex)
     labs = lab_wires(rho_in.shape[0])
     (first_in, first_out), (second_in, second_out) = labs if direction == "A<B" else labs[::-1]
-    return party_process(
-        LabeledOperator((first_in,), rho_in),
-        LabeledOperator((first_out, second_in), np.asarray(channel_choi, dtype=complex)),
-        identity_operator((second_out,)),
-    )
+    state = _require_state(LabeledOperator((first_in,), rho_in))
+    choi = LabeledOperator((first_out, second_in), np.asarray(channel_choi, dtype=complex))
+    _require_state(choi, "channel Choi operator", first_out.dim)
+    if np.max(np.abs(partial_trace(choi, {second_in.name}).matrix - np.eye(first_out.dim))) > DEFAULT_TOL:
+        raise ValueError("channel is not trace preserving (Tr over the second input of its Choi operator != I)")
+    return party_process(state, choi, identity_operator((second_out,)))
+
+
+def _require_state(op: LabeledOperator, what: str = "state", trace: int = 1) -> LabeledOperator:
+    """``op``; raises unless it is PSD with trace ``trace`` (by default, a density
+    operator) within ``DEFAULT_TOL``."""
+    if abs(complex(np.trace(op.matrix)) - trace) > DEFAULT_TOL:
+        raise ValueError(f"{what} is not normalized (trace != {trace})")
+    if hermiticity_defect(op) > DEFAULT_TOL or min_eigenvalue(op) < -DEFAULT_TOL:
+        raise ValueError(f"{what} is not positive semidefinite")
+    return op
 
 
 def extend_with_state(
@@ -407,10 +418,7 @@ def extend_with_state(
     clash = set(state.names) & set(proc.names)
     if clash:
         raise ValueError(f"state wires {sorted(clash)} already used by the process")
-    if abs(complex(np.trace(state.matrix)) - 1.0) > DEFAULT_TOL:
-        raise ValueError("state is not normalized (trace != 1)")
-    if hermiticity_defect(state) > DEFAULT_TOL or min_eigenvalue(state) < -DEFAULT_TOL:
-        raise ValueError("state is not positive semidefinite")
+    _require_state(state)
     assign = dict(assign or {})
     unknown = set(assign) - set(state.names)
     if unknown:

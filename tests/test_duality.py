@@ -33,6 +33,7 @@ from causalkit.duality import (
 from causalkit.games import (
     CYRIL_GYNI_VALUE,
     GameStrategy,
+    PartyArm,
     cyril_gyni_strategy,
     game_value,
     pauli_y_baseline_strategy,
@@ -203,6 +204,23 @@ class TestDenseReads:
         translated = dr_to_gyni(strategy)
         assert reads == []
         assert game_value(translated) == pytest.approx(game_value(strategy), abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gyni_to_dr_stacks_each_family_once(self, d, monkeypatch):
+        # The composer reads the family off the source arm, so the only arms
+        # built are the two targets.
+        strategy = random_gyni_strategy(np.random.default_rng([1107, d]), d)
+        built = []
+        post_init = PartyArm.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PartyArm, "__post_init__", counted)
+        translated = gyni_to_dr(strategy)
+        assert len(built) == 2
+        assert all(target is arm for target, arm in zip(translated.parties, built))
 
 
 class TestCertificate:

@@ -258,7 +258,7 @@ class TestComposition:
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
         composite = extend_instrument_with_measurement(
-            self._family(),
+            PartyArm(self._family()),
             u,
             (WireLabel("A", 2), WireLabel("A'", 2)),
             selector=0,
@@ -276,7 +276,7 @@ class TestComposition:
         bad = Instrument((half, half), ("A_O",))
         with pytest.raises(ValueError, match="not a valid instrument"):
             extend_instrument_with_measurement(
-                (bad, bad),
+                PartyArm((bad, bad)),
                 np.eye(4),
                 (WireLabel("A", 2), WireLabel("A'", 2)),
                 selector=0,
@@ -289,7 +289,7 @@ class TestComposition:
         message = "inner instrument 1 is not a valid instrument (min eig 5.000e-01, tp residual 1.000e+00)"
         with pytest.raises(ValueError, match=re.escape(message)):
             extend_instrument_with_measurement(
-                (self._family()[0], bad), np.eye(4), (WireLabel("A", 2), WireLabel("A'", 2)), selector=0
+                PartyArm((self._family()[0], bad)), np.eye(4), (WireLabel("A", 2), WireLabel("A'", 2)), selector=0
             )
 
     def test_one_dense_stack_per_member(self, monkeypatch):
@@ -305,13 +305,13 @@ class TestComposition:
             return dense(self)
 
         monkeypatch.setattr(KronSum, "matrix", property(counted))
-        extend_instrument_with_measurement(family, np.eye(9), (WireLabel("A", 3), WireLabel("A'", 3)), 0)
+        extend_instrument_with_measurement(PartyArm(family), np.eye(9), (WireLabel("A", 3), WireLabel("A'", 3)), 0)
         assert len(reads) == 1
 
     def test_family_size_must_match_selector_dim(self):
         with pytest.raises(ValueError, match="selector wire dimension"):
             extend_instrument_with_measurement(
-                self._family() + self._family(),
+                PartyArm(self._family() + self._family()),
                 np.eye(4),
                 (WireLabel("A", 2), WireLabel("A'", 2)),
                 selector=0,
@@ -352,7 +352,7 @@ def _families(d: int) -> dict[str, list[Instrument]]:
     w_in, w_out = WireLabel("A_I", d), WireLabel("A_O", d)
     plain = [random_instrument(rng, (w_in,), (w_out,), d) for _ in range(d)]
     u, _ = np.linalg.qr(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
-    composite = extend_instrument_with_measurement(plain, u, (WireLabel("A", d), WireLabel("A'", d)), 0)
+    composite = extend_instrument_with_measurement(PartyArm(plain), u, (WireLabel("A", d), WireLabel("A'", d)), 0)
     shifts = np.stack([np.linalg.matrix_power(np.roll(np.eye(d), 1, axis=0), i) for i in range(d)])
     return {"plain": plain, "readout": list(conjugate_instrument(composite, shifts, ("A_I",)))}
 
@@ -396,7 +396,7 @@ class TestPartyArm:
         swapped = Instrument(tuple(permute_wires(op, ["A_O", "A_I"]) for op in plain[0].ops), ("A_O",))
         with pytest.raises(ValueError, match="in that order"):
             PartyArm([plain[1], swapped])
-        other = extend_instrument_with_measurement(plain, np.eye(d * d), (WireLabel("A", d), WireLabel("A'", d)), 0)
+        other = extend_instrument_with_measurement(PartyArm(plain), np.eye(d * d), (WireLabel("A", d), WireLabel("A'", d)), 0)
         with pytest.raises(ValueError, match="share one readout"):
             PartyArm([readout[0], other])
         with pytest.raises(ValueError, match="share one readout"):
@@ -435,7 +435,7 @@ class TestFactoredComposite:
         g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         u, _ = np.linalg.qr(g)
         measured = (WireLabel("A", d), WireLabel("A'", d))
-        composite = extend_instrument_with_measurement(family, u, measured, selector)
+        composite = extend_instrument_with_measurement(PartyArm(family), u, measured, selector)
         want = _kron_composite(family, u, measured, selector)
         if kind == "pad":
             return composite, want
@@ -474,7 +474,7 @@ class TestFactoredComposite:
         family = [random_instrument(rng, (w_in,), (w_out,), 2) for _ in range(3)]
         measured = (WireLabel("A", 3), WireLabel("A'", 3))
         with pytest.raises(ValueError, match="needs 3 outcomes"):
-            extend_instrument_with_measurement(family, np.eye(9), measured, 0)
+            extend_instrument_with_measurement(PartyArm(family), np.eye(9), measured, 0)
 
     def test_coarse_graining_stays_factored(self):
         composite, want = self._composite(3, "pad")
@@ -548,18 +548,18 @@ class TestInputChecks:
                 id="preparation-norm",
             ),
             pytest.param(
-                lambda: extend_instrument_with_measurement(_passes(), np.eye(4), MEASURED, 2),
+                lambda: extend_instrument_with_measurement(PartyArm(_passes()), np.eye(4), MEASURED, 2),
                 "selector must be 0 or 1",
                 id="selector",
             ),
             pytest.param(
-                lambda: extend_instrument_with_measurement([], np.eye(4), MEASURED, 0),
+                lambda: extend_instrument_with_measurement(PartyArm([]), np.eye(4), MEASURED, 0),
                 "an arm needs at least one instrument",
                 id="empty-family",
             ),
             pytest.param(
                 lambda: extend_instrument_with_measurement(
-                    [_passes()[0], identity_channel_instrument(WireLabel("X", 2), WireLabel("Y", 2), 1, 2)],
+                    PartyArm([_passes()[0], identity_channel_instrument(WireLabel("X", 2), WireLabel("Y", 2), 1, 2)]),
                     np.eye(4),
                     MEASURED,
                     0,

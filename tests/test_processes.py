@@ -235,10 +235,10 @@ class TestCutSpectrum:
     def test_one_solve_per_process(self, monkeypatch):
         from causalkit import processes
 
+        proc = random_process(np.random.default_rng(1214), 2)  # its constructors' input checks solve too
         solves = []
         solve = processes.min_eigenvalue
         monkeypatch.setattr(processes, "min_eigenvalue", lambda *a: solves.append(a) or solve(*a))
-        proc = random_process(np.random.default_rng(1214), 2)
         for side in ("A", "B", "A"):
             is_ppt_cut(proc, side)
         assert len(solves) == 1
@@ -338,6 +338,10 @@ class TestRandomProcesses:
             ppt_a, _ = is_ppt_cut(proc, "A")
             ppt_b, _ = is_ppt_cut(proc, "B")
             assert ppt_a == ppt_b
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sampled_inputs_pass_the_constructor_checks(self, d):
+        assert validate_process(random_process(np.random.default_rng([1216, d]), d)).valid
 
     def test_qutrit_mixtures_valid(self):
         rng = np.random.default_rng(717)
@@ -845,6 +849,51 @@ class TestInputChecks:
             ),
             pytest.param(
                 lambda: PartySlot("A", "A_I", "A_O", ("",)), ValueError, "'A=(A_I,A_O,)'", id="empty-extra-wire"
+            ),
+            pytest.param(
+                lambda: shared_state_process(2 * np.eye(4) / 4), ValueError, "state is not normalized", id="shared-trace"
+            ),
+            pytest.param(
+                lambda: shared_state_process(np.diag([1.5, -0.5, 0.0, 0.0])),
+                ValueError,
+                "state is not positive",
+                id="shared-psd",
+            ),
+            pytest.param(
+                lambda: shared_state_process(np.triu(np.ones((4, 4))) / 4),
+                ValueError,
+                "state is not positive",
+                id="shared-hermitian",
+            ),
+            pytest.param(
+                lambda: channel_process(np.eye(2), identity_choi(), "B<A"),
+                ValueError,
+                "state is not normalized",
+                id="channel-state-trace",
+            ),
+            pytest.param(
+                lambda: channel_process(np.diag([1.5, -0.5]), identity_choi()),
+                ValueError,
+                "state is not positive",
+                id="channel-state-psd",
+            ),
+            pytest.param(
+                lambda: channel_process(np.eye(2) / 2, np.eye(4)),
+                ValueError,
+                "channel Choi operator is not normalized (trace != 2)",
+                id="choi-trace",
+            ),
+            pytest.param(
+                lambda: channel_process(np.eye(2) / 2, np.diag([1.5, -0.5, 0.5, 0.5])),
+                ValueError,
+                "channel Choi operator is not positive",
+                id="choi-psd",
+            ),
+            pytest.param(
+                lambda: channel_process(np.eye(2) / 2, np.diag([2.0, 0.0, 0.0, 0.0]), "B<A"),
+                ValueError,
+                "channel is not trace preserving",
+                id="choi-trace-preserving",
             ),
         ],
     )
