@@ -33,9 +33,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# Row index letters are assigned per wire, column letters per wire; 26 wires
-# is far above anything the package materializes (the largest object is a
-# 6-wire qutrit operator).
+# einsum's subscript letters: a row and a column letter per wire, and in
+# batched_trace one per batch label and per kron-sum term axis. No dense
+# operator comes near 26 wires, but a factored contraction, which forms no
+# dense operator, can: batched_trace's plan counts its letters first.
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -320,8 +321,11 @@ def _plan(n_carriers: int, operands: tuple, batch: tuple | None) -> tuple:
         for label, n in zip(labels, shape, strict=True):
             if lengths.setdefault(label, n) != n:
                 raise ValueError(f"batch label {label!r} ties axes of lengths {lengths[label]} and {n}")
-    letters = iter(_LETTERS)
     wires = {**carrier_wires, **effect_wires}  # carrier order, then the open wires
+    needed = 2 * len(wires) + len(lengths) + sum(kron for kron, _ in operands)
+    if needed > len(_LETTERS):
+        raise ValueError(f"the contraction needs {needed} subscript letters; einsum has {len(_LETTERS)}")
+    letters = iter(_LETTERS)
     row = {name: next(letters) for name in wires}
     col = {name: next(letters) for name in wires}
     axis = dict(zip(lengths, letters))  # label -> einsum letter
@@ -421,8 +425,9 @@ def batched_trace(
     label are tied, as einsum's repeated letters are: of one length, and
     only their diagonal is computed. The result's batch axes come one per
     label, in order of first use. No kron, nor a kron sum's dense form, is
-    formed. The plan checks wires and tied lengths once per signature, before
-    any arithmetic, and the runner replays numpy's steps (module docstring).
+    formed. The plan checks wires, tied lengths and that einsum's 52 subscript
+    letters suffice once per signature, before any arithmetic, and the runner
+    replays numpy's steps (module docstring).
     """
     kinds = [(isinstance(op, KronSum), op.parts if isinstance(op, KronSum) else (op,)) for op in (*carriers, *effects)]
     signature = tuple((kron, tuple((p.wires, p.matrix.shape) for p in parts)) for kron, parts in kinds)

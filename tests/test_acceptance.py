@@ -74,6 +74,7 @@ from causalkit.sampling import (
     random_instrument,
 )
 from causalkit.tensor import DEFAULT_TOL, WireLabel, partial_trace
+from manifest_rows import MANIFEST_ROWS
 
 VALUE_TOL = 1e-9
 TIGHT_TOL = 1e-12
@@ -290,7 +291,7 @@ def test_choi_helper_is_cptp():
 
 @pytest.mark.parametrize("claim", CLAIMS, ids=[c.claim_id for c in CLAIMS])
 def test_claims_table_row(claim):
-    assert len(CLAIMS) == 24
+    assert len(CLAIMS) == len(MANIFEST_ROWS)
     assert len({c.claim_id for c in CLAIMS}) == len(CLAIMS)
     record = claim.check(DEFAULT_TOL)
     assert record.status == "pass", f"{record.claim_id}: expected {record.expected}, got {record.computed}"

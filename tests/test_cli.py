@@ -12,16 +12,18 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causalkit import duality
-from causalkit.cli import CLAIMS, MANIFEST_SEED, build_manifest, main
+from causalkit.cli import CLAIMS, MANIFEST_SEED, Claim, Reading, build_manifest, main
 from causalkit.games import CYRIL_GYNI_VALUE
 from causalkit.processes import dump_process, extend_with_state, load_process, build_cyril
 from causalkit.tensor import LabeledOperator, WireLabel
+from manifest_rows import EXACT_COMPUTED, MANIFEST_ROWS
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -503,18 +505,42 @@ class TestManifest:
                 "status",
             }
 
+    def test_fixed_columns(self):
+        records = build_manifest()
+        assert [(r.claim_id, r.command, r.expected, r.tolerance) for r in records] == MANIFEST_ROWS
+        computed = {r.claim_id: r.computed for r in records}
+        assert {k: computed[k] for k in EXACT_COMPUTED} == EXACT_COMPUTED
+
+    @pytest.mark.parametrize(
+        "reading, status, computed",
+        [
+            (Reading("near", 0.5 + 5e-10, 0.5), "pass", "0.50000000050000004"),
+            (Reading("near", 0.5 - 2e-9, 0.5), "fail", "0.499999998"),
+            (Reading("at_most", 1e-9, 1e-9), "pass", "1.0000000000000001e-09"),
+            (Reading("at_most", 2e-9, 1e-9), "fail", "2.0000000000000001e-09"),
+            (Reading("exact", Fraction(27, 64), Fraction(27, 64)), "pass", "27/64"),
+            (Reading("exact", (Fraction(3, 4), (1, 0)), (Fraction(3, 4), (1, 0)), "3/4"), "pass", "3/4"),
+            (Reading("exact", (Fraction(3, 4), (1, 1)), (Fraction(3, 4), (1, 0)), "3/4"), "fail", "3/4"),
+            (Reading("exact", True, False, "consistent"), "fail", "consistent"),
+            (Reading("close", 0.5, 0.5), "fail", "0.5"),
+        ],
+    )
+    def test_verdict_and_computed_text(self, reading, status, computed):
+        record = Claim("row", "causalkit manifest", "within {tol:g}", None, lambda tol: reading).check(1e-9)
+        assert (record.status, record.computed, record.expected) == (status, computed, "within 1e-09")
+
     def test_consistency_claim(self):
         records = {r.claim_id: r for r in build_manifest()}
-        assert len(records) == 24
+        assert len(records) == len(MANIFEST_ROWS)
         assert records["classical-ebw-consistent"].status == "pass"
 
     def test_drifting_claim_is_a_fail_row(self, capsys, drift_at_d3):
         code, payload = run_json(capsys, "manifest")
         assert code == 1
-        assert payload["total"] == 24
-        assert len(payload["records"]) == 24
+        assert payload["total"] == len(MANIFEST_ROWS)
+        assert len(payload["records"]) == len(MANIFEST_ROWS)
         records = {r["claim_id"]: r for r in payload["records"]}
-        assert len(records) == 24
+        assert len(records) == len(MANIFEST_ROWS)
         assert [k for k, r in records.items() if r["status"] != "pass"] == ["duality-random-d3"]
         assert float(records["duality-random-d3"]["computed"]) > 1e-9
 
@@ -525,7 +551,7 @@ class TestManifest:
         monkeypatch.setattr(duality, "readout_correlation_residual", broken)
         code, payload = run_json(capsys, "manifest")
         assert code == 1
-        assert payload["total"] == len(payload["records"]) == 24
+        assert payload["total"] == len(payload["records"]) == len(MANIFEST_ROWS)
         records = {r["claim_id"]: r for r in payload["records"]}
         assert [k for k, r in records.items() if r["status"] != "pass"] == ["readout-correlation"]
         assert records["readout-correlation"]["computed"] == "error: ValueError: readout broke"

@@ -105,6 +105,7 @@ class TestGates:
         # symbols with certainty; this is what makes the mapping exact.
         assert readout_correlation_residual(2) <= 1e-12
         assert readout_correlation_residual(3) <= 1e-12
+        assert readout_correlation_residual(4) <= 1e-12  # CI certifies the duality at d = 4 and 5
 
     def test_readout_correlation_rejects_imaginary_mass(self, monkeypatch):
         # A convention bug that leaves imaginary mass fails the check instead of vanishing in .real.

@@ -370,6 +370,27 @@ class TestProductTrace:
         with pytest.raises(ValueError):
             LabeledOperator((A,), np.zeros((3, 2, 2)))
 
+    @staticmethod
+    def _qubit_projections(n: int, axes: int) -> tuple[list, list]:
+        """n one-qubit carriers I/2, the first stacked over ``axes`` axes of length 1, against n
+        effects |0><0|: Tr = 2^-n."""
+        wires = [WireLabel(f"q{i}", 2) for i in range(n)]
+        carriers = [op([w], np.eye(2) / 2) for w in wires]
+        carriers[0] = OperatorStack((wires[0],), carriers[0].matrix.reshape((1,) * axes + (2, 2)))
+        return carriers, [op([w], np.diag([1.0, 0.0])) for w in wires]
+
+    @pytest.mark.parametrize("n, axes", [(26, 0), (25, 2)])
+    def test_all_52_subscript_letters(self, n, axes):
+        # A row and a column letter per wire, one per batch label: einsum's 52 letters, all used.
+        got = batched_trace(*self._qubit_projections(n, axes))
+        assert got.shape == (1,) * axes
+        assert got.item() == pytest.approx(2.0**-n, rel=1e-12)
+
+    @pytest.mark.parametrize("n, axes", [(27, 0), (25, 3)])
+    def test_more_than_52_subscript_letters_rejected(self, n, axes):
+        with pytest.raises(ValueError, match=f"needs {2 * n + axes} subscript letters; einsum has 52"):
+            batched_trace(*self._qubit_projections(n, axes))
+
 
 class TestKronSum:
     def _parts(self, rng, terms):
