@@ -526,8 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON instead of text")
     process_arg = argparse.ArgumentParser(add_help=False)
-    process_arg.add_argument("process_file", nargs="?", help="path to a process dump")
-    process_arg.add_argument("--process", choices=sorted(PROCESS_BUILDERS), help="built-in process")
+    source = process_arg.add_mutually_exclusive_group()  # a dump file or a built-in, not both
+    source.add_argument("process_file", nargs="?", help="path to a process dump")
+    source.add_argument("--process", choices=sorted(PROCESS_BUILDERS), help="built-in process")
 
     def command(name, func, help_text, *parents, **defaults) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, parents=[*parents, json_flag])

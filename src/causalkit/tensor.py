@@ -13,10 +13,10 @@ through ``numpy.linalg.eigvalsh`` only, and the default comparison tolerance is
 ``DEFAULT_TOL`` (absolute, entrywise).
 
 Every probability is one einsum over factor tensors (:func:`batched_trace`): a
-plan cached per operand signature (checks, subscripts, numpy's greedy path) and
-a runner that replays numpy's pairwise executor, each side's copy in one reused
-per-thread complex128 workspace, so its bits are ``np.einsum``'s. One or two
-tensors, or a step that is not one matmul of two operands, run through ``np.einsum``.
+plan cached per operand signature (checks, subscripts, numpy's greedy path cut
+into pairs) and a runner that replays numpy's pairwise executor, each side's copy
+in one reused per-thread complex128 workspace, so its bits are ``np.einsum``'s
+along that path. A lone tensor contracts nothing: one ``np.einsum`` lays it out.
 """
 
 from __future__ import annotations
@@ -304,8 +304,8 @@ def _side_wires(wire_tuples, side: str) -> dict[str, int]:
 
 @functools.lru_cache(maxsize=256)
 def _plan(n_carriers: int, operands: tuple, batch: tuple | None) -> tuple:
-    """Check and compile one operand signature of :func:`batched_trace`: (subscripts, tensor
-    shapes, numpy's path, the runner's steps, workspace entries). A failed check is not cached."""
+    """Check and compile one operand signature of :func:`batched_trace`: (subscripts, tensor shapes, numpy's
+    path as pairs, False for a lone tensor, the runner's steps, workspace entries). A failed check is not cached."""
     carrier_wires = _side_wires([wires for _, parts in operands[:n_carriers] for wires, _ in parts], "carriers")
     effect_wires = _side_wires([wires for _, parts in operands[n_carriers:] for wires, _ in parts], "effects")
     unmet = sorted(set(carrier_wires) - set(effect_wires))
@@ -345,45 +345,43 @@ def _plan(n_carriers: int, operands: tuple, batch: tuple | None) -> tuple:
     open_wires = list(wires)[len(carrier_wires) :]
     out = "".join([*axis.values(), *(col[n] for n in open_wires), *(row[n] for n in open_wires)])
     subscripts = ",".join(subs) + "->" + out
-    if len(subs) < 3:  # no order to choose: einsum's C loop takes them unplanned
-        return subscripts, tuple(tensor_shapes), False, None, 0
     blanks = [np.broadcast_to(np.zeros((), dtype=np.complex128), s) for s in tensor_shapes]
-    path = np.einsum_path(subscripts, *blanks, optimize="greedy")[0]
-    return subscripts, tuple(tensor_shapes), path, *_steps(subs, out, sizes, path)
+    steps, size = _steps(subs, out, sizes, np.einsum_path(subscripts, *blanks, optimize="greedy")[0])
+    return subscripts, tuple(tensor_shapes), bool(steps) and ["einsum_path", *(s[0] for s in steps)], steps, size
 
 
 def _steps(terms: list, out: str, sizes: dict, path: list) -> tuple:
-    """(steps, workspace entries) that replay numpy's pairwise executor, ``bmm_einsum``, along
-    ``path``; (None, 0) if a step is not one matmul of two operands. The bits are numpy's only
-    because this mirrors it: a step pops the higher position first, orders its product's axes by
-    (length, letter), drops axes of length 1 and lays its sides out as (batch, kept, contracted)
-    and (batch, contracted, kept), each by one einsum copy, for one matmul."""
-    steps, size = [], 0
-    for n, inds in enumerate(path[1:]):
-        inds = sorted(inds, reverse=True)
-        if len(inds) != 2:
-            return None, 0
-        a, b = (terms.pop(i) for i in inds)
-        res = out if n == len(path) - 2 else "".join(
-            sorted(set(a + b) & set(out).union(*terms), key=lambda ix: (sizes[ix], ix))
-        )
-        left, right = ([ix for ix in dict.fromkeys(t) if sizes[ix] > 1] for t in (a, b))
-        bat, con = ([ix for ix in left if ix in right and (ix in res) == kept] for kept in (True, False))
-        if not con:  # a pure multiplication
-            return None, 0
-        a_keep, b_keep = ([ix for ix in s if ix not in o and ix in res] for s, o in ((left, right), (right, left)))
-        sides, top = [], 0  # (copy's einsum or None, its workspace span and shape, matmul shape) per side
-        for term, groups in ((a, (bat, a_keep, con)), (b, (bat, con, b_keep))):
-            want = "".join(itertools.chain(*groups))
-            shape, entries = tuple(sizes[ix] for ix in want), math.prod(sizes[ix] for ix in want) * (term != want)
-            fused = tuple(math.prod(sizes[ix] for ix in g) for g in groups[0 if bat else 1 :])
-            sides.append((term != want and f"{term}->{want}", slice(top, top + entries), shape, fused))
-            top += entries
-        made = [ix for ix in res if sizes[ix] == 1] + bat + a_keep + b_keep
-        steps.append((tuple(inds), tuple(sides), tuple(sizes[ix] for ix in made), tuple(made.index(ix) for ix in res)))
-        terms.append(res)
-        size = max(size, top)
-    return tuple(steps), size
+    """(steps, workspace entries) that replay numpy's pairwise executor, ``bmm_einsum``, along ``path``,
+    a k-operand step as k-1 pairs, the two highest positions first so that the rest keep theirs. The bits
+    are numpy's only because this mirrors it: a step pops the higher position first, orders its product's
+    axes by (length, letter), drops axes of length 1 and lays each side out by one einsum copy, as (batch,
+    kept, contracted) and (batch, contracted, kept) for a matmul, or in the product's axis order for a multiply."""
+    steps = []
+    for group in map(sorted, path[1:]):
+        for _ in group[1:]:  # each product goes last, so it is one of the group's next two highest
+            inds = group.pop(), group.pop()
+            a, b = (terms.pop(i) for i in inds)
+            res = "".join(sorted(set(a + b) & set(out).union(*terms), key=lambda ix: (sizes[ix], ix))) if terms else out
+            left, right = ([ix for ix in dict.fromkeys(t) if sizes[ix] > 1] for t in (a, b))
+            bat, con = ([ix for ix in left if ix in right and (ix in res) == kept] for kept in (True, False))
+            a_keep, b_keep = ([ix for ix in s if ix not in o and ix in res] for s, o in ((left, right), (right, left)))
+            sides, top = [], 0  # (copy's einsum or False, its workspace span and shape, fused shape) per side
+            for term, groups in ((a, (bat, a_keep, con)), (b, (bat, con, b_keep))):
+                if con:
+                    want = "".join(itertools.chain(*groups))
+                    fused = tuple(math.prod(map(sizes.get, g)) for g in groups[not bat :])
+                else:  # nothing contracted: the product's axes, length 1 where this side lacks one
+                    want = "".join(ix for ix in res if ix in term)
+                    fused = tuple(sizes[ix] if ix in term else 1 for ix in res)
+                span = slice(top, top + math.prod(map(sizes.get, want)) * (term != want))
+                sides.append((term != want and f"{term}->{want}", span, tuple(map(sizes.get, want)), fused))
+                top = span.stop
+            made = [ix for ix in res if sizes[ix] == 1] + bat + a_keep + b_keep if con else list(res)
+            shape, perm = tuple(map(sizes.get, made)), tuple(made.index(ix) for ix in res)
+            steps.append((inds, tuple(sides), shape, perm, np.matmul if con else np.multiply))
+            terms.append(res)
+            group.append(len(terms) - 1)
+    return tuple(steps), max((span.stop for step in steps for _, span, _, _ in step[1]), default=0)
 
 
 _workspace = threading.local()  # .buf: this thread's complex128 buffer, reused by every run
@@ -391,19 +389,19 @@ _workspace = threading.local()  # .buf: this thread's complex128 buffer, reused 
 
 def _run(plan: tuple, tensors: list) -> np.ndarray:
     """Execute a plan's steps, each side's copy in the workspace."""
-    subscripts, _, path, steps, size = plan
-    if steps is None:
-        return np.einsum(subscripts, *tensors, optimize=path)
+    subscripts, _, _, steps, size = plan
+    if not steps:  # a lone tensor contracts nothing: one einsum transposes or traces it
+        return np.einsum(subscripts, *tensors)
     buf = getattr(_workspace, "buf", None)
     if buf is None or buf.size < size:
         _workspace.buf = buf = None  # drop the old buffer before the larger one is taken
         _workspace.buf = buf = np.empty(size, dtype=np.complex128)
     ops = list(tensors)
-    for inds, sides, shape, perm in steps:
+    for inds, sides, shape, perm, product in steps:
         pair = [ops.pop(i) for i in inds]
         for k, (eq, at, want, fused) in enumerate(sides):
             pair[k] = (np.einsum(eq, pair[k], out=buf[at].reshape(want)) if eq else pair[k]).reshape(fused)
-        ops.append(np.matmul(*pair).reshape(shape).transpose(perm))
+        ops.append(product(*pair).reshape(shape).transpose(perm))
     return ops[0]
 
 

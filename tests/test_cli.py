@@ -648,6 +648,16 @@ def test_unreached_usage_errors(capsys, argv, fragment):
     assert fragment in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "ppt"])
+def test_process_file_and_builtin_are_exclusive(capsys, tmp_path, command):
+    # A named file must not be ignored in favour of the built-in, missing or not.
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "absent.txt"), "--process", "mixed"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument process_file" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["manifest", "--json"], 0), (["validate", "--process", "bell-pair-outputs", "--json"], 1)],

@@ -40,7 +40,7 @@ from causalkit.games import (
 )
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy
 from causalkit.processes import extend_with_state
-from causalkit.tensor import KronSum, LabeledOperator, WireLabel
+from causalkit.tensor import DEFAULT_TOL, KronSum, LabeledOperator, WireLabel
 
 SQRT2 = np.sqrt(2)
 
@@ -106,6 +106,7 @@ class TestGates:
         assert readout_correlation_residual(2) <= 1e-12
         assert readout_correlation_residual(3) <= 1e-12
         assert readout_correlation_residual(4) <= 1e-12  # CI certifies the duality at d = 4 and 5
+        assert readout_correlation_residual(5) <= DEFAULT_TOL
 
     def test_readout_correlation_rejects_imaginary_mass(self, monkeypatch):
         # A convention bug that leaves imaginary mass fails the check instead of vanishing in .real.

@@ -607,21 +607,24 @@ def _spy_runs(monkeypatch) -> tuple:
 
 
 class TestCompiledContraction:
-    """The runner replays np.einsum's pairwise steps into its workspace, so it
-    returns np.einsum's bits; a step that is not one matmul leaves the whole
-    contraction to np.einsum. On a numpy whose einsum does not contract pairs
-    by matmul there are no such bits to match, and the comparison is to 16 ulp
-    of the largest entry instead."""
+    """The runner replays np.einsum's pairwise steps, along the plan's path,
+    into its workspace, so it returns np.einsum's bits; a pair with nothing
+    contracted is a broadcast multiply, as in numpy. On a numpy whose einsum
+    does not contract pairs by matmul there are no such bits to match, and the
+    comparison is to 16 ulp of the largest entry instead."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_runner_gives_einsums_bits(self, monkeypatch, d):
+        from causalkit import duality
+
         run, seen = _spy_runs(monkeypatch)
         for strategy in _seeded_strategies(d, 23).values():
             game_terms(strategy)
             behaviour(strategy, coded_pairs(d, strategy.state_wires) if strategy.state_wires else None)
             for arm in strategy.parties:
                 assert arm.instruments[0].terms.matrix.ndim == 3
-        assert sum(plan[3] is not None for plan, _ in seen) >= 8
+        duality.readout_correlation_residual(d)
+        assert sum(bool(plan[3]) for plan, _ in seen) >= 8
         for plan, tensors in seen:
             got = np.ascontiguousarray(run(plan, tensors))
             want = np.ascontiguousarray(np.einsum(plan[0], *tensors, optimize=plan[2]))
@@ -632,15 +635,20 @@ class TestCompiledContraction:
                 # per-pair c_einsum replay differed by up to 8 ulp of the largest entry.
                 assert np.abs(got - want).max() <= 16 * np.spacing(np.abs(want).max()), plan[0]
 
-    def test_pure_multiplication_falls_back(self, monkeypatch):
-        # The readout contraction has a step with nothing contracted, which
-        # numpy runs as a multiplication, not a matmul.
-        from causalkit import duality
+    def test_every_contraction_of_two_or_more_tensors_runs_steps(self, monkeypatch):
+        # numpy's greedy path for the readout ends in a three-operand step, and
+        # one of its pairs contracts nothing; both now run as the runner's pairs.
+        from causalkit import cli, duality
 
         _, seen = _spy_runs(monkeypatch)
-        duality.readout_correlation_residual(2)
-        ((plan, _),) = seen
-        assert plan[2] is not False and plan[3] is None
+        for d in (2, 3, 4, 5):
+            duality.readout_correlation_residual(d)
+        cli.build_manifest()
+        rng = np.random.default_rng([1, 0])
+        check_duality(random_gyni_strategy(rng, 4), "gyni2dr"), check_duality(random_dr_strategy(rng, 4), "dr2gyni")
+        assert sum(len(tensors) > 2 for _, tensors in seen) >= 8
+        for plan, tensors in seen:
+            assert len(plan[3]) == len(tensors) - 1, plan[0]
 
     def test_warm_d4_translation_stays_small(self):
         # einsum's own transposed copies and a re-copied stack of the
