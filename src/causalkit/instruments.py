@@ -20,7 +20,10 @@ that reads out two ancilla wires before a selected inner instrument
 (:func:`extend_instrument_with_measurement`) has two parts: branch k is
 sum_m R[m] (x) S[k, m], a readout stack R by term m and a branch stack S by
 (outcome k, term m). It therefore costs one small (outcome, readout) gather
-instead of a dense block of side d^2 D per branch. A :class:`PartyArm` stacks
+instead of a dense block of side d^2 D per branch. Conjugated on a few wires
+X (:func:`conjugate_instrument`), a plain instrument has two parts too: blocks
+on the other wires, shared by a stacked conjugation's members, and a small
+part on X each, so its wires become (other wires, X). A :class:`PartyArm` stacks
 its family, one instrument per classical input, once; game contractions
 take that stack's parts as they are, and the composer takes the source arm
 and gathers from its stack. The dense operators,
@@ -41,6 +44,7 @@ from .tensor import (
     OperatorStack,
     WireLabel,
     _find_wire,
+    _positions,
     conjugate_wires,
     hermiticity_defect,
     min_eigenvalue,
@@ -130,7 +134,8 @@ class PartyArm:
         for ins in family[1:]:
             parts = ins.terms.parts[:-1]
             if len(parts) != len(shared) or any(
-                a.wires != b.wires or not np.array_equal(a.matrix, b.matrix) for a, b in zip(parts, shared)
+                a is not b and (a.wires != b.wires or not np.array_equal(a.matrix, b.matrix))
+                for a, b in zip(parts, shared)
             ):
                 raise ValueError("instruments in a family must share one readout")
         lasts = [ins.terms.parts[-1] for ins in family]
@@ -246,17 +251,19 @@ def measure_prepare_instrument(
 
 
 def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
-    """Conjugate every branch by a unitary U on the named wires.
+    """Conjugate every branch by a unitary U on the named wires X.
 
     Each branch maps to U M U†, which preserves positivity; acting on input
-    wires or output wires alone also preserves completeness. U is indexed
-    by the named wires in the instrument's own wire order and acts on their
-    axes (:func:`conjugate_wires`) in the last part, the one stacked by
-    outcome, when that part holds every named wire: U (sum_m R[m] (x) S[m]) U†
-    is sum_m R[m] (x) U S[m] U†, so the shared parts stay as they are and no
-    dense branch is built. Otherwise U reaches a shared part, and the dense
-    branches are conjugated as the one part of a plain instrument. A stack
-    of n unitaries, shaped (n, D, D), gives a tuple of n instruments.
+    wires or output wires alone also preserves completeness. U is indexed by
+    X in the instrument's own wire order. A last part (the one stacked by
+    outcome) that holds X and shares a term sum is conjugated alone
+    (:func:`conjugate_wires`). Otherwise the branches, dense if U reaches a
+    shared part, stay factored: branch k = sum_ab |a><b|_X (x) M_k[a, b] gives
+    the blocks M_k[a, b] on the other wires by term t = (k, a, b), shared by a
+    stack's members, and a part on X by (outcome k', t) holding delta_kk'
+    U|a><b|U†, so the wires are (other wires, X). Where its K^2 d_X^4 entries
+    outweigh K dense branches (K d_X^2 > (D/d_X)^2, as when X is every wire),
+    the branches are conjugated whole. A stack of n unitaries gives n instruments.
     """
     names = tuple(names)
     unknown = set(names) - {w.name for w in ins.wires}
@@ -267,10 +274,20 @@ def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
     *shared, last = ins.terms.parts
     if not set(names) <= set(last.names):
         shared, last = [], OperatorStack(ins.wires, ins.terms.matrix[:, None])
-    members = tuple(
-        Instrument(KronSum((*shared, OperatorStack(last.wires, m))), ins.output_wires)
-        for m in conjugate_wires(last, u, names).matrix.reshape((-1,) + last.matrix.shape)
-    )
+    (k, m), wires, rest_dim = last.matrix.shape[:2], last.wires, last.total_dim // dim
+    if shared or k * dim**2 > rest_dim**2:
+        lasts = conjugate_wires(last, u, names).matrix.reshape((-1,) + last.matrix.shape)
+    else:
+        x = _positions(last, names)
+        rest = [i for i in range(len(wires)) if i not in x]
+        axes = [2 + i + side * len(wires) for group in (x, rest) for side in (0, 1) for i in group]
+        blocks = last.as_tensor().transpose(0, 1, *axes).reshape(-1, rest_dim, rest_dim)  # by (k, m, a, b)
+        shared, wires = [OperatorStack(tuple(wires[i] for i in rest), blocks)], tuple(wires[i] for i in x)
+        units = conjugate_wires(OperatorStack(wires, np.eye(dim * dim).reshape(-1, dim, dim)), u, names).matrix
+        lasts = np.zeros((units.size // dim**4, k, k, m, dim * dim, dim, dim), dtype=complex)
+        lasts[:, np.arange(k), np.arange(k)] = units.reshape(-1, 1, 1, dim * dim, dim, dim)
+        lasts = lasts.reshape(-1, k, k * m * dim * dim, dim, dim)
+    members = tuple(Instrument(KronSum((*shared, OperatorStack(wires, s))), ins.output_wires) for s in lasts)
     return members if u.ndim == 3 else members[0]
 
 

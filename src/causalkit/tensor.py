@@ -14,9 +14,10 @@ through ``numpy.linalg.eigvalsh`` only, and the default comparison tolerance is
 
 Every probability is one einsum over factor tensors (:func:`batched_trace`): a
 plan cached per operand signature (checks, subscripts, numpy's greedy path cut
-into pairs) and a runner that replays numpy's pairwise executor, each side's copy
-in one reused per-thread complex128 workspace, so its bits are ``np.einsum``'s
-along that path. A lone tensor contracts nothing: one ``np.einsum`` lays it out.
+into pairs) and a runner that replays numpy's pairwise executor, each side's
+copy (``np.copyto`` where it only permutes) in one reused per-thread complex128
+workspace, so its bits are ``np.einsum``'s along that path. A lone tensor
+contracts nothing: one ``np.einsum`` lays it out.
 """
 
 from __future__ import annotations
@@ -354,8 +355,9 @@ def _steps(terms: list, out: str, sizes: dict, path: list) -> tuple:
     """(steps, workspace entries) that replay numpy's pairwise executor, ``bmm_einsum``, along ``path``,
     a k-operand step as k-1 pairs, the two highest positions first so that the rest keep theirs. The bits
     are numpy's only because this mirrors it: a step pops the higher position first, orders its product's
-    axes by (length, letter), drops axes of length 1 and lays each side out by one einsum copy, as (batch,
-    kept, contracted) and (batch, contracted, kept) for a matmul, or in the product's axis order for a multiply."""
+    axes by (length, letter), drops axes of length 1 and lays each side out, by np.copyto if that only permutes
+    and drops length-1 axes, else by one einsum copy, as (batch, kept, contracted) and (batch, contracted, kept)
+    for a matmul, or in the product's axis order for a multiply."""
     steps = []
     for group in map(sorted, path[1:]):
         for _ in group[1:]:  # each product goes last, so it is one of the group's next two highest
@@ -374,7 +376,10 @@ def _steps(terms: list, out: str, sizes: dict, path: list) -> tuple:
                     want = "".join(ix for ix in res if ix in term)
                     fused = tuple(sizes[ix] if ix in term else 1 for ix in res)
                 span = slice(top, top + math.prod(map(sizes.get, want)) * (term != want))
-                sides.append((term != want and f"{term}->{want}", span, tuple(map(sizes.get, want)), fused))
+                kept = [ix for ix in term if ix in want]  # a pure layout drops only length-1 axes, once each
+                pure = len(kept) == len(want) and math.prod(map(sizes.get, term)) == math.prod(map(sizes.get, kept))
+                layout = (tuple(map(sizes.get, kept)), tuple(map(kept.index, want))) if pure else f"{term}->{want}"
+                sides.append((term != want and layout, span, tuple(map(sizes.get, want)), fused))
                 top = span.stop
             made = [ix for ix in res if sizes[ix] == 1] + bat + a_keep + b_keep if con else list(res)
             shape, perm = tuple(map(sizes.get, made)), tuple(made.index(ix) for ix in res)
@@ -399,8 +404,13 @@ def _run(plan: tuple, tensors: list) -> np.ndarray:
     ops = list(tensors)
     for inds, sides, shape, perm, product in steps:
         pair = [ops.pop(i) for i in inds]
-        for k, (eq, at, want, fused) in enumerate(sides):
-            pair[k] = (np.einsum(eq, pair[k], out=buf[at].reshape(want)) if eq else pair[k]).reshape(fused)
+        for k, (copy, at, want, fused) in enumerate(sides):
+            if isinstance(copy, str):  # a copy that sums or takes a diagonal
+                pair[k] = np.einsum(copy, pair[k], out=buf[at].reshape(want))
+            elif copy:
+                np.copyto(dst := buf[at].reshape(want), pair[k].reshape(copy[0]).transpose(copy[1]))
+                pair[k] = dst
+            pair[k] = pair[k].reshape(fused)
         ops.append(product(*pair).reshape(shape).transpose(perm))
     return ops[0]
 

@@ -500,7 +500,8 @@ class TestGameSettledAtBuild:
 
 class TestDerivedInputWires:
     """An instrument reads every wire it does not emit: its lab input, after
-    its code wire, after the fresh wire a gyni_to_dr readout measures."""
+    its code wire, after the fresh wire a gyni_to_dr readout measures; a
+    dr_to_gyni twirl moves the code wire it conjugates last."""
 
     @pytest.mark.parametrize("translate", [False, True], ids=["source", "translated"])
     @pytest.mark.parametrize("case", BUILT, ids=[case[0] for case in BUILT])
@@ -513,6 +514,8 @@ class TestDerivedInputWires:
         coded = retrieval or translate
         for code, slot, arm in zip("AB", strategy.process.parties, strategy.parties):
             expected = ((code, f"{code}'") if read_out else (code,) if coded else ()) + (slot.input_wire,)
+            if translate and retrieval:  # the twirl's factored members put the code wire last
+                expected = tuple(n for n in expected if n != code) + (code,)
             assert {(ins.input_wires, ins.output_wires) for ins in arm.instruments} == {
                 (expected, (slot.output_wire,))
             }
@@ -649,6 +652,41 @@ class TestCompiledContraction:
         assert sum(len(tensors) > 2 for _, tensors in seen) >= 8
         for plan, tensors in seen:
             assert len(plan[3]) == len(tensors) - 1, plan[0]
+
+    def test_no_pure_layout_calls_einsum(self, monkeypatch):
+        # A side that only permutes axes and drops length-1 ones is written by
+        # np.copyto; only a copy that sums or takes a diagonal runs np.einsum.
+        # (A lone tensor has no sides: one np.einsum lays it out.)
+        from causalkit import cli, tensor
+
+        _, seen = _spy_runs(monkeypatch)
+        run, in_run, copies = tensor._run, [], []
+        einsum = np.einsum
+
+        def running(plan, tensors):
+            in_run.append(bool(plan[3]))
+            try:
+                return run(plan, tensors)
+            finally:
+                in_run.pop()
+
+        def spied(eq, *operands, **kwargs):
+            if in_run and in_run[-1] and len(operands) == 1:
+                copies.append((eq, operands[0].shape))
+            return einsum(eq, *operands, **kwargs)
+
+        monkeypatch.setattr(tensor, "_run", running)
+        monkeypatch.setattr(np, "einsum", spied)
+        cli.build_manifest()
+        rng = np.random.default_rng([1, 0])
+        check_duality(random_gyni_strategy(rng, 4), "gyni2dr"), check_duality(random_dr_strategy(rng, 4), "dr2gyni")
+        layouts = [side for plan, _ in seen for step in plan[3] for side in step[1] if isinstance(side[0], tuple)]
+        assert len(layouts) >= 8
+        for eq, shape in copies:
+            term, want = eq.split("->")
+            sizes = dict(zip(term, shape))
+            pure = len(set(term)) == len(term) and all(sizes[ix] == 1 for ix in term if ix not in want)
+            assert not pure, eq
 
     def test_warm_d4_translation_stays_small(self):
         # einsum's own transposed copies and a re-copied stack of the

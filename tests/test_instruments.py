@@ -148,6 +148,10 @@ class TestValidation:
         assert len(reads) == 1
 
 
+def _names(ins: Instrument) -> list[str]:
+    return [w.name for w in ins.wires]
+
+
 class TestConjugation:
     def test_hadamard_on_input_frozen(self):
         # Conjugating the computational readout by H yields the +/- readout.
@@ -155,7 +159,7 @@ class TestConjugation:
         rot = conjugate_instrument(ins, HADAMARD, ins.input_wires)
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         expected = np.kron(np.outer(plus, plus), np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(rot.ops[0].matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(permute_wires(rot.ops[0], _names(ins)).matrix, expected, atol=1e-12)
 
     def test_preserves_validity_any_side(self):
         rng = np.random.default_rng(2)
@@ -182,8 +186,9 @@ class TestConjugation:
         big = big.transpose(order + [3 + i for i in order]).reshape(d**3, d**3)
         names = {"input": ins.input_wires, "output": ins.output_wires, "A": ("A",)}[side]
         rotated = conjugate_instrument(ins, u, names)
-        assert rotated.wires == ins.wires
         for got, op in zip(rotated.ops, ins.ops):
+            got = permute_wires(got, _names(ins))
+            assert got.wires == ins.wires
             np.testing.assert_allclose(got.matrix, big @ op.matrix @ big.conj().T, atol=1e-12)
 
     @pytest.mark.parametrize("names", [("A_O",), ("A",), ("A", "A_O")])
@@ -196,10 +201,13 @@ class TestConjugation:
         u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         rotated = conjugate_instrument(composite, u, names)
         dense = OperatorStack(composite.wires, composite.terms.matrix)
-        np.testing.assert_allclose(rotated.terms.matrix, conjugate_wires(dense, u, names).matrix, atol=1e-12)
+        got = permute_wires(OperatorStack(rotated.wires, rotated.terms.matrix), _names(composite))
+        np.testing.assert_allclose(got.matrix, conjugate_wires(dense, u, names).matrix, atol=1e-12)
         if names == ("A_O",):
             assert rotated.terms.parts[0] is composite.terms.parts[0]
-        else:
+        elif names == ("A",):  # the dense branches, factored on A
+            assert rotated.terms.parts[-1].names == names
+        else:  # 2 outcomes x 4^2 units > 4^2 block entries: the dense branches, conjugated whole
             assert len(rotated.terms.parts) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -211,7 +219,9 @@ class TestConjugation:
         stacked = conjugate_instrument(ins, us, ("A",))
         assert len(stacked) == 3
         for got, u in zip(stacked, us):
-            assert np.array_equal(got.terms.matrix, conjugate_instrument(ins, u, ("A",)).terms.matrix)
+            one = conjugate_instrument(ins, u, ("A",))
+            got, one = (permute_wires(OperatorStack(m.wires, m.terms.matrix), _names(ins)) for m in (got, one))
+            assert np.array_equal(got.matrix, one.matrix)
 
     def test_stacked_members_stack_without_a_copy(self):
         # A stacked conjugation's members are the rows of one array, so their
@@ -245,6 +255,74 @@ class TestConjugation:
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
         with pytest.raises(ValueError, match="unknown wires"):
             conjugate_instrument(ins, np.eye(2), ("Q",))
+
+
+def _embedded(ins: Instrument, u: np.ndarray, names) -> np.ndarray:
+    """kron(U, I) on the instrument's wires, in its order, with U on the named wires."""
+    named, rest = [n for n in _names(ins) if n in names], [n for n in _names(ins) if n not in names]
+    wires = tuple(ins.wire(n) for n in named + rest)
+    big = LabeledOperator(wires, np.kron(u, np.eye(LabeledOperator.total_dim_of(wires) // len(u))))
+    return permute_wires(big, _names(ins)).matrix
+
+
+class TestFactoredConjugation:
+    """A plain instrument conjugated on a few of its wires X keeps every
+    member factored: one block part on the other wires, shared by the
+    members of a stack, and a part on X per member."""
+
+    @staticmethod
+    def _case(case: str, d: int) -> tuple[Instrument, tuple[str, ...]]:
+        rng = np.random.default_rng([47, d])
+        code, fresh, w_in, w_out = (WireLabel(n, d) for n in ("A", "A'", "A_I", "A_O"))
+        if case == "code":
+            return random_instrument(rng, (code, w_in), (w_out,), d), ("A",)
+        if case == "two-wire":  # one outcome: 1 x (d^2)^2 units against (d^2)^2 block entries
+            return random_instrument(rng, (code, fresh, w_in), (w_out,), 1), ("A", "A_I")
+        # A read-out composite: the twirl reaches its readout part, so its branches are made dense first.
+        return gyni_to_dr(random_gyni_strategy(rng, d)).parties[0].instruments[0], ("A",)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("case", ["code", "two-wire", "composite"])
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_matches_dense_conjugator(self, d, case, n):
+        ins, names = self._case(case, d)
+        dim = d ** len(names)
+        rng = np.random.default_rng([48, d])
+        us = np.stack([np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0] for _ in range(n or 1)])
+        members = conjugate_instrument(ins, us if n else us[0], names)
+        members = members if n else (members,)
+        assert len(members) == len(us)
+        for member, u in zip(members, us):
+            shared, last = member.terms.parts
+            assert shared is members[0].terms.parts[0]
+            assert shared.names == tuple(n for n in _names(ins) if n not in names) and last.names == names
+            assert shared.matrix.shape[0] == ins.n_outcomes * dim**2
+            assert member.output_wires == ins.output_wires
+            big = _embedded(ins, u, names)
+            for got, op in zip(member.ops, ins.ops):
+                got = permute_wires(got, _names(ins))
+                np.testing.assert_allclose(got.matrix, big @ op.matrix @ big.conj().T, atol=1e-12)
+        arm = PartyArm(members)
+        assert arm.stack.parts[0] is members[0].terms.parts[0]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_whole_part_when_units_outweigh_blocks(self, d):
+        # d outcomes x (d^2)^2 units on (A, A_I) against d^2 block entries on A_O:
+        # the part is conjugated whole, in its wire order.
+        ins, _ = self._case("code", d)
+        rotated = conjugate_instrument(ins, np.eye(d * d), ("A", "A_I"))
+        assert rotated.wires == ins.wires and len(rotated.terms.parts) == 1
+
+    def test_one_arm_reads_the_shared_blocks_once(self, monkeypatch):
+        # The members of one stacked conjugation hold one block part object,
+        # so the arm does not compare it with itself entry by entry.
+        ins, names = self._case("code", 3)
+        members = conjugate_instrument(ins, np.stack([np.eye(3)] * 3), names)
+        compared = []
+        equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(a.shape) or equal(a, b))
+        PartyArm(members)
+        assert compared == []
 
 
 class TestComposition:
