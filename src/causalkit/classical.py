@@ -55,10 +55,6 @@ class ClassicalProcess3:
         table = tuple(_check_bits(t, 3, "table entry") for t in self.table)
         object.__setattr__(self, "table", table)
 
-    def __call__(self, outputs: Bits) -> tuple[int, int, int]:
-        o1, o2, o3 = _check_bits(outputs, 3, "outputs")
-        return self.table[4 * o1 + 2 * o2 + o3]
-
 
 def e_bw(outputs: Bits) -> tuple[int, int, int]:
     """The majority-switched cyclic process: with a minority of ones the

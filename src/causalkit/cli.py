@@ -29,7 +29,7 @@ from .games import CAUSAL_GYNI_BOUND, CONSTANT_GUESS_VALUE, CYRIL_GYNI_VALUE, LO
 from .games import BellCode, GameStrategy
 from .instruments import choi_of_unitary
 from .processes import ProcessMatrix
-from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel
+from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel, _check_tol
 
 MANIFEST_SEED = 20260815
 
@@ -493,6 +493,7 @@ CLAIMS: tuple[Claim, ...] = (
 
 def build_manifest(tol: float = DEFAULT_TOL) -> list[ReproductionRecord]:
     """Recompute every claim in :data:`CLAIMS` and compare against its pinned value."""
+    _check_tol(tol)
     return [claim.check(tol) for claim in CLAIMS]
 
 

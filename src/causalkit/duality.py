@@ -40,7 +40,7 @@ from .instruments import (
     extend_instrument_with_measurement,
 )
 from .processes import ProcessMatrix, _require_bipartite, extend_with_state
-from .tensor import DEFAULT_TOL, WireLabel, batched_trace
+from .tensor import DEFAULT_TOL, WireLabel, _check_tol, batched_trace
 
 DIRECTION_TOKENS = ("gyni2dr", "dr2gyni")
 
@@ -224,6 +224,7 @@ def check_duality(
     translated value stays within ``tol`` (:attr:`DualityCertificate.ok`). A
     drift means a conventions bug, not a numerical hiccup.
     """
+    _check_tol(tol)
     if direction not in DIRECTION_TOKENS:
         raise ValueError(f"direction must be one of {DIRECTION_TOKENS}")
     target = (gyni_to_dr if direction == "gyni2dr" else dr_to_gyni)(strategy)

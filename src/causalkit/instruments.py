@@ -43,6 +43,7 @@ from .tensor import (
     LabeledOperator,
     OperatorStack,
     WireLabel,
+    _check_tol,
     _find_wire,
     _positions,
     conjugate_wires,
@@ -164,6 +165,7 @@ class InstrumentReport:
 
 def validate_instrument(ins: Instrument, tol: float = DEFAULT_TOL) -> InstrumentReport:
     """Positivity of every branch, in one stacked pass, plus completeness of the sum."""
+    _check_tol(tol)
     return _reports(ins, ins.terms.matrix, tol)[0]
 
 
@@ -266,6 +268,8 @@ def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
     the branches are conjugated whole. A stack of n unitaries gives n instruments.
     """
     names = tuple(names)
+    if not names:
+        raise ValueError("conjugate_instrument needs at least one wire name")
     unknown = set(names) - {w.name for w in ins.wires}
     if unknown:
         raise ValueError(f"unknown wires {sorted(unknown)}; instrument has {[w.name for w in ins.wires]}")

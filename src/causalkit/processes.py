@@ -30,7 +30,7 @@ Tr_X W, in place on the block where each is nonzero
 (:func:`causalkit.tensor.add_replaced`).
 
 Constructors check their inputs at ``DEFAULT_TOL`` and raise on a violation;
-the ``tol`` of a check sets only its verdict.
+the ``tol`` of a check, finite and >= 0, sets only its verdict.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .tensor import (
     DEFAULT_TOL,
     LabeledOperator,
     WireLabel,
+    _check_tol,
     _find_wire,
     add_replaced,
     dump_operator,
@@ -181,12 +182,6 @@ class ValidityReport:
         """Each residual over :attr:`scale` (nan for W = 0); :attr:`valid` stays absolute."""
         return tuple((k, r / self.scale if self.scale else float("nan")) for k, r in self.constraint_residuals)
 
-    def residual(self, name: str) -> float:
-        for key, value in self.constraint_residuals:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class OrderReport:
@@ -221,6 +216,7 @@ def validate_process(proc: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityR
     With k = N - 1 down to 0 labs traced, each k-set of traced parties in
     party order (see the module docstring); violations land in the report.
     """
+    _check_tol(tol)
     w = proc.op
     herm = proc.hermiticity
     scale = float(np.max(np.abs(w.matrix)))
@@ -245,6 +241,7 @@ def check_order(proc: ProcessMatrix, order: str, tol: float = DEFAULT_TOL) -> Or
     (1 - R_{O_k}) Tr_{labs after k} W = 0, one residual per party, last party
     first, named "X output ignored" when no lab comes after X.
     """
+    _check_tol(tol)
     names = [p.name for p in proc.parties]
     chain = names if order == "no-signaling" else order.split("<")
     if sorted(chain) != sorted(names):
@@ -273,6 +270,7 @@ def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tupl
     once per process, always transposing the first party's wires, and kept
     on the process beside its Hermiticity defect; ``tol`` only decides the verdict.
     """
+    _check_tol(tol)
     _require_bipartite(proc)
     proc.party(side)  # an unknown side raises KeyError
     if proc.unassigned_wires:
@@ -287,8 +285,14 @@ def is_ppt_cut(proc: ProcessMatrix, side: str, tol: float = DEFAULT_TOL) -> tupl
 # ---------------------------------------------------------------------------
 # Constructors
 
-_SZ = np.diag([1.0, -1.0]).astype(complex)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# The single-qubit Paulis that the qubit built-ins are written in.
+_PAULI = dict(zip("IXZ", np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]], dtype=complex)))
+
+
+def _pauli(word: str) -> np.ndarray:
+    """The kron of the Paulis that ``word`` names, left to right: ``_pauli("ZIXX")`` = Z (x) I (x) X (x) X."""
+    return functools.reduce(np.kron, (_PAULI[letter] for letter in word))
+
 
 # The two labs of every built-in process; their wires, in this order, are
 # (A_I, A_O, B_I, B_O) (Oreshkov, Costa & Brukner, arXiv:1105.4464).
@@ -309,50 +313,32 @@ def party_process(*factors: LabeledOperator) -> ProcessMatrix:
 def build_cyril() -> ProcessMatrix:
     """The two-party qubit process with no definite causal order.
 
-    W = (1/4)[I + (Z Z Z I + Z I X X)/sqrt(2)] on wires (A_I, A_O, B_I, B_O).
-    Both Pauli strings anticommute, so the spectrum is {0, 1/2} and W is PSD.
+    W = (1/4)[I + (ZZZI + ZIXX)/sqrt(2)] on wires (A_I, A_O, B_I, B_O): the two
+    Pauli words anticommute, so the spectrum is {0, 1/2} and W is PSD.
     """
-    eye = np.eye(2, dtype=complex)
-    term1 = np.kron(np.kron(_SZ, _SZ), np.kron(_SZ, eye))
-    term2 = np.kron(np.kron(_SZ, eye), np.kron(_SX, _SX))
-    mat = (np.eye(16, dtype=complex) + (term1 + term2) / np.sqrt(2)) / 4
+    mat = (_pauli("IIII") + (_pauli("ZZZI") + _pauli("ZIXX")) / np.sqrt(2)) / 4
     return party_process(LabeledOperator(sum(lab_wires(2), ()), mat))
 
 
 def verify_cyril_separable_decomposition() -> float:
     """Rebuild :func:`build_cyril` from eight product terms; return the residual.
 
-    Each term is (1/2) P (x) P (x) P (x) P with rank-1 projectors onto Z, X,
-    and the two diagonal directions (Z±X)/sqrt2. Every factor is PSD, so an
-    exact reconstruction certifies separability across all four wires.
+    With P(a) = (I + a)/2, the term of signs (s1, s2, s4) in {+1, -1}^3 is
+    (1/2) P(s1 Z) (x) P(s2 Z) (x) P(s1 s2 n) (x) P(s4 X), with n = (Z + X)/sqrt2
+    if s2 = s4 and (Z - X)/sqrt2 otherwise. Every factor is a rank-1
+    projector, so an exact rebuild of the words ZZZI and ZIXX certifies
+    separability across all four wires. The residual is the largest of the
+    rebuild's max-abs error and each factor's negative eigenvalue and trace error.
     """
-    r2 = np.sqrt(2)
-    eye = np.eye(2, dtype=complex)
-    pz = {+1: (eye + _SZ) / 2, -1: (eye - _SZ) / 2}
-    px = {+1: (eye + _SX) / 2, -1: (eye - _SX) / 2}
-    pa = {+1: (eye + (_SZ + _SX) / r2) / 2, -1: (eye - (_SZ + _SX) / r2) / 2}
-    pb = {+1: (eye + (_SZ - _SX) / r2) / 2, -1: (eye - (_SZ - _SX) / r2) / 2}
-    terms = [
-        (+1, +1, pa, +1, +1),
-        (-1, +1, pa, -1, +1),
-        (+1, +1, pb, +1, -1),
-        (-1, +1, pb, -1, -1),
-        (+1, -1, pb, -1, +1),
-        (-1, -1, pb, +1, +1),
-        (+1, -1, pa, -1, -1),
-        (-1, -1, pa, +1, -1),
-    ]
-    acc = np.zeros((16, 16), dtype=complex)
-    for s1, s2, mid, sm, s4 in terms:
-        factors = (pz[s1], pz[s2], mid[sm], px[s4])
-        for f in factors:
-            if np.linalg.eigvalsh(f)[0] < -1e-12:
-                raise AssertionError("decomposition factor is not PSD")
-        term = np.kron(np.kron(factors[0], factors[1]), np.kron(factors[2], factors[3]))
-        if abs(np.trace(term) - 1.0) > 1e-12:
-            raise AssertionError("decomposition term trace is not 1")
-        acc += 0.5 * term
-    return float(np.max(np.abs(acc - build_cyril().op.matrix)))
+    z, x = _pauli("Z"), _pauli("X")
+    factors = np.array([
+        [(_pauli("I") + a) / 2 for a in (s1 * z, s2 * z, s1 * s2 * (z + s2 * s4 * x) / np.sqrt(2), s4 * x)]
+        for s1, s2, s4 in itertools.product((1, -1), repeat=3)
+    ])
+    rebuilt = sum(0.5 * functools.reduce(np.kron, term) for term in factors)
+    traces = np.trace(factors, axis1=-2, axis2=-1)
+    errors = (np.abs(rebuilt - build_cyril().op.matrix), -np.linalg.eigvalsh(factors), np.abs(traces - 1))
+    return float(max(np.max(e) for e in errors))
 
 
 def maximally_mixed_process(d: int = 2) -> ProcessMatrix:

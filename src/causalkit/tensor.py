@@ -34,6 +34,13 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+
+def _check_tol(tol: float) -> None:
+    """Raise unless a verdict's ``tol`` is finite and >= 0 (0 means exact)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 # einsum's subscript letters: a row and a column letter per wire, and in
 # batched_trace one per batch label and per kron-sum term axis. No dense
 # operator comes near 26 wires, but a factored contraction, which forms no
@@ -281,6 +288,8 @@ def stack_operators(ops: Sequence[OperatorStack], shape: tuple[int, ...]) -> Ope
     and have its batch shape; ``shape`` leads the batch axes of the result.
     One member, or members that are the rows of one array in order, stack with no copy.
     """
+    if not ops:
+        raise ValueError("stack_operators needs at least one operator")
     first, n = ops[0], len(ops)
     if any(op.wires != first.wires for op in ops[1:]):
         raise ValueError(f"every stacked operator must act on the wires {first.names}, in that order")
@@ -454,6 +463,8 @@ def conjugate_wires(op, u: np.ndarray, names: Iterable[str]):
     the rows and conj(U) on the columns; other wires are permuted together first.
     """
     targets = _positions(op, names)
+    if not targets:
+        raise ValueError("conjugate_wires needs at least one wire name")
     if targets != tuple(range(targets[0], targets[0] + len(targets))):
         named, rest = [op.names[i] for i in targets], [n for i, n in enumerate(op.names) if i not in targets]
         moved = permute_wires(op, rest[: targets[0]] + named + rest[targets[0] :])

@@ -615,6 +615,18 @@ class TestToleranceEnv:
         assert exc.value.code == 2
         assert "CAUSALKIT_TOL" in capsys.readouterr().err
 
+    def test_env_rejects_inf(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAUSALKIT_TOL", "inf")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--process", "cyril"])
+        assert exc.value.code == 2
+        assert "CAUSALKIT_TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_build_manifest_rejects_the_tolerance(self, tol):
+        with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol!r}"):
+            build_manifest(tol)
+
 
 @pytest.mark.parametrize(
     "argv",

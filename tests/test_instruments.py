@@ -645,6 +645,9 @@ class TestInputChecks:
                 "every stacked operator must act on the wires ('A_I', 'A_O'), in that order",
                 id="family-wires",
             ),
+            pytest.param(
+                lambda: conjugate_instrument(_passes()[0], np.eye(1), ()), "at least one wire name", id="conjugate-no-wire"
+            ),
             pytest.param(lambda: coarse_grain(_passes()[0], [0], 1), "relabel every outcome", id="grouping-size"),
             pytest.param(lambda: coarse_grain(_passes()[0], [0, 2], 2), "label out of range", id="grouping-label"),
         ],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import pickle
+import re
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalkit.processes import (
+    ORDER_TOKENS,
     ProcessMatrix,
     PartySlot,
     build_cyril,
@@ -21,16 +23,26 @@ from causalkit.processes import (
     dump_process,
     extend_with_state,
     is_ppt_cut,
+    lab_wires,
     load_process,
     maximally_mixed_process,
+    party_process,
     shared_state_process,
     validate_process,
     verify_cyril_separable_decomposition,
 )
 from causalkit.classical import ClassicalProcess3, ebw_process, is_logically_consistent
 from causalkit.cli import PROCESS_BUILDERS
+from causalkit.duality import check_duality, pauli_xd, pauli_zd
 from causalkit.games import GameStrategy, PartyArm, behaviour
-from causalkit.sampling import random_channel_choi, random_density, random_instrument, random_process
+from causalkit.instruments import validate_instrument
+from causalkit.sampling import (
+    random_channel_choi,
+    random_density,
+    random_gyni_strategy,
+    random_instrument,
+    random_process,
+)
 from causalkit.tensor import LabeledOperator, WireLabel, dump_operator, kron, load_operator, permute_wires
 from reference_maps import reference_components, reference_order, reference_residuals
 
@@ -132,8 +144,8 @@ class TestValidation:
         report = validate_process(proc)
         assert not report.valid
         assert report.psd_ok
-        assert report.residual("normalization") <= 1e-12
-        assert report.residual("affine closure") == pytest.approx(1.0, abs=1e-12)
+        assert dict(report.constraint_residuals)["normalization"] <= 1e-12
+        assert dict(report.constraint_residuals)["affine closure"] == pytest.approx(1.0, abs=1e-12)
 
     def test_psd_verdict_is_set_by_the_tolerance(self):
         # I/4 less (1/4 + 1e-8)|0><0|: Hermitian, with min eigenvalue -1e-8.
@@ -178,13 +190,46 @@ class TestValidation:
     def test_one_party_process_gets_a_report(self):
         op = LabeledOperator((WireLabel("A_I", 2), WireLabel("A_O", 2)), np.eye(4))
         report = validate_process(ProcessMatrix(op, (PartySlot("A", "A_I", "A_O"),)))
-        assert report.residual("normalization") == 2.0  # |Tr I_4 - d_O| = |4 - 2|
+        assert dict(report.constraint_residuals)["normalization"] == 2.0  # |Tr I_4 - d_O| = |4 - 2|
         assert report.valid is False
 
     def test_wires_must_exist(self):
         op = LabeledOperator((WireLabel("A_I", 2),), np.eye(2))
         with pytest.raises(ValueError):
             ProcessMatrix(op, (PartySlot("A", "A_I", "A_O"),))
+
+
+@functools.cache
+def verdict_inputs(d: int) -> tuple:
+    """A seeded process, an instrument on lab A's wires and a guessing strategy, at dimension d."""
+    rng = np.random.default_rng([29, d])
+    (a_in, a_out), _ = lab_wires(d)
+    return random_process(rng, d), random_instrument(rng, (a_in,), (a_out,), d), random_gyni_strategy(rng, d)
+
+
+# Every library check that takes a verdict tolerance, called on verdict_inputs(d).
+VERDICTS = {
+    "validate_process": lambda proc, ins, strategy, tol: validate_process(proc, tol),
+    "check_order": lambda proc, ins, strategy, tol: check_order(proc, "A<B", tol),
+    "is_ppt_cut": lambda proc, ins, strategy, tol: is_ppt_cut(proc, "A", tol),
+    "validate_instrument": lambda proc, ins, strategy, tol: validate_instrument(ins, tol),
+    "check_duality": lambda proc, ins, strategy, tol: check_duality(strategy, "gyni2dr", tol),
+}
+
+
+class TestVerdictTolerance:
+    """A verdict's tol must be finite and >= 0; otherwise every check raises, naming it."""
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("check", sorted(VERDICTS))
+    def test_rejected_unless_finite_and_nonnegative(self, check, d, tol):
+        with pytest.raises(ValueError, match=re.escape(f"tol must be finite and >= 0, got {tol!r}")):
+            VERDICTS[check](*verdict_inputs(d), tol)
+
+    @pytest.mark.parametrize("check", sorted(VERDICTS))
+    def test_zero_means_exact(self, check):
+        VERDICTS[check](*verdict_inputs(2), 0.0)
 
 
 def own_pt(proc: ProcessMatrix, side: str) -> np.ndarray:
@@ -500,7 +545,7 @@ def classical_process(process: ClassicalProcess3) -> ProcessMatrix:
     """W = sum_o |f(o)><f(o)|_I (x) |o><o|_O on six qubit wires, I = (A_I, B_I, C_I), O = (A_O, B_O, C_O)."""
     diagonal = np.zeros((2,) * 6)
     for o in product(range(2), repeat=3):
-        f = process(o)
+        f = process.table[4 * o[0] + 2 * o[1] + o[2]]
         diagonal[f[0], o[0], f[1], o[1], f[2], o[2]] = 1.0
     wires = tuple(WireLabel(n, 2) for p in THREE_PARTIES for n in (p.input_wire, p.output_wire))
     return ProcessMatrix(LabeledOperator(wires, np.diag(diagonal.reshape(-1))), THREE_PARTIES)
@@ -608,7 +653,7 @@ class TestQutritNormalization:
         assert trace == pytest.approx(9.0, abs=1e-12)
         report = validate_process(proc)
         assert report.valid
-        assert report.residual("normalization") == abs(trace - 9)
+        assert dict(report.constraint_residuals)["normalization"] == abs(trace - 9)
 
     @pytest.mark.parametrize("direction", ["A<B", "B<A"])
     def test_behaviour_marginals(self, direction):
@@ -626,6 +671,30 @@ class TestQutritNormalization:
         first = table.sum(axis=3) if direction == "A<B" else table.sum(axis=2).transpose(1, 0, 2)
         for x, y in product(range(3), repeat=2):
             np.testing.assert_allclose(first[x, y], first[x, 0], atol=1e-12)
+
+
+def word_powers(d: int, word: str) -> np.ndarray:
+    """sum_{j=1}^{d-1} T^j, with T the kron of the d-dimensional Paulis that ``word`` names (I, X, Z)."""
+    t = functools.reduce(np.kron, ({"I": np.eye(d), "X": pauli_xd(d), "Z": pauli_zd(d)}[c] for c in word))
+    return sum(np.linalg.matrix_power(t, j) for j in range(1, d))
+
+
+class TestOrderMixture:
+    """Failing every order is not indefiniteness: W_d = (1/d^2)[I + (1/2) sum_j (T1^j + T2^j)],
+    T1 = ZZZI and T2 = ZIXX, is the even mixture of an A<B and a B<A process."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_mixture_of_two_orders_fails_every_order(self, d):
+        def process(mat: np.ndarray) -> ProcessMatrix:
+            return party_process(LabeledOperator(sum(lab_wires(d), ()), mat / d**2))
+
+        eye, t1, t2 = np.eye(d**4), word_powers(d, "ZZZI"), word_powers(d, "ZIXX")
+        w, first, second = process(eye + (t1 + t2) / 2), process(eye + t1), process(eye + t2)
+        assert validate_process(w).valid
+        assert not any(check_order(w, order).compatible for order in ORDER_TOKENS)
+        assert validate_process(first).valid and check_order(first, "A<B").compatible
+        assert validate_process(second).valid and check_order(second, "B<A").compatible
+        assert np.max(np.abs((first.op.matrix + second.op.matrix) / 2 - w.op.matrix)) <= 1e-16
 
 
 class TestExtendWithState:
@@ -821,7 +890,10 @@ class TestInputChecks:
             ),
             pytest.param(lambda: build_cyril().party("C"), KeyError, "no party 'C'", id="party"),
             pytest.param(
-                lambda: validate_process(build_cyril()).residual("positivity"), KeyError, "'positivity'", id="report"
+                lambda: dict(validate_process(build_cyril()).constraint_residuals)["positivity"],
+                KeyError,
+                "'positivity'",
+                id="report",
             ),
             pytest.param(
                 lambda: extend_with_state(build_cyril(), _qubits("X"), {"Y": "A"}),

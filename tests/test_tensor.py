@@ -618,6 +618,10 @@ class TestInputChecks:
             ),
             pytest.param(lambda: load_operator(["wires: A:2,B:2.5"]), ValueError, "entry 'B:2.5'", id="dim-float"),
             pytest.param(lambda: load_operator(["wires: A:1", "1+0j"]), ValueError, "dim >= 2", id="dim-1"),
+            pytest.param(lambda: stack_operators([], (0,)), ValueError, "at least one operator", id="empty-stack"),
+            pytest.param(
+                lambda: conjugate_wires(op([A], SZ), np.eye(1), []), ValueError, "at least one wire name", id="no-wire"
+            ),
         ],
     )
     def test_raises(self, call, error, fragment):
