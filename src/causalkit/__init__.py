@@ -56,10 +56,7 @@ from .instruments import (
     validate_instrument,
 )
 from .games import (
-    CAUSAL_GYNI_BOUND,
-    CONSTANT_GUESS_VALUE,
     CYRIL_GYNI_VALUE,
-    LOCC_RETRIEVAL_BOUND,
     BellCode,
     GameStrategy,
     bell_state,
@@ -73,7 +70,6 @@ from .games import (
     relay_gyni_strategy,
 )
 from .duality import (
-    QUBIT_READOUT_UNITARY,
     DualityCertificate,
     check_duality,
     controlled_shift,

@@ -25,8 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import classical, duality, games, processes, sampling, tensor
-from .games import CAUSAL_GYNI_BOUND, CONSTANT_GUESS_VALUE, CYRIL_GYNI_VALUE, LOCC_RETRIEVAL_BOUND
-from .games import BellCode, GameStrategy
+from .games import CYRIL_GYNI_VALUE, BellCode, GameStrategy
 from .instruments import choi_of_unitary
 from .processes import ProcessMatrix
 from .tensor import DEFAULT_TOL, LabeledOperator, WireLabel, _check_tol
@@ -42,9 +41,6 @@ class ReproductionRecord:
     computed: str
     tolerance: float
     status: str  # "pass" | "fail"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _fmt(v: float | Fraction) -> str:
@@ -414,6 +410,11 @@ def _ftdr(strategy: str, reference: tuple) -> Reading:
     return Reading("exact", (acc.overall, acc.round_success), reference, text)
 
 
+def _baseline(strategy: GameStrategy, k: int) -> Reading:
+    """A baseline's value against 1/d^k at its own dimension d."""
+    return Reading("near", games.game_value(strategy), strategy.d ** -k)
+
+
 def _mutant_detected(tol):
     mutant = games.game_value(games._resend_same_mutant())
     gap = abs(mutant - CYRIL_GYNI_VALUE)
@@ -441,12 +442,12 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("process-cyril-separable", "causalkit manifest",
           "eight-product-term rebuild residual <= {tol:g}", 1e-12,
           lambda tol: Reading("at_most", processes.verify_cyril_separable_decomposition(), tol)),
-    Claim("gyni-relay-value", "causalkit gyni --process relay", _fmt(CAUSAL_GYNI_BOUND), None,
-          lambda tol: Reading("near", games.game_value(GYNI_STRATEGIES["relay"]()), CAUSAL_GYNI_BOUND)),
-    Claim("gyni-constant-value", "causalkit gyni --process constant", _fmt(CONSTANT_GUESS_VALUE), None,
-          lambda tol: Reading("near", games.game_value(GYNI_STRATEGIES["constant"]()), CONSTANT_GUESS_VALUE)),
-    Claim("drb-pauli-y-value", "causalkit drb --strategy pauli-y", _fmt(LOCC_RETRIEVAL_BOUND), None,
-          lambda tol: Reading("near", games.game_value(games.pauli_y_baseline_strategy()), LOCC_RETRIEVAL_BOUND)),
+    Claim("gyni-relay-value", "causalkit gyni --process relay", "0.5", None,
+          lambda tol: _baseline(GYNI_STRATEGIES["relay"](), 1)),
+    Claim("gyni-constant-value", "causalkit gyni --process constant", "0.25", None,
+          lambda tol: _baseline(GYNI_STRATEGIES["constant"](), 2)),
+    Claim("drb-pauli-y-value", "causalkit drb --strategy pauli-y", "0.5", None,
+          lambda tol: _baseline(games.pauli_y_baseline_strategy(), 1)),
     Claim("drb-cyril-dual-value", "causalkit drb --strategy cyril-dual", _CYRIL_VALUE_TEXT, None,
           lambda tol: Reading("near", games.game_value(DRB_STRATEGIES["cyril-dual"]()), CYRIL_GYNI_VALUE)),
     Claim("duality-gyni2dr-cyril", "causalkit duality --direction gyni2dr --process cyril",
@@ -507,7 +508,7 @@ def cmd_manifest(args, parser, tol) -> int:
     ]
     table.append(f"{len(records) - failures}/{len(records)} reproduction records passed")
     payload = {
-        "records": [r.to_dict() for r in records],
+        "records": [asdict(r) for r in records],
         "total": len(records),
         "failures": failures,
         "status": "pass" if not failures else "fail",
@@ -573,10 +574,9 @@ def main(argv: list[str] | None = None) -> int:
     tol_env = os.environ.get("CAUSALKIT_TOL")
     try:
         tol = float(tol_env) if tol_env else DEFAULT_TOL
-    except ValueError:
-        parser.error(f"CAUSALKIT_TOL must be a float, got {tol_env!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        parser.error(f"CAUSALKIT_TOL must be finite and positive, got {tol_env!r}")
+        _check_tol(tol)
+    except ValueError as exc:  # not a float, or not a tolerance the library takes
+        parser.error(f"CAUSALKIT_TOL={tol_env!r}: {exc}")
     try:
         return args.func(args, args.parser, tol)
     except MemoryError as exc:  # a dimension too large to allocate is a usage error

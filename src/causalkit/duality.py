@@ -83,24 +83,13 @@ def controlled_shift(d: int) -> np.ndarray:
     return _controlled_permutation(d, np.add)
 
 
-QUBIT_READOUT_UNITARY = np.array(
-    [
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-        [1, 0, 0, -1],
-        [0, 1, -1, 0],
-    ],
-    dtype=complex,
-) / np.sqrt(2)
-
-
 def party_readout_unitaries(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Readout rotations (first party, second party) on (code, fresh) wires.
 
     Both parties finish with an inverse Fourier on the code wire; they differ
     in how the fresh wire absorbs the code symbol (subtract vs reflect), which
     is what makes *both* measured pairs come out sum-correlated. The two
-    matrices coincide at d = 2 and equal QUBIT_READOUT_UNITARY there.
+    matrices coincide at d = 2, where both are (H (x) I) CNOT.
     """
     _require_dim(d)
     mix = np.kron(np.conj(fourier(d)), np.eye(d, dtype=complex))
@@ -137,7 +126,7 @@ class DualityCertificate:
     d: int
     source_value: float
     target_value: float
-    tolerance: float = DEFAULT_TOL
+    tolerance: float
 
     @property
     def deviation(self) -> float:

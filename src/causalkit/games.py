@@ -40,11 +40,9 @@ from .processes import (
 )
 from .tensor import DEFAULT_TOL, LabeledOperator, OperatorStack, WireLabel, batched_trace
 
-# Closed-form reference values (qubit wires unless stated otherwise).
+# Closed-form value of the cyril strategy (qubit wires). The baselines have
+# no constant: each scores 1/d or 1/d^2 at its own dimension d.
 CYRIL_GYNI_VALUE = (5 / 16) * (1 + 1 / np.sqrt(2))
-CONSTANT_GUESS_VALUE = 0.25
-CAUSAL_GYNI_BOUND = 0.5
-LOCC_RETRIEVAL_BOUND = 0.5
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,7 @@ def relay_gyni_strategy() -> GameStrategy:
 
 
 def pauli_y_baseline_strategy() -> GameStrategy:
-    """Unentangled retrieval benchmark hitting LOCC_RETRIEVAL_BOUND exactly.
+    """Unentangled retrieval benchmark scoring 1/d = 1/2, the LOCC bound, exactly.
 
     Both parties measure their code wire along Y and ignore the process
     wires. The first party maps up/down to 0/1, the second to 1/0; the Y-Y

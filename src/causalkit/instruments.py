@@ -152,7 +152,7 @@ class InstrumentReport:
     outcome_min_eigs: tuple[float, ...]
     hermiticity: float
     tp_residual: float
-    tolerance: float = DEFAULT_TOL
+    tolerance: float
 
     @property
     def psd_ok(self) -> bool:

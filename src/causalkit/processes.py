@@ -167,7 +167,7 @@ class ValidityReport:
     hermiticity: float
     constraint_residuals: tuple[tuple[str, float], ...]
     scale: float
-    tolerance: float = DEFAULT_TOL
+    tolerance: float
 
     @property
     def psd_ok(self) -> bool:
@@ -187,7 +187,7 @@ class ValidityReport:
 class OrderReport:
     order: str
     residuals: tuple[tuple[str, float], ...]
-    tolerance: float = DEFAULT_TOL
+    tolerance: float
 
     @property
     def compatible(self) -> bool:

@@ -34,7 +34,6 @@ from causalkit.classical import (
 )
 from causalkit.cli import CLAIMS
 from causalkit.duality import (
-    QUBIT_READOUT_UNITARY,
     check_duality,
     controlled_shift,
     fourier,
@@ -163,8 +162,8 @@ def test_criterion_06_qutrit_duality_and_gates():
     np.testing.assert_allclose(
         pauli_zd(3) @ pauli_xd(3), w * pauli_xd(3) @ pauli_zd(3), atol=TIGHT_TOL
     )
-    for v in party_readout_unitaries(2):
-        np.testing.assert_allclose(v, QUBIT_READOUT_UNITARY, atol=TIGHT_TOL)
+    for v in party_readout_unitaries(2):  # (H (x) I) CNOT
+        np.testing.assert_allclose(v, np.kron(h, np.eye(2)) @ np.eye(4)[[0, 1, 3, 2]], atol=TIGHT_TOL)
     rng = np.random.default_rng(20260816)
     checked = 0
     for _ in range(5):

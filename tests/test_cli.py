@@ -582,8 +582,8 @@ class TestManifest:
         assert claim.check().computed in out
 
     def test_builder_is_deterministic(self):
-        a = [r.to_dict() for r in build_manifest()]
-        b = [r.to_dict() for r in build_manifest()]
+        a = [dataclasses.asdict(r) for r in build_manifest()]
+        b = [dataclasses.asdict(r) for r in build_manifest()]
         assert a == b
         assert isinstance(MANIFEST_SEED, int)
 
@@ -594,6 +594,14 @@ class TestToleranceEnv:
         monkeypatch.setenv("CAUSALKIT_TOL", "1e-18")
         code, payload = run_json(capsys, "validate", "--process", "mixed")
         assert payload["tolerance"] == 1e-18
+
+    def test_env_zero_is_exact(self, capsys, monkeypatch):
+        # The library's rule: 0 is a valid tolerance, the exact verdict.
+        monkeypatch.setenv("CAUSALKIT_TOL", "0")
+        code, payload = run_json(capsys, "validate", "--process", "mixed")
+        assert code == 0
+        assert payload["tolerance"] == 0.0
+        assert payload["valid"] is True
 
     def test_env_must_parse(self, capsys, monkeypatch):
         monkeypatch.setenv("CAUSALKIT_TOL", "tight")

@@ -18,7 +18,6 @@ import pytest
 
 from causalkit.duality import (
     DIRECTION_TOKENS,
-    QUBIT_READOUT_UNITARY,
     DualityCertificate,
     check_duality,
     controlled_shift,
@@ -88,7 +87,6 @@ class TestGates:
             ],
             dtype=complex,
         ) / SQRT2
-        np.testing.assert_allclose(QUBIT_READOUT_UNITARY, expected, atol=1e-15)
         v_a, v_b = party_readout_unitaries(2)
         np.testing.assert_allclose(v_a, expected, atol=1e-12)
         np.testing.assert_allclose(v_b, expected, atol=1e-12)

@@ -12,6 +12,7 @@ implementation existed and are frozen as closed forms:
 from __future__ import annotations
 
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -33,10 +34,11 @@ from causalkit.games import (
     game_value,
     pauli_y_baseline_strategy,
     relay_gyni_strategy,
+    _resend_same_mutant,
 )
 from causalkit.duality import DIRECTION_TOKENS, check_duality, dr_to_gyni, gyni_to_dr
 from causalkit.instruments import Instrument, identity_channel_instrument, validate_instrument
-from causalkit.processes import ProcessMatrix, PartySlot
+from causalkit.processes import ProcessMatrix, PartySlot, _pauli, build_cyril
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy, random_instrument
 from causalkit.tensor import (
     LabeledOperator,
@@ -150,6 +152,25 @@ class TestMutualGuessing:
         value = game_value(cyril_gyni_strategy())
         assert value == pytest.approx((5 / 16) * (1 + 1 / SQRT2), abs=1e-12)
         assert value == pytest.approx(CYRIL_GYNI_VALUE, abs=1e-15)
+
+    @staticmethod
+    def _exact_trace(op: np.ndarray, strategy: GameStrategy) -> Fraction:
+        """Tr[op G] as an exact rational, G = the winning effects averaged over (x, y)."""
+        g = batched_trace([], [arm.stack for arm in strategy.parties], ["xy", "yx"])
+        tr = np.trace(op @ g.reshape(2, 2, 16, 16).mean(axis=(0, 1)))
+        assert tr.imag == 0
+        return Fraction(tr.real)
+
+    def test_cyril_value_is_exact(self):
+        # Cyril is W = P + Q/sqrt2 with P = I/4 and Q = (ZZZI + ZIXX)/4. Their traces against
+        # the dyadic G are exact in float64, so the value is 5/16 (1 + 1/sqrt2) with no tolerance.
+        p, q = _pauli("IIII") / 4, (_pauli("ZZZI") + _pauli("ZIXX")) / 4
+        strategy = cyril_gyni_strategy()
+        assert self._exact_trace(p, strategy) == self._exact_trace(q, strategy) == Fraction(5, 16)
+        value = float(self._exact_trace(build_cyril().op.matrix, strategy))
+        assert value == pytest.approx(game_value(strategy), abs=1e-15)
+        # Re-preparing the measured bit unchanged breaks the identity.
+        assert self._exact_trace(q, _resend_same_mutant()) == Fraction(3, 16)
 
     def test_cyril_per_input_branches_frozen(self):
         terms = game_terms(cyril_gyni_strategy())

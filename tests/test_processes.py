@@ -34,7 +34,7 @@ from causalkit.processes import (
 from causalkit.classical import ClassicalProcess3, ebw_process, is_logically_consistent
 from causalkit.cli import PROCESS_BUILDERS
 from causalkit.duality import check_duality, pauli_xd, pauli_zd
-from causalkit.games import GameStrategy, PartyArm, behaviour
+from causalkit.games import GameStrategy, PartyArm, behaviour, coded_pairs, cyril_gyni_strategy
 from causalkit.instruments import validate_instrument
 from causalkit.sampling import (
     random_channel_choi,
@@ -655,22 +655,39 @@ class TestQutritNormalization:
         assert report.valid
         assert dict(report.constraint_residuals)["normalization"] == abs(trace - 9)
 
+    @pytest.mark.parametrize("game", ["guessing", "retrieval"])
     @pytest.mark.parametrize("direction", ["A<B", "B<A"])
-    def test_behaviour_marginals(self, direction):
-        # The party acting first cannot learn the other's input: its marginal ignores it.
-        rng = np.random.default_rng([303, ORDER_SEEDS[direction]])
-        proc = channel_process(random_density(rng, 3), random_channel_choi(rng, 3, 3), direction)
-        arms = tuple(
-            PartyArm(tuple(random_instrument(rng, (proc.wire(f"{p}_I"),), (proc.wire(f"{p}_O"),), 3) for _ in range(3)))
-            for p in ("A", "B")
-        )
-        table = behaviour(GameStrategy(proc, arms))  # P[x, y, a, b]
-        assert table.shape == (3, 3, 3, 3)
-        assert table.min() >= -1e-12
-        np.testing.assert_allclose(table.sum(axis=(2, 3)), np.ones((3, 3)), atol=1e-12)
-        first = table.sum(axis=3) if direction == "A<B" else table.sum(axis=2).transpose(1, 0, 2)
-        for x, y in product(range(3), repeat=2):
-            np.testing.assert_allclose(first[x, y], first[x, 0], atol=1e-12)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_behaviour_marginals(self, d, direction, game):
+        # The party acting first learns neither the other's input nor the code (its code
+        # wire is I/d for every code): its outcome marginal ignores both, so it wins 1/d.
+        rng = np.random.default_rng([303, ORDER_SEEDS[direction], d])
+        first = 0 if direction == "A<B" else 1
+        for _ in range(4):
+            proc = channel_process(random_density(rng, d), random_channel_choi(rng, d, d), direction)
+            lab = [((proc.wire(f"{p}_I"),), (proc.wire(f"{p}_O"),)) for p in ("A", "B")]
+            if game == "guessing":
+                arms = tuple(PartyArm(tuple(random_instrument(rng, i, o, d) for _ in range(d))) for i, o in lab)
+                table = behaviour(GameStrategy(proc, arms))  # P[x, y, a, b]
+                assert table.shape == (d,) * 4
+                marginal, across = table.sum(axis=3 - first), 1 - first  # across the other's input
+            else:
+                arms = tuple(
+                    PartyArm((random_instrument(rng, (WireLabel(p, d),) + i, o, d),)) for p, (i, o) in zip("AB", lab)
+                )
+                s = GameStrategy(proc, arms)
+                table = behaviour(s, coded_pairs(d, s.state_wires))  # P[x1, x2, x, y, a, b]
+                assert table.shape == (d, d, 1, 1, d, d)
+                table = table.reshape(d * d, d, d)
+                marginal, across = table.sum(axis=2 - first), 0  # across the code
+            assert table.min() >= -1e-12
+            np.testing.assert_allclose(table.sum(axis=(-2, -1)), 1.0, atol=1e-12)
+            assert np.ptp(marginal, axis=across).max() <= 1e-12
+
+    def test_cyril_first_marginal_depends_on_the_other_input(self):
+        # The counter-case: on cyril, A's outcome marginal moves with B's input by 1/(2 sqrt 2).
+        table = behaviour(cyril_gyni_strategy())
+        assert np.ptp(table.sum(axis=3), axis=1).max() == pytest.approx(1 / (2 * np.sqrt(2)), abs=1e-12)
 
 
 def word_powers(d: int, word: str) -> np.ndarray:
