@@ -48,7 +48,6 @@ from .instruments import (
     InstrumentReport,
     PartyArm,
     choi_of_unitary,
-    coarse_grain,
     conjugate_instrument,
     extend_instrument_with_measurement,
     identity_channel_instrument,
@@ -92,7 +91,6 @@ from .classical import (
     tdr_accounting_ebw,
     tdr_relay_accounting,
     tdr_success_no_collab,
-    two_copy_locc_decode,
 )
 
 __version__ = "0.1.0"

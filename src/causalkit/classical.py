@@ -22,8 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from .games import BellCode
-
 Bits = tuple[int, ...]
 # Maps input bits x[0..5] = (x1, x1', x2, x2', x3, x3') and free bits r to the
 # three output bits and the three guessed strings, as broadcastable arrays.
@@ -212,12 +210,3 @@ def ftdr_accounting(strategy: str) -> FlagAccounting:
     else:
         raise ValueError(f"unknown strategy {strategy!r}; expected 'ebw' or 'definite_order'")
     return FlagAccounting((std + rev) / 2, (std, rev))
-
-
-def two_copy_locc_decode(z_bits: tuple[int, int], x_bits: tuple[int, int]) -> BellCode:
-    """Recover a qubit code from two copies measured locally: one read in
-    the computational basis on both wires (``z_bits``), the other in the
-    conjugate basis (``x_bits``); each pair's XOR reveals one symbol."""
-    z_bits = _check_bits(z_bits, 2, "computational readings")
-    x_bits = _check_bits(x_bits, 2, "conjugate readings")
-    return BellCode(2, z_bits[0] ^ z_bits[1], x_bits[0] ^ x_bits[1])

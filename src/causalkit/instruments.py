@@ -342,19 +342,3 @@ def extend_instrument_with_measurement(
     branches = inner[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
     readout = _readout_projectors(u, (w1, w2))
     return Instrument(KronSum((readout, OperatorStack(base.wires, branches))), base.output_wires)
-
-
-def coarse_grain(ins: Instrument, grouping: Sequence[int], n_outcomes: int) -> Instrument:
-    """Merge outcomes: ``grouping[k]`` is the new label of old outcome k.
-
-    Only the last part, which carries the outcome axis, changes, so a
-    factored instrument stays factored.
-    """
-    if len(grouping) != ins.n_outcomes:
-        raise ValueError("grouping must relabel every outcome")
-    if any(not 0 <= g < n_outcomes for g in grouping):
-        raise ValueError("grouping label out of range")
-    *shared, last = ins.terms.parts
-    acc = np.zeros((n_outcomes,) + last.matrix.shape[1:], dtype=complex)
-    np.add.at(acc, list(grouping), last.matrix)
-    return Instrument(KronSum((*shared, OperatorStack(last.wires, acc))), ins.output_wires)

@@ -30,7 +30,6 @@ from causalkit.classical import (
     tdr_accounting_ebw,
     tdr_relay_accounting,
     tdr_success_no_collab,
-    two_copy_locc_decode,
 )
 from causalkit.cli import CLAIMS
 from causalkit.duality import (
@@ -48,14 +47,16 @@ from causalkit.games import (
     BellCode,
     behaviour,
     bell_state,
+    coded_pairs,
     cyril_gyni_strategy,
     game_value,
     pauli_y_baseline_strategy,
 )
 from causalkit.instruments import (
+    PartyArm,
     choi_of_unitary,
-    coarse_grain,
     conjugate_instrument,
+    extend_instrument_with_measurement,
     identity_channel_instrument,
     measure_prepare_instrument,
     validate_instrument,
@@ -223,14 +224,23 @@ def test_criterion_10_process_table_and_two_copy_decode():
     }
     for outputs, flags in table.items():
         assert e_bw(outputs) == flags
-    decoded = 0
+
+    # Two copies of a qubit code decode by LOCC: copy 1 is read in Z on both
+    # wires, copy 2 in X, and by the Born rule every outcome's parities are
+    # (x1, x2). Row 2u + v of a readout is <e_u|<e_v| for the basis columns e.
+    pairs = coded_pairs(2, ("A", "B")).matrix
+    z_read, x_read = (
+        np.einsum("mi,xyij,mj->xym", readout, pairs, readout.conj()).real.reshape(2, 2, 2, 2)
+        for readout in (np.kron(basis, basis).conj().T for basis in (np.eye(2), fourier(2)))
+    )
+    worst_error = 0.0
     for x1, x2 in product(range(2), repeat=2):
-        for z0, s0 in product(range(2), repeat=2):
-            code = two_copy_locc_decode((z0, z0 ^ x1), (s0, s0 ^ x2))
-            assert code == BellCode(2, x1, x2)
-            decoded += 1
-    assert decoded == 16
-    _accept(10, "process table 8/8, two-copy decode 16/16 certain")
+        joint = np.multiply.outer(z_read[x1, x2], x_read[x1, x2])  # [u1, v1, u2, v2]
+        assert joint.sum() == pytest.approx(1.0, abs=TIGHT_TOL)
+        error = sum(joint[o] for o in product(range(2), repeat=4) if (o[0] ^ o[1], o[2] ^ o[3]) != (x1, x2))
+        worst_error = max(worst_error, error)
+    assert worst_error <= TIGHT_TOL
+    _accept(10, "process table 8/8, two copies read in Z and X decode 4/4 codes (Born rule)")
 
 
 def test_criterion_11_property_suite():
@@ -245,7 +255,9 @@ def test_criterion_11_property_suite():
         measure_prepare_instrument([e0, e1], [e1, e0], a_in, a_out),
     ]
     built.append(conjugate_instrument(built[2], h, built[2].input_wires))
-    built.append(coarse_grain(built[1], (0, 0), 1))
+    arm, measured = PartyArm((built[1], built[2])), (WireLabel("A", 2), WireLabel("A'", 2))
+    for s in (0, 1):
+        built.append(extend_instrument_with_measurement(arm, party_readout_unitaries(2)[s], measured, s))
     rng = np.random.default_rng(20260817)
     built.append(random_instrument(rng, (a_in,), (a_out,), 3))
     worst_tp = 0.0

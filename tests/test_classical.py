@@ -29,9 +29,7 @@ from causalkit.classical import (
     tdr_accounting_ebw,
     tdr_relay_accounting,
     tdr_success_no_collab,
-    two_copy_locc_decode,
 )
-from causalkit.games import BellCode
 
 EBW_TABLE = {
     (0, 0, 0): (0, 0, 0),
@@ -240,26 +238,3 @@ class TestRuntime:
         ftdr_accounting("ebw")
         ftdr_accounting("definite_order")
         assert time.perf_counter() - start < 0.25
-
-
-class TestTwoCopyDecode:
-    def test_xor_law(self):
-        for z0, z1, x0, x1 in product(range(2), repeat=4):
-            code = two_copy_locc_decode((z0, z1), (x0, x1))
-            assert code == BellCode(2, z0 ^ z1, x0 ^ x1)
-
-    def test_decodes_every_code_with_certainty(self):
-        # Outcomes consistent with the pair correlations always point back to
-        # the encoded symbols, so the decoder never errs.
-        for x1, x2 in product(range(2), repeat=2):
-            consistent = [
-                ((z0, z0 ^ x1), (s0, s0 ^ x2))
-                for z0 in range(2)
-                for s0 in range(2)
-            ]
-            for z_bits, x_bits in consistent:
-                assert two_copy_locc_decode(z_bits, x_bits) == BellCode(2, x1, x2)
-
-    def test_bits_checked(self):
-        with pytest.raises(ValueError):
-            two_copy_locc_decode((0, 2), (0, 0))

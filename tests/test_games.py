@@ -36,7 +36,7 @@ from causalkit.games import (
     relay_gyni_strategy,
     _resend_same_mutant,
 )
-from causalkit.duality import DIRECTION_TOKENS, check_duality, dr_to_gyni, gyni_to_dr
+from causalkit.duality import DIRECTION_TOKENS, check_duality, dr_to_gyni, fourier, gyni_to_dr
 from causalkit.instruments import Instrument, identity_channel_instrument, validate_instrument
 from causalkit.processes import ProcessMatrix, PartySlot, _pauli, build_cyril
 from causalkit.sampling import random_dr_strategy, random_gyni_strategy, random_instrument
@@ -101,6 +101,32 @@ class TestBellCodes:
             assert state.wires == pairs.wires
             np.testing.assert_array_equal(state.matrix, pairs.matrix[x1, x2])
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_each_wire_alone_sees_no_code(self, d):
+        # Every coded pair leaves each wire maximally mixed: one party alone
+        # learns nothing of the code, at every dimension.
+        pairs = coded_pairs(d, ("A", "B")).matrix.reshape((d,) * 6)  # [x1, x2, a, b, a', b']
+        mixed = np.broadcast_to(np.eye(d) / d, (d, d, d, d))
+        np.testing.assert_allclose(np.einsum("xyabcb->xyac", pairs), mixed, atol=1e-12)
+        np.testing.assert_allclose(np.einsum("xyabad->xybd", pairs), mixed, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_two_copies_decode_by_locc(self, d):
+        # Copy 1 read in the computational basis on both wires gives
+        # v - u = x1 mod d; copy 2 read in the Fourier basis gives
+        # u + v = x2 mod d. Each reading is uniform over the d outcomes it
+        # allows, so two copies reveal the code with certainty. Row d u + v
+        # of a readout is <e_u|<e_v| for the basis columns e.
+        pairs = coded_pairs(d, ("A", "B")).matrix
+        z_read, f_read = (
+            np.einsum("mi,xyij,mj->xym", readout, pairs, readout.conj()).real.reshape((d,) * 4)
+            for readout in (np.kron(basis, basis).conj().T for basis in (np.eye(d), fourier(d)))
+        )
+        u, v = np.ix_(range(d), range(d))
+        for x1, x2 in product(range(d), repeat=2):
+            np.testing.assert_allclose(z_read[x1, x2], ((v - u) % d == x1) / d, atol=1e-12)
+            np.testing.assert_allclose(f_read[x1, x2], ((u + v) % d == x2) / d, atol=1e-12)
+
     def test_bell_vector_builds_only_its_code(self):
         # All d^2 code vectors take d^2 times the memory of the one returned.
         tracemalloc.start()
@@ -129,7 +155,7 @@ class TestBellCodes:
 
     def test_single_pair_readout_correlations(self):
         # Computational readings XOR to the shift symbol, conjugate readings
-        # to the phase symbol; this grounds the classical decoder.
+        # to the phase symbol; so two copies, one read each way, reveal both.
         plus = np.array([1.0, 1.0]) / SQRT2
         minus = np.array([1.0, -1.0]) / SQRT2
         for x1, x2 in product(range(2), repeat=2):

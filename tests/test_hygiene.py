@@ -1,7 +1,8 @@
 """Source hygiene of ``src/causalkit``, by a stdlib AST scan.
 
-Every imported name is used in its module, and every private module-level
-function is referenced somewhere in the package besides its definition. The
+Every imported name is used in its module, every private module-level
+function is referenced somewhere in the package besides its definition, and
+so is every public module-level function or class but two named checks. The
 package ``__init__`` is left out of the import check: its imports are the
 public re-exports. Only ``processes`` spells a lab wire's name; every other
 module reads the two-party layout from it.
@@ -59,6 +60,23 @@ def test_every_private_function_is_referenced():
     ]
     assert private, "the scan found no private function at all"
     assert sorted(name for name in private if name.split(":")[1] not in read) == []
+
+
+# The library's own checks: a user calls them on what they build, but no
+# command runs them.
+UNCALLED_CHECKS = {"behaviour", "validate_instrument"}
+
+
+def test_every_public_definition_is_read():
+    read = set().union(*map(_read, TREES.values())) | UNCALLED_CHECKS
+    public = [
+        f"{module.removesuffix('.py')}:{node.name}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert public, "the scan found no public definition at all"
+    assert sorted(name for name in public if name.split(":")[1] not in read) == []
 
 
 # The four lab wires, and the suffixes an f-string like f"{name}_I" would build them from.

@@ -15,7 +15,6 @@ from causalkit.instruments import (
     Instrument,
     PartyArm,
     choi_of_unitary,
-    coarse_grain,
     conjugate_instrument,
     extend_instrument_with_measurement,
     identity_channel_instrument,
@@ -415,12 +414,24 @@ class TestComposition:
     def test_coarse_graining_stays_valid(self):
         rng = np.random.default_rng(5)
         ins = random_instrument(rng, (A_IN,), (A_OUT,), 4)
-        merged = coarse_grain(ins, [0, 1, 0, 1], 2)
+        merged = _merge_outcomes(ins, [0, 1, 0, 1], 2)
         assert merged.n_outcomes == 2
         assert validate_instrument(merged).valid
         np.testing.assert_allclose(
             sum(op.matrix for op in merged.ops), sum(op.matrix for op in ins.ops), atol=1e-12
         )
+
+
+def _merge_outcomes(ins: Instrument, grouping, n_outcomes: int) -> Instrument:
+    """Merge outcomes: ``grouping[k]`` is the new label of old outcome k.
+
+    Only the last part, which carries the outcome axis, changes, so a
+    factored instrument stays factored.
+    """
+    *shared, last = ins.terms.parts
+    acc = np.zeros((n_outcomes,) + last.matrix.shape[1:], dtype=complex)
+    np.add.at(acc, list(grouping), last.matrix)
+    return Instrument(KronSum((*shared, OperatorStack(last.wires, acc))), ins.output_wires)
 
 
 def _families(d: int) -> dict[str, list[Instrument]]:
@@ -497,8 +508,8 @@ def _kron_composite(family, u, measured, selector):
 
 
 class TestFactoredComposite:
-    # The composer only pads; merged and empty outcomes come from coarse
-    # graining the padded composite, as (grouping, outcome count).
+    # The composer only pads; merged and empty outcomes come from merging
+    # the padded composite's outcomes, as (grouping, outcome count).
     GROUPING = {
         # Several padded outcomes land on each of two outcomes.
         "merge": lambda d: ([k % 2 for k in range(d)], 2),
@@ -521,7 +532,7 @@ class TestFactoredComposite:
         merged = [np.zeros_like(want[0]) for _ in range(count)]
         for block, a in zip(want, grouping):
             merged[a] += block
-        return coarse_grain(composite, grouping, count), merged
+        return _merge_outcomes(composite, grouping, count), merged
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", ["pad", "merge", "empty"])
@@ -553,13 +564,6 @@ class TestFactoredComposite:
         measured = (WireLabel("A", 3), WireLabel("A'", 3))
         with pytest.raises(ValueError, match="needs 3 outcomes"):
             extend_instrument_with_measurement(PartyArm(family), np.eye(9), measured, 0)
-
-    def test_coarse_graining_stays_factored(self):
-        composite, want = self._composite(3, "pad")
-        merged = coarse_grain(composite, [0, 1, 0], 2)
-        assert merged.terms.parts[0] is composite.terms.parts[0]
-        np.testing.assert_allclose(merged.ops[0].matrix, want[0] + want[2], atol=1e-12)
-        np.testing.assert_allclose(sum(op.matrix for op in merged.ops), sum(want), atol=1e-12)
 
     def test_stack_shares_the_readout(self):
         a, _ = self._composite(2, "pad")
@@ -648,8 +652,6 @@ class TestInputChecks:
             pytest.param(
                 lambda: conjugate_instrument(_passes()[0], np.eye(1), ()), "at least one wire name", id="conjugate-no-wire"
             ),
-            pytest.param(lambda: coarse_grain(_passes()[0], [0], 1), "relabel every outcome", id="grouping-size"),
-            pytest.param(lambda: coarse_grain(_passes()[0], [0, 2], 2), "label out of range", id="grouping-label"),
         ],
     )
     def test_raises(self, call, fragment):
