@@ -7,8 +7,8 @@ is direct contraction: a measure-and-prepare branch that detects basis vector
 are plain traces against the carrying process, with no transpose inserted at
 contraction time.
 
-Wire roles are not positional: outputs are declared; every other wire is
-read, in wire order (ancillary state wires first, then the lab input wire).
+Wire roles are not positional: outputs are declared, every other wire is read,
+and a factored instrument's wires follow its parts: callers find them by name.
 Completeness is the Choi trace-preservation condition Tr_out(sum_k M_k) = I_in.
 
 Constructors check their inputs at ``DEFAULT_TOL`` and raise on a violation;
@@ -18,16 +18,15 @@ Instruments are stored as factors, in one :class:`KronSum` stacked by
 outcome. A plain instrument is its one part, with one term. The composite
 that reads out two ancilla wires before a selected inner instrument
 (:func:`extend_instrument_with_measurement`) has two parts: branch k is
-sum_m R[m] (x) S[k, m], a readout stack R by term m and a branch stack S by
-(outcome k, term m). It therefore costs one small (outcome, readout) gather
-instead of a dense block of side d^2 D per branch. Conjugated on a few wires
-X (:func:`conjugate_instrument`), a plain instrument has two parts too: blocks
-on the other wires, shared by a stacked conjugation's members, and a small
-part on X each, so its wires become (other wires, X). A :class:`PartyArm` stacks
-its family, one instrument per classical input, once; game contractions
-take that stack's parts as they are, and the composer takes the source arm
-and gathers from its stack. The dense operators,
-:attr:`Instrument.ops`, are built only when read, e.g. by :func:`validate_instrument`.
+sum_t S[t] (x) R[k, t], the inner family S as its arm stacked it, by term
+t = (member, inner outcome), with no copy, then a small readout stack R by
+(outcome k, term t). Conjugated on a few wires X (:func:`conjugate_instrument`),
+a plain instrument has two parts too: blocks on the other wires, shared by a
+stacked conjugation's members, and a small part on X each, so its wires become
+(other wires, X). A :class:`PartyArm` stacks its family, one instrument per
+classical input, once; game contractions take that stack's parts as they are.
+The dense operators, :attr:`Instrument.ops`, are built only when read, e.g. by
+:func:`validate_instrument`.
 """
 
 from __future__ import annotations
@@ -116,8 +115,9 @@ class PartyArm:
     for the retrieval game, where the only input is the code wire).
 
     :attr:`stack` holds the family by (input, outcome), checked and stacked
-    once, here: members share every part but the last and their outcome count,
-    and their last parts share wires in one order (:func:`stack_operators`).
+    once, here: members share every part but the last (a read-out composite's
+    lab family, a twirl's blocks) and their outcome count, and their last parts
+    share wires in one order (:func:`stack_operators`).
     A pickled or copied arm carries its instruments alone and restacks them.
     """
 
@@ -138,7 +138,7 @@ class PartyArm:
                 a is not b and (a.wires != b.wires or not np.array_equal(a.matrix, b.matrix))
                 for a, b in zip(parts, shared)
             ):
-                raise ValueError("instruments in a family must share one readout")
+                raise ValueError("instruments in a family must share every part but the last")
         lasts = [ins.terms.parts[-1] for ins in family]
         object.__setattr__(self, "instruments", family)
         object.__setattr__(self, "stack", KronSum(shared + (stack_operators(lasts, (len(lasts),)),)))
@@ -258,14 +258,15 @@ def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
     Each branch maps to U M U†, which preserves positivity; acting on input
     wires or output wires alone also preserves completeness. U is indexed by
     X in the instrument's own wire order. A last part (the one stacked by
-    outcome) that holds X and shares a term sum is conjugated alone
-    (:func:`conjugate_wires`). Otherwise the branches, dense if U reaches a
-    shared part, stay factored: branch k = sum_ab |a><b|_X (x) M_k[a, b] gives
-    the blocks M_k[a, b] on the other wires by term t = (k, a, b), shared by a
-    stack's members, and a part on X by (outcome k', t) holding delta_kk'
-    U|a><b|U†, so the wires are (other wires, X). Where its K^2 d_X^4 entries
-    outweigh K dense branches (K d_X^2 > (D/d_X)^2, as when X is every wire),
-    the branches are conjugated whole. A stack of n unitaries gives n instruments.
+    outcome) that holds X and shares a term sum, as a read-out composite's
+    readout holds its code wire, is conjugated alone (:func:`conjugate_wires`).
+    Otherwise the branches, dense if U reaches a shared part (no command's twirl does),
+    stay factored: branch k = sum_ab |a><b|_X (x) M_k[a, b] gives the blocks
+    M_k[a, b] on the other wires by term t = (k, a, b), shared by a stack's
+    members, and a part on X by (outcome k', t) holding delta_kk' U|a><b|U†, so
+    the wires are (other wires, X). Where its K^2 d_X^4 entries outweigh K dense
+    branches (K d_X^2 > (D/d_X)^2, as when X is every wire), the branches are
+    conjugated whole. A stack of n unitaries gives n instruments.
     """
     names = tuple(names)
     if not names:
@@ -314,8 +315,8 @@ def extend_instrument_with_measurement(
         computational-basis readout (effective projectors U†|m1 m2><m1 m2|U)
     :param measured_wires: the two fresh wires being measured
     :param selector: 0 or 1, which measured symbol picks the family member
-    :return: instrument on (measured wires..., inner wires...) whose input
-        side gains the measured wires
+    :return: instrument on (inner wires..., measured wires), the arm's stacked
+        family then the readout; its input side gains the measured wires
     """
     if selector not in (0, 1):
         raise ValueError("selector must be 0 or 1")
@@ -335,10 +336,11 @@ def extend_instrument_with_measurement(
             )
     u = _unitary(pre_unitary, w1.dim * w2.dim, "pre-measurement matrix")
 
-    # Branch a is sum_m R[m] (x) S[a, m]: R[m] = U^dag |m><m| U reads out m =
-    # (m1, m2), and S[a, m] is branch (a - m[1 - selector]) mod d of member m[selector].
-    symbols = np.divmod(np.arange(w1.dim * w2.dim), w2.dim)
-    chosen, other = symbols[selector], symbols[1 - selector]
-    branches = inner[chosen[None, :], (np.arange(d)[:, None] - other[None, :]) % d]
-    readout = _readout_projectors(u, (w1, w2))
-    return Instrument(KronSum((readout, OperatorStack(base.wires, branches))), base.output_wires)
+    # Branch a is sum_t S[t] (x) R[a, t], t = (member i, inner outcome b): S[t] is branch b of member i,
+    # and R[a, t] = U^dag |m><m| U for the one m with m[selector] = i, m[1 - selector] = (a - b) mod d.
+    member, outcome = np.divmod(np.arange(sel_dim * d), d)
+    symbols = (member, (np.arange(d)[:, None] - outcome) % d)
+    m = np.ravel_multi_index(symbols if selector == 0 else symbols[::-1], (w1.dim, w2.dim))
+    family = OperatorStack(base.wires, inner.reshape((-1,) + inner.shape[-2:]))
+    readout = OperatorStack((w1, w2), _readout_projectors(u, (w1, w2)).matrix[m])
+    return Instrument(KronSum((family, readout)), base.output_wires)

@@ -176,7 +176,7 @@ class TestRandomizedRoundTrips:
 
     def test_d5_gyni2dr_stays_factored(self):
         # The dense composite instruments alone hold 4 x 625 x 625 complex
-        # per party; the factored path peaks near 18 MB (268 MB when dense).
+        # per party; the factored path peaks near 12 MB (268 MB when dense).
         gyni = random_gyni_strategy(np.random.default_rng(1105), 5)
         tracemalloc.start()
         try:
@@ -205,6 +205,34 @@ class TestRandomizedRoundTrips:
 
 
 class TestDenseReads:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gyni_to_dr_lab_part_is_the_source_family(self, d):
+        # Branch a is sum_t S[t] (x) R[a, t]: the lab part S is the source arm's
+        # (member, outcome) stack as its d^2 terms, with no gathered copy, and
+        # the readout part R is stacked by (outcome a, term t).
+        strategy = random_gyni_strategy(np.random.default_rng([1111, d]), d)
+        for source, target in zip(strategy.parties, gyni_to_dr(strategy).parties):
+            family, readout = target.instruments[0].terms.parts
+            stacked = source.stack.matrix
+            assert family.wires == source.stack.wires
+            assert np.array_equal(family.matrix, stacked.reshape((d * d,) + stacked.shape[-2:]))
+            assert readout.matrix.shape == (d, d * d, d * d, d * d)
+
+    def test_d5_gyni2dr_meets_w_with_the_family(self):
+        # The target's contraction meets W with the d^2 family operators; with
+        # d^3 gathered copies the traced peak was 9.8 MB (5.5 MB now). Warm: the
+        # plans and the runner's workspace are taken first.
+        gyni = random_gyni_strategy(np.random.default_rng(1112), 5)
+        check_duality(gyni, "gyni2dr")
+        tracemalloc.start()
+        try:
+            cert = check_duality(gyni, "gyni2dr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.deviation <= 1e-9
+        assert peak < 7 * 2**20
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_dr_to_gyni_twirls_share_one_block_part(self, d):
         # The d twirls of a party differ only in their small part on the code

@@ -546,9 +546,11 @@ class TestGameSettledAtBuild:
 
 
 class TestDerivedInputWires:
-    """An instrument reads every wire it does not emit: its lab input, after
-    its code wire, after the fresh wire a gyni_to_dr readout measures; a
-    dr_to_gyni twirl moves the code wire it conjugates last."""
+    """An instrument reads every wire it does not emit, in its parts' order: a
+    plain retrieval instrument its code wire, then its lab input; a gyni_to_dr
+    composite its lab input (the source family), then the code and fresh wires
+    its readout part measures; a dr_to_gyni twirl of a plain instrument its
+    lab input, then the code wire it conjugates."""
 
     @pytest.mark.parametrize("translate", [False, True], ids=["source", "translated"])
     @pytest.mark.parametrize("case", BUILT, ids=[case[0] for case in BUILT])
@@ -558,11 +560,13 @@ class TestDerivedInputWires:
         read_out = name == "cyril-dual" or (translate and not retrieval)
         if translate:
             strategy = (dr_to_gyni if retrieval else gyni_to_dr)(strategy)
-        coded = retrieval or translate
         for code, slot, arm in zip("AB", strategy.process.parties, strategy.parties):
-            expected = ((code, f"{code}'") if read_out else (code,) if coded else ()) + (slot.input_wire,)
-            if translate and retrieval:  # the twirl's factored members put the code wire last
-                expected = tuple(n for n in expected if n != code) + (code,)
+            if read_out:
+                expected = (slot.input_wire, code, f"{code}'")
+            elif retrieval:
+                expected = (slot.input_wire, code) if translate else (code, slot.input_wire)
+            else:
+                expected = (slot.input_wire,)
             assert {(ins.input_wires, ins.output_wires) for ins in arm.instruments} == {
                 (expected, (slot.output_wire,))
             }

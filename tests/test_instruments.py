@@ -21,7 +21,7 @@ from causalkit.instruments import (
     measure_prepare_instrument,
     validate_instrument,
 )
-from causalkit.duality import gyni_to_dr
+from causalkit.duality import gyni_to_dr, party_readout_unitaries
 from causalkit.sampling import random_gyni_strategy, random_instrument
 from causalkit.tensor import KronSum, LabeledOperator, OperatorStack, WireLabel, conjugate_wires, permute_wires
 
@@ -151,6 +151,11 @@ def _names(ins: Instrument) -> list[str]:
     return [w.name for w in ins.wires]
 
 
+# A read-out composite's wires in the order its kron references are written:
+# the measured wires, then the inner instrument's.
+READ_OUT = ["A", "A'", "A_I", "A_O"]
+
+
 class TestConjugation:
     def test_hadamard_on_input_frozen(self):
         # Conjugating the computational readout by H yields the +/- readout.
@@ -192,19 +197,22 @@ class TestConjugation:
 
     @pytest.mark.parametrize("names", [("A_O",), ("A",), ("A", "A_O")])
     def test_composite_matches_dense(self, names):
-        # Wires (A, A', A_I, A_O): the readout part holds A, the outcome-stacked
-        # part A_O. Reference: U on the dense branches of the composite.
+        # Wires (A_I, A_O, A, A'): the family part holds A_O, the outcome-stacked
+        # readout part A. Reference: U on the dense branches of the composite,
+        # both sides read on (A, A', A_I, A_O).
         rng = np.random.default_rng(41)
         composite = gyni_to_dr(random_gyni_strategy(rng, 2)).parties[0].instruments[0]
+        assert _names(composite) == ["A_I", "A_O", "A", "A'"]
         dim = 2 ** len(names)
         u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         rotated = conjugate_instrument(composite, u, names)
         dense = OperatorStack(composite.wires, composite.terms.matrix)
-        got = permute_wires(OperatorStack(rotated.wires, rotated.terms.matrix), _names(composite))
-        np.testing.assert_allclose(got.matrix, conjugate_wires(dense, u, names).matrix, atol=1e-12)
-        if names == ("A_O",):
+        want = permute_wires(conjugate_wires(dense, u, names), READ_OUT)
+        got = permute_wires(OperatorStack(rotated.wires, rotated.terms.matrix), READ_OUT)
+        np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
+        if names == ("A",):  # the readout part, conjugated alone
             assert rotated.terms.parts[0] is composite.terms.parts[0]
-        elif names == ("A",):  # the dense branches, factored on A
+        elif names == ("A_O",):  # the dense branches, factored on A_O
             assert rotated.terms.parts[-1].names == names
         else:  # 2 outcomes x 4^2 units > 4^2 block entries: the dense branches, conjugated whole
             assert len(rotated.terms.parts) == 1
@@ -277,7 +285,7 @@ class TestFactoredConjugation:
             return random_instrument(rng, (code, w_in), (w_out,), d), ("A",)
         if case == "two-wire":  # one outcome: 1 x (d^2)^2 units against (d^2)^2 block entries
             return random_instrument(rng, (code, fresh, w_in), (w_out,), 1), ("A", "A_I")
-        # A read-out composite: the twirl reaches its readout part, so its branches are made dense first.
+        # A read-out composite: the twirl reaches only its last part, the readout, which is conjugated alone.
         return gyni_to_dr(random_gyni_strategy(rng, d)).parties[0].instruments[0], ("A",)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -294,8 +302,11 @@ class TestFactoredConjugation:
         for member, u in zip(members, us):
             shared, last = member.terms.parts
             assert shared is members[0].terms.parts[0]
-            assert shared.names == tuple(n for n in _names(ins) if n not in names) and last.names == names
-            assert shared.matrix.shape[0] == ins.n_outcomes * dim**2
+            if case == "composite":  # the source family, shared as it is, and the readout on (A, A')
+                assert shared is ins.terms.parts[0] and last.names == ("A", "A'")
+            else:
+                assert shared.names == tuple(n for n in _names(ins) if n not in names) and last.names == names
+                assert shared.matrix.shape[0] == ins.n_outcomes * dim**2
             assert member.output_wires == ins.output_wires
             big = _embedded(ins, u, names)
             for got, op in zip(member.ops, ins.ops):
@@ -340,7 +351,7 @@ class TestComposition:
             (WireLabel("A", 2), WireLabel("A'", 2)),
             selector=0,
         )
-        assert composite.input_wires == ("A", "A'", "A_I")
+        assert composite.input_wires == ("A_I", "A", "A'")
         assert composite.output_wires == ("A_O",)
         report = validate_instrument(composite)
         assert report.valid
@@ -371,7 +382,7 @@ class TestComposition:
 
     def test_one_dense_stack_per_member(self, monkeypatch):
         # The family's dense stack is read once, from its arm, and both
-        # validated and gathered (3 reads when each member built its own).
+        # validated and kept as the lab part (3 reads when each member built its own).
         qutrits = (WireLabel("A_I", 3),), (WireLabel("A_O", 3),)
         family = [random_instrument(np.random.default_rng(30 + k), *qutrits, 3) for k in range(3)]
         reads = []
@@ -436,7 +447,7 @@ def _merge_outcomes(ins: Instrument, grouping, n_outcomes: int) -> Instrument:
 
 def _families(d: int) -> dict[str, list[Instrument]]:
     """Seeded d-member families: plain instruments on (A_I, A_O), and
-    read-out composites that share one readout, conjugated on A_I."""
+    read-out composites conjugated on A_I, which share one block part."""
     rng = np.random.default_rng([600, d])
     w_in, w_out = WireLabel("A_I", d), WireLabel("A_O", d)
     plain = [random_instrument(rng, (w_in,), (w_out,), d) for _ in range(d)]
@@ -486,9 +497,9 @@ class TestPartyArm:
         with pytest.raises(ValueError, match="in that order"):
             PartyArm([plain[1], swapped])
         other = extend_instrument_with_measurement(PartyArm(plain), np.eye(d * d), (WireLabel("A", d), WireLabel("A'", d)), 0)
-        with pytest.raises(ValueError, match="share one readout"):
+        with pytest.raises(ValueError, match="share every part but the last"):
             PartyArm([readout[0], other])
-        with pytest.raises(ValueError, match="share one readout"):
+        with pytest.raises(ValueError, match="share every part but the last"):
             PartyArm([readout[0], plain[0]])
 
 
@@ -534,18 +545,18 @@ class TestFactoredComposite:
             merged[a] += block
         return _merge_outcomes(composite, grouping, count), merged
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["pad", "merge", "empty"])
     @pytest.mark.parametrize("selector", [0, 1])
     def test_dense_view_matches_kron_construction(self, d, kind, selector):
         composite, want = self._composite(d, kind, selector)
-        assert [w.name for w in composite.wires] == ["A", "A'", "A_I", "A_O"]
-        readout, branches = composite.terms.parts
-        assert readout.matrix.shape == (d * d, d * d, d * d)
-        assert branches.matrix.shape[:2] == (len(want), d * d)
+        assert _names(composite) == ["A_I", "A_O", "A", "A'"]
+        family, readout = composite.terms.parts
+        assert family.matrix.shape == (d * d, d * d, d * d)
+        assert readout.matrix.shape == (len(want), d * d, d * d, d * d)
         assert composite.n_outcomes == len(want)
         for got, ref in zip(composite.ops, want):
-            np.testing.assert_allclose(got.matrix, ref, atol=1e-12)
+            np.testing.assert_allclose(permute_wires(got, READ_OUT).matrix, ref, atol=1e-12)
         if kind == "empty":
             np.testing.assert_array_equal(composite.ops[d - 1].matrix, 0)
 
@@ -565,14 +576,25 @@ class TestFactoredComposite:
         with pytest.raises(ValueError, match="needs 3 outcomes"):
             extend_instrument_with_measurement(PartyArm(family), np.eye(9), measured, 0)
 
-    def test_stack_shares_the_readout(self):
-        a, _ = self._composite(2, "pad")
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_shares_the_lab_family(self, d):
+        a, _ = self._composite(d, "pad")
         stack = PartyArm([a, a]).stack
-        assert stack.batch_shape == (2, 2)
+        assert stack.batch_shape == (2, d)
         np.testing.assert_allclose(stack.matrix[1, 0], a.ops[0].matrix, atol=1e-12)
-        b, _ = self._composite(2, "pad", seed=1)
-        with pytest.raises(ValueError, match="readout"):
+        b, _ = self._composite(d, "pad", seed=1)
+        with pytest.raises(ValueError, match="share every part but the last"):
             PartyArm([a, b])
+        # One family under two readout unitaries: the members differ in their last part alone.
+        rng = np.random.default_rng([520, d])
+        family = PartyArm([random_instrument(rng, (WireLabel("A_I", d),), (WireLabel("A_O", d),), d) for _ in range(d)])
+        measured = (WireLabel("A", d), WireLabel("A'", d))
+        members = [extend_instrument_with_measurement(family, u, measured, 0) for u in (np.eye(d * d), party_readout_unitaries(d)[0])]
+        stack = PartyArm(members).stack
+        assert stack.batch_shape == (2, d) and len(stack.parts) == 2
+        for i, ins in enumerate(members):
+            for k, op in enumerate(ins.ops):
+                np.testing.assert_allclose(stack.matrix[i, k], op.matrix, atol=1e-12)
 
     def test_plain_instrument_is_one_term(self):
         rng = np.random.default_rng(7)
