@@ -22,7 +22,6 @@ from .tensor import (
     load_operator,
     min_eigenvalue,
     partial_trace,
-    partial_transpose,
     permute_wires,
     stack_operators,
 )

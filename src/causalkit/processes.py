@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -57,7 +58,6 @@ from .tensor import (
     load_operator,
     min_eigenvalue,
     partial_trace,
-    partial_transpose,
     permute_wires,
 )
 
@@ -156,7 +156,7 @@ class ProcessMatrix:
     def _cut_min_eig(self) -> float:
         """Min eigenvalue of the symmetrized W with the first party's wires transposed,
         whatever its Hermiticity defect; kept after the first read (see :func:`is_ppt_cut`)."""
-        return min_eigenvalue(partial_transpose(self.op, set(self.parties[0].all_wires)))
+        return min_eigenvalue(self.op, self.parties[0].all_wires)
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def _flat(op: LabeledOperator, outputs: Sequence[str], traced: Iterable[str] = (
     for k in range(1, len(outputs) + 1):
         for s in itertools.combinations(outputs, k):
             add_replaced(out, reduced, s, (-1.0) ** k)
-    return float(np.max(np.abs(out))) / (op.total_dim // reduced.total_dim)
+    return float(np.max(np.abs(out, out=out).real)) / (op.total_dim // reduced.total_dim)
 
 
 def _require_bipartite(proc: ProcessMatrix) -> tuple[PartySlot, PartySlot]:
@@ -431,10 +431,12 @@ def dump_process(proc: ProcessMatrix) -> str:
 
 
 def load_process(text: str) -> ProcessMatrix:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("parties:"):
+    # The lines of text.splitlines(), cut one at a time as load_operator reads them.
+    lines = (line for piece in re.finditer(r".*\n?", text) for line in piece[0].splitlines())
+    first = next(lines, "")
+    if not first.startswith("parties:"):
         raise ValueError("process dump must start with a 'parties:' header")
-    header = lines[0][len("parties:") :].strip()
+    header = first[len("parties:") :].strip()
     parties = []
     for chunk in header.split(";"):
         name, _, rest = chunk.partition("=")
@@ -445,5 +447,5 @@ def load_process(text: str) -> ProcessMatrix:
         if len(wires) < 2:
             raise ValueError(f"party {name!r} needs at least input and output wires")
         parties.append(PartySlot(name.strip(), wires[0], wires[1], tuple(wires[2:])))
-    op = load_operator(lines[1:])
+    op = load_operator(lines)
     return ProcessMatrix(op, tuple(parties))

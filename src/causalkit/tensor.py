@@ -181,16 +181,6 @@ def partial_trace(op, traced: Iterable[str]):
     return type(op)(kept, reduced.reshape(batch + (dim, dim)))
 
 
-def partial_transpose(op: LabeledOperator, transposed: Iterable[str]) -> LabeledOperator:
-    """Transpose the named wires in place (row and column axes swapped)."""
-    n = len(op.wires)
-    axes = list(range(2 * n))
-    for i in _positions(op, transposed):
-        axes[i], axes[n + i] = axes[n + i], axes[i]
-    out = op.as_tensor().transpose(axes).reshape(op.total_dim, op.total_dim)
-    return LabeledOperator(op.wires, out)
-
-
 def permute_wires(op, new_order: Sequence[str]):
     """Reorder wires to ``new_order`` (a permutation of the current names).
 
@@ -208,18 +198,34 @@ def permute_wires(op, new_order: Sequence[str]):
 
 
 def hermiticity_defect(op: OperatorStack):
-    """max|M - M^dag|: a float for one operator, an array by entry for a stack."""
-    defect = np.max(np.abs(op.matrix - op.matrix.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    """max|M - M^dag|: a float for one operator, an array by entry for a stack.
+
+    One buffer holds conj(M^T), then M minus it, then the moduli: no other copy of M, the same bits.
+    """
+    buf = np.conjugate(op.matrix.swapaxes(-1, -2), order="C")  # so the passes below run contiguously
+    np.subtract(op.matrix, buf, out=buf)
+    defect = np.max(np.abs(buf, out=buf).real, axis=(-2, -1))
     return float(defect) if defect.ndim == 0 else defect
 
 
-def min_eigenvalue(op: OperatorStack):
+def min_eigenvalue(op: OperatorStack, transposed: Iterable[str] = ()):
     """Smallest eigenvalue of the Hermitian part (M + M^dag)/2: a float, or an array by entry for a stack.
 
-    One stacked eigvalsh sees the symmetrized matrix. Whether that is the
+    M is first transposed on the wires named in ``transposed`` (a partial
+    transpose, which keeps :func:`hermiticity_defect`). The Hermitian part is
+    built in one buffer from two transposed views of ``op``, with the bits of
+    ``(M + M^dag) / 2``, and one stacked eigvalsh sees it. Whether that is the
     spectrum of ``op`` is the caller's verdict, on :func:`hermiticity_defect`.
     """
-    sym = (op.matrix + op.matrix.conj().swapaxes(-1, -2)) / 2
+    nb, n = op.matrix.ndim - 2, len(op.wires)
+    batch, rows, cols = list(range(nb)), list(range(nb, nb + n)), list(range(nb + n, nb + 2 * n))
+    for i in _positions(op, transposed):
+        rows[i], cols[i] = cols[i], rows[i]
+    tensor, sym = op.as_tensor(), np.empty(op.matrix.shape, dtype=np.complex128)
+    out = sym.reshape(tensor.shape)
+    np.conjugate(tensor.transpose(batch + cols + rows), out=out)
+    np.add(tensor.transpose(batch + rows + cols), out, out=out)
+    sym /= 2
     eig = np.linalg.eigvalsh(sym)[..., 0]
     return float(eig) if eig.ndim == 0 else eig
 
@@ -230,13 +236,16 @@ def add_replaced(out: np.ndarray, op: LabeledOperator, wires_x: Iterable[str], c
     R_X(op) = Tr_X(op) (x) I_X / d_X, in op's wire order, replaces the wires
     X by the normalized identity. It vanishes unless row and column agree on
     every wire in X, so Tr_X(op), summed on the diagonal view of
-    :func:`partial_trace`, is broadcast into that view of ``out``; on a zero
-    ``out`` this leaves R_X(op) itself.
+    :func:`partial_trace`, is added into that view of ``out``, one block per
+    value of X; on a zero ``out`` this leaves R_X(op) itself.
     """
     axes, n = _positions(op, wires_x), len(op.wires)
     d_x = OperatorStack.total_dim_of([op.wires[i] for i in axes])
-    diagonal = _diagonal(out, n, axes)
-    diagonal += coeff * _diagonal(op.as_tensor(), n, axes).sum(axis=axes, keepdims=True) / d_x
+    traced = np.asarray(_diagonal(op.as_tensor(), n, axes).sum(axis=axes))  # 0-d, not a scalar, for X = all wires
+    np.divide(np.multiply(coeff, traced, out=traced), d_x, out=traced)  # coeff * Tr_X(op) / d_x, in place
+    diagonal = np.moveaxis(_diagonal(out, n, axes), axes, range(len(axes)))
+    for x in np.ndindex(diagonal.shape[: len(axes)]):  # numpy copies the whole view for one add
+        diagonal[x] += traced
 
 
 @dataclass(frozen=True)
@@ -508,43 +517,42 @@ def _parse_wire_line(line: str) -> tuple[WireLabel, ...]:
     return tuple(wires)
 
 
-def _read_rows(rows: Sequence[str]) -> np.ndarray:
-    """Matrix rows of complex entries, parsed by numpy's C tokenizer."""
-    return np.loadtxt(rows, dtype=np.complex128, comments=None, ndmin=2)
+def load_operator(lines: Iterable[str]) -> LabeledOperator:
+    """Inverse of :func:`dump_operator`, from the dump's lines, read once (a list or a generator);
+    blank lines are skipped.
 
-
-def _unreadable_row(rows: Sequence[str], dim: int) -> str:
-    """Name the first of ``rows`` that does not read as ``dim`` complex entries."""
-    for r, row in enumerate(rows, 1):
-        try:
-            found = _read_rows([row]).shape[1]
-        except ValueError:
-            return f"matrix row {r} has an entry that is not a complex number"
-        if found != dim:
-            return f"matrix row {r}: expected {dim} entries per row, found {found}"
-    return "matrix rows do not read as one table"
-
-
-def load_operator(lines: Sequence[str]) -> LabeledOperator:
-    """Inverse of :func:`dump_operator`, from the dump's lines; blank lines are skipped.
-
-    Raises ValueError on a malformed dump or a non-finite matrix entry; an
+    Each row is parsed on its own by numpy's C tokenizer (``np.loadtxt``) and
+    stored in the matrix as it is read, so the reader keeps no copy of the
+    lines: beside the matrix it holds one line and its parsed row. Raises
+    ValueError on a malformed dump or a non-finite matrix entry; an
     unreadable row is named.
     """
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+    rows = (ln for ln in lines if ln.strip())
+    header = next(rows, None)
+    if header is None:
         raise ValueError("empty operator dump")
-    wires = _parse_wire_line(lines[0])
+    wires = _parse_wire_line(header)
     dim = OperatorStack.total_dim_of(wires)
-    if len(lines) - 1 != dim:
-        raise ValueError(f"expected {dim} matrix rows, found {len(lines) - 1}")
-    try:
-        matrix = _read_rows(lines[1:])
-    except ValueError:
-        raise ValueError(_unreadable_row(lines[1:], dim)) from None
-    if matrix.shape[1] != dim:
-        raise ValueError(f"expected {dim} entries per row, found {matrix.shape[1]}")
-    bad = ~np.isfinite(matrix)
-    if bad.any():
-        raise ValueError(f"matrix row {bad.any(axis=1).argmax() + 1} has a non-finite entry")
+    matrix, widths, bad, n = None, set(), None, 0
+    for n, row in enumerate(rows, 1):
+        if n > dim:
+            continue  # only counted
+        try:
+            entries = np.loadtxt([row], dtype=np.complex128, comments=None, ndmin=2)
+        except ValueError:
+            entries = None
+        widths.add(width := None if entries is None else entries.shape[1])
+        if width == dim:  # the matrix is taken at the first full row, not on the header's word alone
+            matrix = np.empty((dim, dim), dtype=np.complex128) if matrix is None else matrix
+            matrix[n - 1] = entries[0]
+        elif not bad:
+            bad = f"matrix row {n}: expected {dim} entries per row, found {width}" if width else (
+                f"matrix row {n} has an entry that is not a complex number")
+    if n != dim:
+        raise ValueError(f"expected {dim} matrix rows, found {n}")
+    if bad:  # rows that all read, at one width other than dim, name no row
+        raise ValueError(f"expected {dim} entries per row, found {width}" if width and widths == {width} else bad)
+    nonfinite = ~np.isfinite(matrix)
+    if nonfinite.any():
+        raise ValueError(f"matrix row {nonfinite.any(axis=1).argmax() + 1} has a non-finite entry")
     return LabeledOperator(wires, matrix)

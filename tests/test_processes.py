@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import pickle
 import re
+import tracemalloc
 from dataclasses import replace
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -43,7 +45,15 @@ from causalkit.sampling import (
     random_instrument,
     random_process,
 )
-from causalkit.tensor import LabeledOperator, WireLabel, dump_operator, kron, load_operator, permute_wires
+from causalkit.tensor import (
+    LabeledOperator,
+    WireLabel,
+    dump_operator,
+    kron,
+    load_operator,
+    partial_trace,
+    permute_wires,
+)
 from reference_maps import reference_components, reference_order, reference_residuals
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -818,6 +828,97 @@ class TestSerialization:
         back = load_process(dump_process(proc))
         assert back.op.wires == proc.op.wires
         assert back.op.matrix.tobytes() == proc.op.matrix.tobytes()
+
+    def test_crlf_and_blank_lines_round_trip(self):
+        proc = random_process(np.random.default_rng(45), 3)
+        lines = dump_process(proc).splitlines()
+        texts = ["\r\n".join(lines), "\n\n".join(lines[:3]) + "\n \r\n\t\n" + "\n".join(lines[3:]) + "\n\n"]
+        for text in texts:
+            back = load_process(text)
+            assert back.parties == proc.parties
+            assert back.op.matrix.tobytes() == proc.op.matrix.tobytes()
+
+    def test_header_must_open_the_text(self):
+        with pytest.raises(ValueError, match="'parties:' header"):
+            load_process("\n" + dump_process(build_cyril()))
+        with pytest.raises(ValueError, match="^expected 16 matrix rows, found 17$"):
+            load_process(dump_process(build_cyril()) + "0+0j\n")
+
+
+def dense_flat(op: LabeledOperator, outputs, traced=()) -> float:
+    """The residual of ``processes._flat`` by the dense formulas: each R term added by one broadcast
+    into an einsum diagonal view of a copy of Tr_X W, and the moduli taken into a new array."""
+    reduced = partial_trace(op, traced)
+    tensor, n = reduced.as_tensor(), len(reduced.wires)
+    out = tensor.copy()
+    for k in range(1, len(outputs) + 1):
+        for s in combinations(outputs, k):
+            axes = tuple(reduced.names.index(o) for o in s)
+            sub = [i if i < n or i - n not in axes else i - n for i in range(2 * n)]
+            kept = list(range(n)) + [n + i for i in range(n) if i not in axes]
+            diagonal = np.einsum(out, sub, kept)
+            diagonal += (-1.0) ** k * np.einsum(tensor, sub, kept).sum(axis=axes, keepdims=True) / math.prod(
+                reduced.dims[i] for i in axes)
+    return float(np.max(np.abs(out))) / (op.total_dim // reduced.total_dim)
+
+
+def _fresh_processes() -> list[ProcessMatrix]:
+    """Seeded random processes at d = 2..5 and one with a qubit state on A's side."""
+    procs = [random_process(np.random.default_rng([4500, d]), d) for d in (2, 3, 4, 5)]
+    state = LabeledOperator((WireLabel("X", 2),), np.diag([0.25, 0.75]))
+    return procs + [extend_with_state(procs[1], state, {"X": "A"})]
+
+
+class TestScratchBuffers:
+    """The dense checks work from views of W and one scratch buffer, with the bits of the dense formulas."""
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_residuals_are_bit_identical(self, index):
+        proc = _fresh_processes()[index]
+        (a_i, a_o), (b_i, b_o) = ((p.input_wire, p.output_wire) for p in proc.parties)
+        w = proc.op
+        m = w.matrix
+        report = validate_process(proc)
+        assert report.hermiticity == np.max(np.abs(m - m.conj().T))
+        assert report.min_eig == np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+        assert is_ppt_cut(proc, "A")[1] == own_pt_min_eig(proc, "A")
+        assert dict(report.constraint_residuals) == {
+            "normalization": abs(complex(np.trace(m)) - proc.output_dim),
+            "no signaling to B's past": dense_flat(w, [b_o], {a_i, a_o}),
+            "no signaling to A's past": dense_flat(w, [a_o], {b_i, b_o}),
+            "affine closure": dense_flat(w, [a_o, b_o]),
+        }
+        orders = {o: dict(check_order(proc, o).residuals) for o in ORDER_TOKENS}
+        assert orders == {
+            "A<B": {"B output ignored": dense_flat(w, [b_o]),
+                    "A output flat once B is traced": dense_flat(w, [a_o], {b_i, b_o})},
+            "B<A": {"A output ignored": dense_flat(w, [a_o]),
+                    "B output flat once A is traced": dense_flat(w, [b_o], {a_i, a_o})},
+            "no-signaling": {"B output ignored": dense_flat(w, [b_o]), "A output ignored": dense_flat(w, [a_o])},
+        }
+
+    def test_memory_peaks_near_one_w(self):
+        # tracemalloc sees numpy's buffers. Each step may take 1.5 W above what it is handed: the
+        # text for the reader (its result, W itself, counts), W for the checks. A copy of W for each
+        # step of the dense formulas takes 1.6 to 3.1 W here.
+        source = random_process(np.random.default_rng(4501), 4)
+        text, w_bytes = dump_process(source), source.op.matrix.nbytes
+        peaks = {}
+
+        def traced(name, call):
+            tracemalloc.start()
+            try:
+                result = call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / w_bytes
+            finally:
+                tracemalloc.stop()
+            return result
+
+        proc = traced("load_process", lambda: load_process(text))
+        traced("validate_process", lambda: validate_process(proc))
+        traced("check_order x3", lambda: [check_order(proc, o) for o in ORDER_TOKENS])
+        traced("is_ppt_cut x2", lambda: [is_ppt_cut(proc, side) for side in "AB"])
+        assert max(peaks.values()) <= 1.5, peaks
 
 
 # Edits to a valid dump: (kind, line index, token index, replacement text).

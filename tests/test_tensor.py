@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from causalkit.sampling import random_process
+from causalkit.processes import extend_with_state
+from causalkit.sampling import random_dr_strategy, random_instrument, random_process
 from causalkit.tensor import (
     DEFAULT_TOL,
     KronSum,
@@ -31,7 +32,6 @@ from causalkit.tensor import (
     load_operator,
     min_eigenvalue,
     partial_trace,
-    partial_transpose,
     permute_wires,
     stack_operators,
 )
@@ -178,28 +178,77 @@ class TestPartialTrace:
         np.testing.assert_allclose(reduced.matrix, tensor.reshape(reduced.matrix.shape), rtol=0, atol=1e-12)
 
 
+def dense_transpose(m: OperatorStack, names) -> np.ndarray:
+    """The stack with the named wires' row and column axes swapped, as a new dense array."""
+    n, nb = len(m.wires), m.matrix.ndim - 2
+    axes = list(range(nb + 2 * n))
+    for i, name in enumerate(m.names):
+        if name in names:
+            axes[nb + i], axes[nb + n + i] = axes[nb + n + i], axes[nb + i]
+    return np.ascontiguousarray(m.as_tensor().transpose(axes)).reshape(m.matrix.shape)
+
+
 class TestPartialTranspose:
+    """``min_eigenvalue(op, transposed)``: the spectrum of a partially transposed operator."""
+
     def test_phi_plus_spectrum_frozen(self):
-        # PT of the maximally entangled qubit pair: eigenvalues {-1/2, 1/2 x3}.
-        pt = partial_transpose(op([A, B], PHI_PLUS), {"B"})
-        spectrum = np.linalg.eigvalsh(pt.matrix)
-        np.testing.assert_allclose(spectrum, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-        assert min_eigenvalue(pt) == pytest.approx(-0.5, abs=1e-12)
+        # PT of the maximally entangled qubit pair: eigenvalues {-1/2, 1/2 x3}, on either wire.
+        phi = op([A, B], PHI_PLUS)
+        assert min_eigenvalue(phi, {"B"}) == pytest.approx(-0.5, abs=1e-12)
+        assert min_eigenvalue(phi, {"A"}) == pytest.approx(-0.5, abs=1e-12)
+        assert min_eigenvalue(phi, {"A", "B"}) == pytest.approx(0.0, abs=1e-12)
 
-    def test_trace_and_hermiticity_preserved(self):
+    def test_cut_keeps_hermiticity_defect(self):
+        # A partial transpose only permutes the entries of M - M^dag.
         rng = np.random.default_rng(11)
-        m = op([A, C], random_herm(rng, 6))
-        pt = partial_transpose(m, {"C"})
-        assert np.trace(pt.matrix) == pytest.approx(np.trace(m.matrix))
-        assert hermiticity_defect(pt) < 1e-12
+        m = op([A, C], rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        pt = op([A, C], dense_transpose(m, {"C"}))
+        assert hermiticity_defect(pt) == hermiticity_defect(m) > 0.1
+        assert np.trace(pt.matrix) == np.trace(m.matrix)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_involution(self, seed):
-        rng = np.random.default_rng(seed)
-        m = op([A, B], rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        twice = partial_transpose(partial_transpose(m, {"A"}), {"A"})
-        np.testing.assert_allclose(twice.matrix, m.matrix, atol=0)
+    def test_unknown_wire_rejected(self):
+        with pytest.raises(KeyError, match="unknown wires"):
+            min_eigenvalue(op([A, B], PHI_PLUS), {"Q"})
+
+
+def _dense_checked(d: int) -> list[OperatorStack]:
+    """Operators the dense checks see: a seeded process at d, one extended with a state
+    (d = 2 only), the branch stacks of a retrieval strategy's instruments, and a stack
+    with two batch axes."""
+    rng = np.random.default_rng([33, d])
+    proc = random_process(rng, d)
+    ops = [proc.op]
+    if d == 2:
+        state = LabeledOperator((WireLabel("X", 2),), np.diag([0.25, 0.75]))
+        ops.append(extend_with_state(proc, state, {"X": "A"}).op)
+    for arm in random_dr_strategy(rng, d).parties:
+        ops.append(OperatorStack(arm.instruments[0].wires, arm.instruments[0].terms.matrix))
+    ins = random_instrument(rng, (WireLabel("I", d),), (WireLabel("O", d),), d)
+    ops.append(OperatorStack(ins.wires, ins.terms.matrix[None].repeat(2, axis=0)))
+    return ops
+
+
+class TestScratchBitIdentity:
+    """The one-buffer checks give the bits of the dense formulas, compared with ``==``."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_min_eigenvalue_of_every_cut(self, d):
+        for m in _dense_checked(d):
+            for k in range(len(m.wires) + 1):
+                names = set(m.names[:k])
+                pt = dense_transpose(m, names)
+                sym = (pt + pt.conj().swapaxes(-1, -2)) / 2
+                want = np.linalg.eigvalsh(sym)[..., 0]
+                got = min_eigenvalue(m, names)
+                assert np.asarray(got).tobytes() == want.tobytes(), (m.names, names)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_hermiticity_defect(self, d):
+        for m in _dense_checked(d):
+            skewed = type(m)(m.wires, m.matrix + 1e-3j * np.triu(np.ones(m.matrix.shape[-2:]), 1))
+            for x in (m, skewed):
+                want = np.max(np.abs(x.matrix - x.matrix.conj().swapaxes(-1, -2)), axis=(-2, -1))
+                assert np.asarray(hermiticity_defect(x)).tobytes() == want.tobytes()
 
 
 class TestPermuteWires:
@@ -598,6 +647,49 @@ class TestDumpLoad:
         rows = dump_operator(m).splitlines()
         spaced = rows[:1] + ["", " \t"] + rows[1:3] + [""] + rows[3:] + ["  "]
         assert load_operator(spaced).matrix.tobytes() == m.matrix.tobytes()
+
+    def test_extra_rows_counted_in_full(self):
+        rows = dump_operator(op([A], np.eye(2))).splitlines()
+        with pytest.raises(ValueError, match="^expected 2 matrix rows, found 5$"):
+            load_operator(rows + rows[1:] + ["0+0j 1e999j"])
+
+    def test_row_count_is_checked_before_the_rows(self):
+        with pytest.raises(ValueError, match="^expected 6 matrix rows, found 2$"):
+            load_operator(["wires: A:2,C:3", "junk", "1+0j"])
+
+    def test_crlf_and_generator_lines_load_bit_exactly(self):
+        m = op([A, C], np.arange(36).reshape(6, 6) * (1 - 0.5j) - 0.0)
+        text = dump_operator(m).replace("\n", "\r\n")
+        for lines in (text.splitlines(), iter(text.splitlines(keepends=True)), (ln for ln in text.split("\n"))):
+            assert load_operator(lines).matrix.tobytes() == m.matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ((2, "0+0j 1+0k"), "^matrix row 2 has an entry that is not a complex number$"),
+            ((2, "0+0j 1+0j #"), "^matrix row 2 has an entry that is not a complex number$"),
+            ((2, "0+0j nan+0j"), "^matrix row 2 has a non-finite entry$"),
+            ((2, "0+0j"), "^matrix row 2: expected 2 entries per row, found 1$"),
+            ((1, "1+0j"), "^matrix row 1: expected 2 entries per row, found 1$"),
+            ((1, "1+0j 0+0j 0+0j"), "^matrix row 1: expected 2 entries per row, found 3$"),
+        ],
+    )
+    def test_rows_named_from_a_generator(self, edit, message):
+        # The same messages from a list, a generator, and rows that follow the named one.
+        rows = dump_operator(op([A], np.eye(2))).splitlines()
+        rows[edit[0]] = edit[1]
+        for lines in (rows, iter(rows)):
+            with pytest.raises(ValueError, match=message):
+                load_operator(lines)
+
+    def test_first_bad_row_named_when_later_rows_differ(self):
+        # Row 1 is short and row 3 unreadable: the first one is named, as a table would.
+        rows = ["wires: C:3", "1+0j 0+0j", "0+0j 1+0j 0+0j", "0+0j x 1+0j"]
+        with pytest.raises(ValueError, match="^matrix row 1: expected 3 entries per row, found 2$"):
+            load_operator(rows)
+        rows[1] = "1+0j 0+0j 0+0j"
+        with pytest.raises(ValueError, match="^matrix row 3 has an entry that is not a complex number$"):
+            load_operator(rows)
 
     def test_identity_helper(self):
         ident = identity_operator([A, C])
