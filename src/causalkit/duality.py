@@ -187,8 +187,10 @@ def dr_to_gyni(strategy: GameStrategy) -> GameStrategy:
     process); on classical input i the first party twirls its share by the
     inverse phase power Z^-i, the second by the inverse shift power X^-i,
     which re-encodes (i2, i1) into the effective pair. A party's d twirls share
-    every part but a small last one holding the code wire: a plain source's
-    blocks, or a composite's family (:func:`conjugate_instrument`).
+    every part but a small one holding the code wire: a plain source's twirls
+    share their last part, the blocks, and differ in their first, the units on
+    the code wire; a composite's share its family and differ in their readout
+    (:func:`conjugate_instrument`).
     """
     first, _ = _require_bipartite(strategy.process)
     if not strategy.state_wires:

@@ -21,10 +21,11 @@ that reads out two ancilla wires before a selected inner instrument
 sum_t S[t] (x) R[k, t], the inner family S as its arm stacked it, by term
 t = (member, inner outcome), with no copy, then a small readout stack R by
 (outcome k, term t). Conjugated on a few wires X (:func:`conjugate_instrument`),
-a plain instrument has two parts too: blocks on the other wires, shared by a
-stacked conjugation's members, and a small part on X each, so its wires become
-(other wires, X). A :class:`PartyArm` stacks its family, one instrument per
-classical input, once; game contractions take that stack's parts as they are.
+a plain instrument has two parts too: a small part on X each, then blocks on
+the other wires, shared by a stacked conjugation's members, so its wires become
+(X, other wires). A :class:`PartyArm` stacks its family, one instrument per
+classical input, once, by the one part its members differ in; game
+contractions take that stack's parts as they are.
 The dense operators, :attr:`Instrument.ops`, are built only when read, e.g. by
 :func:`validate_instrument`.
 """
@@ -115,9 +116,10 @@ class PartyArm:
     for the retrieval game, where the only input is the code wire).
 
     :attr:`stack` holds the family by (input, outcome), checked and stacked
-    once, here: members share every part but the last (a read-out composite's
-    lab family, a twirl's blocks) and their outcome count, and their last parts
-    share wires in one order (:func:`stack_operators`).
+    once, here: members share their outcome count and every part but one,
+    compared by identity, then by wires and entries, and that part is stacked
+    by member (:func:`stack_operators`), the last if none differs. A read-out
+    composite's members share their lab family, a twirl's their blocks.
     A pickled or copied arm carries its instruments alone and restacks them.
     """
 
@@ -131,17 +133,15 @@ class PartyArm:
         counts = {ins.n_outcomes for ins in family}
         if len(counts) != 1:
             raise ValueError(f"instruments disagree on the outcome count: {sorted(counts)}")
-        shared = family[0].terms.parts[:-1]
-        for ins in family[1:]:
-            parts = ins.terms.parts[:-1]
-            if len(parts) != len(shared) or any(
-                a is not b and (a.wires != b.wires or not np.array_equal(a.matrix, b.matrix))
-                for a, b in zip(parts, shared)
-            ):
-                raise ValueError("instruments in a family must share every part but the last")
-        lasts = [ins.terms.parts[-1] for ins in family]
+        first = family[0].terms.parts
+        differ = {i for ins in family[1:] for i, (a, b) in enumerate(zip(ins.terms.parts, first))
+                  if a is not b and (a.wires != b.wires or not np.array_equal(a.matrix, b.matrix))}
+        if len(differ) > 1 or {len(ins.terms.parts) for ins in family} != {len(first)}:
+            raise ValueError("instruments in a family must share every part but one")
+        i = differ.pop() if differ else len(first) - 1
+        stacked = stack_operators([ins.terms.parts[i] for ins in family], (len(family),))
         object.__setattr__(self, "instruments", family)
-        object.__setattr__(self, "stack", KronSum(shared + (stack_operators(lasts, (len(lasts),)),)))
+        object.__setattr__(self, "stack", KronSum((*first[:i], stacked, *first[i + 1 :])))
 
     def __reduce__(self):
         return PartyArm, (self.instruments,)
@@ -186,6 +186,8 @@ def _unitary(u: np.ndarray, dim: int, what: str, stack: bool = False) -> np.ndar
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (dim, dim) or u.ndim > 2 + stack:
         raise ValueError(f"{what} must be a {dim}x{dim} unitary, got shape {u.shape}")
+    if not u.size:
+        raise ValueError(f"{what} is an empty stack of unitaries")
     if np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim))) > DEFAULT_TOL:
         raise ValueError(f"{what} is not unitary within tolerance")
     return u
@@ -261,12 +263,12 @@ def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
     outcome) that holds X and shares a term sum, as a read-out composite's
     readout holds its code wire, is conjugated alone (:func:`conjugate_wires`).
     Otherwise the branches, dense if U reaches a shared part (no command's twirl does),
-    stay factored: branch k = sum_ab |a><b|_X (x) M_k[a, b] gives the blocks
-    M_k[a, b] on the other wires by term t = (k, a, b), shared by a stack's
-    members, and a part on X by (outcome k', t) holding delta_kk' U|a><b|U†, so
-    the wires are (other wires, X). Where its K^2 d_X^4 entries outweigh K dense
-    branches (K d_X^2 > (D/d_X)^2, as when X is every wire), the branches are
-    conjugated whole. A stack of n unitaries gives n instruments.
+    stay factored: branch k = sum_ab |a><b|_X (x) M_k[a, b] gives a first part on X,
+    the units U|a><b|U† by term t = (a, b), and a last part, the blocks M_k[a, b]
+    on the other wires by (outcome k, t), one object shared by a stack's members,
+    so the wires are (X, other wires). Where a member's d_X^4 units outweigh its K
+    dense branches (d_X^2 > K (D/d_X)^2), the branches are conjugated whole.
+    A stack of n unitaries gives n instruments; an empty stack raises.
     """
     names = tuple(names)
     if not names:
@@ -279,20 +281,18 @@ def conjugate_instrument(ins: Instrument, u: np.ndarray, names: Sequence[str]):
     *shared, last = ins.terms.parts
     if not set(names) <= set(last.names):
         shared, last = [], OperatorStack(ins.wires, ins.terms.matrix[:, None])
-    (k, m), wires, rest_dim = last.matrix.shape[:2], last.wires, last.total_dim // dim
-    if shared or k * dim**2 > rest_dim**2:
-        lasts = conjugate_wires(last, u, names).matrix.reshape((-1,) + last.matrix.shape)
+    (k, m), wires, rest_dim, blocks = last.matrix.shape[:2], last.wires, last.total_dim // dim, []
+    if shared or m * dim**2 > k * rest_dim**2:
+        own = conjugate_wires(last, u, names).matrix.reshape((-1,) + last.matrix.shape)
     else:
         x = _positions(last, names)
         rest = [i for i in range(len(wires)) if i not in x]
         axes = [2 + i + side * len(wires) for group in (x, rest) for side in (0, 1) for i in group]
-        blocks = last.as_tensor().transpose(0, 1, *axes).reshape(-1, rest_dim, rest_dim)  # by (k, m, a, b)
-        shared, wires = [OperatorStack(tuple(wires[i] for i in rest), blocks)], tuple(wires[i] for i in x)
-        units = conjugate_wires(OperatorStack(wires, np.eye(dim * dim).reshape(-1, dim, dim)), u, names).matrix
-        lasts = np.zeros((units.size // dim**4, k, k, m, dim * dim, dim, dim), dtype=complex)
-        lasts[:, np.arange(k), np.arange(k)] = units.reshape(-1, 1, 1, dim * dim, dim, dim)
-        lasts = lasts.reshape(-1, k, k * m * dim * dim, dim, dim)
-    members = tuple(Instrument(KronSum((*shared, OperatorStack(wires, s))), ins.output_wires) for s in lasts)
+        by_term = last.as_tensor().transpose(0, 1, *axes).reshape(k, -1, rest_dim, rest_dim)  # by (k, (m, a, b))
+        blocks, wires = [OperatorStack(tuple(wires[i] for i in rest), by_term)], tuple(wires[i] for i in x)
+        units = OperatorStack(wires, np.tile(np.eye(dim * dim).reshape(-1, dim, dim), (m, 1, 1)))
+        own = conjugate_wires(units, u, names).matrix.reshape(-1, m * dim * dim, dim, dim)
+    members = tuple(Instrument(KronSum((*shared, OperatorStack(wires, s), *blocks)), ins.output_wires) for s in own)
     return members if u.ndim == 3 else members[0]
 
 

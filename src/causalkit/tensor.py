@@ -295,21 +295,15 @@ def stack_operators(ops: Sequence[OperatorStack], shape: tuple[int, ...]) -> Ope
 
     Every member must act on the wires of the first one, in the same order,
     and have its batch shape; ``shape`` leads the batch axes of the result.
-    One member, or members that are the rows of one array in order, stack with no copy.
+    One member stacks with no copy; more are copied once, into the result.
     """
     if not ops:
         raise ValueError("stack_operators needs at least one operator")
-    first, n = ops[0], len(ops)
+    first = ops[0]
     if any(op.wires != first.wires for op in ops[1:]):
         raise ValueError(f"every stacked operator must act on the wires {first.names}, in that order")
-    base = first.matrix[None] if n == 1 else first.matrix.base
-    if n > 1 and not (
-        isinstance(base, np.ndarray) and base.flags.c_contiguous and base.size == n * first.matrix.size
-        and all(op.matrix.__array_interface__ == row.__array_interface__
-                for op, row in zip(ops, base.reshape((n,) + first.matrix.shape)))
-    ):
-        base = np.array([op.matrix for op in ops])
-    return OperatorStack(first.wires, base.reshape(tuple(shape) + first.matrix.shape))
+    matrix = first.matrix[None] if len(ops) == 1 else np.array([op.matrix for op in ops])
+    return OperatorStack(first.wires, matrix.reshape(tuple(shape) + first.matrix.shape))
 
 
 def _side_wires(wire_tuples, side: str) -> dict[str, int]:

@@ -189,8 +189,9 @@ class TestRandomizedRoundTrips:
 
 
     def test_d5_dr2gyni_stays_factored(self):
-        # Each twirled member shares one block part, so no member holds a
-        # dense d^3-sided stack of its own; the dense twirls peaked at 18 MB.
+        # Each twirled member shares one block part and owns only its d^2 units
+        # on the code wire, so no member holds a dense d^3-sided stack of its
+        # own; the dense twirls peaked at 18 MB, units padded with zeros at 6 MB.
         # Warm: the plans and the runner's workspace (7 MB here) are taken first.
         dr = random_dr_strategy(np.random.default_rng(1109), 5)
         check_duality(dr, "dr2gyni")
@@ -201,7 +202,7 @@ class TestRandomizedRoundTrips:
         finally:
             tracemalloc.stop()
         assert cert.deviation <= 1e-9
-        assert peak < 12 * 2**20
+        assert peak < 5 * 2**20
 
 
 class TestDenseReads:
@@ -235,13 +236,14 @@ class TestDenseReads:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_dr_to_gyni_twirls_share_one_block_part(self, d):
-        # The d twirls of a party differ only in their small part on the code
-        # wire: one shared block part of (outcome, a, b) = d * d^2 terms.
+        # The d twirls of a party differ only in their first part, the units on
+        # the code wire by (a, b): the arm stacks those by member and keeps one
+        # block part, by (outcome, a, b).
         translated = dr_to_gyni(random_dr_strategy(np.random.default_rng([1110, d]), d))
         for arm in translated.parties:
-            blocks = arm.stack.parts[0]
-            assert all(ins.terms.parts[0] is blocks for ins in arm.instruments)
-            assert blocks.matrix.shape[0] == d * d**2
+            units, blocks = arm.stack.parts
+            assert all(ins.terms.parts[-1] is blocks for ins in arm.instruments)
+            assert units.matrix.shape == (d, d**2, d, d) and blocks.matrix.shape[:2] == (d, d**2)
             assert all(part.total_dim < d**3 for part in arm.stack.parts)
 
     def test_dr_to_gyni_builds_no_dense_stack_at_d3(self, monkeypatch):

@@ -549,8 +549,8 @@ class TestDerivedInputWires:
     """An instrument reads every wire it does not emit, in its parts' order: a
     plain retrieval instrument its code wire, then its lab input; a gyni_to_dr
     composite its lab input (the source family), then the code and fresh wires
-    its readout part measures; a dr_to_gyni twirl of a plain instrument its
-    lab input, then the code wire it conjugates."""
+    its readout part measures; a dr_to_gyni twirl of a plain instrument the
+    code wire it conjugates, then its lab input."""
 
     @pytest.mark.parametrize("translate", [False, True], ids=["source", "translated"])
     @pytest.mark.parametrize("case", BUILT, ids=[case[0] for case in BUILT])
@@ -564,7 +564,7 @@ class TestDerivedInputWires:
             if read_out:
                 expected = (slot.input_wire, code, f"{code}'")
             elif retrieval:
-                expected = (slot.input_wire, code) if translate else (code, slot.input_wire)
+                expected = (code, slot.input_wire)
             else:
                 expected = (slot.input_wire,)
             assert {(ins.input_wires, ins.output_wires) for ins in arm.instruments} == {

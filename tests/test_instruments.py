@@ -212,10 +212,11 @@ class TestConjugation:
         np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
         if names == ("A",):  # the readout part, conjugated alone
             assert rotated.terms.parts[0] is composite.terms.parts[0]
-        elif names == ("A_O",):  # the dense branches, factored on A_O
-            assert rotated.terms.parts[-1].names == names
-        else:  # 2 outcomes x 4^2 units > 4^2 block entries: the dense branches, conjugated whole
-            assert len(rotated.terms.parts) == 1
+        else:  # the dense branches, factored: units on X first, then blocks on the other wires
+            units, blocks = rotated.terms.parts
+            assert units.names == tuple(n for n in _names(composite) if n in names)
+            assert blocks.names == tuple(n for n in _names(composite) if n not in names)
+            assert units.matrix.shape == (dim * dim, dim, dim) and blocks.matrix.shape[:2] == (2, dim * dim)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stack_of_unitaries_matches_one_call_each(self, d):
@@ -229,24 +230,6 @@ class TestConjugation:
             one = conjugate_instrument(ins, u, ("A",))
             got, one = (permute_wires(OperatorStack(m.wires, m.terms.matrix), _names(ins)) for m in (got, one))
             assert np.array_equal(got.matrix, one.matrix)
-
-    def test_stacked_members_stack_without_a_copy(self):
-        # A stacked conjugation's members are the rows of one array, so their
-        # stack is a view of it; in another order they are copied.
-        rng = np.random.default_rng(46)
-        wires = (WireLabel("A", 3), WireLabel("A_I", 3), WireLabel("A_O", 3))
-        ins = random_instrument(rng, wires[:2], wires[2:], 3)
-        members = conjugate_instrument(ins, np.stack([np.eye(3), np.roll(np.eye(3), 1, axis=0)]), ("A",))
-        lasts = [m.terms.parts[-1].matrix for m in members]
-        stacked = PartyArm(members).stack.parts[-1].matrix
-        assert all(np.shares_memory(stacked, last) for last in lasts)
-        assert np.array_equal(stacked, np.array(lasts))
-        swapped = PartyArm(members[::-1]).stack.parts[-1].matrix
-        assert not np.shares_memory(swapped, lasts[0])
-        assert np.array_equal(swapped, np.array(lasts[::-1]))
-        # Unpickled members keep their bytes in a buffer that is not an array.
-        unpickled = PartyArm(pickle.loads(pickle.dumps(members))).stack.parts[-1].matrix
-        assert np.array_equal(unpickled, stacked)
 
     def test_every_stacked_unitary_checked(self):
         ins = measure_prepare_instrument([E0, E1], [E0, E1], A_IN, A_OUT)
@@ -274,8 +257,8 @@ def _embedded(ins: Instrument, u: np.ndarray, names) -> np.ndarray:
 
 class TestFactoredConjugation:
     """A plain instrument conjugated on a few of its wires X keeps every
-    member factored: one block part on the other wires, shared by the
-    members of a stack, and a part on X per member."""
+    member factored: a part on X per member, then one block part on the
+    other wires, shared by the members of a stack."""
 
     @staticmethod
     def _case(case: str, d: int) -> tuple[Instrument, tuple[str, ...]]:
@@ -283,7 +266,7 @@ class TestFactoredConjugation:
         code, fresh, w_in, w_out = (WireLabel(n, d) for n in ("A", "A'", "A_I", "A_O"))
         if case == "code":
             return random_instrument(rng, (code, w_in), (w_out,), d), ("A",)
-        if case == "two-wire":  # one outcome: 1 x (d^2)^2 units against (d^2)^2 block entries
+        if case == "two-wire":  # one outcome: (d^2)^2 units against 1 x (d^2)^2 block entries
             return random_instrument(rng, (code, fresh, w_in), (w_out,), 1), ("A", "A_I")
         # A read-out composite: the twirl reaches only its last part, the readout, which is conjugated alone.
         return gyni_to_dr(random_gyni_strategy(rng, d)).parties[0].instruments[0], ("A",)
@@ -299,25 +282,30 @@ class TestFactoredConjugation:
         members = conjugate_instrument(ins, us if n else us[0], names)
         members = members if n else (members,)
         assert len(members) == len(us)
+        # The part the members share: the source family (composite), else the blocks.
+        at = 0 if case == "composite" else -1
         for member, u in zip(members, us):
-            shared, last = member.terms.parts
-            assert shared is members[0].terms.parts[0]
+            first, last = member.terms.parts
+            assert member.terms.parts[at] is members[0].terms.parts[at]
             if case == "composite":  # the source family, shared as it is, and the readout on (A, A')
-                assert shared is ins.terms.parts[0] and last.names == ("A", "A'")
-            else:
-                assert shared.names == tuple(n for n in _names(ins) if n not in names) and last.names == names
-                assert shared.matrix.shape[0] == ins.n_outcomes * dim**2
+                assert first is ins.terms.parts[0] and last.names == ("A", "A'")
+            else:  # the units on X, then the blocks on the other wires by (outcome, unit)
+                assert first.names == names and first.matrix.shape == (dim**2, dim, dim)
+                assert last.names == tuple(n for n in _names(ins) if n not in names)
+                assert last.matrix.shape[:2] == (ins.n_outcomes, dim**2)
             assert member.output_wires == ins.output_wires
             big = _embedded(ins, u, names)
             for got, op in zip(member.ops, ins.ops):
                 got = permute_wires(got, _names(ins))
                 np.testing.assert_allclose(got.matrix, big @ op.matrix @ big.conj().T, atol=1e-12)
+        # The arm stacks the part its members differ in; a lone member, its last.
+        kept = at if n else 0
         arm = PartyArm(members)
-        assert arm.stack.parts[0] is members[0].terms.parts[0]
+        assert arm.stack.parts[kept] is members[0].terms.parts[kept]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_whole_part_when_units_outweigh_blocks(self, d):
-        # d outcomes x (d^2)^2 units on (A, A_I) against d^2 block entries on A_O:
+        # (d^2)^2 units on (A, A_I) against d outcomes x d^2 block entries on A_O:
         # the part is conjugated whole, in its wire order.
         ins, _ = self._case("code", d)
         rotated = conjugate_instrument(ins, np.eye(d * d), ("A", "A_I"))
@@ -325,14 +313,14 @@ class TestFactoredConjugation:
 
     def test_one_arm_reads_the_shared_blocks_once(self, monkeypatch):
         # The members of one stacked conjugation hold one block part object,
-        # so the arm does not compare it with itself entry by entry.
+        # so the arm compares only their units on A, never the blocks.
         ins, names = self._case("code", 3)
         members = conjugate_instrument(ins, np.stack([np.eye(3)] * 3), names)
         compared = []
         equal = np.array_equal
         monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(a.shape) or equal(a, b))
         PartyArm(members)
-        assert compared == []
+        assert compared == [(9, 3, 3)] * 2
 
 
 class TestComposition:
@@ -497,10 +485,31 @@ class TestPartyArm:
         with pytest.raises(ValueError, match="in that order"):
             PartyArm([plain[1], swapped])
         other = extend_instrument_with_measurement(PartyArm(plain), np.eye(d * d), (WireLabel("A", d), WireLabel("A'", d)), 0)
-        with pytest.raises(ValueError, match="share every part but the last"):
+        with pytest.raises(ValueError, match="share every part but one"):
             PartyArm([readout[0], other])
-        with pytest.raises(ValueError, match="share every part but the last"):
+        with pytest.raises(ValueError, match="share every part but one"):
             PartyArm([readout[0], plain[0]])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_stacked_twirl_stacks_its_first_part(self, d):
+        # A twirl's members differ in their units on the code wire alone: the arm
+        # stacks those by member, in the members' order, and keeps the one block part.
+        rng = np.random.default_rng([602, d])
+        wires = (WireLabel("A", d), WireLabel("A_I", d)), (WireLabel("A_O", d),)
+        shifts = np.stack([np.linalg.matrix_power(np.roll(np.eye(d), 1, axis=0), i) for i in range(d)])
+        members = conjugate_instrument(random_instrument(rng, *wires, d), shifts, ("A",))
+        for family in (members, members[::-1], pickle.loads(pickle.dumps(members))):
+            stack = PartyArm(family).stack
+            assert stack.batch_shape == (d, d) and stack.parts[-1] is family[0].terms.parts[-1]
+            assert np.array_equal(stack.parts[0].matrix, np.array([m.terms.parts[0].matrix for m in family]))
+            dense = stack.matrix
+            for i, member in enumerate(family):
+                for k, op in enumerate(member.ops):
+                    assert np.array_equal(dense[i, k], op.matrix), (i, k)
+        # Another instrument's twirl differs in its units and in its blocks.
+        other = conjugate_instrument(random_instrument(rng, *wires, d), shifts, ("A",))
+        with pytest.raises(ValueError, match="share every part but one"):
+            PartyArm([members[0], other[1]])
 
 
 def _kron_composite(family, u, measured, selector):
@@ -583,7 +592,7 @@ class TestFactoredComposite:
         assert stack.batch_shape == (2, d)
         np.testing.assert_allclose(stack.matrix[1, 0], a.ops[0].matrix, atol=1e-12)
         b, _ = self._composite(d, "pad", seed=1)
-        with pytest.raises(ValueError, match="share every part but the last"):
+        with pytest.raises(ValueError, match="share every part but one"):
             PartyArm([a, b])
         # One family under two readout unitaries: the members differ in their last part alone.
         rng = np.random.default_rng([520, d])
@@ -673,6 +682,11 @@ class TestInputChecks:
             ),
             pytest.param(
                 lambda: conjugate_instrument(_passes()[0], np.eye(1), ()), "at least one wire name", id="conjugate-no-wire"
+            ),
+            pytest.param(
+                lambda: conjugate_instrument(_passes()[0], np.zeros((0, 2, 2)), ("A_I",)),
+                "conjugation matrix for wires ('A_I',) is an empty stack of unitaries",
+                id="conjugate-no-unitary",
             ),
         ],
     )
