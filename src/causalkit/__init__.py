@@ -58,7 +58,6 @@ from .games import (
     BellCode,
     GameStrategy,
     bell_state,
-    bell_vector,
     behaviour,
     constant_output_gyni_strategy,
     cyril_gyni_strategy,

@@ -65,23 +65,19 @@ class BellCode:
 
 
 def _bell_vectors(d: int, x1s, x2s) -> np.ndarray:
-    """|B^x> for every code x in x1s × x2s, indexed by position [i1, i2]; see :func:`bell_vector`."""
+    """sqrt(d) |B^x> = sum_k w^(x2 k) |k>|k+x1 mod d> for every code x in x1s × x2s, indexed by position
+    [i1, i2]. Left unnormalized: a pair is their outer product divided by d once, so it rounds only in w."""
     i1, i2, k = np.ix_(range(len(x1s)), range(len(x2s)), range(d))
     x1, x2 = np.asarray(x1s)[i1], np.asarray(x2s)[i2]
     vecs = np.zeros((len(x1s), len(x2s), d * d), dtype=complex)
-    vecs[i1, i2, k * d + (k + x1) % d] = np.exp(2j * np.pi / d) ** (x2 * k) / np.sqrt(d)
+    vecs[i1, i2, k * d + (k + x1) % d] = np.exp(2j * np.pi / d) ** (x2 * k)
     return vecs
-
-
-def bell_vector(code: BellCode) -> np.ndarray:
-    """|B^x> = (1/sqrt d) sum_k w^(x2 k) |k>|k+x1 mod d>; the other codes are not built."""
-    return _bell_vectors(code.d, [code.x1], [code.x2])[0, 0]
 
 
 def bell_state(code: BellCode, wire_names: tuple[str, str] = ("A", "B")) -> LabeledOperator:
     """Density operator of the coded pair on two fresh wires; the other codes are not built."""
-    vec = bell_vector(code)
-    return LabeledOperator(tuple(WireLabel(n, code.d) for n in wire_names), np.outer(vec, vec.conj()))
+    vec = _bell_vectors(code.d, [code.x1], [code.x2])[0, 0]
+    return LabeledOperator(tuple(WireLabel(n, code.d) for n in wire_names), np.outer(vec, vec.conj()) / code.d)
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ def coded_pairs(d: int, wire_names: tuple[str, str]) -> OperatorStack:
     """The d^2 coded pairs on two wires, stacked by code (x1, x2): built once per (d, names), read-only."""
     vecs = _bell_vectors(d, range(d), range(d))
     wires = (WireLabel(wire_names[0], d), WireLabel(wire_names[1], d))
-    pairs = OperatorStack(wires, vecs[..., :, None] * vecs.conj()[..., None, :])
+    pairs = OperatorStack(wires, vecs[..., :, None] * vecs.conj()[..., None, :] / d)
     pairs.matrix.flags.writeable = False
     return pairs
 

@@ -1,7 +1,7 @@
 """End-to-end acceptance gate.
 
 Eleven release criteria, one test each, plus one test per row of the
-manifest's claims table ``causalkit.cli.CLAIMS``. Every criterion asserts
+manifest's claims table ``causalkit.claims.CLAIMS``. Every criterion asserts
 its frozen numbers with the tolerance pinned next to it and, on success,
 prints a single ``ACCEPT nn PASS`` line (run with ``-s`` to see them; under
 ``-v`` the test id itself doubles as the pass/fail line). Each claims-table
@@ -24,6 +24,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from causalkit.claims import CLAIMS
 from causalkit.classical import (
     e_bw,
     ftdr_accounting,
@@ -31,7 +32,6 @@ from causalkit.classical import (
     tdr_relay_accounting,
     tdr_success_no_collab,
 )
-from causalkit.cli import CLAIMS
 from causalkit.duality import (
     check_duality,
     controlled_shift,

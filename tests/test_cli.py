@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from causalkit import duality
-from causalkit.cli import CLAIMS, MANIFEST_SEED, Claim, Reading, build_manifest, main
+from causalkit.claims import CLAIMS, MANIFEST_SEED, Claim, Reading
+from causalkit.cli import build_manifest, main
 from causalkit.games import CYRIL_GYNI_VALUE
 from causalkit.processes import dump_process, extend_with_state, load_process, build_cyril
 from causalkit.tensor import LabeledOperator, WireLabel

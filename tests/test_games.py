@@ -25,7 +25,6 @@ from causalkit.games import (
     GameStrategy,
     PartyArm,
     bell_state,
-    bell_vector,
     behaviour,
     coded_pairs,
     constant_output_gyni_strategy,
@@ -56,29 +55,29 @@ SQRT2 = np.sqrt(2)
 class TestBellCodes:
     def test_qubit_codes_frozen(self):
         # (x1, x2) = (shift, phase): 00 and 10 are the even pair states,
-        # 01 and 11 pick up the relative minus sign.
-        r = 1 / SQRT2
+        # 01 and 11 pick up the relative minus sign. Every real entry is
+        # exactly +-1/2 or 0; the phase exp(i pi) leaves an imaginary rounding.
         expected = {
-            (0, 0): [r, 0, 0, r],
-            (1, 0): [0, r, r, 0],
-            (0, 1): [r, 0, 0, -r],
-            (1, 1): [0, r, -r, 0],
+            (0, 0): [1, 0, 0, 1],
+            (1, 0): [0, 1, 1, 0],
+            (0, 1): [1, 0, 0, -1],
+            (1, 1): [0, 1, -1, 0],
         }
         for (x1, x2), vec in expected.items():
-            np.testing.assert_allclose(
-                bell_vector(BellCode(2, x1, x2)), vec, atol=1e-15
-            )
+            state = bell_state(BellCode(2, x1, x2))
+            np.testing.assert_array_equal(state.matrix.real, np.outer(vec, vec) / 2)
+            np.testing.assert_allclose(state.matrix.imag, 0, atol=1e-15)
 
     def test_orthonormal_gram(self):
-        codes = [BellCode(2, x1, x2) for x1, x2 in product(range(2), repeat=2)]
-        vecs = [bell_vector(c) for c in codes]
-        gram = np.abs(np.array([[np.vdot(u, v) for v in vecs] for u in vecs]))
+        # Tr[rho_x rho_y] = |<B^x|B^y>|^2 = delta_xy over the four qubit codes.
+        pairs = coded_pairs(2, ("A", "B")).matrix.reshape(4, 4, 4)
+        gram = np.einsum("xij,yji->xy", pairs, pairs)
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_qutrit_codes_orthonormal_and_hiding(self):
         codes = [BellCode(3, x1, x2) for x1, x2 in product(range(3), repeat=2)]
-        vecs = [bell_vector(c) for c in codes]
-        gram = np.abs(np.array([[np.vdot(u, v) for v in vecs] for u in vecs]))
+        states = [bell_state(c).matrix for c in codes]
+        gram = np.array([[np.trace(u @ v) for v in states] for u in states])
         np.testing.assert_allclose(gram, np.eye(9), atol=1e-12)
         for c in codes:
             state = bell_state(c)
@@ -126,16 +125,6 @@ class TestBellCodes:
         for x1, x2 in product(range(d), repeat=2):
             np.testing.assert_allclose(z_read[x1, x2], ((v - u) % d == x1) / d, atol=1e-12)
             np.testing.assert_allclose(f_read[x1, x2], ((u + v) % d == x2) / d, atol=1e-12)
-
-    def test_bell_vector_builds_only_its_code(self):
-        # All d^2 code vectors take d^2 times the memory of the one returned.
-        tracemalloc.start()
-        try:
-            vec = bell_vector(BellCode(32, 1, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * vec.nbytes
 
     def test_bell_state_builds_only_its_pair(self):
         # All d^2 coded pairs take d^2 times the memory of the one returned.

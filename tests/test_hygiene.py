@@ -5,7 +5,9 @@ function is referenced somewhere in the package besides its definition, and
 so is every public module-level function or class but two named checks. The
 package ``__init__`` is left out of the import check: its imports are the
 public re-exports. Only ``processes`` spells a lab wire's name; every other
-module reads the two-party layout from it.
+module reads the two-party layout from it. The claims table stays clear of the
+argparse front end: ``claims`` imports nothing from ``cli``, and only ``cli``
+imports ``argparse``.
 """
 
 from __future__ import annotations
@@ -91,3 +93,22 @@ def test_only_processes_spells_a_lab_wire(module):
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in LAB_WIRE_NAMES
     ]
     assert spelled == []
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Each dotted part of every module a module imports, and every name it
+    imports from one, so ``from .cli import x``, ``from causalkit.cli import x``
+    and ``from . import cli`` all name ``cli``."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            modules.update((node.module or "").split("."), (alias.name for alias in node.names))
+    return modules
+
+
+def test_claims_stay_clear_of_the_front_end():
+    assert "cli" not in _imported_modules(TREES["claims.py"])
+    argparse_users = [module for module, tree in TREES.items() if "argparse" in _imported_modules(tree)]
+    assert argparse_users == ["cli.py"]

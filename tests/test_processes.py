@@ -33,8 +33,8 @@ from causalkit.processes import (
     validate_process,
     verify_cyril_separable_decomposition,
 )
+from causalkit.claims import PROCESS_BUILDERS
 from causalkit.classical import ClassicalProcess3, ebw_process, is_logically_consistent
-from causalkit.cli import PROCESS_BUILDERS
 from causalkit.duality import check_duality, pauli_xd, pauli_zd
 from causalkit.games import GameStrategy, PartyArm, behaviour, coded_pairs, cyril_gyni_strategy
 from causalkit.instruments import validate_instrument
