@@ -64,20 +64,20 @@ class BellCode:
             raise ValueError(f"code symbols must lie in 0..{self.d - 1}")
 
 
-def _bell_vectors(d: int, x1s, x2s) -> np.ndarray:
-    """sqrt(d) |B^x> = sum_k w^(x2 k) |k>|k+x1 mod d> for every code x in x1s × x2s, indexed by position
-    [i1, i2]. Left unnormalized: a pair is their outer product divided by d once, so it rounds only in w."""
+def _pairs(d: int, x1s, x2s) -> np.ndarray:
+    """The coded pair of every code x in x1s × x2s, indexed by position [i1, i2]: the outer product of
+    sqrt(d) |B^x> = sum_k w^(x2 k) |k>|k+x1 mod d> with itself, divided by d once, so it rounds only in w."""
     i1, i2, k = np.ix_(range(len(x1s)), range(len(x2s)), range(d))
     x1, x2 = np.asarray(x1s)[i1], np.asarray(x2s)[i2]
     vecs = np.zeros((len(x1s), len(x2s), d * d), dtype=complex)
     vecs[i1, i2, k * d + (k + x1) % d] = np.exp(2j * np.pi / d) ** (x2 * k)
-    return vecs
+    return vecs[..., :, None] * vecs.conj()[..., None, :] / d
 
 
 def bell_state(code: BellCode, wire_names: tuple[str, str] = ("A", "B")) -> LabeledOperator:
     """Density operator of the coded pair on two fresh wires; the other codes are not built."""
-    vec = _bell_vectors(code.d, [code.x1], [code.x2])[0, 0]
-    return LabeledOperator(tuple(WireLabel(n, code.d) for n in wire_names), np.outer(vec, vec.conj()) / code.d)
+    wires = tuple(WireLabel(n, code.d) for n in wire_names)
+    return LabeledOperator(wires, _pairs(code.d, [code.x1], [code.x2])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,7 @@ def behaviour(strategy: GameStrategy, states=None) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def coded_pairs(d: int, wire_names: tuple[str, str]) -> OperatorStack:
     """The d^2 coded pairs on two wires, stacked by code (x1, x2): built once per (d, names), read-only."""
-    vecs = _bell_vectors(d, range(d), range(d))
-    wires = (WireLabel(wire_names[0], d), WireLabel(wire_names[1], d))
-    pairs = OperatorStack(wires, vecs[..., :, None] * vecs.conj()[..., None, :] / d)
+    pairs = OperatorStack(tuple(WireLabel(n, d) for n in wire_names), _pairs(d, range(d), range(d)))
     pairs.matrix.flags.writeable = False
     return pairs
 

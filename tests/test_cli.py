@@ -24,7 +24,6 @@ from causalkit.cli import build_manifest, main
 from causalkit.games import CYRIL_GYNI_VALUE
 from causalkit.processes import dump_process, extend_with_state, load_process, build_cyril
 from causalkit.tensor import LabeledOperator, WireLabel
-from manifest_rows import EXACT_COMPUTED, MANIFEST_ROWS
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -477,14 +476,24 @@ class TestDump:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_oversized_dimension_is_usage_error(self, capsys):
-        # d = 10^7 asks numpy for 1.42 PiB, past any address space, so the
-        # allocation fails at once and no memory is touched.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dump", "--object", "bell:0,0,10000000"],
+            ["dump", "--object", "readout-unitary:10000000"],
+            ["duality", "--direction", "gyni2dr", "--seed", "1", "--dim", "10000000"],
+        ],
+        ids=["bell", "readout-unitary", "duality"],
+    )
+    def test_oversized_dimension_is_usage_error(self, capsys, argv):
+        # d = 10^7 asks numpy for 1.42 PiB (a coded pair) or 728 TiB (a d²
+        # table), past any address space, so the allocation fails at once and
+        # no memory is touched.
         with pytest.raises(SystemExit) as exc:
-            main(["dump", "--object", "bell:0,0,10000000"])
+            main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "causalkit dump: error: Unable to allocate" in err
+        assert f"causalkit {argv[0]}: error: Unable to allocate" in err and "Traceback" not in err
 
 
 class TestManifest:
@@ -493,9 +502,7 @@ class TestManifest:
         assert code == 0
         assert payload["status"] == "pass"
         assert payload["failures"] == 0
-        assert payload["total"] >= 12
-        ids = [r["claim_id"] for r in payload["records"]]
-        assert len(ids) == len(set(ids))
+        assert payload["total"] == len(CLAIMS)
         for record in payload["records"]:
             assert set(record) == {
                 "claim_id",
@@ -505,12 +512,6 @@ class TestManifest:
                 "tolerance",
                 "status",
             }
-
-    def test_fixed_columns(self):
-        records = build_manifest()
-        assert [(r.claim_id, r.command, r.expected, r.tolerance) for r in records] == MANIFEST_ROWS
-        computed = {r.claim_id: r.computed for r in records}
-        assert {k: computed[k] for k in EXACT_COMPUTED} == EXACT_COMPUTED
 
     @pytest.mark.parametrize(
         "reading, status, computed",
@@ -532,16 +533,13 @@ class TestManifest:
 
     def test_consistency_claim(self):
         records = {r.claim_id: r for r in build_manifest()}
-        assert len(records) == len(MANIFEST_ROWS)
         assert records["classical-ebw-consistent"].status == "pass"
 
     def test_drifting_claim_is_a_fail_row(self, capsys, drift_at_d3):
         code, payload = run_json(capsys, "manifest")
         assert code == 1
-        assert payload["total"] == len(MANIFEST_ROWS)
-        assert len(payload["records"]) == len(MANIFEST_ROWS)
+        assert payload["total"] == len(payload["records"]) == len(CLAIMS)
         records = {r["claim_id"]: r for r in payload["records"]}
-        assert len(records) == len(MANIFEST_ROWS)
         assert [k for k, r in records.items() if r["status"] != "pass"] == ["duality-random-d3"]
         assert float(records["duality-random-d3"]["computed"]) > 1e-9
 
@@ -552,7 +550,7 @@ class TestManifest:
         monkeypatch.setattr(duality, "readout_correlation_residual", broken)
         code, payload = run_json(capsys, "manifest")
         assert code == 1
-        assert payload["total"] == len(payload["records"]) == len(MANIFEST_ROWS)
+        assert payload["total"] == len(payload["records"]) == len(CLAIMS)
         records = {r["claim_id"]: r for r in payload["records"]}
         assert [k for k, r in records.items() if r["status"] != "pass"] == ["readout-correlation"]
         assert records["readout-correlation"]["computed"] == "error: ValueError: readout broke"
