@@ -110,8 +110,15 @@ class OperatorStack:
         """Reshape to the batch axes, then one row axis plus one column axis per wire."""
         return self.matrix.reshape(self.matrix.shape[:-2] + self.dims + self.dims)
 
+    def __eq__(self, other) -> bool:
+        """Equal by value: the same type, the same wires and the same entries."""
+        return type(other) is type(self) and other.wires == self.wires and np.array_equal(other.matrix, self.matrix)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.wires, self.matrix.shape))
+
+
+@dataclass(frozen=True, eq=False)
 class LabeledOperator(OperatorStack):
     """One square matrix on its ordered wires: the stack with no batch axes."""
 

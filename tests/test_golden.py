@@ -1,88 +1,93 @@
-"""The manifest's stdout against the golden files in ``tests/golden``.
+"""Every documented command's output against its golden file in ``tests/golden``.
 
-These files are the manifest's one pin: each row's id, command, expected text,
-tolerance, verdict and computed text. Under the Python x.y and numpy version
-that wrote them (``versions.json``) the comparison is byte for byte, so any
-moved bit fails here and shows as the diff of the files that
-``tests/golden/regen.py`` rewrites. Under other versions floats may move in
-their last bits; then each record's fixed columns and verdict must still match
-exactly, and so must its computed text wherever that prints no float: its
-tolerance is 0, or the text holds no digit.
+These files are the one pin of each command's stdout and exit code, and of a
+usage error's message (``tests/golden/regen.py`` lists the commands and
+rewrites the files). One rule compares them. Under the Python x.y and numpy
+version that wrote them (``versions.json``) it is byte for byte, so any moved
+bit fails here and shows as the diff of the rewritten files. Under other
+versions floats may move in their last bits: every character outside a number
+must still match, and every number must agree within ``NUMBER_TOL``. Two
+integers that differ differ by at least 1, so integers, Fractions, wire
+dimensions and exit codes stay exact, as do verdicts and names.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 
+import numpy as np
 import pytest
 
-from golden.regen import COMMANDS, HERE, run, versions
+from causalkit.claims import DRB_STRATEGIES, GYNI_STRATEGIES, PROCESS_BUILDERS
+from causalkit.cli import CLASSICAL_CALLS, _build_parser
+from golden.regen import COMMANDS, HERE, record, versions
 
-FIXED = ("claim_id", "command", "expected", "tolerance", "status")
-
-
-def _prints_no_float(record: dict) -> bool:
-    """An exact row (tolerance 0) or one whose computed text holds no digit."""
-    return record["tolerance"] == 0 or not any(c.isdigit() for c in record["computed"])
-
-
-def _fixed_columns(name: str, text: str) -> list:
-    """What must match under any versions: each JSON record's fixed columns,
-    verdict and float-free computed text, or each text line up to the computed
-    value."""
-    if name.endswith(".json"):
-        return [
-            [record[key] for key in FIXED] + [record["computed"] if _prints_no_float(record) else None]
-            for record in json.loads(text)["records"]
-        ]
-    return [line.split(" | got ")[0] for line in text.splitlines()]
+NUMBER_TOL = 1e-12
+# A signed decimal or float token: a JSON number, a manifest's computed text, a dump entry's parts.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+GOLDEN_VERSIONS = json.loads((HERE / "versions.json").read_text(encoding="utf-8"))
 
 
-def test_manifest_matches_golden(monkeypatch):
+def agrees(text: str, golden: str, byte_for_byte: bool) -> bool:
+    """The one rule: equal bytes, or else equal text between the numbers and numbers within NUMBER_TOL."""
+    if byte_for_byte:
+        return text == golden
+    pairs = zip(NUMBER.findall(text), NUMBER.findall(golden))
+    return NUMBER.split(text) == NUMBER.split(golden) and all(abs(float(a) - float(b)) <= NUMBER_TOL for a, b in pairs)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_output_matches_golden(monkeypatch, name):
     monkeypatch.delenv("CAUSALKIT_TOL", raising=False)
-    golden_versions = json.loads((HERE / "versions.json").read_text(encoding="utf-8"))
-    same_versions = versions() == golden_versions
-    for name, argv in COMMANDS.items():
-        code, text = run(argv)
-        assert code == 0, f"causalkit {' '.join(argv)} exited {code}"
-        golden = (HERE / name).read_text(encoding="utf-8")
-        if same_versions:
-            assert text == golden, f"{name} moved; rerun tests/golden/regen.py and review the diff"
-        else:
-            assert _fixed_columns(name, text) == _fixed_columns(name, golden), (
-                f"{name}: fixed columns differ between Python/numpy {versions()} and the golden "
-                f"files' {golden_versions}"
-            )
+    same_versions = versions() == GOLDEN_VERSIONS
+    assert agrees(record(COMMANDS[name]), (HERE / name).read_text(encoding="utf-8"), same_versions), (
+        f"{name} moved under Python/numpy {versions()} against the golden files' {GOLDEN_VERSIONS}"
+        + ("; rerun tests/golden/regen.py and review the diff" if same_versions else "")
+    )
 
 
-def _record(claim_id, computed, tolerance, expected="within tol", status="pass") -> dict:
-    return {"claim_id": claim_id, "command": "causalkit manifest", "expected": expected,
-            "computed": computed, "tolerance": tolerance, "status": status}
+def test_no_command_or_builtin_is_unpinned():
+    argvs = list(COMMANDS.values())
+    (subcommands,) = (a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subcommands) <= {argv[0] for argv in argvs}
+    for command, names in (("validate", PROCESS_BUILDERS), ("ppt", PROCESS_BUILDERS),
+                           ("gyni", GYNI_STRATEGIES), ("drb", DRB_STRATEGIES)):
+        assert set(names) <= {word for argv in argvs if argv[0] == command for word in argv}, command
+    assert set(CLASSICAL_CALLS) <= {(argv[1], argv[3]) for argv in argvs if argv[0] == "classical"}
 
 
-ROWS = [
-    _record("float", "0.53347086912079611", 1e-9),
-    _record("fraction", "27/64", 0.0),
-    _record("verdicts", "A<B: False, B<A: False", 1e-9),
-]
+FLOAT = "0.53347086912079611"
+GOLDEN = "\n".join([
+    "exit 2",
+    "stderr: causalkit ppt: error: unknown cut 'C'",
+    f'{{"valid": true, "status": "pass", "value": {FLOAT}, "exact": "27/32"}}',
+    "wires: A_I:2,A_O:2",
+    "0.42677669529663687+0j 0-0j",
+]) + "\n"
 
 
 @pytest.mark.parametrize(
-    "row, key, value, same",
+    "old, new, across_versions",
     [
-        (0, "computed", "0.53347086912079589", True),
-        (1, "computed", "27/63", False),
-        (2, "computed", "A<B: True, B<A: False", False),
-        (0, "status", "fail", False),
-        (1, "expected", "within 2 tol", False),
-        (0, "tolerance", 1e-12, False),
+        (FLOAT, repr(np.nextafter(float(FLOAT), 1.0).item()), True),
+        ("0.42677669529663687", repr(np.nextafter(0.42677669529663687, 0.0).item()), True),
+        ("0-0j", "0+1e-17j", True),
+        (FLOAT, repr(float(FLOAT) + 1e-9), False),
+        ("true", "false", False),
+        ('"pass"', '"fail"', False),
+        ("exit 2", "exit 1", False),
+        ("A_O:2", "B_O:2", False),
+        ("A_O:2", "A_O:3", False),
+        ("27/32", "27/64", False),
+        ("'C'", "'D'", False),
     ],
-    ids=["float-moved", "fraction-moved", "digit-free-moved", "verdict", "expected-text", "tolerance"],
+    ids=["float-ulp", "dump-entry-ulp", "signed-zero", "float-1e-9", "verdict", "status", "exit-code",
+         "wire-name", "wire-dim", "fraction", "stderr"],
 )
-def test_fixed_columns_across_versions(row, key, value, same):
-    # The comparison made under versions other than the golden files': only a
-    # float row's computed text may move.
-    moved = [dict(record) for record in ROWS]
-    moved[row][key] = value
-    golden, text = (json.dumps({"records": records}) for records in (ROWS, moved))
-    assert (_fixed_columns("manifest.json", text) == _fixed_columns("manifest.json", golden)) is same
+def test_the_one_rule(old, new, across_versions):
+    moved = GOLDEN.replace(old, new, 1)
+    assert moved != GOLDEN
+    assert not agrees(moved, GOLDEN, byte_for_byte=True)  # the writing versions: any moved byte fails
+    assert agrees(moved, GOLDEN, byte_for_byte=False) is across_versions

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from causalkit.processes import extend_with_state
+from causalkit.duality import gyni_to_dr
+from causalkit.games import cyril_gyni_strategy
+from causalkit.processes import build_cyril, extend_with_state, maximally_mixed_process
 from causalkit.sampling import random_dr_strategy, random_instrument, random_process
 from causalkit.tensor import (
     DEFAULT_TOL,
@@ -89,6 +91,31 @@ class TestWireLabel:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             op([A, B], np.eye(5))
+
+
+class TestValueEquality:
+    """Operators, and every record built from them, compare and hash by value."""
+
+    @pytest.mark.parametrize(
+        "build", [build_cyril, cyril_gyni_strategy, lambda: gyni_to_dr(cyril_gyni_strategy())],
+        ids=["cyril", "cyril-strategy", "cyril-dual"],
+    )
+    def test_two_builds_are_equal(self, build):
+        first, second = build(), build()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_values_differ(self):
+        cyril = build_cyril()
+        assert cyril != maximally_mixed_process()
+        assert cyril.op != OperatorStack(cyril.op.wires, cyril.op.matrix)  # another type
+        assert cyril.op != LabeledOperator(cyril.op.wires, 2 * cyril.op.matrix)
+
+    def test_arm_is_in_its_strategy(self):
+        strategy = cyril_gyni_strategy()
+        assert all(arm in strategy.parties for arm in cyril_gyni_strategy().parties)
+        assert len({arm.instruments[0] for arm in strategy.parties}) == 2
 
 
 class TestKron:
